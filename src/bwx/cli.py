@@ -33,7 +33,7 @@ from .pipeline import (
 )
 from .prep import LowpassMode, LowpassSpec, make_pair
 from .specio import SpecKind, spec_read, spec_write
-from .wavio import SampleDepth, wav_read, wav_write
+from .wavio import SampleDepth, wav_read, wav_sample_rate, wav_write
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,7 +144,7 @@ def _cmd_prepare(args) -> int:
 
 def _cmd_sr(args) -> int:
     cfg = StftConfig(frame_len=args.frame, hop=args.hop)
-    sample_rate = wav_read(args.input)[0][0].sample_rate
+    sample_rate = wav_sample_rate(args.input)
     layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
     phase = _parse_phase(args.phase, layout, args.gla_iters, args.gla_init)
     if args.trace is not None and not isinstance(phase, GlaPhaseSpec):
@@ -165,7 +165,7 @@ def _cmd_sr(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = StftConfig()
-    sample_rate = wav_read(args.truth)[0][0].sample_rate
+    sample_rate = wav_sample_rate(args.truth)
     layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
     rows = evaluate_batch([(args.truth, args.est)], layout, args.output, cfg)
     for row in rows:

@@ -7,11 +7,13 @@ Conventions used throughout the package:
 * Spectrograms are one-sided, shape (L, F) with F = frame_len // 2 + 1.
 * Synthesis is weighted overlap-add with the analysis window applied a
   second time and the result divided by the overlapped squared-window sum
-  (floored at 1e-12 to keep edge samples finite).
+  (floored at 1e-12 to keep edge samples finite). That sum depends only on
+  the configuration and the frame count, so it is cached per (cfg, frames).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,16 +244,43 @@ def stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return scipy.fft.rfft(frames, axis=1, workers=-1)
 
 
+@functools.lru_cache(maxsize=4)
+def _synthesis_denominator(cfg: StftConfig, n_frames: int) -> np.ndarray:
+    """Overlapped squared-window sum for ``n_frames`` frames, floored at
+    WINDOW_SUM_FLOOR. Cached per (cfg, n_frames) and shared by every caller,
+    so it is returned read-only."""
+    frame_len, hop = cfg.frame_len, cfg.hop
+    window = cfg.window_values()
+    wsq = window * window
+    if frame_len % hop == 0:
+        n_seg = frame_len // hop
+        wblocks = wsq.reshape(n_seg, hop)
+        wline = np.zeros((n_frames - 1 + n_seg, hop))
+        for j in range(n_seg):
+            wline[j : j + n_frames] += wblocks[j]
+        wsum = wline.reshape(-1)
+    else:
+        wsum = np.zeros(cfg.output_length(n_frames))
+        for i in range(n_frames):
+            wsum[i * hop : i * hop + frame_len] += wsq
+    denominator = np.maximum(wsum, WINDOW_SUM_FLOOR)
+    denominator.flags.writeable = False
+    return denominator
+
+
 def istft_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Weighted overlap-add inverse of `stft_array`; output has
-    (L - 1) * hop + frame_len samples."""
+    (L - 1) * hop + frame_len samples.
+
+    The irfft frames are windowed in place and the overlap-added signal is
+    divided by the floored squared-window sum, which is computed once per
+    (cfg, L) and cached."""
     X = np.asarray(X, dtype=np.complex128)
     n_frames = X.shape[0]
     frame_len, hop = cfg.frame_len, cfg.hop
-    window = cfg.window_values()
-    frames = scipy.fft.irfft(X, n=frame_len, axis=1, workers=-1) * window
+    frames = scipy.fft.irfft(X, n=frame_len, axis=1, workers=-1)
+    frames *= cfg.window_values()
 
-    n_out = cfg.output_length(n_frames)
     if frame_len % hop == 0:
         # Hop divides the frame: overlap-add as shifted hop-sized blocks.
         n_seg = frame_len // hop
@@ -260,20 +289,12 @@ def istft_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
         for j in range(n_seg):
             acc[j : j + n_frames] += blocks[:, j, :]
         out = acc.reshape(-1)
-        wblocks = (window * window).reshape(n_seg, hop)
-        wline = np.zeros((n_frames - 1 + n_seg, hop))
-        for j in range(n_seg):
-            wline[j : j + n_frames] += wblocks[j]
-        wsum = wline.reshape(-1)
     else:
-        out = np.zeros(n_out)
-        wsum = np.zeros(n_out)
-        wsq = window * window
+        out = np.zeros(cfg.output_length(n_frames))
         for i in range(n_frames):
-            start = i * hop
-            out[start : start + frame_len] += frames[i]
-            wsum[start : start + frame_len] += wsq
-    return out / np.maximum(wsum, WINDOW_SUM_FLOOR)
+            out[i * hop : i * hop + frame_len] += frames[i]
+    out /= _synthesis_denominator(cfg, n_frames)
+    return out
 
 
 def interior_slice(n_samples: int, cfg: StftConfig) -> slice:

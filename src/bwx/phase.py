@@ -4,8 +4,8 @@ Three strategies produce phase for the bins above the cutoff:
 
 * ``flip_phase`` mirrors the low-band phase about the cutoff and negates it.
 * ``gla_reconstruct`` runs an alternating-projection loop (Griffin-Lim) that
-  keeps the supplied magnitudes on every bin while pinning the low band to
-  its known complex values.
+  re-imposes the supplied magnitudes on every bin from the cutoff up while
+  pinning the low band to its known complex values.
 * ``extract_reference_phase`` reads phase straight off a reference waveform,
   e.g. the original recording or an external synthesiser's output.
 """
@@ -102,13 +102,6 @@ def _consistency_residual(X: np.ndarray, projected: np.ndarray) -> float:
     return float(num / den)
 
 
-def _apply_magnitude(magnitude: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    # A * Y / |Y| with the zero-magnitude quotient defined as zero.
-    absY = np.abs(Y)
-    unit = np.divide(Y, absY, out=np.zeros_like(Y), where=absY > 0)
-    return magnitude * unit
-
-
 def gla_reconstruct(
     full_magnitude: MagnitudeSpectrogram,
     lfc_complex: ComplexSpectrogram,
@@ -119,10 +112,12 @@ def gla_reconstruct(
 
     The starting spectrogram copies ``lfc_complex`` into bins [0, k_lo) and
     gives every remaining bin the supplied magnitude with the configured
-    initial phase. Each iteration projects onto consistent spectrograms,
-    re-imposes the magnitudes (zero divided by zero becomes zero) and then
-    overwrites the low band with ``lfc_complex`` again, so the low band
-    survives bit for bit.
+    initial phase. Each iteration projects onto consistent spectrograms and
+    re-imposes the magnitudes on bins k_lo and above only, as
+    ``Y * (A / |Y|)`` with zero divided by zero defined as zero. The low band
+    is never written after the start, so it survives bit for bit. The
+    spectrogram and the magnitude-ratio buffer are allocated once; each
+    iteration's NaN check covers only the re-imposed bins.
 
     ``initial_hf_phase``, shape (frames, n_bins - k_lo), overrides the
     configured init and warm-starts the loop with explicit phases for every
@@ -167,18 +162,24 @@ def gla_reconstruct(
             src = flip_source_bins(layout)
             init_phase[:, : k_hi - k_lo] = wrap_phase(-np.angle(lfc[:, src]))
 
+    A_hi = A[:, k_lo:]
     X = np.empty(A.shape, dtype=np.complex128)
     X[:, :k_lo] = lfc
-    X[:, k_lo:] = A[:, k_lo:] * np.exp(1j * init_phase)
+    X_hi = X[:, k_lo:]
+    X_hi[...] = A_hi * np.exp(1j * init_phase)
+    scale = np.empty(A_hi.shape)
 
     residuals = np.empty(cfg.iterations) if cfg.record_trace else None
     for m in range(cfg.iterations):
         Y = consistency_project_array(X, stft_cfg)
         if residuals is not None:
             residuals[m] = _consistency_residual(X, Y)
-        X = _apply_magnitude(A, Y)
-        X[:, :k_lo] = lfc
-        if np.isnan(X).any():
+        Y_hi = Y[:, k_lo:]
+        np.abs(Y_hi, out=scale)
+        # A / |Y| where |Y| > 0; the rest of `scale` already holds |Y| = 0.
+        np.divide(A_hi, scale, out=scale, where=scale > 0)
+        np.multiply(Y_hi, scale, out=X_hi)
+        if np.isnan(X_hi).any():
             raise NumericalError(f"NaN appeared at Griffin-Lim iteration {m}")
 
     result = ComplexSpectrogram(X, stft_cfg, full_magnitude.sample_rate)

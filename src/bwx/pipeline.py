@@ -28,8 +28,8 @@ from .dsp import (
     StftConfig,
     Waveform,
     istft_array,
-    phase_of,
     stft,
+    wrap_phase,
 )
 from .errors import BwxError, PipelineError, ShapeError
 from .magnitude import (
@@ -44,7 +44,7 @@ from .magnitude import (
 from .metrics import EVAL_CSV_HEADER, EvalReport, evaluate
 from .phase import GlaConfig, GlaTrace, extract_reference_phase, flip_phase, gla_reconstruct
 from .prep import LowpassSpec, make_pair
-from .wavio import SampleDepth, wav_read, wav_write
+from .wavio import SampleDepth, wav_read, wav_sample_rate, wav_write
 
 logger = logging.getLogger("bwx")
 
@@ -87,7 +87,7 @@ class SrJobSpec:
     residual_band: ResidualBand = ResidualBand.PASSTHROUGH
 
     def __post_init__(self) -> None:
-        if str(self.input_path) == str(self.output_path):
+        if Path(self.input_path).resolve() == Path(self.output_path).resolve():
             raise ShapeError("input and output paths must be distinct")
         if self.layout is not None and self.layout.n_bins != self.stft.n_bins:
             raise ShapeError(
@@ -163,7 +163,7 @@ def _estimate_phase(
     strategy = job.phase
     if isinstance(strategy, FlipPhaseSpec):
         lfc_phase = PhaseSpectrogram(
-            phase_of(x).data[:, : layout.k_lo], job.stft, x.sample_rate
+            wrap_phase(np.angle(x.data[:, : layout.k_lo])), job.stft, x.sample_rate
         )
         return flip_phase(lfc_phase, layout), None
     if isinstance(strategy, GlaPhaseSpec):
@@ -173,7 +173,7 @@ def _estimate_phase(
         full_mag = MagnitudeSpectrogram(full, job.stft, x.sample_rate)
         lfc = ComplexSpectrogram(x.data[:, : layout.k_lo], job.stft, x.sample_rate)
         result, trace = gla_reconstruct(full_mag, lfc, strategy.config)
-        hfc_phase = phase_of(result).data[:, layout.k_lo : layout.k_hi]
+        hfc_phase = wrap_phase(np.angle(result.data[:, layout.k_lo : layout.k_hi]))
         return PhaseSpectrogram(hfc_phase, job.stft, x.sample_rate), trace
     if isinstance(strategy, ReferencePhaseSpec):
         reference = _read_channel(strategy.path, channel, n_channels)
@@ -316,7 +316,7 @@ def _study_one_clip(
     lr_path = workdir / f"{stem}_lr.wav"
     make_pair(clip_path, lr_path, LowpassSpec(cutoff_hz=lo_hz), cfg)
 
-    sample_rate = wav_read(clip_path)[0][0].sample_rate
+    sample_rate = wav_sample_rate(clip_path)
     layout = BandLayout.from_frequencies(lo_hz, hi_hz, sample_rate, cfg)
 
     phase_specs: dict[str, PhaseStrategySpec] = {

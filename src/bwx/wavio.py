@@ -9,7 +9,9 @@ Unknown chunks are skipped on read.
 from __future__ import annotations
 
 import enum
+import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +27,86 @@ from .errors import (
 _FORMAT_PCM = 1
 _FORMAT_IEEE_FLOAT = 3
 _FORMAT_EXTENSIBLE = 0xFFFE
+_SUPPORTED = {(_FORMAT_PCM, 16), (_FORMAT_PCM, 24), (_FORMAT_IEEE_FLOAT, 32)}
 
 
 class SampleDepth(enum.Enum):
     PCM16 = "pcm16"
     FLOAT32 = "float32"
+
+
+@dataclass(frozen=True)
+class _WavHeader:
+    n_channels: int
+    sample_rate: int
+    bits: int
+    data_offset: int
+    data_size: int
+
+
+def _read_header(fh, path) -> _WavHeader:
+    """Walk the RIFF chunks of an open, seekable WAV file.
+
+    Reads only chunk headers and the fmt body; the data chunk is located,
+    checked against the file size and skipped. Raises the typed format errors
+    for a malformed, truncated or unsupported file.
+    """
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    head = fh.read(12)
+    if len(head) < 12:
+        raise MalformedHeaderError(f"{path}: file too small to hold a RIFF header")
+    if head[0:4] != b"RIFF":
+        raise MalformedHeaderError(f"{path}: missing RIFF tag")
+    if head[8:12] != b"WAVE":
+        raise MalformedHeaderError(f"{path}: missing WAVE tag")
+
+    fmt = None
+    data = None
+    pos = 12
+    while pos + 8 <= size:
+        fh.seek(pos)
+        chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
+        body_start = pos + 8
+        if chunk_id == b"fmt ":
+            if chunk_size < 16 or body_start + chunk_size > size:
+                raise MalformedHeaderError(f"{path}: fmt chunk truncated")
+            body = fh.read(min(chunk_size, 40))
+            fmt = struct.unpack_from("<HHIIHH", body)
+            if fmt[0] == _FORMAT_EXTENSIBLE and chunk_size >= 40:
+                # Resolve WAVE_FORMAT_EXTENSIBLE via the SubFormat GUID prefix.
+                (sub_tag,) = struct.unpack_from("<H", body, 24)
+                fmt = (sub_tag,) + fmt[1:]
+        elif chunk_id == b"data":
+            available = size - body_start
+            if chunk_size > available:
+                raise TruncatedDataError(
+                    f"{path}: data chunk declares {chunk_size} bytes, only {available} present"
+                )
+            data = (body_start, chunk_size)
+        pos = body_start + chunk_size + (chunk_size & 1)
+
+    if fmt is None:
+        raise MalformedHeaderError(f"{path}: no fmt chunk")
+    if data is None:
+        raise MalformedHeaderError(f"{path}: no data chunk")
+
+    tag, n_channels, sample_rate, _byte_rate, _block_align, bits = fmt
+    if n_channels < 1:
+        raise MalformedHeaderError(f"{path}: channel count {n_channels} invalid")
+    if (tag, bits) not in _SUPPORTED:
+        raise UnsupportedCodecError(
+            f"{path}: format tag {tag} with {bits} bits is not supported "
+            "(PCM16, PCM24 or float32 only)"
+        )
+    return _WavHeader(n_channels, sample_rate, bits, *data)
+
+
+def wav_sample_rate(path) -> int:
+    """Sample rate of a WAV file, read from its header without decoding the
+    samples. Raises the same format errors as `wav_read`."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path).sample_rate
 
 
 def wav_read(path) -> tuple[list[Waveform], int]:
@@ -38,73 +115,27 @@ def wav_read(path) -> tuple[list[Waveform], int]:
     The bit depth is 16, 24 or 32 (32 meaning IEEE float).
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        header = _read_header(fh, path)
+        fh.seek(header.data_offset)
+        data = fh.read(header.data_size)
 
-    if len(raw) < 12:
-        raise MalformedHeaderError(f"{path}: file too small to hold a RIFF header")
-    if raw[0:4] != b"RIFF":
-        raise MalformedHeaderError(f"{path}: missing RIFF tag")
-    if raw[8:12] != b"WAVE":
-        raise MalformedHeaderError(f"{path}: missing WAVE tag")
-
-    fmt = None
-    data = None
-    pos = 12
-    while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
-        body_start = pos + 8
-        if chunk_id == b"fmt ":
-            if chunk_size < 16 or body_start + chunk_size > len(raw):
-                raise MalformedHeaderError(f"{path}: fmt chunk truncated")
-            fmt = struct.unpack_from("<HHIIHH", raw, body_start)
-            if fmt[0] == _FORMAT_EXTENSIBLE and chunk_size >= 40:
-                # Resolve WAVE_FORMAT_EXTENSIBLE via the SubFormat GUID prefix.
-                (sub_tag,) = struct.unpack_from("<H", raw, body_start + 24)
-                fmt = (sub_tag,) + fmt[1:]
-        elif chunk_id == b"data":
-            declared = chunk_size
-            available = len(raw) - body_start
-            if declared > available:
-                raise TruncatedDataError(
-                    f"{path}: data chunk declares {declared} bytes, only {available} present"
-                )
-            data = raw[body_start : body_start + declared]
-        pos = body_start + chunk_size + (chunk_size & 1)
-
-    if fmt is None:
-        raise MalformedHeaderError(f"{path}: no fmt chunk")
-    if data is None:
-        raise MalformedHeaderError(f"{path}: no data chunk")
-
-    tag, n_channels, sample_rate, _byte_rate, block_align, bits = fmt
-    if n_channels < 1:
-        raise MalformedHeaderError(f"{path}: channel count {n_channels} invalid")
-
-    if tag == _FORMAT_PCM and bits == 16:
+    n_channels, depth = header.n_channels, header.bits
+    if depth == 16:
         samples = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2")
         values = samples.astype(np.float64) / 32768.0
-        depth = 16
-    elif tag == _FORMAT_PCM and bits == 24:
+    elif depth == 24:
         usable = len(data) - len(data) % 3
         b = np.frombuffer(data[:usable], dtype=np.uint8).reshape(-1, 3).astype(np.int64)
         ints = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
         ints = np.where(ints & 0x800000, ints - (1 << 24), ints)
         values = ints.astype(np.float64) / float(1 << 23)
-        depth = 24
-    elif tag == _FORMAT_IEEE_FLOAT and bits == 32:
+    else:
         samples = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4")
         values = samples.astype(np.float64)
-        depth = 32
-    else:
-        raise UnsupportedCodecError(
-            f"{path}: format tag {tag} with {bits} bits is not supported "
-            "(PCM16, PCM24 or float32 only)"
-        )
 
     frames = len(values) // n_channels
     values = values[: frames * n_channels].reshape(frames, n_channels)
-    channels = [Waveform(values[:, c].copy(), sample_rate) for c in range(n_channels)]
+    channels = [Waveform(values[:, c].copy(), header.sample_rate) for c in range(n_channels)]
     return channels, depth
 
 

@@ -120,6 +120,28 @@ class TestSr:
         )
         assert code == 2
 
+    def test_output_over_input_is_usage_error(self, tmp_path, lr_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = lr_path.read_bytes()
+        code = main(
+            ["sr", "--in", lr_path.name, "--out", f"./{lr_path.name}",
+             "--mag", "sbr", "--phase", "flip"]
+        )
+        assert code == 1
+        assert lr_path.read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["sr", "eval"])
+    def test_malformed_input_is_io_error(self, tmp_path, hr_path, command):
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(hr_path.read_bytes()[:-100])  # data chunk cut short
+        if command == "sr":
+            argv = ["sr", "--in", str(bad), "--out", str(tmp_path / "o.wav"),
+                    "--mag", "sbr", "--phase", "flip"]
+        else:
+            argv = ["eval", "--truth", str(bad), "--est", str(hr_path),
+                    "--out", str(tmp_path / "e.csv")]
+        assert main(argv) == 2
+
 
 class TestEval:
     def test_self_comparison(self, tmp_path, hr_path, capsys):

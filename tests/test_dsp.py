@@ -17,7 +17,7 @@ from bwx import (
     stft,
     wrap_phase,
 )
-from bwx.dsp import hann_window
+from bwx.dsp import _synthesis_denominator, hann_window, istft_array
 from bwx.errors import DomainError, LengthError, ShapeError
 
 
@@ -216,6 +216,51 @@ class TestIstft:
         sel = interior_slice(n, cfg)
         err = np.linalg.norm(x[:n][sel] - y.samples[sel]) / np.linalg.norm(x[:n][sel])
         assert err < 1e-6
+
+
+def overlap_add_oracle(X, cfg):
+    """Per-frame weighted overlap-add divided by the floored window-square sum."""
+    window = hann_window(cfg.frame_len)
+    n_out = (X.shape[0] - 1) * cfg.hop + cfg.frame_len
+    out = np.zeros(n_out)
+    wsum = np.zeros(n_out)
+    for i, row in enumerate(X):
+        start = i * cfg.hop
+        out[start : start + cfg.frame_len] += np.fft.irfft(row, cfg.frame_len) * window
+        wsum[start : start + cfg.frame_len] += window * window
+    return out / np.maximum(wsum, 1e-12)
+
+
+class TestIstftArray:
+    @pytest.mark.parametrize("hop", [16, 24])
+    @pytest.mark.parametrize("n_frames", [5, 9])
+    def test_matches_overlap_add_oracle(self, hop, n_frames):
+        cfg = StftConfig(frame_len=64, hop=hop)
+        rng = np.random.default_rng(hop * n_frames)
+        X = rng.standard_normal((n_frames, cfg.n_bins)) + 1j * rng.standard_normal(
+            (n_frames, cfg.n_bins)
+        )
+        np.testing.assert_allclose(
+            istft_array(X, cfg), overlap_add_oracle(X, cfg), rtol=1e-12, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("hop", [16, 24])
+    def test_cached_denominator_is_read_only_and_never_aliased(self, hop):
+        cfg = StftConfig(frame_len=64, hop=hop)
+        denominator = _synthesis_denominator(cfg, 7)
+        assert _synthesis_denominator(cfg, 7) is denominator
+        assert not denominator.flags.writeable
+        with pytest.raises(ValueError):
+            denominator[0] = 1.0
+        before = denominator.copy()
+
+        X = np.ones((7, cfg.n_bins), dtype=np.complex128)
+        out = istft_array(X, cfg)
+        expected = out.copy()
+        assert not np.shares_memory(out, denominator)
+        out[:] = 0.0
+        assert np.array_equal(_synthesis_denominator(cfg, 7), before)
+        assert np.array_equal(istft_array(X, cfg), expected)
 
 
 class TestConsistencyProject:

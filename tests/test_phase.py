@@ -17,8 +17,9 @@ from bwx import (
     gla_reconstruct,
     stft,
 )
-from bwx.dsp import stft_array
-from bwx.errors import ShapeError
+import bwx.phase
+from bwx.dsp import consistency_project_array, stft_array
+from bwx.errors import NumericalError, ShapeError
 
 CFG = StftConfig()
 LAYOUT = BandLayout(186, 372, CFG.n_bins)
@@ -187,6 +188,90 @@ class TestGlaReconstruct:
             assert int(idx) == i
             assert "e" not in value.lower()  # decimal notation
             assert float(value) == pytest.approx(trace.residuals[i], rel=1e-8)
+
+
+def _reference_loop(magnitude, lfc, start, iterations):
+    """The loop as first written: project, re-impose A * Y / |Y| on every bin
+    with 0/0 -> 0, then re-pin the low band. Returns the spectrogram and the
+    residual of every iteration."""
+    A, k_lo = magnitude.data, lfc.n_bins
+    X = start.copy()
+    residuals = []
+    for _ in range(iterations):
+        Y = consistency_project_array(X, CFG)
+        residuals.append(np.linalg.norm(X - Y) / max(np.linalg.norm(X), 1e-12))
+        absY = np.abs(Y)
+        X = A * np.divide(Y, absY, out=np.zeros_like(Y), where=absY > 0)
+        X[:, :k_lo] = lfc.data
+    return X, np.array(residuals)
+
+
+class TestGlaKernel:
+    ITERATIONS = 6
+
+    @pytest.mark.parametrize("record_trace", [True, False])
+    @pytest.mark.parametrize("start", ["zero", "flip", "warm"])
+    def test_matches_reference_loop(self, short_music, start, record_trace):
+        _, magnitude, lfc = _consistent_inputs(short_music)
+        init = GlaInit.FLIP_PHASE if start == "flip" else GlaInit.ZERO_PHASE
+        warm = None
+        if start == "warm":
+            rng = np.random.default_rng(17)
+            warm = rng.uniform(-np.pi, np.pi, size=(magnitude.n_frames, CFG.n_bins - 186))
+        start_cfg = GlaConfig(layout=LAYOUT, iterations=0, init=init)
+        X0, _ = gla_reconstruct(magnitude, lfc, start_cfg, initial_hf_phase=warm)
+        expected, expected_residuals = _reference_loop(magnitude, lfc, X0.data, self.ITERATIONS)
+
+        cfg = GlaConfig(
+            layout=LAYOUT, iterations=self.ITERATIONS, init=init, record_trace=record_trace
+        )
+        out, trace = gla_reconstruct(magnitude, lfc, cfg, initial_hf_phase=warm)
+        # A * (Y / |Y|) and Y * (A / |Y|) round differently, and the FFTs spread
+        # that rounding over every bin, so the tolerance is relative to the
+        # spectrogram's scale rather than to each (possibly tiny) entry.
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12 * scale)
+        assert np.array_equal(out.data[:, :186], lfc.data)
+        if record_trace:
+            np.testing.assert_allclose(trace.residuals, expected_residuals, rtol=1e-9)
+        else:
+            assert len(trace) == 0
+
+    def test_zero_magnitude_bins_give_zero(self, short_music):
+        _, magnitude, lfc = _consistent_inputs(short_music)
+        A = magnitude.data.copy()
+        A[:, 300:400] = 0.0
+        A[:, 900:] = 0.0
+        zeroed = MagnitudeSpectrogram(A, CFG, 44100)
+        out, _ = gla_reconstruct(zeroed, lfc, GlaConfig(layout=LAYOUT, iterations=3))
+        assert np.all(np.isfinite(out.data))
+        assert np.all(out.data[:, 300:400] == 0)
+        assert np.all(out.data[:, 900:] == 0)
+
+    def test_silence_stays_silent(self):
+        # |Y| = 0 everywhere: every re-imposed bin is 0 / 0, defined as 0.
+        frames = 6
+        magnitude = MagnitudeSpectrogram(np.zeros((frames, CFG.n_bins)), CFG, 44100)
+        lfc = ComplexSpectrogram(np.zeros((frames, 186)), CFG, 44100)
+        out, trace = gla_reconstruct(magnitude, lfc, GlaConfig(layout=LAYOUT, iterations=3))
+        assert np.all(out.data == 0)
+        assert np.all(np.isfinite(trace.residuals))
+
+    def test_nan_names_its_iteration(self, short_music, monkeypatch):
+        _, magnitude, lfc = _consistent_inputs(short_music)
+        calls = []
+
+        def poisoned(X, cfg):
+            Y = consistency_project_array(X, cfg)
+            if len(calls) == 2:
+                Y[3, 500] = np.nan
+            calls.append(1)
+            return Y
+
+        monkeypatch.setattr(bwx.phase, "consistency_project_array", poisoned)
+        with pytest.raises(NumericalError, match="iteration 2"):
+            gla_reconstruct(magnitude, lfc, GlaConfig(layout=LAYOUT, iterations=5))
+        assert len(calls) == 3
 
 
 class TestExtractReferencePhase:

@@ -192,6 +192,15 @@ class TestSuperResolve:
         with pytest.raises(ShapeError, match="distinct"):
             _job(tmp_path / "x.wav", tmp_path / "x.wav", BandReplicationSpec(), FlipPhaseSpec())
 
+    @pytest.mark.parametrize(
+        "spelling", ["./x.wav", "sub/../x.wav", "{tmp}/x.wav", "{tmp}/./x.wav"]
+    )
+    def test_equivalent_path_spellings_rejected(self, tmp_path, monkeypatch, spelling):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        with pytest.raises(ShapeError, match="distinct"):
+            _job("x.wav", spelling.format(tmp=tmp_path), BandReplicationSpec(), FlipPhaseSpec())
+
     def test_gla_trace_written(self, tmp_path, hr_lr_paths):
         hr, lr = hr_lr_paths
         out = tmp_path / "out.wav"

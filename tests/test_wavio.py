@@ -12,6 +12,7 @@ from bwx.errors import (
     TruncatedDataError,
     UnsupportedCodecError,
 )
+from bwx.wavio import wav_sample_rate
 
 
 def test_float32_round_trip_bit_exact(tmp_path):
@@ -111,23 +112,28 @@ def test_channel_mismatch_rejected(tmp_path):
 
 
 class TestMalformedFiles:
+    # The header-only sample-rate lookup shares the chunk walk with wav_read,
+    # so both must reject a malformed file with the same typed error.
     def test_not_riff(self, tmp_path):
         path = tmp_path / "x.wav"
         path.write_bytes(b"JUNK" + b"\x00" * 64)
-        with pytest.raises(MalformedHeaderError, match="RIFF"):
-            wav_read(path)
+        for reader in (wav_read, wav_sample_rate):
+            with pytest.raises(MalformedHeaderError, match="RIFF"):
+                reader(path)
 
     def test_not_wave(self, tmp_path):
         path = tmp_path / "x.wav"
         path.write_bytes(b"RIFF" + struct.pack("<I", 64) + b"AVI " + b"\x00" * 64)
-        with pytest.raises(MalformedHeaderError, match="WAVE"):
-            wav_read(path)
+        for reader in (wav_read, wav_sample_rate):
+            with pytest.raises(MalformedHeaderError, match="WAVE"):
+                reader(path)
 
     def test_tiny_file(self, tmp_path):
         path = tmp_path / "x.wav"
         path.write_bytes(b"RIFF")
-        with pytest.raises(MalformedHeaderError, match="small"):
-            wav_read(path)
+        for reader in (wav_read, wav_sample_rate):
+            with pytest.raises(MalformedHeaderError, match="small"):
+                reader(path)
 
     def test_missing_data_chunk(self, tmp_path):
         header = struct.pack(
@@ -136,8 +142,9 @@ class TestMalformedFiles:
         )
         path = tmp_path / "x.wav"
         path.write_bytes(header)
-        with pytest.raises(MalformedHeaderError, match="data"):
-            wav_read(path)
+        for reader in (wav_read, wav_sample_rate):
+            with pytest.raises(MalformedHeaderError, match="data"):
+                reader(path)
 
     def test_truncated_payload(self, tmp_path):
         payload = b"\x00\x00" * 10
@@ -148,8 +155,9 @@ class TestMalformedFiles:
         )
         path = tmp_path / "x.wav"
         path.write_bytes(header + payload)
-        with pytest.raises(TruncatedDataError, match="declares"):
-            wav_read(path)
+        for reader in (wav_read, wav_sample_rate):
+            with pytest.raises(TruncatedDataError, match="declares"):
+                reader(path)
 
     def test_unsupported_codec(self, tmp_path):
         payload = b"\x00" * 8
@@ -160,8 +168,9 @@ class TestMalformedFiles:
         )
         path = tmp_path / "x.wav"
         path.write_bytes(header + payload)
-        with pytest.raises(UnsupportedCodecError, match="tag 7"):
-            wav_read(path)
+        for reader in (wav_read, wav_sample_rate):
+            with pytest.raises(UnsupportedCodecError, match="tag 7"):
+                reader(path)
 
     def test_pcm32_int_unsupported(self, tmp_path):
         payload = b"\x00" * 8
@@ -172,5 +181,13 @@ class TestMalformedFiles:
         )
         path = tmp_path / "x.wav"
         path.write_bytes(header + payload)
-        with pytest.raises(UnsupportedCodecError):
-            wav_read(path)
+        for reader in (wav_read, wav_sample_rate):
+            with pytest.raises(UnsupportedCodecError):
+                reader(path)
+
+
+class TestSampleRateFromHeader:
+    def test_matches_full_read(self, tmp_path):
+        path = tmp_path / "x.wav"
+        wav_write(path, Waveform(np.zeros(100), 22050), SampleDepth.PCM16)
+        assert wav_sample_rate(path) == 22050 == wav_read(path)[0][0].sample_rate
