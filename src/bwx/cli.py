@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import BandLayout, ComplexSpectrogram, StftConfig, istft, stft
-from .errors import BwxError, FileFormatError, NumericalError, PipelineError
+from .errors import BwxError, FileFormatError, NumericalError, PipelineError, ShapeError
 from .magnitude import BandReplicationSpec, ImportSpec, OracleSpec
 from .phase import GlaConfig, GlaInit
 from .pipeline import (
@@ -190,6 +190,10 @@ def _cmd_spec(args) -> int:
     if args.spec_command == "export":
         cfg = StftConfig(frame_len=args.frame, hop=args.hop)
         channels, _ = wav_read(args.input)
+        if len(channels) != 1:
+            raise ShapeError(
+                f"{args.input}: spec export takes mono input, found {len(channels)} channels"
+            )
         spectrogram = stft(channels[0], cfg)
         if args.kind == "magnitude":
             spec_write(

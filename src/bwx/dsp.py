@@ -9,11 +9,16 @@ Conventions used throughout the package:
   second time and the result divided by the overlapped squared-window sum
   (floored at 1e-12 to keep edge samples finite). That sum depends only on
   the configuration and the frame count, so it is cached per (cfg, frames).
+* Every sample of the overlap-add sums its frames in ascending frame order,
+  so adding a spectrogram block by block (`overlap_add` per block of
+  `frame_blocks`) gives the same bits as adding it whole. Analysis is per
+  frame, so a block's STFT equals the matching rows of the whole STFT.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +27,11 @@ import scipy.fft
 from .errors import DomainError, LengthError, ShapeError
 
 WINDOW_SUM_FLOOR = 1e-12
+
+# Frames per block in the frame-local flows (sr without Griffin-Lim, eval,
+# brickwall prepare): 256 frames of 2048/256 hold about 4 MB of complex128,
+# so their spectrogram memory does not grow with the input's length.
+BLOCK_FRAMES = 256
 
 
 def hann_window(frame_len: int) -> np.ndarray:
@@ -268,33 +278,58 @@ def _synthesis_denominator(cfg: StftConfig, n_frames: int) -> np.ndarray:
     return denominator
 
 
+def overlap_add(X_block: np.ndarray, out: np.ndarray, first_frame: int, cfg: StftConfig) -> None:
+    """Add the windowed irfft frames of ``X_block`` into ``out``, frame i at
+    sample (first_frame + i) * hop, without normalising.
+
+    Each sample receives its frames in ascending frame order, so calling this
+    block after block in frame order sums exactly as one call on the whole
+    spectrogram does."""
+    frame_len, hop = cfg.frame_len, cfg.hop
+    n_frames = X_block.shape[0]
+    frames = scipy.fft.irfft(X_block, n=frame_len, axis=1, workers=-1)
+    frames *= cfg.window_values()
+    start = first_frame * hop
+    if frame_len % hop == 0:
+        # Hop divides the frame: add hop-sized segments, the last segment of
+        # every frame first, so each output row takes its earliest frame first.
+        n_seg = frame_len // hop
+        segments = frames.reshape(n_frames, n_seg, hop)
+        rows = out[start : start + (n_frames - 1 + n_seg) * hop].reshape(-1, hop)
+        for j in reversed(range(n_seg)):
+            rows[j : j + n_frames] += segments[:, j, :]
+    else:
+        for i in range(n_frames):
+            out[start + i * hop : start + i * hop + frame_len] += frames[i]
+
+
 def istft_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Weighted overlap-add inverse of `stft_array`; output has
     (L - 1) * hop + frame_len samples.
 
-    The irfft frames are windowed in place and the overlap-added signal is
-    divided by the floored squared-window sum, which is computed once per
-    (cfg, L) and cached."""
+    The overlap-added signal is divided by the floored squared-window sum,
+    which is computed once per (cfg, L) and cached."""
     X = np.asarray(X, dtype=np.complex128)
     n_frames = X.shape[0]
-    frame_len, hop = cfg.frame_len, cfg.hop
-    frames = scipy.fft.irfft(X, n=frame_len, axis=1, workers=-1)
-    frames *= cfg.window_values()
-
-    if frame_len % hop == 0:
-        # Hop divides the frame: overlap-add as shifted hop-sized blocks.
-        n_seg = frame_len // hop
-        blocks = frames.reshape(n_frames, n_seg, hop)
-        acc = np.zeros((n_frames - 1 + n_seg, hop))
-        for j in range(n_seg):
-            acc[j : j + n_frames] += blocks[:, j, :]
-        out = acc.reshape(-1)
-    else:
-        out = np.zeros(cfg.output_length(n_frames))
-        for i in range(n_frames):
-            out[i * hop : i * hop + frame_len] += frames[i]
+    out = np.zeros(cfg.output_length(n_frames))
+    overlap_add(X, out, 0, cfg)
     out /= _synthesis_denominator(cfg, n_frames)
     return out
+
+
+def frame_blocks(
+    n_frames: int, cfg: StftConfig, block_frames: int | None = None
+) -> Iterator[tuple[int, int, slice]]:
+    """Split frames 0..n_frames-1 into consecutive blocks of ``block_frames``
+    (default `BLOCK_FRAMES`) frames.
+
+    Yields ``(f0, f1, samples)``: the block covers frames f0..f1-1 and
+    ``stft_array(x[samples], cfg)`` is exactly those frames of
+    ``stft_array(x, cfg)``."""
+    step = block_frames or BLOCK_FRAMES
+    for f0 in range(0, n_frames, step):
+        f1 = min(f0 + step, n_frames)
+        yield f0, f1, slice(f0 * cfg.hop, (f1 - 1) * cfg.hop + cfg.frame_len)
 
 
 def interior_slice(n_samples: int, cfg: StftConfig) -> slice:

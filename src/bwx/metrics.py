@@ -19,6 +19,7 @@ from .dsp import (
     StftConfig,
     Waveform,
     consistency_project,
+    frame_blocks,
     stft_array,
 )
 from .errors import DomainError, LengthError, ShapeError
@@ -50,12 +51,21 @@ def lsd(
         raise ShapeError(
             f"magnitude shapes differ: {truth.data.shape} vs {estimate.data.shape}"
         )
+    _check_bins(bins, truth.n_bins)
+    return float(np.mean(_lsd_per_frame(truth.data, estimate.data, bins)))
+
+
+def _check_bins(bins: tuple[int, int], n_bins: int) -> None:
     lo, hi = bins
-    if not 0 <= lo < hi <= truth.n_bins:
-        raise DomainError(f"bin range [{lo}, {hi}) invalid for {truth.n_bins} bins")
-    diff = log_power(truth.data[:, lo:hi]) - log_power(estimate.data[:, lo:hi])
-    per_frame = np.sqrt(np.mean(diff * diff, axis=1))
-    return float(np.mean(per_frame))
+    if not 0 <= lo < hi <= n_bins:
+        raise DomainError(f"bin range [{lo}, {hi}) invalid for {n_bins} bins")
+
+
+def _lsd_per_frame(truth: np.ndarray, estimate: np.ndarray, bins: tuple[int, int]) -> np.ndarray:
+    """Per-frame RMS of log-power differences over the bin range ``bins``."""
+    lo, hi = bins
+    diff = log_power(truth[:, lo:hi]) - log_power(estimate[:, lo:hi])
+    return np.sqrt(np.mean(diff * diff, axis=1))
 
 
 def snr(truth: Waveform, estimate: Waveform) -> float:
@@ -127,17 +137,24 @@ def evaluate(
     t = truth.samples[:n]
     e = estimate.samples[:n]
 
-    mt = np.abs(stft_array(t, cfg))
-    me = np.abs(stft_array(e, cfg))
-    truth_mag = MagnitudeSpectrogram(mt, cfg, truth.sample_rate)
-    est_mag = MagnitudeSpectrogram(me, cfg, estimate.sample_rate)
-
-    hf = lsd(truth_mag, est_mag, (layout.k_lo, layout.k_hi))
-    full = lsd(truth_mag, est_mag, full_range or (0, layout.k_hi))
+    hf_bins = (layout.k_lo, layout.k_hi)
+    full_bins = full_range or (0, layout.k_hi)
+    for bins in (hf_bins, full_bins):
+        _check_bins(bins, cfg.n_bins)
+    # Per-frame LSD values, block by block; one mean over all of them after.
+    top = max(hf_bins[1], full_bins[1])
+    n_frames = cfg.frame_count(n)
+    hf = np.empty(n_frames)
+    full = np.empty(n_frames)
+    for f0, f1, span in frame_blocks(n_frames, cfg):
+        mt = np.abs(stft_array(t[span], cfg)[:, :top])
+        me = np.abs(stft_array(e[span], cfg)[:, :top])
+        hf[f0:f1] = _lsd_per_frame(mt, me, hf_bins)
+        full[f0:f1] = _lsd_per_frame(mt, me, full_bins)
 
     trim = slice(cfg.frame_len, n - cfg.frame_len)
     snr_db = snr(
         Waveform(t[trim], truth.sample_rate),
         Waveform(e[trim], estimate.sample_rate),
     )
-    return EvalReport(hf, full, snr_db, truth_mag.n_frames, layout)
+    return EvalReport(float(np.mean(hf)), float(np.mean(full)), snr_db, n_frames, layout)

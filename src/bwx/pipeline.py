@@ -27,11 +27,13 @@ from .dsp import (
     PhaseSpectrogram,
     StftConfig,
     Waveform,
-    istft_array,
-    stft,
+    _synthesis_denominator,
+    frame_blocks,
+    overlap_add,
+    stft_array,
     wrap_phase,
 )
-from .errors import BwxError, PipelineError, ShapeError
+from .errors import BwxError, LengthError, PipelineError, ShapeError
 from .magnitude import (
     BandReplicationSpec,
     ImportSpec,
@@ -108,13 +110,18 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-def _read_channel(path, index: int, expected_channels: int) -> Waveform:
-    channels, _ = wav_read(path)
-    if len(channels) != expected_channels:
-        raise ShapeError(
-            f"{path}: has {len(channels)} channels, input has {expected_channels}"
-        )
-    return channels[index]
+def _read_references(path, n_channels: int, cache: dict) -> list[np.ndarray]:
+    """Samples of every channel of a reference file, decoded once per job:
+    ``cache`` maps resolved paths to channels already read."""
+    key = Path(path).resolve()
+    if key not in cache:
+        channels, _ = wav_read(path)
+        if len(channels) != n_channels:
+            raise ShapeError(
+                f"{path}: has {len(channels)} channels, input has {n_channels}"
+            )
+        cache[key] = [ch.samples for ch in channels]
+    return cache[key]
 
 
 def _resolve_layout(job: SrJobSpec, sample_rate: int) -> BandLayout:
@@ -123,127 +130,175 @@ def _resolve_layout(job: SrJobSpec, sample_rate: int) -> BandLayout:
     return BandLayout.from_frequencies(4000.0, 8000.0, sample_rate, job.stft)
 
 
-def _predict_magnitude(
+def _magnitude_sources(
     job: SrJobSpec,
-    x: ComplexSpectrogram,
     layout: BandLayout,
-    channel: int,
+    n_frames: int,
     n_channels: int,
-) -> MagnitudeSpectrogram:
+    sample_rate: int,
+    cache: dict,
+) -> list:
+    """Per channel, what the predictor reads block by block: the reference
+    samples (oracle), the imported magnitude rows (import) or nothing (SBR).
+    Everything that can reject the job is checked here, before any block."""
     predictor = job.predictor
     if isinstance(predictor, OracleSpec):
-        reference = _read_channel(predictor.reference_path, channel, n_channels)
-        return predict_oracle(reference, job.stft, layout, target_frames=x.n_frames)
+        references = _read_references(predictor.reference_path, n_channels, cache)
+        ref_frames = job.stft.frame_count(len(references[0]))
+        if ref_frames < n_frames:
+            raise LengthError(f"reference yields {ref_frames} frames, {n_frames} required")
+        return references
     if isinstance(predictor, BandReplicationSpec):
-        lfc_mag = MagnitudeSpectrogram(
-            np.abs(x.data[:, : layout.k_lo]), job.stft, x.sample_rate
-        )
-        return predict_band_replication(lfc_mag, layout, predictor)
+        return [None] * n_channels
     if isinstance(predictor, ImportSpec):
         if n_channels != 1:
             raise ShapeError("imported magnitudes only support mono inputs")
-        return load_magnitude(
+        imported = load_magnitude(
             predictor.path,
-            (x.n_frames, layout.hfc_width),
+            (n_frames, layout.hfc_width),
             cfg=job.stft,
-            sample_rate=x.sample_rate,
+            sample_rate=sample_rate,
         )
+        return [imported.data]
     raise ShapeError(f"unknown predictor spec {predictor!r}")
+
+
+def _phase_sources(job: SrJobSpec, n_frames: int, n_channels: int, cache: dict) -> list:
+    """Per channel, the reference samples of the reference strategy, else
+    nothing. Warns once per channel when the reference's frame count differs
+    from the input's."""
+    strategy = job.phase
+    if not isinstance(strategy, ReferencePhaseSpec):
+        return [None] * n_channels
+    references = _read_references(strategy.path, n_channels, cache)
+    if job.stft.frame_count(len(references[0])) != n_frames:
+        for _ in range(n_channels):
+            logger.warning(
+                "%s: reference frame count adjusted to %d", strategy.path, n_frames
+            )
+    return references
+
+
+def _predict_magnitude(
+    job: SrJobSpec, x: np.ndarray, layout: BandLayout, source, block: tuple, sample_rate: int
+) -> np.ndarray:
+    """High-band magnitudes of one block of frames (``frame_blocks``' f0, f1
+    and sample span), whose analysis is ``x``."""
+    predictor = job.predictor
+    f0, f1, span = block
+    if isinstance(predictor, OracleSpec):
+        return predict_oracle(Waveform(source[span], sample_rate), job.stft, layout).data
+    if isinstance(predictor, BandReplicationSpec):
+        lfc_mag = MagnitudeSpectrogram(np.abs(x[:, : layout.k_lo]), job.stft, sample_rate)
+        return predict_band_replication(lfc_mag, layout, predictor).data
+    return source[f0:f1]
 
 
 def _estimate_phase(
     job: SrJobSpec,
-    x: ComplexSpectrogram,
-    hfc_mag: MagnitudeSpectrogram,
-    residual_mag: np.ndarray,
+    x: np.ndarray,
+    hfc_mag: np.ndarray,
     layout: BandLayout,
-    channel: int,
-    n_channels: int,
-) -> tuple[PhaseSpectrogram, GlaTrace | None]:
+    source,
+    block: tuple,
+    sample_rate: int,
+) -> tuple[np.ndarray, GlaTrace | None]:
+    """High-band phase of one block of frames, whose analysis is ``x``."""
     strategy = job.phase
+    cfg = job.stft
+    f0, f1, _ = block
     if isinstance(strategy, FlipPhaseSpec):
         lfc_phase = PhaseSpectrogram(
-            wrap_phase(np.angle(x.data[:, : layout.k_lo])), job.stft, x.sample_rate
+            wrap_phase(np.angle(x[:, : layout.k_lo])), cfg, sample_rate
         )
-        return flip_phase(lfc_phase, layout), None
+        return flip_phase(lfc_phase, layout).data, None
     if isinstance(strategy, GlaPhaseSpec):
         full = np.hstack(
-            [np.abs(x.data[:, : layout.k_lo]), hfc_mag.data, residual_mag]
+            [np.abs(x[:, : layout.k_lo]), hfc_mag, np.abs(x[:, layout.k_hi :])]
         )
-        full_mag = MagnitudeSpectrogram(full, job.stft, x.sample_rate)
-        lfc = ComplexSpectrogram(x.data[:, : layout.k_lo], job.stft, x.sample_rate)
+        full_mag = MagnitudeSpectrogram(full, cfg, sample_rate)
+        lfc = ComplexSpectrogram(x[:, : layout.k_lo], cfg, sample_rate)
         result, trace = gla_reconstruct(full_mag, lfc, strategy.config)
-        hfc_phase = wrap_phase(np.angle(result.data[:, layout.k_lo : layout.k_hi]))
-        return PhaseSpectrogram(hfc_phase, job.stft, x.sample_rate), trace
-    if isinstance(strategy, ReferencePhaseSpec):
-        reference = _read_channel(strategy.path, channel, n_channels)
-        phase, adjusted = extract_reference_phase(
-            reference, job.stft, layout, target_frames=x.n_frames
-        )
-        if adjusted:
-            logger.warning(
-                "%s: reference frame count adjusted to %d", strategy.path, x.n_frames
-            )
-        return phase, None
-    raise ShapeError(f"unknown phase strategy {strategy!r}")
+        return wrap_phase(np.angle(result.data[:, layout.k_lo : layout.k_hi])), trace
+    # Reference phase: frames past the reference's end keep zero phase.
+    last = min(f1, cfg.frame_count(len(source)))
+    if last <= f0:
+        return np.zeros((f1 - f0, layout.hfc_width)), None
+    span = slice(f0 * cfg.hop, (last - 1) * cfg.hop + cfg.frame_len)
+    phase, _ = extract_reference_phase(
+        Waveform(source[span], sample_rate), cfg, layout, target_frames=f1 - f0
+    )
+    return phase.data, None
 
 
 def _process_channel(
     job: SrJobSpec,
     x_lr: Waveform,
     layout: BandLayout,
-    channel: int,
-    n_channels: int,
+    n_frames: int,
+    magnitude_source,
+    phase_source,
 ) -> tuple[Waveform, GlaTrace | None]:
-    with _stage("analyze"):
-        x = stft(x_lr, job.stft)
-        if x.n_bins != layout.n_bins:
-            raise ShapeError(
-                f"layout expects {layout.n_bins} bins, analysis produced {x.n_bins}"
+    """Reconstruct one channel block by block: analyse, predict, estimate,
+    recombine and overlap-add each block of frames, then normalise once.
+    Griffin-Lim is not frame-local, so it runs as one block of every frame."""
+    cfg, rate = job.stft, x_lr.sample_rate
+    block_frames = n_frames if isinstance(job.phase, GlaPhaseSpec) else None
+    out = np.zeros(cfg.output_length(n_frames))
+    trace = None
+    for block in frame_blocks(n_frames, cfg, block_frames):
+        f0, _, span = block
+        with _stage("analyze"):
+            x = stft_array(x_lr.samples[span], cfg)
+            if job.residual_band is ResidualBand.ZERO:
+                x[:, layout.k_hi :] = 0.0
+
+        with _stage("magnitude"):
+            hfc_mag = _predict_magnitude(job, x, layout, magnitude_source, block, rate)
+
+        with _stage("phase"):
+            hfc_phase, trace = _estimate_phase(
+                job, x, hfc_mag, layout, phase_source, block, rate
             )
-        if job.residual_band is ResidualBand.PASSTHROUGH:
-            residual = x.data[:, layout.k_hi :].copy()
-        else:
-            residual = np.zeros((x.n_frames, layout.residual_width), dtype=np.complex128)
 
-    with _stage("magnitude"):
-        hfc_mag = _predict_magnitude(job, x, layout, channel, n_channels)
-        if hfc_mag.data.shape != (x.n_frames, layout.hfc_width):
-            raise ShapeError(
-                f"predictor produced shape {hfc_mag.data.shape}, "
-                f"expected {(x.n_frames, layout.hfc_width)}"
-            )
+        with _stage("recombine"):
+            x[:, layout.k_lo : layout.k_hi] = hfc_mag * np.exp(1j * hfc_phase)
 
-    with _stage("phase"):
-        hfc_phase, trace = _estimate_phase(
-            job, x, hfc_mag, np.abs(residual), layout, channel, n_channels
-        )
-
-    with _stage("recombine"):
-        hfc = hfc_mag.data * np.exp(1j * hfc_phase.data)
-        full = np.hstack([x.data[:, : layout.k_lo], hfc, residual])
-
+        with _stage("synthesize"):
+            overlap_add(x, out, f0, cfg)
     with _stage("synthesize"):
-        out = istft_array(full, job.stft)
-    return Waveform(out, x_lr.sample_rate), trace
+        out /= _synthesis_denominator(cfg, n_frames)
+    return Waveform(out, rate), trace
 
 
 def super_resolve(job: SrJobSpec, trace_path=None) -> Waveform:
     """Run the reconstruction pipeline on a file and write the result.
 
     Channels are processed independently and written together as float32.
-    Returns the first channel's reconstructed waveform. With ``trace_path``
-    set and a GLA phase strategy, the first channel's residual trace is
-    written as CSV.
+    Each reference file is decoded once per call. Returns the first
+    channel's reconstructed waveform. With ``trace_path`` set and a GLA
+    phase strategy, the first channel's residual trace is written as CSV.
     """
     with _stage("read-input"):
         channels, _ = wav_read(job.input_path)
-    layout = _resolve_layout(job, channels[0].sample_rate)
+    rate = channels[0].sample_rate
+    layout = _resolve_layout(job, rate)
+    with _stage("analyze"):
+        n_frames = job.stft.frame_count(len(channels[0]))
+    references: dict = {}
+    with _stage("magnitude"):
+        magnitude_sources = _magnitude_sources(
+            job, layout, n_frames, len(channels), rate, references
+        )
+    with _stage("phase"):
+        phase_sources = _phase_sources(job, n_frames, len(channels), references)
 
     outputs: list[Waveform] = []
     first_trace: GlaTrace | None = None
     for index, ch in enumerate(channels):
-        wave, trace = _process_channel(job, ch, layout, index, len(channels))
+        wave, trace = _process_channel(
+            job, ch, layout, n_frames, magnitude_sources[index], phase_sources[index]
+        )
         outputs.append(wave)
         if index == 0:
             first_trace = trace

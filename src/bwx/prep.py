@@ -15,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
-from .dsp import StftConfig, Waveform, bin_index, istft_array, stft_array
+from .dsp import (
+    StftConfig,
+    Waveform,
+    _synthesis_denominator,
+    bin_index,
+    frame_blocks,
+    overlap_add,
+    stft_array,
+)
 from .errors import DomainError, ShapeError
 from .wavio import SampleDepth, wav_read, wav_write
 
@@ -53,18 +61,18 @@ def design_fir(spec: LowpassSpec, sample_rate: int) -> np.ndarray:
 def _lowpass_brickwall(x: np.ndarray, sample_rate: int, cutoff_hz: float, cfg: StftConfig) -> np.ndarray:
     n = len(x)
     # Pad so every sample falls inside some frame, then trim back after OLA.
-    if n < cfg.frame_len:
-        padded_len = cfg.frame_len
-    else:
-        n_frames = -(-(n - cfg.frame_len) // cfg.hop) + 1
-        padded_len = cfg.output_length(n_frames)
-    padded = np.zeros(padded_len)
+    n_frames = 1 if n < cfg.frame_len else -(-(n - cfg.frame_len) // cfg.hop) + 1
+    padded = np.zeros(cfg.output_length(n_frames))
     padded[:n] = x
 
     cutoff_bin = bin_index(cutoff_hz, sample_rate, cfg.frame_len)
-    X = stft_array(padded, cfg)
-    X[:, cutoff_bin:] = 0.0
-    return istft_array(X, cfg)[:n]
+    out = np.zeros(len(padded))
+    for f0, _, span in frame_blocks(n_frames, cfg):
+        X = stft_array(padded[span], cfg)
+        X[:, cutoff_bin:] = 0.0
+        overlap_add(X, out, f0, cfg)
+    out /= _synthesis_denominator(cfg, n_frames)
+    return out[:n]
 
 
 def _lowpass_fir(x: np.ndarray, sample_rate: int, spec: LowpassSpec) -> np.ndarray:

@@ -117,25 +117,31 @@ def wav_read(path) -> tuple[list[Waveform], int]:
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         fh.seek(header.data_offset)
-        data = fh.read(header.data_size)
+        # PCM24 keeps one spare byte in front: each sample is then the top
+        # three bytes of the little-endian int32 that starts one byte earlier.
+        pad = 1 if header.bits == 24 else 0
+        raw = bytearray(pad + header.data_size)
+        fh.readinto(memoryview(raw)[pad:])
 
     n_channels, depth = header.n_channels, header.bits
-    if depth == 16:
-        samples = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2")
-        values = samples.astype(np.float64) / 32768.0
-    elif depth == 24:
-        usable = len(data) - len(data) % 3
-        b = np.frombuffer(data[:usable], dtype=np.uint8).reshape(-1, 3).astype(np.int64)
-        ints = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-        ints = np.where(ints & 0x800000, ints - (1 << 24), ints)
-        values = ints.astype(np.float64) / float(1 << 23)
-    else:
-        samples = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4")
-        values = samples.astype(np.float64)
-
-    frames = len(values) // n_channels
-    values = values[: frames * n_channels].reshape(frames, n_channels)
-    channels = [Waveform(values[:, c].copy(), header.sample_rate) for c in range(n_channels)]
+    width = depth // 8
+    frames = header.data_size // (width * n_channels)
+    code = {16: "<i2", 24: "<i4", 32: "<f4"}[depth]
+    channels = []
+    for c in range(n_channels):
+        # Channel c read straight out of the interleaved bytes.
+        stored = np.ndarray(
+            (frames,), dtype=code, buffer=raw, offset=c * width, strides=(n_channels * width,)
+        )
+        if depth == 16:
+            values = stored.astype(np.float64)
+            values /= 32768.0
+        elif depth == 24:
+            values = (stored >> 8).astype(np.float64)
+            values /= float(1 << 23)
+        else:
+            values = stored.astype(np.float64)
+        channels.append(Waveform(values, header.sample_rate))
     return channels, depth
 
 
@@ -161,22 +167,22 @@ def wav_write(path, x, depth: SampleDepth = SampleDepth.FLOAT32) -> None:
         if len(ch.samples) != n or ch.sample_rate != rate:
             raise ShapeError("all channels must share length and sample rate")
 
-    interleaved = np.column_stack([ch.samples for ch in channels]).reshape(-1)
     if depth is SampleDepth.PCM16:
-        payload = _quantize_pcm16(interleaved).tobytes()
-        tag, bits = _FORMAT_PCM, 16
+        code, tag, bits = "<i2", _FORMAT_PCM, 16
     elif depth is SampleDepth.FLOAT32:
-        payload = interleaved.astype("<f4").tobytes()
-        tag, bits = _FORMAT_IEEE_FLOAT, 32
+        code, tag, bits = "<f4", _FORMAT_IEEE_FLOAT, 32
     else:
         raise DomainError(f"unsupported write depth {depth}")
+    payload = np.empty((n, len(channels)), dtype=code)  # interleaved frames
+    for c, ch in enumerate(channels):
+        payload[:, c] = _quantize_pcm16(ch.samples) if bits == 16 else ch.samples
 
     n_channels = len(channels)
     block_align = n_channels * bits // 8
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + len(payload),
+        36 + payload.nbytes,
         b"WAVE",
         b"fmt ",
         16,
@@ -187,7 +193,7 @@ def wav_write(path, x, depth: SampleDepth = SampleDepth.FLOAT32) -> None:
         block_align,
         bits,
         b"data",
-        len(payload),
+        payload.nbytes,
     )
     with open(path, "wb") as fh:
         fh.write(header)

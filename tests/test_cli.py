@@ -190,6 +190,14 @@ class TestSpecFiles:
         assert header.kind is SpecKind.MAGNITUDE
         assert header.frames == CFG.frame_count(len(wav_read(hr_path)[0][0].samples))
 
+    def test_export_stereo_is_usage_error(self, tmp_path, short_music, capsys):
+        stereo = tmp_path / "stereo.wav"
+        wav_write(stereo, [short_music, short_music], SampleDepth.FLOAT32)
+        out = tmp_path / "m.bwx"
+        assert main(["spec", "export", "--in", str(stereo), "--out", str(out)]) == 1
+        assert "2 channels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_export_complex_then_import(self, tmp_path, hr_path):
         spec = tmp_path / "c.bwx"
         back = tmp_path / "back.wav"

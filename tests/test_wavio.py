@@ -87,6 +87,29 @@ def test_pcm24_read(tmp_path):
     )
 
 
+def test_pcm24_stereo_odd_frame_count(tmp_path):
+    # Five stereo frames (odd count, so the data chunk needs a pad byte) with
+    # full-scale negatives on both channels, including the very first and the
+    # very last sample of the data chunk.
+    left = [-(1 << 23), 1, -1, (1 << 23) - 1, 0x123456]
+    right = [0, -(1 << 23), -2, -0x123456, -(1 << 23)]
+    payload = b"".join(
+        int(v & 0xFFFFFF).to_bytes(3, "little") for pair in zip(left, right) for v in pair
+    )
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(payload) + 1, b"WAVE", b"fmt ", 16,
+        1, 2, 48000, 288000, 6, 24, b"data", len(payload),
+    )
+    path = tmp_path / "p24s.wav"
+    path.write_bytes(header + payload + b"\x00")
+    channels, depth = wav_read(path)
+    assert depth == 24
+    assert len(channels) == 2
+    np.testing.assert_array_equal(channels[0].samples, np.array(left) / 2**23)
+    np.testing.assert_array_equal(channels[1].samples, np.array(right) / 2**23)
+
+
 def test_stereo_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     left = rng.uniform(-1, 1, 500).astype(np.float32).astype(np.float64)
