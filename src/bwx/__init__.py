@@ -8,14 +8,10 @@ from .dsp import (
     PhaseSpectrogram,
     StftConfig,
     Waveform,
-    band_concat,
-    band_split,
     bin_index,
     consistency_project,
     interior_slice,
     istft,
-    magnitude_of,
-    phase_of,
     stft,
     wrap_phase,
 )
@@ -76,8 +72,6 @@ __all__ = [
     "SrJobSpec",
     "StftConfig",
     "Waveform",
-    "band_concat",
-    "band_split",
     "bin_index",
     "consistency_project",
     "consistency_residual",
@@ -91,9 +85,7 @@ __all__ = [
     "load_magnitude",
     "lowpass",
     "lsd",
-    "magnitude_of",
     "make_pair",
-    "phase_of",
     "predict_band_replication",
     "predict_oracle",
     "run_phase_study",

@@ -160,14 +160,9 @@ class BandLayout:
         )
 
 
-def _validate_spectrogram_data(data: np.ndarray, config: StftConfig, full_width: bool) -> None:
+def _validate_spectrogram_data(data: np.ndarray) -> None:
     if data.ndim != 2:
         raise ShapeError(f"spectrogram data must be 2-D (frames x bins), got {data.shape}")
-    if full_width and data.shape[1] != config.n_bins:
-        raise ShapeError(
-            f"expected {config.n_bins} bins for frame_len {config.frame_len}, "
-            f"got {data.shape[1]}"
-        )
     if not np.all(np.isfinite(data)):
         raise DomainError("spectrogram contains non-finite entries")
 
@@ -182,7 +177,7 @@ class ComplexSpectrogram:
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=np.complex128)
-        _validate_spectrogram_data(self.data, self.config, full_width=False)
+        _validate_spectrogram_data(self.data)
 
     @property
     def n_frames(self) -> int:
@@ -203,7 +198,7 @@ class MagnitudeSpectrogram:
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=np.float64)
-        _validate_spectrogram_data(self.data, self.config, full_width=False)
+        _validate_spectrogram_data(self.data)
         if np.any(self.data < 0):
             raise DomainError("magnitude spectrogram contains negative entries")
 
@@ -226,7 +221,7 @@ class PhaseSpectrogram:
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=np.float64)
-        _validate_spectrogram_data(self.data, self.config, full_width=False)
+        _validate_spectrogram_data(self.data)
         if np.any(self.data <= -np.pi) or np.any(self.data > np.pi):
             raise DomainError("phase entries must lie in (-pi, pi]")
 
@@ -380,45 +375,3 @@ def consistency_project_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
         pad = np.zeros((n_frames - projected.shape[0], X.shape[1]), dtype=np.complex128)
         projected = np.vstack([projected, pad])
     return projected
-
-
-def band_split(
-    X: ComplexSpectrogram, layout: BandLayout
-) -> tuple[ComplexSpectrogram, ComplexSpectrogram, ComplexSpectrogram]:
-    """Split a full spectrogram into (LFC, HFC, residual) bin-range copies."""
-    if X.n_bins != layout.n_bins:
-        raise ShapeError(
-            f"spectrogram has {X.n_bins} bins but layout expects {layout.n_bins}"
-        )
-    parts = (
-        X.data[:, : layout.k_lo].copy(),
-        X.data[:, layout.k_lo : layout.k_hi].copy(),
-        X.data[:, layout.k_hi :].copy(),
-    )
-    return tuple(ComplexSpectrogram(p, X.config, X.sample_rate) for p in parts)
-
-
-def band_concat(
-    lfc: ComplexSpectrogram,
-    hfc: ComplexSpectrogram,
-    residual: ComplexSpectrogram,
-    layout: BandLayout,
-) -> ComplexSpectrogram:
-    """Exact inverse of `band_split`: reassemble a full spectrogram."""
-    widths = (lfc.n_bins, hfc.n_bins, residual.n_bins)
-    expected = (layout.lfc_width, layout.hfc_width, layout.residual_width)
-    if widths != expected:
-        raise ShapeError(f"band widths {widths} do not match layout widths {expected}")
-    frames = {lfc.n_frames, hfc.n_frames, residual.n_frames}
-    if len(frames) != 1:
-        raise ShapeError(f"band frame counts differ: {sorted(frames)}")
-    data = np.hstack([lfc.data, hfc.data, residual.data])
-    return ComplexSpectrogram(data, lfc.config, lfc.sample_rate)
-
-
-def magnitude_of(X: ComplexSpectrogram) -> MagnitudeSpectrogram:
-    return MagnitudeSpectrogram(np.abs(X.data), X.config, X.sample_rate)
-
-
-def phase_of(X: ComplexSpectrogram) -> PhaseSpectrogram:
-    return PhaseSpectrogram(wrap_phase(np.angle(X.data)), X.config, X.sample_rate)

@@ -1,10 +1,11 @@
 """End-to-end spectrogram-recombination pipeline and batch drivers.
 
-``super_resolve`` executes the seven-step reconstruction: analyse the
-band-limited input, predict high-band magnitudes, estimate high-band phase,
-recombine the bands and resynthesise. ``run_phase_study`` reruns the
-oracle-magnitude phase comparison over a clip set; ``evaluate_batch`` scores
-truth/estimate file pairs.
+``_reconstruct`` is the in-memory core: it analyses the band-limited input
+channels, predicts high-band magnitudes, estimates high-band phase,
+recombines the bands and resynthesises. ``super_resolve`` wraps it with file
+I/O. ``run_phase_study`` reruns the oracle-magnitude phase comparison over a
+clip set, decoding each clip once; ``evaluate_batch`` scores truth/estimate
+file pairs.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .magnitude import (
 )
 from .metrics import EVAL_CSV_HEADER, EvalReport, evaluate
 from .phase import GlaConfig, GlaTrace, extract_reference_phase, flip_phase, gla_reconstruct
-from .prep import LowpassSpec, make_pair
-from .wavio import SampleDepth, wav_read, wav_sample_rate, wav_write
+from .prep import LowpassSpec, lowpass
+from .wavio import SampleDepth, wav_read, wav_write
 
 logger = logging.getLogger("bwx")
 
@@ -84,20 +85,19 @@ class SrJobSpec:
     output_path: str
     predictor: MagnitudePredictorSpec
     phase: PhaseStrategySpec
+    layout: BandLayout
     stft: StftConfig = StftConfig()
-    layout: BandLayout | None = None
     residual_band: ResidualBand = ResidualBand.PASSTHROUGH
 
     def __post_init__(self) -> None:
         if Path(self.input_path).resolve() == Path(self.output_path).resolve():
             raise ShapeError("input and output paths must be distinct")
-        if self.layout is not None and self.layout.n_bins != self.stft.n_bins:
+        if self.layout.n_bins != self.stft.n_bins:
             raise ShapeError(
                 f"layout covers {self.layout.n_bins} bins, STFT config has {self.stft.n_bins}"
             )
-        if isinstance(self.phase, GlaPhaseSpec) and self.layout is not None:
-            if self.phase.config.layout != self.layout:
-                raise ShapeError("GLA config layout disagrees with the job layout")
+        if isinstance(self.phase, GlaPhaseSpec) and self.phase.config.layout != self.layout:
+            raise ShapeError("GLA config layout disagrees with the job layout")
 
 
 @contextmanager
@@ -110,44 +110,33 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-def _read_references(path, n_channels: int, cache: dict) -> list[np.ndarray]:
+def _read_references(path, n_channels: int, references: dict) -> list[np.ndarray]:
     """Samples of every channel of a reference file, decoded once per job:
-    ``cache`` maps resolved paths to channels already read."""
+    ``references`` maps resolved paths to channels already read."""
     key = Path(path).resolve()
-    if key not in cache:
+    if key not in references:
         channels, _ = wav_read(path)
         if len(channels) != n_channels:
             raise ShapeError(
                 f"{path}: has {len(channels)} channels, input has {n_channels}"
             )
-        cache[key] = [ch.samples for ch in channels]
-    return cache[key]
-
-
-def _resolve_layout(job: SrJobSpec, sample_rate: int) -> BandLayout:
-    if job.layout is not None:
-        return job.layout
-    return BandLayout.from_frequencies(4000.0, 8000.0, sample_rate, job.stft)
+        references[key] = [ch.samples for ch in channels]
+    return references[key]
 
 
 def _magnitude_sources(
-    job: SrJobSpec,
-    layout: BandLayout,
-    n_frames: int,
-    n_channels: int,
-    sample_rate: int,
-    cache: dict,
+    job: SrJobSpec, n_frames: int, n_channels: int, sample_rate: int, references: dict
 ) -> list:
     """Per channel, what the predictor reads block by block: the reference
     samples (oracle), the imported magnitude rows (import) or nothing (SBR).
     Everything that can reject the job is checked here, before any block."""
     predictor = job.predictor
     if isinstance(predictor, OracleSpec):
-        references = _read_references(predictor.reference_path, n_channels, cache)
-        ref_frames = job.stft.frame_count(len(references[0]))
+        samples = _read_references(predictor.reference_path, n_channels, references)
+        ref_frames = job.stft.frame_count(len(samples[0]))
         if ref_frames < n_frames:
             raise LengthError(f"reference yields {ref_frames} frames, {n_frames} required")
-        return references
+        return samples
     if isinstance(predictor, BandReplicationSpec):
         return [None] * n_channels
     if isinstance(predictor, ImportSpec):
@@ -155,7 +144,7 @@ def _magnitude_sources(
             raise ShapeError("imported magnitudes only support mono inputs")
         imported = load_magnitude(
             predictor.path,
-            (n_frames, layout.hfc_width),
+            (n_frames, job.layout.hfc_width),
             cfg=job.stft,
             sample_rate=sample_rate,
         )
@@ -163,20 +152,20 @@ def _magnitude_sources(
     raise ShapeError(f"unknown predictor spec {predictor!r}")
 
 
-def _phase_sources(job: SrJobSpec, n_frames: int, n_channels: int, cache: dict) -> list:
+def _phase_sources(job: SrJobSpec, n_frames: int, n_channels: int, references: dict) -> list:
     """Per channel, the reference samples of the reference strategy, else
     nothing. Warns once per channel when the reference's frame count differs
     from the input's."""
     strategy = job.phase
     if not isinstance(strategy, ReferencePhaseSpec):
         return [None] * n_channels
-    references = _read_references(strategy.path, n_channels, cache)
-    if job.stft.frame_count(len(references[0])) != n_frames:
+    samples = _read_references(strategy.path, n_channels, references)
+    if job.stft.frame_count(len(samples[0])) != n_frames:
         for _ in range(n_channels):
             logger.warning(
                 "%s: reference frame count adjusted to %d", strategy.path, n_frames
             )
-    return references
+    return samples
 
 
 def _predict_magnitude(
@@ -232,17 +221,12 @@ def _estimate_phase(
 
 
 def _process_channel(
-    job: SrJobSpec,
-    x_lr: Waveform,
-    layout: BandLayout,
-    n_frames: int,
-    magnitude_source,
-    phase_source,
+    job: SrJobSpec, x_lr: Waveform, n_frames: int, magnitude_source, phase_source
 ) -> tuple[Waveform, GlaTrace | None]:
     """Reconstruct one channel block by block: analyse, predict, estimate,
     recombine and overlap-add each block of frames, then normalise once.
     Griffin-Lim is not frame-local, so it runs as one block of every frame."""
-    cfg, rate = job.stft, x_lr.sample_rate
+    cfg, layout, rate = job.stft, job.layout, x_lr.sample_rate
     block_frames = n_frames if isinstance(job.phase, GlaPhaseSpec) else None
     out = np.zeros(cfg.output_length(n_frames))
     trace = None
@@ -271,6 +255,38 @@ def _process_channel(
     return Waveform(out, rate), trace
 
 
+def _reconstruct(
+    job: SrJobSpec, channels: list[Waveform], references: dict
+) -> tuple[list[Waveform], GlaTrace | None]:
+    """Reconstruct every channel of ``job``'s band-limited input ``channels``.
+
+    ``references`` maps resolved paths to the channel samples of reference
+    files already decoded; a reference the job names that is not there yet is
+    read and added. Returns the output channels and the first channel's GLA
+    trace (None without one).
+    """
+    rate = channels[0].sample_rate
+    with _stage("analyze"):
+        n_frames = job.stft.frame_count(len(channels[0]))
+    with _stage("magnitude"):
+        magnitude_sources = _magnitude_sources(
+            job, n_frames, len(channels), rate, references
+        )
+    with _stage("phase"):
+        phase_sources = _phase_sources(job, n_frames, len(channels), references)
+
+    outputs: list[Waveform] = []
+    first_trace: GlaTrace | None = None
+    for index, ch in enumerate(channels):
+        wave, trace = _process_channel(
+            job, ch, n_frames, magnitude_sources[index], phase_sources[index]
+        )
+        outputs.append(wave)
+        if index == 0:
+            first_trace = trace
+    return outputs, first_trace
+
+
 def super_resolve(job: SrJobSpec, trace_path=None) -> Waveform:
     """Run the reconstruction pipeline on a file and write the result.
 
@@ -281,32 +297,11 @@ def super_resolve(job: SrJobSpec, trace_path=None) -> Waveform:
     """
     with _stage("read-input"):
         channels, _ = wav_read(job.input_path)
-    rate = channels[0].sample_rate
-    layout = _resolve_layout(job, rate)
-    with _stage("analyze"):
-        n_frames = job.stft.frame_count(len(channels[0]))
-    references: dict = {}
-    with _stage("magnitude"):
-        magnitude_sources = _magnitude_sources(
-            job, layout, n_frames, len(channels), rate, references
-        )
-    with _stage("phase"):
-        phase_sources = _phase_sources(job, n_frames, len(channels), references)
-
-    outputs: list[Waveform] = []
-    first_trace: GlaTrace | None = None
-    for index, ch in enumerate(channels):
-        wave, trace = _process_channel(
-            job, ch, layout, n_frames, magnitude_sources[index], phase_sources[index]
-        )
-        outputs.append(wave)
-        if index == 0:
-            first_trace = trace
-
+    outputs, trace = _reconstruct(job, channels, {})
     with _stage("write-output"):
         wav_write(job.output_path, outputs, SampleDepth.FLOAT32)
-        if trace_path is not None and first_trace is not None:
-            first_trace.to_csv(trace_path)
+        if trace_path is not None and trace is not None:
+            trace.to_csv(trace_path)
     return outputs[0]
 
 
@@ -325,9 +320,9 @@ def _mean_report(reports: Sequence[EvalReport]) -> EvalReport:
     )
 
 
-def _evaluate_channels(truth_path, estimate_path, layout, cfg) -> EvalReport:
-    truth_channels, _ = wav_read(truth_path)
-    est_channels, _ = wav_read(estimate_path)
+def _evaluate_channels(
+    truth_channels: list[Waveform], est_channels: list[Waveform], layout, cfg
+) -> EvalReport:
     if len(truth_channels) != len(est_channels):
         raise ShapeError(
             f"channel counts differ: {len(truth_channels)} vs {len(est_channels)}"
@@ -358,6 +353,12 @@ class PhaseStudyResult:
                 )
 
 
+def _write_float32(path, channels: list[Waveform]) -> list[Waveform]:
+    """Write ``channels`` as a float32 WAV and return the samples it holds."""
+    wav_write(path, channels, SampleDepth.FLOAT32)
+    return [Waveform(ch.samples.astype(np.float32), ch.sample_rate) for ch in channels]
+
+
 def _study_one_clip(
     clip_path: str,
     workdir: Path,
@@ -366,13 +367,15 @@ def _study_one_clip(
     hi_hz: float,
     gla_iterations: int,
 ) -> dict[str, EvalReport]:
+    """Score one clip under every study method. The clip is decoded once, and
+    each method scores the float32 samples it writes, exactly what
+    ``prepare``, ``sr`` and ``eval`` would read back from those files."""
     workdir.mkdir(parents=True, exist_ok=True)
     stem = Path(clip_path).stem
+    truth, _ = wav_read(clip_path)
+    layout = BandLayout.from_frequencies(lo_hz, hi_hz, truth[0].sample_rate, cfg)
     lr_path = workdir / f"{stem}_lr.wav"
-    make_pair(clip_path, lr_path, LowpassSpec(cutoff_hz=lo_hz), cfg)
-
-    sample_rate = wav_sample_rate(clip_path)
-    layout = BandLayout.from_frequencies(lo_hz, hi_hz, sample_rate, cfg)
+    lr = _write_float32(lr_path, [lowpass(ch, LowpassSpec(cutoff_hz=lo_hz), cfg) for ch in truth])
 
     phase_specs: dict[str, PhaseStrategySpec] = {
         "flip": FlipPhaseSpec(),
@@ -381,9 +384,10 @@ def _study_one_clip(
         ),
         "reference": ReferencePhaseSpec(str(clip_path)),
     }
+    # The oracle predictor and the reference phase read the clip itself.
+    references = {Path(clip_path).resolve(): [ch.samples for ch in truth]}
 
-    reports: dict[str, EvalReport] = {}
-    reports["lr"] = _evaluate_channels(clip_path, lr_path, layout, cfg)
+    reports = {"lr": _evaluate_channels(truth, lr, layout, cfg)}
     for method, phase_spec in phase_specs.items():
         est_path = workdir / f"{stem}_{method}.wav"
         job = SrJobSpec(
@@ -394,8 +398,10 @@ def _study_one_clip(
             stft=cfg,
             layout=layout,
         )
-        super_resolve(job)
-        reports[method] = _evaluate_channels(clip_path, est_path, layout, cfg)
+        # Not bound to a name, so each output is freed before the next method.
+        reports[method] = _evaluate_channels(
+            truth, _write_float32(est_path, _reconstruct(job, lr, references)[0]), layout, cfg
+        )
     return reports
 
 
@@ -410,45 +416,36 @@ def run_phase_study(
 ) -> PhaseStudyResult:
     """Compare phase strategies with oracle magnitudes over a clip set.
 
-    Each clip is band-limited with a brickwall lowpass, reconstructed under
-    the flip, Griffin-Lim and reference-phase strategies (plus the zero-filled
-    LR baseline) and scored against the original. Writes per-clip and mean
-    rows to ``out``; unreadable clips are skipped with a warning.
+    Each clip is decoded once, band-limited with a brickwall lowpass,
+    reconstructed under the flip, Griffin-Lim and reference-phase strategies
+    (plus the zero-filled LR baseline) and scored against the original. Writes
+    per-clip and mean rows to ``out``; unreadable clips are skipped with a
+    warning.
     """
     if not clips:
         raise BwxError("phase study needs at least one clip")
 
-    per_clip: list[tuple[str, dict[str, EvalReport]]] = []
-    skipped: list[str] = []
+    clips = [str(clip) for clip in clips]
     with tempfile.TemporaryDirectory(prefix="bwx-study-") as tmp:
-        workdir = Path(tmp)
 
-        def _run(index: int, clip: str):
-            # One sub-directory per clip so parallel runs cannot collide.
-            return _study_one_clip(
-                clip, workdir / str(index), cfg, lo_hz, hi_hz, gla_iterations
-            )
+        def _run(index: int, clip: str) -> dict[str, EvalReport] | None:
+            try:
+                # One sub-directory per clip so parallel runs cannot collide.
+                return _study_one_clip(
+                    clip, Path(tmp) / str(index), cfg, lo_hz, hi_hz, gla_iterations
+                )
+            except Exception as exc:
+                logger.warning("skipping clip %s: %s", clip, exc)
+                return None
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    (clip, pool.submit(_run, i, str(clip)))
-                    for i, clip in enumerate(clips)
-                ]
-                for clip, future in futures:
-                    try:
-                        per_clip.append((str(clip), future.result()))
-                    except Exception as exc:
-                        logger.warning("skipping clip %s: %s", clip, exc)
-                        skipped.append(str(clip))
+                results = list(pool.map(_run, range(len(clips)), clips))
         else:
-            for i, clip in enumerate(clips):
-                try:
-                    per_clip.append((str(clip), _run(i, str(clip))))
-                except Exception as exc:
-                    logger.warning("skipping clip %s: %s", clip, exc)
-                    skipped.append(str(clip))
+            results = [_run(i, clip) for i, clip in enumerate(clips)]
 
+    per_clip = [(clip, r) for clip, r in zip(clips, results) if r is not None]
+    skipped = [clip for clip, r in zip(clips, results) if r is None]
     if not per_clip:
         raise BwxError("all clips failed; nothing to report")
 
@@ -491,7 +488,9 @@ def evaluate_batch(
     successes: list[EvalReport] = []
     for truth_path, estimate_path in pairs:
         try:
-            report = _evaluate_channels(truth_path, estimate_path, layout, cfg)
+            report = _evaluate_channels(
+                wav_read(truth_path)[0], wav_read(estimate_path)[0], layout, cfg
+            )
         except Exception as exc:
             logger.warning("pair (%s, %s) failed: %s", truth_path, estimate_path, exc)
             rows.append(f"{estimate_path},error,,,,")

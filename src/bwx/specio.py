@@ -67,29 +67,30 @@ def spec_write(
     hop: int,
 ) -> None:
     """Write a spectrogram payload with its header. Magnitude data is stored
-    as float32, complex data as interleaved float32 re,im pairs."""
+    as float32, complex data as interleaved float32 re,im pairs. A payload
+    holding NaN or infinity, also one that overflows float32, is refused."""
     data = np.asarray(data)
     if data.ndim != 2:
         raise ShapeError(f"spectrogram data must be 2-D, got shape {data.shape}")
-    if np.isnan(data).any():
-        raise PayloadValueError("refusing to write NaN payload")
 
     kind = SpecKind(kind)
-    if kind is SpecKind.MAGNITUDE:
-        payload = data.astype("<f4").tobytes()
-    else:
-        as_complex = data.astype(np.complex64)
-        interleaved = np.empty((data.shape[0], data.shape[1] * 2), dtype="<f4")
-        interleaved[:, 0::2] = as_complex.real
-        interleaved[:, 1::2] = as_complex.imag
-        payload = interleaved.tobytes()
+    with np.errstate(over="ignore"):
+        if kind is SpecKind.MAGNITUDE:
+            payload = data.astype("<f4")
+        else:
+            as_complex = data.astype(np.complex64)
+            payload = np.empty((data.shape[0], data.shape[1] * 2), dtype="<f4")
+            payload[:, 0::2] = as_complex.real
+            payload[:, 1::2] = as_complex.imag
+    if not np.isfinite(payload).all():
+        raise PayloadValueError("refusing to write a NaN or infinite payload")
 
     header = _HEADER_STRUCT.pack(
         MAGIC, data.shape[0], data.shape[1], int(kind), sample_rate, frame_len, hop
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(payload.tobytes())
 
 
 def spec_read(path) -> tuple[np.ndarray, SpecFileHeader]:
@@ -124,8 +125,8 @@ def spec_read(path) -> tuple[np.ndarray, SpecFileHeader]:
         )
 
     floats = np.frombuffer(raw, dtype="<f4", offset=HEADER_SIZE)
-    if np.isnan(floats).any():
-        raise PayloadValueError(f"{path}: payload contains NaN")
+    if not np.isfinite(floats).all():
+        raise PayloadValueError(f"{path}: payload contains NaN or infinite values")
     if kind is SpecKind.MAGNITUDE:
         data = floats.reshape(frames, bins).copy()
     else:

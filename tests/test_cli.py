@@ -260,3 +260,25 @@ def test_import_used_for_sr(tmp_path, hr_path, lr_path):
     )
     assert code == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_import_is_io_error(tmp_path, lr_path, capsys, bad):
+    from bwx import spec_write
+    from bwx.specio import HEADER_SIZE
+
+    frames = CFG.frame_count(len(wav_read(lr_path)[0][0].samples))
+    mag_file = tmp_path / "hfc.bwx"
+    spec_write(mag_file, np.zeros((frames, 186)), SpecKind.MAGNITUDE, SR, CFG.frame_len, CFG.hop)
+    raw = bytearray(mag_file.read_bytes())
+    raw[HEADER_SIZE : HEADER_SIZE + 4] = np.float32(bad).tobytes()
+    mag_file.write_bytes(bytes(raw))
+
+    out = tmp_path / "sr.wav"
+    code = main(
+        ["sr", "--in", str(lr_path), "--out", str(out),
+         "--mag", f"import:{mag_file}", "--phase", "flip"]
+    )
+    assert code == 2
+    assert str(mag_file) in capsys.readouterr().err
+    assert not out.exists()

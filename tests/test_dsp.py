@@ -8,8 +8,6 @@ from bwx import (
     ComplexSpectrogram,
     StftConfig,
     Waveform,
-    band_concat,
-    band_split,
     bin_index,
     consistency_project,
     interior_slice,
@@ -33,6 +31,12 @@ def dft_oracle_frames(x, cfg):
         frame = x[i * cfg.hop : i * cfg.hop + cfg.frame_len] * window
         out[i] = dft @ frame
     return out
+
+
+def test_public_names_resolve():
+    import bwx
+
+    assert [name for name in bwx.__all__ if not hasattr(bwx, name)] == []
 
 
 class TestBinIndex:
@@ -303,42 +307,6 @@ class TestBands:
     def test_degenerate_layout_rejected(self):
         with pytest.raises(DomainError):
             BandLayout(186, 186, 1025)
-
-    def test_split_concat_is_identity(self, short_music):
-        cfg = StftConfig()
-        layout = BandLayout(186, 372, cfg.n_bins)
-        X = stft(short_music, cfg)
-        lfc, hfc, residual = band_split(X, layout)
-        assert lfc.data.shape[1] == 186
-        assert hfc.data.shape[1] == 186
-        assert residual.data.shape[1] == 653
-        back = band_concat(lfc, hfc, residual, layout)
-        assert np.array_equal(back.data, X.data)
-
-    def test_zeroed_hfc_concat(self, short_music):
-        cfg = StftConfig()
-        layout = BandLayout(186, 372, cfg.n_bins)
-        X = stft(short_music, cfg)
-        lfc, hfc, residual = band_split(X, layout)
-        hfc.data[:] = 0
-        back = band_concat(lfc, hfc, residual, layout)
-        expected = X.data.copy()
-        expected[:, 186:372] = 0
-        assert np.array_equal(back.data, expected)
-
-    def test_layout_mismatch_rejected(self, short_music):
-        cfg = StftConfig()
-        X = stft(short_music, cfg)
-        with pytest.raises(ShapeError):
-            band_split(X, BandLayout(10, 20, 999))
-
-    def test_width_mismatch_rejected(self, short_music):
-        cfg = StftConfig()
-        layout = BandLayout(186, 372, cfg.n_bins)
-        X = stft(short_music, cfg)
-        lfc, hfc, residual = band_split(X, layout)
-        with pytest.raises(ShapeError):
-            band_concat(lfc, residual, hfc, layout)
 
 
 class TestWrapPhase:

@@ -161,14 +161,14 @@ class TestConsistencyResidual:
         assert residual > 1e-2
 
     def test_flip_spectrogram_less_consistent_than_gla_output(self, short_music):
-        from bwx import BandLayout, GlaConfig, flip_phase, gla_reconstruct, phase_of
+        from bwx import BandLayout, GlaConfig, flip_phase, gla_reconstruct, wrap_phase
         from bwx.dsp import PhaseSpectrogram
 
         layout = BandLayout(186, 372, CFG.n_bins)
         X = stft(short_music, CFG)
         magnitude = MagnitudeSpectrogram(np.abs(X.data), CFG, X.sample_rate)
         lfc_phase = PhaseSpectrogram(
-            phase_of(X).data[:, :186], CFG, X.sample_rate
+            wrap_phase(np.angle(X.data[:, :186])), CFG, X.sample_rate
         )
         flip = flip_phase(lfc_phase, layout)
         flipped = X.data.copy()

@@ -299,6 +299,76 @@ class TestRunPhaseStudy:
         assert result.skipped == [str(tmp_path / "missing.wav")]
         assert len(result.rows) == 4 + 4
 
+    @pytest.fixture()
+    def two_clips(self, tmp_path):
+        from conftest import synth_clip
+
+        mono = tmp_path / "mono.wav"
+        stereo = tmp_path / "stereo.wav"
+        wav_write(mono, Waveform(synth_clip(7, duration=1.5), SR), SampleDepth.FLOAT32)
+        wav_write(
+            stereo,
+            [Waveform(synth_clip(seed, duration=1.2), SR) for seed in (8, 9)],
+            SampleDepth.PCM16,
+        )
+        return [str(mono), str(stereo)]
+
+    def test_rows_equal_file_chain(self, tmp_path, two_clips):
+        """Every row and mean equals prepare -> sr -> eval through files."""
+        from bwx import LowpassSpec, make_pair
+
+        result = run_phase_study(two_clips, tmp_path / "study.csv", gla_iterations=6)
+
+        expected_rows, per_clip = [], []
+        for clip in two_clips:
+            layout = BandLayout.from_frequencies(4000.0, 8000.0, SR, CFG)
+            lr = tmp_path / "chain_lr.wav"
+            make_pair(clip, lr, LowpassSpec(cutoff_hz=4000.0), CFG)
+            estimates = {"lr": lr}
+            phases = {
+                "flip": FlipPhaseSpec(),
+                "gla": GlaPhaseSpec(GlaConfig(layout=layout, iterations=6, record_trace=False)),
+                "reference": ReferencePhaseSpec(clip),
+            }
+            for method, phase in phases.items():
+                estimates[method] = tmp_path / f"chain_{method}.wav"
+                super_resolve(SrJobSpec(str(lr), str(estimates[method]), OracleSpec(clip),
+                                        phase, layout, stft=CFG))
+            reports = {}
+            for method, path in estimates.items():
+                pairs = zip(wav_read(clip)[0], wav_read(path)[0])
+                channel_reports = [evaluate(t, e, layout, CFG) for t, e in pairs]
+                reports[method] = [
+                    float(np.mean([getattr(r, name) for r in channel_reports]))
+                    for name in ("lsd_hf", "lsd_full", "snr")
+                ]
+                expected_rows.append(
+                    f"{clip},{method},{reports[method][0]:.4f},{reports[method][1]:.4f},"
+                    f"{reports[method][2]:.4f},{channel_reports[0].frames_compared}"
+                )
+            per_clip.append(reports)
+
+        assert result.rows[: len(expected_rows)] == expected_rows
+        for method, report in result.means.items():
+            expected = np.mean([reports[method] for reports in per_clip], axis=0)
+            assert [report.lsd_hf, report.lsd_full, report.snr] == expected.tolist()
+
+    def test_each_clip_decoded_once(self, tmp_path, monkeypatch, two_clips):
+        import bwx.pipeline
+        import bwx.prep
+
+        decoded = []
+        original = bwx.pipeline.wav_read
+
+        def counting(path, *args, **kwargs):
+            decoded.append(str(path))
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(bwx.pipeline, "wav_read", counting)
+        monkeypatch.setattr(bwx.prep, "wav_read", counting)
+        run_phase_study(two_clips, tmp_path / "study.csv", gla_iterations=2)
+        assert decoded == two_clips
+
     def test_all_skipped_raises(self, tmp_path):
         from bwx.errors import BwxError
 

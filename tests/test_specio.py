@@ -105,3 +105,33 @@ def test_nan_payload_rejected_on_write(tmp_path):
     data[0, 0] = np.nan
     with pytest.raises(PayloadValueError):
         spec_write(tmp_path / "x.bwx", data, SpecKind.MAGNITUDE, 44100, 2048, 256)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_payload_rejected_on_read(tmp_path, bad):
+    path = tmp_path / "inf.bwx"
+    spec_write(path, np.ones((2, 2)), SpecKind.MAGNITUDE, 44100, 2048, 256)
+    raw = bytearray(path.read_bytes())
+    raw[HEADER_SIZE + 8 : HEADER_SIZE + 12] = np.float32(bad).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(PayloadValueError, match="infinite"):
+        spec_read(path)
+
+
+@pytest.mark.parametrize(
+    "kind, bad",
+    [
+        (SpecKind.MAGNITUDE, np.inf),
+        (SpecKind.MAGNITUDE, 1e39),  # finite in float64, infinite as float32
+        (SpecKind.COMPLEX, complex(0.0, -np.inf)),
+        (SpecKind.COMPLEX, complex(np.nan, 0.0)),
+    ],
+    ids=["magnitude-inf", "magnitude-overflow", "complex-inf", "complex-nan"],
+)
+def test_non_finite_payload_rejected_on_write(tmp_path, kind, bad):
+    data = np.ones((2, 2), dtype=type(bad))
+    data[1, 0] = bad
+    path = tmp_path / "x.bwx"
+    with pytest.raises(PayloadValueError):
+        spec_write(path, data, kind, 44100, 2048, 256)
+    assert not path.exists()
