@@ -5,7 +5,6 @@ from .dsp import (
     BandLayout,
     ComplexSpectrogram,
     MagnitudeSpectrogram,
-    PhaseSpectrogram,
     StftConfig,
     Waveform,
     bin_index,
@@ -63,7 +62,6 @@ __all__ = [
     "LowpassSpec",
     "MagnitudeSpectrogram",
     "OracleSpec",
-    "PhaseSpectrogram",
     "ReferencePhaseSpec",
     "ResidualBand",
     "SampleDepth",

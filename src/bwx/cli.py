@@ -113,12 +113,14 @@ def _parse_mag(text: str):
     raise UsageError(f"--mag must be oracle:<path>, sbr or import:<path>, got {text!r}")
 
 
-def _parse_phase(text: str, layout: BandLayout, iters: int, init: str):
+def _parse_phase(text: str, layout: BandLayout, iters: int, init: str, record_trace: bool):
     if text == "flip":
         return FlipPhaseSpec()
     if text == "gla":
         gla_init = GlaInit.ZERO_PHASE if init == "zero" else GlaInit.FLIP_PHASE
-        return GlaPhaseSpec(GlaConfig(layout=layout, iterations=iters, init=gla_init))
+        return GlaPhaseSpec(
+            GlaConfig(layout=layout, iterations=iters, init=gla_init, record_trace=record_trace)
+        )
     if text.startswith("ref:") and len(text) > 4:
         return ReferencePhaseSpec(text[4:])
     raise UsageError(f"--phase must be flip, gla or ref:<path>, got {text!r}")
@@ -146,7 +148,9 @@ def _cmd_sr(args) -> int:
     cfg = StftConfig(frame_len=args.frame, hop=args.hop)
     sample_rate = wav_sample_rate(args.input)
     layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
-    phase = _parse_phase(args.phase, layout, args.gla_iters, args.gla_init)
+    phase = _parse_phase(
+        args.phase, layout, args.gla_iters, args.gla_init, record_trace=args.trace is not None
+    )
     if args.trace is not None and not isinstance(phase, GlaPhaseSpec):
         raise UsageError("--trace is only meaningful with --phase gla")
     job = SrJobSpec(

@@ -211,29 +211,6 @@ class MagnitudeSpectrogram:
         return self.data.shape[1]
 
 
-@dataclass
-class PhaseSpectrogram:
-    """Phase angles in (-pi, pi], shape (frames, bins). May be a band slice."""
-
-    data: np.ndarray
-    config: StftConfig
-    sample_rate: int
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.float64)
-        _validate_spectrogram_data(self.data)
-        if np.any(self.data <= -np.pi) or np.any(self.data > np.pi):
-            raise DomainError("phase entries must lie in (-pi, pi]")
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[1]
-
-
 # ---------------------------------------------------------------------------
 # Array-level core. The public operations below wrap these in the typed
 # containers; iterative callers (Griffin-Lim) use them directly.
@@ -367,11 +344,6 @@ def consistency_project(X: ComplexSpectrogram) -> ComplexSpectrogram:
 
 
 def consistency_project_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    projected = stft_array(istft_array(X, cfg), cfg)
-    n_frames = X.shape[0]
-    if projected.shape[0] > n_frames:
-        projected = projected[:n_frames]
-    elif projected.shape[0] < n_frames:
-        pad = np.zeros((n_frames - projected.shape[0], X.shape[1]), dtype=np.complex128)
-        projected = np.vstack([projected, pad])
-    return projected
+    """stft(istft(X)) on arrays. An L-frame spectrogram resynthesises to
+    output_length(L) samples, which analyse back into exactly L frames."""
+    return stft_array(istft_array(X, cfg), cfg)

@@ -13,7 +13,7 @@ from typing import Union
 import numpy as np
 
 from .dsp import BandLayout, MagnitudeSpectrogram, StftConfig, Waveform, stft_array
-from .errors import FileFormatError, LengthError, PayloadValueError, ShapeError
+from .errors import FileFormatError, PayloadValueError, ShapeError
 from .specio import SpecKind, spec_read
 
 GAIN_DENOMINATOR_FLOOR = 1e-12
@@ -56,23 +56,10 @@ MagnitudePredictorSpec = Union[OracleSpec, BandReplicationSpec, ImportSpec]
 
 
 def predict_oracle(
-    hr_reference: Waveform,
-    cfg: StftConfig,
-    layout: BandLayout,
-    target_frames: int | None = None,
+    hr_reference: Waveform, cfg: StftConfig, layout: BandLayout
 ) -> MagnitudeSpectrogram:
-    """|STFT| of the reference restricted to the high band.
-
-    With ``target_frames`` set, the reference must yield at least that many
-    frames; extra frames are dropped.
-    """
+    """|STFT| of the reference restricted to the high band."""
     mags = np.abs(stft_array(hr_reference.samples, cfg))
-    if target_frames is not None:
-        if mags.shape[0] < target_frames:
-            raise LengthError(
-                f"reference yields {mags.shape[0]} frames, {target_frames} required"
-            )
-        mags = mags[:target_frames]
     return MagnitudeSpectrogram(
         mags[:, layout.k_lo : layout.k_hi], cfg, hr_reference.sample_rate
     )

@@ -23,10 +23,10 @@ from .dsp import (
     stft_array,
 )
 from .errors import DomainError, LengthError, ShapeError
+from .phase import _consistency_residual
 
 LSD_POWER_FLOOR = 1e-10
 SNR_RATIO_FLOOR = 1e-12
-RESIDUAL_NORM_FLOOR = 1e-12
 
 EVAL_CSV_HEADER = "file,method,lsd_hf_db,lsd_full_db,snr_db,frames"
 
@@ -87,10 +87,7 @@ def snr(truth: Waveform, estimate: Waveform) -> float:
 
 def consistency_residual(X: ComplexSpectrogram) -> float:
     """||X - P_C(X)||_F / max(||X||_F, 1e-12); zero exactly for consistent X."""
-    projected = consistency_project(X)
-    num = np.linalg.norm(X.data - projected.data)
-    den = max(np.linalg.norm(X.data), RESIDUAL_NORM_FLOOR)
-    return float(num / den)
+    return _consistency_residual(X.data, consistency_project(X).data)
 
 
 @dataclass

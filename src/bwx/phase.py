@@ -1,13 +1,20 @@
 """High-band phase estimators.
 
-Three strategies produce phase for the bins above the cutoff:
+Three strategies produce phase for the bins above the cutoff. None of them
+goes through angles: phase is carried as unit phasors, or as complex values
+that already hold the right magnitudes.
 
-* ``flip_phase`` mirrors the low-band phase about the cutoff and negates it.
+* ``flip_phase`` mirrors the low band about the cutoff and conjugates it,
+  returning unit phasors.
 * ``gla_reconstruct`` runs an alternating-projection loop (Griffin-Lim) that
   re-imposes the supplied magnitudes on every bin from the cutoff up while
-  pinning the low band to its known complex values.
-* ``extract_reference_phase`` reads phase straight off a reference waveform,
-  e.g. the original recording or an external synthesiser's output.
+  pinning the low band to its known complex values; its high band is the
+  complex result itself.
+* ``extract_reference_phase`` reads unit phasors straight off a reference
+  waveform, e.g. the original recording or an external synthesiser's output.
+
+A zero bin, and a frame the reference does not reach, get the phasor 1, that
+is phase zero (as ``np.angle(0) == 0``).
 """
 
 from __future__ import annotations
@@ -21,12 +28,10 @@ from .dsp import (
     BandLayout,
     ComplexSpectrogram,
     MagnitudeSpectrogram,
-    PhaseSpectrogram,
     StftConfig,
     Waveform,
     consistency_project_array,
     stft_array,
-    wrap_phase,
 )
 from .errors import DomainError, NumericalError, ShapeError
 
@@ -81,19 +86,27 @@ def flip_source_bins(layout: BandLayout) -> np.ndarray:
     return layout.k_lo - 1 - ((k - layout.k_lo) % layout.k_lo)
 
 
-def flip_phase(lfc_phase: PhaseSpectrogram, layout: BandLayout) -> PhaseSpectrogram:
-    """Mirror the low-band phase about the cutoff, negate, and wrap.
+def _unit_phasors(z: np.ndarray) -> np.ndarray:
+    """``z / |z|``, with 1 where ``z`` is 0."""
+    magnitude = np.abs(z)
+    phasors = np.ones(z.shape, dtype=np.complex128)
+    np.divide(z, magnitude, out=phasors, where=magnitude > 0)
+    return phasors
+
+
+def flip_phase(lfc: np.ndarray, layout: BandLayout) -> np.ndarray:
+    """High-band unit phasors mirrored from the complex low band ``lfc``,
+    shape (frames, k_lo), about the cutoff and conjugated (phase negated).
 
     Bin k of the output reads from bin k_lo - 1 - ((k - k_lo) mod k_lo), so the
     mirror repeats when the high band is wider than the low band.
     """
-    if lfc_phase.n_bins != layout.lfc_width:
+    if lfc.shape[1] != layout.lfc_width:
         raise ShapeError(
-            f"low-band phase has {lfc_phase.n_bins} bins, layout expects {layout.lfc_width}"
+            f"low band has {lfc.shape[1]} bins, layout expects {layout.lfc_width}"
         )
-    src = flip_source_bins(layout)
-    data = wrap_phase(-lfc_phase.data[:, src])
-    return PhaseSpectrogram(data, lfc_phase.config, lfc_phase.sample_rate)
+    phasors = _unit_phasors(lfc[:, flip_source_bins(layout)])
+    return np.conjugate(phasors, out=phasors)
 
 
 def _consistency_residual(X: np.ndarray, projected: np.ndarray) -> float:
@@ -149,24 +162,21 @@ def gla_reconstruct(
     stft_cfg = full_magnitude.config
     k_lo, k_hi = layout.k_lo, layout.k_hi
 
-    if initial_hf_phase is not None:
-        init_phase = np.asarray(initial_hf_phase, dtype=np.float64)
-        if init_phase.shape != (A.shape[0], layout.n_bins - k_lo):
-            raise ShapeError(
-                f"initial phase has shape {init_phase.shape}, "
-                f"expected {(A.shape[0], layout.n_bins - k_lo)}"
-            )
-    else:
-        init_phase = np.zeros((A.shape[0], layout.n_bins - k_lo))
-        if cfg.init is GlaInit.FLIP_PHASE:
-            src = flip_source_bins(layout)
-            init_phase[:, : k_hi - k_lo] = wrap_phase(-np.angle(lfc[:, src]))
-
     A_hi = A[:, k_lo:]
     X = np.empty(A.shape, dtype=np.complex128)
     X[:, :k_lo] = lfc
     X_hi = X[:, k_lo:]
-    X_hi[...] = A_hi * np.exp(1j * init_phase)
+    if initial_hf_phase is not None:
+        init_phase = np.asarray(initial_hf_phase, dtype=np.float64)
+        if init_phase.shape != A_hi.shape:
+            raise ShapeError(
+                f"initial phase has shape {init_phase.shape}, expected {A_hi.shape}"
+            )
+        X_hi[...] = A_hi * np.exp(1j * init_phase)
+    else:
+        X_hi[...] = A_hi  # zero phase
+        if cfg.init is GlaInit.FLIP_PHASE:
+            X_hi[:, : k_hi - k_lo] *= flip_phase(lfc, layout)
     scale = np.empty(A_hi.shape)
 
     residuals = np.empty(cfg.iterations) if cfg.record_trace else None
@@ -192,20 +202,16 @@ def extract_reference_phase(
     cfg: StftConfig,
     layout: BandLayout,
     target_frames: int,
-) -> tuple[PhaseSpectrogram, bool]:
-    """High-band phase read off a reference waveform.
+) -> tuple[np.ndarray, bool]:
+    """High-band unit phasors read off a reference waveform.
 
-    Returns the phase slice over [k_lo, k_hi) for exactly ``target_frames``
-    frames plus a flag that is set whenever the reference's own frame count
-    had to be truncated or padded (missing frames are zero-phase). The
-    argument of a zero bin is zero.
+    Returns the phasors over [k_lo, k_hi) for exactly ``target_frames`` frames
+    plus a flag that is set whenever the reference's own frame count had to be
+    truncated or padded. Missing frames and zero bins get the phasor 1.
     """
     X = stft_array(reference.samples, cfg)
     ref_frames = X.shape[0]
-    hfc_angle = wrap_phase(np.angle(X[:, layout.k_lo : layout.k_hi]))
-
-    data = np.zeros((target_frames, layout.hfc_width))
     n_copy = min(ref_frames, target_frames)
-    data[:n_copy] = hfc_angle[:n_copy]
-    adjusted = ref_frames != target_frames
-    return PhaseSpectrogram(data, cfg, reference.sample_rate), adjusted
+    phasors = np.ones((target_frames, layout.hfc_width), dtype=np.complex128)
+    phasors[:n_copy] = _unit_phasors(X[:n_copy, layout.k_lo : layout.k_hi])
+    return phasors, ref_frames != target_frames

@@ -25,14 +25,12 @@ from .dsp import (
     BandLayout,
     ComplexSpectrogram,
     MagnitudeSpectrogram,
-    PhaseSpectrogram,
     StftConfig,
     Waveform,
     _synthesis_denominator,
     frame_blocks,
     overlap_add,
     stft_array,
-    wrap_phase,
 )
 from .errors import BwxError, LengthError, PipelineError, ShapeError
 from .magnitude import (
@@ -124,104 +122,99 @@ def _read_references(path, n_channels: int, references: dict) -> list[np.ndarray
     return references[key]
 
 
-def _magnitude_sources(
-    job: SrJobSpec, n_frames: int, n_channels: int, sample_rate: int, references: dict
+def _magnitude_steps(
+    job: SrJobSpec, n_frames: int, n_channels: int, rate: int, references: dict
 ) -> list:
-    """Per channel, what the predictor reads block by block: the reference
-    samples (oracle), the imported magnitude rows (import) or nothing (SBR).
-    Everything that can reject the job is checked here, before any block."""
-    predictor = job.predictor
+    """One step per channel mapping a block of frames (its analysis ``x`` and
+    its ``frame_blocks`` triple f0, f1, sample span) to the block's high-band
+    magnitudes. Everything that can reject the job is checked here, before
+    any block."""
+    predictor, cfg, layout = job.predictor, job.stft, job.layout
     if isinstance(predictor, OracleSpec):
         samples = _read_references(predictor.reference_path, n_channels, references)
-        ref_frames = job.stft.frame_count(len(samples[0]))
+        ref_frames = cfg.frame_count(len(samples[0]))
         if ref_frames < n_frames:
             raise LengthError(f"reference yields {ref_frames} frames, {n_frames} required")
-        return samples
+
+        def oracle(source):
+            return lambda x, block: predict_oracle(
+                Waveform(source[block[2]], rate), cfg, layout
+            ).data
+
+        return [oracle(source) for source in samples]
     if isinstance(predictor, BandReplicationSpec):
-        return [None] * n_channels
+
+        def replicate(x, block):
+            lfc_mag = MagnitudeSpectrogram(np.abs(x[:, : layout.k_lo]), cfg, rate)
+            return predict_band_replication(lfc_mag, layout, predictor).data
+
+        return [replicate] * n_channels
     if isinstance(predictor, ImportSpec):
         if n_channels != 1:
             raise ShapeError("imported magnitudes only support mono inputs")
         imported = load_magnitude(
-            predictor.path,
-            (n_frames, job.layout.hfc_width),
-            cfg=job.stft,
-            sample_rate=sample_rate,
-        )
-        return [imported.data]
+            predictor.path, (n_frames, layout.hfc_width), cfg=cfg, sample_rate=rate
+        ).data
+        return [lambda x, block: imported[block[0] : block[1]]]
     raise ShapeError(f"unknown predictor spec {predictor!r}")
 
 
-def _phase_sources(job: SrJobSpec, n_frames: int, n_channels: int, references: dict) -> list:
-    """Per channel, the reference samples of the reference strategy, else
-    nothing. Warns once per channel when the reference's frame count differs
-    from the input's."""
-    strategy = job.phase
-    if not isinstance(strategy, ReferencePhaseSpec):
-        return [None] * n_channels
-    samples = _read_references(strategy.path, n_channels, references)
-    if job.stft.frame_count(len(samples[0])) != n_frames:
-        for _ in range(n_channels):
-            logger.warning(
-                "%s: reference frame count adjusted to %d", strategy.path, n_frames
-            )
-    return samples
-
-
-def _predict_magnitude(
-    job: SrJobSpec, x: np.ndarray, layout: BandLayout, source, block: tuple, sample_rate: int
-) -> np.ndarray:
-    """High-band magnitudes of one block of frames (``frame_blocks``' f0, f1
-    and sample span), whose analysis is ``x``."""
-    predictor = job.predictor
-    f0, f1, span = block
-    if isinstance(predictor, OracleSpec):
-        return predict_oracle(Waveform(source[span], sample_rate), job.stft, layout).data
-    if isinstance(predictor, BandReplicationSpec):
-        lfc_mag = MagnitudeSpectrogram(np.abs(x[:, : layout.k_lo]), job.stft, sample_rate)
-        return predict_band_replication(lfc_mag, layout, predictor).data
-    return source[f0:f1]
-
-
-def _estimate_phase(
-    job: SrJobSpec,
-    x: np.ndarray,
-    hfc_mag: np.ndarray,
-    layout: BandLayout,
-    source,
-    block: tuple,
-    sample_rate: int,
-) -> tuple[np.ndarray, GlaTrace | None]:
-    """High-band phase of one block of frames, whose analysis is ``x``."""
-    strategy = job.phase
-    cfg = job.stft
-    f0, f1, _ = block
+def _phase_steps(
+    job: SrJobSpec, n_frames: int, n_channels: int, rate: int, references: dict
+) -> list:
+    """One step per channel mapping a block of frames (its analysis ``x``, its
+    high-band magnitudes ``mag`` and its ``frame_blocks`` triple) to the
+    block's complex high band and GLA trace (None for the other strategies).
+    The reference strategy warns here, once per channel, when the
+    reference's frame count differs from the input's."""
+    strategy, cfg, layout = job.phase, job.stft, job.layout
+    k_lo, k_hi = layout.k_lo, layout.k_hi
     if isinstance(strategy, FlipPhaseSpec):
-        lfc_phase = PhaseSpectrogram(
-            wrap_phase(np.angle(x[:, : layout.k_lo])), cfg, sample_rate
-        )
-        return flip_phase(lfc_phase, layout).data, None
+        return [lambda x, mag, block: (mag * flip_phase(x[:, :k_lo], layout), None)] * n_channels
     if isinstance(strategy, GlaPhaseSpec):
-        full = np.hstack(
-            [np.abs(x[:, : layout.k_lo]), hfc_mag, np.abs(x[:, layout.k_hi :])]
-        )
-        full_mag = MagnitudeSpectrogram(full, cfg, sample_rate)
-        lfc = ComplexSpectrogram(x[:, : layout.k_lo], cfg, sample_rate)
-        result, trace = gla_reconstruct(full_mag, lfc, strategy.config)
-        return wrap_phase(np.angle(result.data[:, layout.k_lo : layout.k_hi])), trace
-    # Reference phase: frames past the reference's end keep zero phase.
-    last = min(f1, cfg.frame_count(len(source)))
-    if last <= f0:
-        return np.zeros((f1 - f0, layout.hfc_width)), None
-    span = slice(f0 * cfg.hop, (last - 1) * cfg.hop + cfg.frame_len)
-    phase, _ = extract_reference_phase(
-        Waveform(source[span], sample_rate), cfg, layout, target_frames=f1 - f0
-    )
-    return phase.data, None
+
+        def gla(x, mag, block):
+            full = np.hstack([np.abs(x[:, :k_lo]), mag, np.abs(x[:, k_hi:])])
+            result, trace = gla_reconstruct(
+                MagnitudeSpectrogram(full, cfg, rate),
+                ComplexSpectrogram(x[:, :k_lo], cfg, rate),
+                strategy.config,
+            )
+            # The loop has already re-imposed ``mag`` on these bins.
+            return result.data[:, k_lo:k_hi], trace
+
+        return [gla] * n_channels
+    if isinstance(strategy, ReferencePhaseSpec):
+        samples = _read_references(strategy.path, n_channels, references)
+        if cfg.frame_count(len(samples[0])) != n_frames:
+            for _ in range(n_channels):
+                logger.warning(
+                    "%s: reference frame count adjusted to %d", strategy.path, n_frames
+                )
+
+        def reference(source):
+            ref_frames = cfg.frame_count(len(source))
+
+            def step(x, mag, block):
+                # Frames past the reference's end keep zero phase.
+                f0, f1, _ = block
+                last = min(f1, ref_frames)
+                if last <= f0:
+                    return mag.astype(np.complex128), None
+                span = slice(f0 * cfg.hop, (last - 1) * cfg.hop + cfg.frame_len)
+                phasors, _ = extract_reference_phase(
+                    Waveform(source[span], rate), cfg, layout, target_frames=f1 - f0
+                )
+                return mag * phasors, None
+
+            return step
+
+        return [reference(source) for source in samples]
+    raise ShapeError(f"unknown phase spec {strategy!r}")
 
 
 def _process_channel(
-    job: SrJobSpec, x_lr: Waveform, n_frames: int, magnitude_source, phase_source
+    job: SrJobSpec, x_lr: Waveform, n_frames: int, magnitude_step, phase_step
 ) -> tuple[Waveform, GlaTrace | None]:
     """Reconstruct one channel block by block: analyse, predict, estimate,
     recombine and overlap-add each block of frames, then normalise once.
@@ -238,15 +231,13 @@ def _process_channel(
                 x[:, layout.k_hi :] = 0.0
 
         with _stage("magnitude"):
-            hfc_mag = _predict_magnitude(job, x, layout, magnitude_source, block, rate)
+            hfc_mag = magnitude_step(x, block)
 
         with _stage("phase"):
-            hfc_phase, trace = _estimate_phase(
-                job, x, hfc_mag, layout, phase_source, block, rate
-            )
+            hfc, trace = phase_step(x, hfc_mag, block)
 
         with _stage("recombine"):
-            x[:, layout.k_lo : layout.k_hi] = hfc_mag * np.exp(1j * hfc_phase)
+            x[:, layout.k_lo : layout.k_hi] = hfc
 
         with _stage("synthesize"):
             overlap_add(x, out, f0, cfg)
@@ -269,17 +260,15 @@ def _reconstruct(
     with _stage("analyze"):
         n_frames = job.stft.frame_count(len(channels[0]))
     with _stage("magnitude"):
-        magnitude_sources = _magnitude_sources(
-            job, n_frames, len(channels), rate, references
-        )
+        magnitude_steps = _magnitude_steps(job, n_frames, len(channels), rate, references)
     with _stage("phase"):
-        phase_sources = _phase_sources(job, n_frames, len(channels), references)
+        phase_steps = _phase_steps(job, n_frames, len(channels), rate, references)
 
     outputs: list[Waveform] = []
     first_trace: GlaTrace | None = None
     for index, ch in enumerate(channels):
         wave, trace = _process_channel(
-            job, ch, n_frames, magnitude_sources[index], phase_sources[index]
+            job, ch, n_frames, magnitude_steps[index], phase_steps[index]
         )
         outputs.append(wave)
         if index == 0:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bwx.cli
 from bwx import SampleDepth, StftConfig, Waveform, wav_read, wav_write
 from bwx.cli import main
 from bwx.specio import SpecKind, spec_read
@@ -75,6 +76,19 @@ class TestSr:
         )
         assert code == 0
         assert trace.read_text().startswith("iteration,residual")
+
+    @pytest.mark.parametrize("with_trace", [True, False])
+    def test_gla_records_trace_only_when_written(
+        self, tmp_path, hr_path, lr_path, monkeypatch, with_trace
+    ):
+        jobs = []
+        monkeypatch.setattr(bwx.cli, "super_resolve", lambda job, trace_path: jobs.append(job))
+        argv = ["sr", "--in", str(lr_path), "--out", str(tmp_path / "sr.wav"),
+                "--mag", f"oracle:{hr_path}", "--phase", "gla"]
+        if with_trace:
+            argv += ["--trace", str(tmp_path / "trace.csv")]
+        assert main(argv) == 0
+        assert [job.phase.config.record_trace for job in jobs] == [with_trace]
 
     def test_sbr_with_residual_zero(self, tmp_path, lr_path):
         out = tmp_path / "sr.wav"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwx import (
     BandLayout,
@@ -15,7 +17,7 @@ from bwx import (
     stft,
     wrap_phase,
 )
-from bwx.dsp import _synthesis_denominator, hann_window, istft_array
+from bwx.dsp import _synthesis_denominator, consistency_project_array, hann_window, istft_array
 from bwx.errors import DomainError, LengthError, ShapeError
 
 
@@ -291,6 +293,20 @@ class TestConsistencyProject:
         first = np.linalg.norm(X2.data - X1.data)
         second = np.linalg.norm(X3.data - X2.data)
         assert 0 < second < first
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hop=st.integers(1, 64),
+        n_frames=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_projection_keeps_shape(self, hop, n_frames, seed):
+        # L frames resynthesise to output_length(L) samples, which analyse
+        # back into exactly L frames, for hops that divide frame_len or not.
+        cfg = StftConfig(frame_len=64, hop=hop)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n_frames, cfg.n_bins)) + 1j * rng.normal(size=(n_frames, cfg.n_bins))
+        assert consistency_project_array(X, cfg).shape == X.shape
 
 
 class TestBands:

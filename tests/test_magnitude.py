@@ -16,7 +16,7 @@ from bwx import (
     predict_oracle,
     spec_write,
 )
-from bwx.errors import FileFormatError, LengthError, PayloadValueError, ShapeError
+from bwx.errors import FileFormatError, PayloadValueError, ShapeError
 
 CFG = StftConfig()
 LAYOUT = BandLayout(186, 372, CFG.n_bins)
@@ -38,15 +38,6 @@ class TestOracle:
         assert bin_index(6000, SR, CFG.frame_len) == 279
         peaks = np.argmax(out.data, axis=1)
         assert np.all(peaks == expected_bin)
-
-    def test_frame_shortfall_rejected(self):
-        x = Waveform(np.zeros(2 * CFG.frame_len), SR)
-        with pytest.raises(LengthError):
-            predict_oracle(x, CFG, LAYOUT, target_frames=1000)
-
-    def test_extra_frames_truncated(self, short_music):
-        out = predict_oracle(short_music, CFG, LAYOUT, target_frames=10)
-        assert out.data.shape == (10, 186)
 
 
 class TestBandReplication:

@@ -9,7 +9,6 @@ from bwx import (
     GlaConfig,
     GlaInit,
     MagnitudeSpectrogram,
-    PhaseSpectrogram,
     StftConfig,
     Waveform,
     extract_reference_phase,
@@ -29,65 +28,75 @@ def closed_form_source(k, k_lo):
     return k_lo - 1 - ((k - k_lo) % k_lo)
 
 
+def low_band(phase, seed=0):
+    """Complex low band with the given phases and random non-zero magnitudes."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.1, 2.0, size=phase.shape) * np.exp(1j * phase)
+
+
 class TestFlipPhase:
     def test_zero_phase_stays_zero(self):
-        lfc = PhaseSpectrogram(np.zeros((5, 186)), CFG, 44100)
-        out = flip_phase(lfc, LAYOUT)
-        assert out.data.shape == (5, 186)
-        assert np.all(out.data == 0)
+        out = flip_phase(np.ones((5, 186), dtype=complex), LAYOUT)
+        assert out.shape == (5, 186)
+        assert np.all(out == 1)
 
     def test_cutoff_neighbour_negated(self):
         data = np.zeros((1, 186))
         data[0, 185] = np.pi / 3
-        out = flip_phase(PhaseSpectrogram(data, CFG, 44100), LAYOUT)
-        assert out.data[0, 0] == pytest.approx(-np.pi / 3)
+        out = flip_phase(low_band(data), LAYOUT)
+        assert np.angle(out[0, 0]) == pytest.approx(-np.pi / 3)
 
     def test_full_mirror_span_reaches_bin_zero(self):
         data = np.zeros((1, 186))
         data[0, 0] = 0.7
-        out = flip_phase(PhaseSpectrogram(data, CFG, 44100), LAYOUT)
+        out = flip_phase(low_band(data), LAYOUT)
         # k = 371 reads from source bin 0.
-        assert out.data[0, 371 - 186] == pytest.approx(-0.7)
+        assert np.angle(out[0, 371 - 186]) == pytest.approx(-0.7)
 
     def test_exhaustive_mapping_matches_closed_form(self):
         rng = np.random.default_rng(4)
         data = rng.uniform(-np.pi + 1e-9, np.pi, size=(3, 186))
-        out = flip_phase(PhaseSpectrogram(data, CFG, 44100), LAYOUT)
+        out = flip_phase(low_band(data), LAYOUT)
         for k in range(186, 372):
             src = closed_form_source(k, 186)
             expected = -data[:, src]
-            np.testing.assert_allclose(out.data[:, k - 186], expected, atol=1e-12)
+            np.testing.assert_allclose(np.angle(out[:, k - 186]), expected, atol=1e-12)
 
     def test_output_range(self):
         rng = np.random.default_rng(8)
         data = rng.uniform(-np.pi + 1e-12, np.pi, size=(4, 186))
-        out = flip_phase(PhaseSpectrogram(data, CFG, 44100), LAYOUT)
-        assert np.all(out.data > -np.pi)
-        assert np.all(out.data <= np.pi)
+        out = flip_phase(low_band(data), LAYOUT)
+        np.testing.assert_allclose(np.abs(out), 1.0, rtol=0, atol=1e-12)
+
+    def test_zero_low_band_bin_gives_phasor_one(self):
+        lfc = low_band(np.full((2, 186), 2.0))
+        lfc[1, 185] = 0.0
+        out = flip_phase(lfc, LAYOUT)
+        # k = 186 reads from source bin 185; np.angle(0) == 0.
+        assert out[1, 0] == 1
+        assert np.all(np.isfinite(out))
 
     def test_repeating_mirror_for_wide_high_band(self):
         cfg = StftConfig(frame_len=64, hop=16)
         layout = BandLayout(k_lo=8, k_hi=30, n_bins=cfg.n_bins)
         rng = np.random.default_rng(2)
         data = rng.uniform(-3, 3, size=(2, 8))
-        out = flip_phase(PhaseSpectrogram(data, cfg, 8000), layout)
+        out = flip_phase(low_band(data), layout)
         for k in range(8, 30):
             src = closed_form_source(k, 8)
-            np.testing.assert_allclose(out.data[:, k - 8], -data[:, src], atol=1e-12)
+            np.testing.assert_allclose(np.angle(out[:, k - 8]), -data[:, src], atol=1e-12)
 
     def test_double_flip_is_identity_for_equal_widths(self):
-        # The mirror is an involution and the two negations cancel, so
-        # flipping the flipped band recovers the original phases.
+        # The mirror is an involution and the two conjugations cancel, so
+        # flipping the flipped band recovers the original phasors.
         rng = np.random.default_rng(13)
-        data = rng.uniform(-3.0, 3.0, size=(4, 186))
-        once = flip_phase(PhaseSpectrogram(data, CFG, 44100), LAYOUT)
-        twice = flip_phase(PhaseSpectrogram(once.data, CFG, 44100), LAYOUT)
-        np.testing.assert_allclose(twice.data, data, atol=1e-12)
+        lfc = low_band(rng.uniform(-3.0, 3.0, size=(4, 186)))
+        twice = flip_phase(flip_phase(lfc, LAYOUT), LAYOUT)
+        np.testing.assert_allclose(twice, lfc / np.abs(lfc), atol=1e-12)
 
     def test_width_mismatch_rejected(self):
-        lfc = PhaseSpectrogram(np.zeros((5, 100)), CFG, 44100)
         with pytest.raises(ShapeError):
-            flip_phase(lfc, LAYOUT)
+            flip_phase(np.ones((5, 100), dtype=complex), LAYOUT)
 
 
 def _consistent_inputs(wave):
@@ -277,31 +286,32 @@ class TestGlaKernel:
 class TestExtractReferencePhase:
     def test_exact_match_on_hr_file(self, short_music):
         X = stft(short_music, CFG)
-        phase, adjusted = extract_reference_phase(
+        phasors, adjusted = extract_reference_phase(
             short_music, CFG, LAYOUT, target_frames=X.data.shape[0]
         )
         assert not adjusted
         np.testing.assert_allclose(
-            phase.data, np.angle(X.data[:, 186:372]), atol=1e-12
+            np.angle(phasors), np.angle(X.data[:, 186:372]), atol=1e-12
         )
+        np.testing.assert_allclose(np.abs(phasors), 1.0, rtol=0, atol=1e-12)
 
     def test_silence_gives_zero_phase(self):
         silence = Waveform(np.zeros(3 * CFG.frame_len), 44100)
         frames = CFG.frame_count(len(silence.samples))
-        phase, adjusted = extract_reference_phase(silence, CFG, LAYOUT, frames)
+        phasors, adjusted = extract_reference_phase(silence, CFG, LAYOUT, frames)
         assert not adjusted
-        assert np.all(phase.data == 0)
+        assert np.all(phasors == 1)
 
     def test_short_reference_padded_with_flag(self, short_music):
         frames = stft_array(short_music.samples, CFG).shape[0]
         short_ref = Waveform(short_music.samples[: len(short_music.samples) - CFG.hop], 44100)
-        phase, adjusted = extract_reference_phase(short_ref, CFG, LAYOUT, frames)
+        phasors, adjusted = extract_reference_phase(short_ref, CFG, LAYOUT, frames)
         assert adjusted
-        assert phase.data.shape == (frames, 186)
-        assert np.all(phase.data[-1] == 0)
+        assert phasors.shape == (frames, 186)
+        assert np.all(phasors[-1] == 1)
 
     def test_long_reference_truncated_with_flag(self, short_music):
         frames = stft_array(short_music.samples, CFG).shape[0]
-        phase, adjusted = extract_reference_phase(short_music, CFG, LAYOUT, frames - 3)
+        phasors, adjusted = extract_reference_phase(short_music, CFG, LAYOUT, frames - 3)
         assert adjusted
-        assert phase.data.shape == (frames - 3, 186)
+        assert phasors.shape == (frames - 3, 186)
