@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * Synthesis is weighted overlap-add with the analysis window applied a
   second time and the result divided by the overlapped squared-window sum
   (floored at 1e-12 to keep edge samples finite). That sum depends only on
-  the configuration and the frame count, so it is cached per (cfg, frames).
+  the configuration, the frame count and the sample range, so it is cached
+  per (cfg, frames, range).
 * Every sample of the overlap-add sums its frames in ascending frame order,
   so adding a spectrogram block by block (`overlap_add` per block of
   `frame_blocks`) gives the same bits as adding it whole. Analysis is per
@@ -18,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -30,7 +32,8 @@ WINDOW_SUM_FLOOR = 1e-12
 
 # Frames per block in the frame-local flows (sr without Griffin-Lim, eval,
 # brickwall prepare): 256 frames of 2048/256 hold about 4 MB of complex128,
-# so their spectrogram memory does not grow with the input's length.
+# so their spectrogram memory does not grow with the input's length; sr and
+# eval also read and write their WAV files one block at a time.
 BLOCK_FRAMES = 256
 
 
@@ -217,34 +220,65 @@ class MagnitudeSpectrogram:
 # ---------------------------------------------------------------------------
 
 
+_scratch = threading.local()
+
+
+def _frame_scratch(n_frames: int, frame_len: int) -> np.ndarray:
+    """A (n_frames, frame_len) float64 array for windowed frames. Up to
+    `BLOCK_FRAMES` frames it comes from one buffer per thread, reused by
+    every later call: a fresh multi-MB array per block page-faults anew on
+    every block once the allocator has handed the previous block's memory
+    back to the system. Longer (whole-file) requests get a fresh array."""
+    if n_frames > BLOCK_FRAMES:
+        return np.empty((n_frames, frame_len))
+    buffer = getattr(_scratch, "frames", None)
+    if buffer is None or buffer.shape[1] != frame_len or len(buffer) < n_frames:
+        buffer = _scratch.frames = np.empty((n_frames, frame_len))
+    return buffer[:n_frames]
+
+
 def stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """STFT of a 1-D float array, returning (frames, bins) complex128."""
     x = np.asarray(x, dtype=np.float64)
     n_frames = cfg.frame_count(len(x))
-    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)[:: cfg.hop]
-    frames = frames[:n_frames] * cfg.window_values()
+    windows = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)[:: cfg.hop]
+    frames = np.multiply(
+        windows[:n_frames], cfg.window_values(), out=_frame_scratch(n_frames, cfg.frame_len)
+    )
     return scipy.fft.rfft(frames, axis=1, workers=-1)
 
 
 @functools.lru_cache(maxsize=4)
-def _synthesis_denominator(cfg: StftConfig, n_frames: int) -> np.ndarray:
-    """Overlapped squared-window sum for ``n_frames`` frames, floored at
-    WINDOW_SUM_FLOOR. Cached per (cfg, n_frames) and shared by every caller,
+def _synthesis_denominator(
+    cfg: StftConfig, n_frames: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Overlapped squared-window sum of ``n_frames`` frames over samples
+    [start, stop) (default: all of them), floored at WINDOW_SUM_FLOOR.
+
+    Each sample sums its frames' window squares in the same order whatever
+    the range, so a range's values equal that slice of the whole sum bit for
+    bit. Cached per (cfg, n_frames, start, stop) and shared by every caller,
     so it is returned read-only."""
     frame_len, hop = cfg.frame_len, cfg.hop
+    stop = cfg.output_length(n_frames) if stop is None else stop
     window = cfg.window_values()
     wsq = window * window
     if frame_len % hop == 0:
+        # Rows of hop samples; row r takes segment j of frame r - j, j ascending.
         n_seg = frame_len // hop
         wblocks = wsq.reshape(n_seg, hop)
-        wline = np.zeros((n_frames - 1 + n_seg, hop))
+        r0, r1 = start // hop, -(-stop // hop)
+        wline = np.zeros((r1 - r0, hop))
         for j in range(n_seg):
-            wline[j : j + n_frames] += wblocks[j]
-        wsum = wline.reshape(-1)
+            lo, hi = max(j, r0), min(j + n_frames, r1)
+            if lo < hi:
+                wline[lo - r0 : hi - r0] += wblocks[j]
+        wsum = wline.reshape(-1)[start - r0 * hop : stop - r0 * hop]
     else:
-        wsum = np.zeros(cfg.output_length(n_frames))
-        for i in range(n_frames):
-            wsum[i * hop : i * hop + frame_len] += wsq
+        wsum = np.zeros(stop - start)
+        for i in range(max(0, (start - frame_len) // hop + 1), min(n_frames, -(-stop // hop))):
+            lo, hi = max(i * hop, start), min(i * hop + frame_len, stop)
+            wsum[lo - start : hi - start] += wsq[lo - i * hop : hi - i * hop]
     denominator = np.maximum(wsum, WINDOW_SUM_FLOOR)
     denominator.flags.writeable = False
     return denominator

@@ -27,6 +27,9 @@ from .phase import _consistency_residual
 
 LSD_POWER_FLOOR = 1e-10
 SNR_RATIO_FLOOR = 1e-12
+# Samples per partial sum of SNR's energies: fixed, so SNR does not depend on
+# how a flow cuts a signal into blocks.
+SNR_CHUNK = 1 << 16
 
 EVAL_CSV_HEADER = "file,method,lsd_hf_db,lsd_full_db,snr_db,frames"
 
@@ -68,21 +71,59 @@ def _lsd_per_frame(truth: np.ndarray, estimate: np.ndarray, bins: tuple[int, int
     return np.sqrt(np.mean(diff * diff, axis=1))
 
 
+def _check_rates(truth_rate: int, estimate_rate: int) -> None:
+    if truth_rate != estimate_rate:
+        raise ShapeError(f"sample rates differ: {truth_rate} vs {estimate_rate}")
+
+
+class _EnergySums:
+    """Signal and residual energy of a truth/estimate pair fed in consecutive
+    pieces. Each energy is summed per fixed chunk of SNR_CHUNK samples and the
+    chunk sums are added in order, so the totals do not depend on where the
+    pieces were cut."""
+
+    def __init__(self) -> None:
+        self.signal = 0.0
+        self.noise = 0.0
+        self._truth = np.empty(SNR_CHUNK)
+        self._residual = np.empty(SNR_CHUNK)
+        self._fill = 0
+
+    def add(self, truth: np.ndarray, estimate: np.ndarray) -> None:
+        pos = 0
+        while pos < len(truth):
+            take = min(SNR_CHUNK - self._fill, len(truth) - pos)
+            piece, chunk = slice(pos, pos + take), slice(self._fill, self._fill + take)
+            self._truth[chunk] = truth[piece]
+            np.subtract(truth[piece], estimate[piece], out=self._residual[chunk])
+            self._fill += take
+            pos += take
+            if self._fill == SNR_CHUNK:
+                self._flush()
+
+    def _flush(self) -> None:
+        truth, residual = self._truth[: self._fill], self._residual[: self._fill]
+        self.signal += float(np.sum(truth * truth))
+        self.noise += float(np.sum(residual * residual))
+        self._fill = 0
+
+    def snr_db(self) -> float:
+        """SNR in dB of everything added, capped at 120 dB for a zero residual."""
+        self._flush()
+        if self.signal == 0.0:
+            raise DomainError("SNR undefined for an all-zero reference")
+        noise = max(self.noise, SNR_RATIO_FLOOR * self.signal)
+        return float(10.0 * np.log10(self.signal / noise))
+
+
 def snr(truth: Waveform, estimate: Waveform) -> float:
     """Signal-to-noise ratio in dB, capped at 120 dB for a zero residual."""
     if len(truth) != len(estimate):
         raise ShapeError(f"lengths differ: {len(truth)} vs {len(estimate)}")
-    if truth.sample_rate != estimate.sample_rate:
-        raise ShapeError(
-            f"sample rates differ: {truth.sample_rate} vs {estimate.sample_rate}"
-        )
-    signal_energy = float(np.sum(truth.samples * truth.samples))
-    if signal_energy == 0.0:
-        raise DomainError("SNR undefined for an all-zero reference")
-    residual = truth.samples - estimate.samples
-    noise_energy = float(np.sum(residual * residual))
-    noise_energy = max(noise_energy, SNR_RATIO_FLOOR * signal_energy)
-    return float(10.0 * np.log10(signal_energy / noise_energy))
+    _check_rates(truth.sample_rate, estimate.sample_rate)
+    sums = _EnergySums()
+    sums.add(truth.samples, estimate.samples)
+    return sums.snr_db()
 
 
 def consistency_residual(X: ComplexSpectrogram) -> float:
@@ -113,6 +154,71 @@ class EvalReport:
         )
 
 
+class _Evaluation:
+    """LSD per frame and SNR energy sums of one truth/estimate channel pair,
+    both ``n_samples`` long, fed block by block.
+
+    Every check of the pair is made on construction, before any block. SNR
+    covers the interior samples only, trimming one frame length from each end
+    to exclude overlap-add edge effects.
+    """
+
+    def __init__(
+        self,
+        n_samples: int,
+        sample_rates: tuple[int, int],
+        layout: BandLayout,
+        cfg: StftConfig,
+        full_range: tuple[int, int] | None = None,
+    ) -> None:
+        if n_samples <= 2 * cfg.frame_len:
+            raise LengthError(
+                f"signals of {n_samples} samples are too short to evaluate "
+                f"with frame_len {cfg.frame_len}"
+            )
+        self.hf_bins = (layout.k_lo, layout.k_hi)
+        self.full_bins = full_range or (0, layout.k_hi)
+        for bins in (self.hf_bins, self.full_bins):
+            _check_bins(bins, cfg.n_bins)
+        _check_rates(*sample_rates)
+        self.layout, self.cfg = layout, cfg
+        self.n_frames = cfg.frame_count(n_samples)
+        self.trim = (cfg.frame_len, n_samples - cfg.frame_len)
+        self.hf = np.empty(self.n_frames)
+        self.full = np.empty(self.n_frames)
+        self.energy = _EnergySums()
+
+    def add(self, block: tuple[int, int, slice], truth: np.ndarray, estimate: np.ndarray) -> None:
+        """Feed one ``frame_blocks`` block (f0, f1, span): ``truth`` and
+        ``estimate`` hold the pair's samples from span.start on, at least up
+        to span.stop."""
+        f0, f1, span = block
+        cfg = self.cfg
+        # Only bins below the top of the two LSD ranges are compared.
+        top = max(self.hf_bins[1], self.full_bins[1])
+        mt = np.abs(stft_array(truth, cfg)[:, :top])
+        me = np.abs(stft_array(estimate, cfg)[:, :top])
+        self.hf[f0:f1] = _lsd_per_frame(mt, me, self.hf_bins)
+        self.full[f0:f1] = _lsd_per_frame(mt, me, self.full_bins)
+        # SNR takes the block's own stretch: from span.start to where the next
+        # block's span starts (f1 * hop), or to the span's end for the last.
+        own_stop = span.stop if f1 == self.n_frames else f1 * cfg.hop
+        lo, hi = max(span.start, self.trim[0]), min(own_stop, self.trim[1])
+        if lo < hi:
+            piece = slice(lo - span.start, hi - span.start)
+            self.energy.add(truth[piece], estimate[piece])
+
+    def report(self) -> EvalReport:
+        """Mean LSD over every frame fed, and the SNR."""
+        return EvalReport(
+            float(np.mean(self.hf)),
+            float(np.mean(self.full)),
+            self.energy.snr_db(),
+            self.n_frames,
+            self.layout,
+        )
+
+
 def evaluate(
     truth: Waveform,
     estimate: Waveform,
@@ -120,38 +226,16 @@ def evaluate(
     cfg: StftConfig,
     full_range: tuple[int, int] | None = None,
 ) -> EvalReport:
-    """Build an EvalReport for a waveform pair.
+    """Build an EvalReport for a waveform pair, one block of frames at a time.
 
     LSD-HF covers [k_lo, k_hi); the "full" range defaults to [0, k_hi) and can
-    be overridden. SNR is computed on interior samples only, trimming one
-    frame length from each end to exclude overlap-add edge effects.
+    be overridden. Both are means of per-frame values over every frame. SNR
+    is computed on interior samples only, trimming one frame length from each
+    end to exclude overlap-add edge effects.
     """
     n = min(len(truth), len(estimate))
-    if n <= 2 * cfg.frame_len:
-        raise LengthError(
-            f"signals of {n} samples are too short to evaluate with frame_len {cfg.frame_len}"
-        )
-    t = truth.samples[:n]
-    e = estimate.samples[:n]
-
-    hf_bins = (layout.k_lo, layout.k_hi)
-    full_bins = full_range or (0, layout.k_hi)
-    for bins in (hf_bins, full_bins):
-        _check_bins(bins, cfg.n_bins)
-    # Per-frame LSD values, block by block; one mean over all of them after.
-    top = max(hf_bins[1], full_bins[1])
-    n_frames = cfg.frame_count(n)
-    hf = np.empty(n_frames)
-    full = np.empty(n_frames)
-    for f0, f1, span in frame_blocks(n_frames, cfg):
-        mt = np.abs(stft_array(t[span], cfg)[:, :top])
-        me = np.abs(stft_array(e[span], cfg)[:, :top])
-        hf[f0:f1] = _lsd_per_frame(mt, me, hf_bins)
-        full[f0:f1] = _lsd_per_frame(mt, me, full_bins)
-
-    trim = slice(cfg.frame_len, n - cfg.frame_len)
-    snr_db = snr(
-        Waveform(t[trim], truth.sample_rate),
-        Waveform(e[trim], estimate.sample_rate),
-    )
-    return EvalReport(float(np.mean(hf)), float(np.mean(full)), snr_db, n_frames, layout)
+    evaluation = _Evaluation(n, (truth.sample_rate, estimate.sample_rate), layout, cfg, full_range)
+    for block in frame_blocks(evaluation.n_frames, cfg):
+        span = block[2]
+        evaluation.add(block, truth.samples[span], estimate.samples[span])
+    return evaluation.report()

@@ -1,20 +1,25 @@
 """End-to-end spectrogram-recombination pipeline and batch drivers.
 
-``_reconstruct`` is the in-memory core: it analyses the band-limited input
-channels, predicts high-band magnitudes, estimates high-band phase,
-recombines the bands and resynthesises. ``super_resolve`` wraps it with file
-I/O. ``run_phase_study`` reruns the oracle-magnitude phase comparison over a
-clip set, decoding each clip once; ``evaluate_batch`` scores truth/estimate
-file pairs.
+``_reconstruct_blocks`` is the one reconstruction core: block by block it
+analyses the band-limited input channels, predicts high-band magnitudes,
+estimates high-band phase, recombines the bands and resynthesises, reading
+samples from a source and handing finished output to a sink. Sources and
+sinks are arrays (``_reconstruct``, for the phase study and tests) or WAV
+files streamed one block at a time (``super_resolve``). ``run_phase_study``
+reruns the oracle-magnitude phase comparison over a clip set, decoding each
+clip once; ``evaluate_batch`` scores truth/estimate file pairs, streaming
+them the same way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import logging
+import os
 import tempfile
+import uuid
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence, Union
@@ -42,10 +47,10 @@ from .magnitude import (
     predict_band_replication,
     predict_oracle,
 )
-from .metrics import EVAL_CSV_HEADER, EvalReport, evaluate
+from .metrics import EVAL_CSV_HEADER, EvalReport, _Evaluation
 from .phase import GlaConfig, GlaTrace, extract_reference_phase, flip_phase, gla_reconstruct
 from .prep import LowpassSpec, lowpass
-from .wavio import SampleDepth, wav_read, wav_write
+from .wavio import SampleDepth, wav_header, wav_read, wav_write
 
 logger = logging.getLogger("bwx")
 
@@ -98,7 +103,7 @@ class SrJobSpec:
             raise ShapeError("GLA config layout disagrees with the job layout")
 
 
-@contextmanager
+@contextlib.contextmanager
 def _stage(name: str):
     try:
         yield
@@ -108,18 +113,113 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-def _read_references(path, n_channels: int, references: dict) -> list[np.ndarray]:
-    """Samples of every channel of a reference file, decoded once per job:
-    ``references`` maps resolved paths to channels already read."""
+@contextlib.contextmanager
+def _atomic_output(path, mode: str = "wb"):
+    """Open a new temporary file beside ``path`` in ``mode`` and move it over
+    ``path`` once the block completes. On an error the temporary file is
+    removed, so no partial file appears and an existing ``path`` is untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# Sources give a flow its samples by range, sinks take its output stretch by
+# stretch: arrays for the in-memory callers, WAV files for the CLI and batch.
+
+
+class _ArraySource:
+    """Channels held in memory, read by sample range without copying."""
+
+    def __init__(self, channels: Sequence[Waveform]):
+        self.channels = channels
+        self.n_channels = len(channels)
+        self.n_samples = len(channels[0])
+        self.sample_rate = channels[0].sample_rate
+
+    def read(self, start: int, stop: int) -> list[np.ndarray]:
+        return [ch.samples[start:stop] for ch in self.channels]
+
+
+class _WavSource:
+    """A WAV file read by sample range. Its header is read on construction;
+    the last range read is kept, so steps that need the same range of one
+    file in one block read it once."""
+
+    def __init__(self, path):
+        self.path = path
+        header = wav_header(path)
+        self.n_channels = header.n_channels
+        self.n_samples = header.frames
+        self.sample_rate = header.sample_rate
+        self._last: tuple[tuple[int, int], list[np.ndarray]] | None = None
+
+    def read(self, start: int, stop: int) -> list[np.ndarray]:
+        if self._last is None or self._last[0] != (start, stop):
+            channels, _ = wav_read(self.path, start, stop)
+            self._last = ((start, stop), [ch.samples for ch in channels])
+        return self._last[1]
+
+
+class _ArraySink:
+    """Output stretches gathered in memory, one list per channel."""
+
+    def begin(self, n_channels: int, n_samples: int) -> None:
+        self.parts: list[list[np.ndarray]] = [[] for _ in range(n_channels)]
+
+    def write(self, pieces: list[np.ndarray]) -> None:
+        for parts, piece in zip(self.parts, pieces):
+            parts.append(piece)
+
+    def waveforms(self, sample_rate: int) -> list[Waveform]:
+        return [
+            Waveform(parts[0] if len(parts) == 1 else np.concatenate(parts), sample_rate)
+            for parts in self.parts
+        ]
+
+
+class _WavSink(contextlib.ExitStack):
+    """Float32 WAV output at ``path``, written stretch by stretch through
+    `_atomic_output`: the file appears when the ``with`` block ends without
+    an error. The first write puts the header in front."""
+
+    def __init__(self, path, sample_rate: int):
+        super().__init__()
+        self.path = path
+        self.sample_rate = sample_rate
+
+    def begin(self, n_channels: int, n_samples: int) -> None:
+        self._fh = self.enter_context(_atomic_output(self.path))
+        self._header_frames: int | None = n_samples
+
+    def write(self, pieces: list[np.ndarray]) -> None:
+        channels = [Waveform(piece, self.sample_rate) for piece in pieces]
+        wav_write(self._fh, channels, SampleDepth.FLOAT32, total_frames=self._header_frames)
+        self._header_frames = None
+
+
+def _reference_source(path, n_channels: int, references: dict):
+    """The source of a reference file: ``references`` maps resolved paths to
+    the sources a job has opened, so each file is opened once per job."""
     key = Path(path).resolve()
     if key not in references:
-        channels, _ = wav_read(path)
-        if len(channels) != n_channels:
+        source = _WavSource(path)
+        if source.n_channels != n_channels:
             raise ShapeError(
-                f"{path}: has {len(channels)} channels, input has {n_channels}"
+                f"{path}: has {source.n_channels} channels, input has {n_channels}"
             )
-        references[key] = [ch.samples for ch in channels]
+        references[key] = source
     return references[key]
+
+
+def _read_span(source, span: slice) -> list[np.ndarray]:
+    """A reference's samples over a block's span, cut at the reference's end."""
+    return source.read(span.start, min(span.stop, source.n_samples))
 
 
 def _magnitude_steps(
@@ -131,17 +231,17 @@ def _magnitude_steps(
     any block."""
     predictor, cfg, layout = job.predictor, job.stft, job.layout
     if isinstance(predictor, OracleSpec):
-        samples = _read_references(predictor.reference_path, n_channels, references)
-        ref_frames = cfg.frame_count(len(samples[0]))
+        source = _reference_source(predictor.reference_path, n_channels, references)
+        ref_frames = cfg.frame_count(source.n_samples)
         if ref_frames < n_frames:
             raise LengthError(f"reference yields {ref_frames} frames, {n_frames} required")
 
-        def oracle(source):
+        def oracle(channel):
             return lambda x, block: predict_oracle(
-                Waveform(source[block[2]], rate), cfg, layout
+                Waveform(_read_span(source, block[2])[channel], rate), cfg, layout
             ).data
 
-        return [oracle(source) for source in samples]
+        return [oracle(c) for c in range(n_channels)]
     if isinstance(predictor, BandReplicationSpec):
 
         def replicate(x, block):
@@ -185,113 +285,134 @@ def _phase_steps(
 
         return [gla] * n_channels
     if isinstance(strategy, ReferencePhaseSpec):
-        samples = _read_references(strategy.path, n_channels, references)
-        if cfg.frame_count(len(samples[0])) != n_frames:
+        source = _reference_source(strategy.path, n_channels, references)
+        ref_frames = cfg.frame_count(source.n_samples)
+        if ref_frames != n_frames:
             for _ in range(n_channels):
                 logger.warning(
                     "%s: reference frame count adjusted to %d", strategy.path, n_frames
                 )
 
-        def reference(source):
-            ref_frames = cfg.frame_count(len(source))
-
+        def reference(channel):
             def step(x, mag, block):
                 # Frames past the reference's end keep zero phase.
-                f0, f1, _ = block
+                f0, f1, span = block
                 last = min(f1, ref_frames)
                 if last <= f0:
                     return mag.astype(np.complex128), None
-                span = slice(f0 * cfg.hop, (last - 1) * cfg.hop + cfg.frame_len)
+                samples = _read_span(source, span)[channel]
                 phasors, _ = extract_reference_phase(
-                    Waveform(source[span], rate), cfg, layout, target_frames=f1 - f0
+                    Waveform(samples[: (last - 1 - f0) * cfg.hop + cfg.frame_len], rate),
+                    cfg,
+                    layout,
+                    target_frames=f1 - f0,
                 )
                 return mag * phasors, None
 
             return step
 
-        return [reference(source) for source in samples]
+        return [reference(c) for c in range(n_channels)]
     raise ShapeError(f"unknown phase spec {strategy!r}")
 
 
-def _process_channel(
-    job: SrJobSpec, x_lr: Waveform, n_frames: int, magnitude_step, phase_step
-) -> tuple[Waveform, GlaTrace | None]:
-    """Reconstruct one channel block by block: analyse, predict, estimate,
-    recombine and overlap-add each block of frames, then normalise once.
-    Griffin-Lim is not frame-local, so it runs as one block of every frame."""
-    cfg, layout, rate = job.stft, job.layout, x_lr.sample_rate
+def _reconstruct_blocks(job: SrJobSpec, source, sink, references: dict) -> GlaTrace | None:
+    """The reconstruction core: read ``job``'s band-limited input from
+    ``source`` one block span at a time and, per channel, analyse, predict,
+    estimate, recombine and overlap-add the block's frames. Each stretch of
+    output that no later frame touches is normalised and handed to ``sink``
+    for every channel at once, so no whole-length signal is held unless a
+    source or sink holds one.
+
+    Every check that can reject the job runs before the first block.
+    Griffin-Lim is not frame-local, so it runs as one block of every frame.
+    ``references`` maps resolved paths to the sources of reference files; one
+    the job names that is not there yet is opened and added. Returns the
+    first channel's GLA trace (None without one).
+    """
+    cfg, layout = job.stft, job.layout
+    n_channels, rate = source.n_channels, source.sample_rate
+    with _stage("analyze"):
+        n_frames = cfg.frame_count(source.n_samples)
+    with _stage("magnitude"):
+        magnitude_steps = _magnitude_steps(job, n_frames, n_channels, rate, references)
+    with _stage("phase"):
+        phase_steps = _phase_steps(job, n_frames, n_channels, rate, references)
+
+    with _stage("write-output"):
+        sink.begin(n_channels, cfg.output_length(n_frames))
     block_frames = n_frames if isinstance(job.phase, GlaPhaseSpec) else None
-    out = np.zeros(cfg.output_length(n_frames))
-    trace = None
+    # Per channel, the overlap-add sums already begun past the last stretch out.
+    carries = [np.zeros(0)] * n_channels
+    first_trace: GlaTrace | None = None
     for block in frame_blocks(n_frames, cfg, block_frames):
-        f0, _, span = block
-        with _stage("analyze"):
-            x = stft_array(x_lr.samples[span], cfg)
-            if job.residual_band is ResidualBand.ZERO:
-                x[:, layout.k_hi :] = 0.0
+        f0, f1, span = block
+        last = f1 == n_frames
+        # No later frame reaches below f1 * hop; the last block ends the output.
+        done = span.stop if last else f1 * cfg.hop
+        with _stage("read-input"):
+            # The last block also reads the input's tail past its last frame
+            # (under one hop), so every input sample is checked.
+            inputs = source.read(span.start, source.n_samples if last else span.stop)
+        pieces = []
+        for channel in range(n_channels):
+            with _stage("analyze"):
+                x = stft_array(inputs[channel], cfg)
+                if job.residual_band is ResidualBand.ZERO:
+                    x[:, layout.k_hi :] = 0.0
 
-        with _stage("magnitude"):
-            hfc_mag = magnitude_step(x, block)
+            with _stage("magnitude"):
+                hfc_mag = magnitude_steps[channel](x, block)
 
-        with _stage("phase"):
-            hfc, trace = phase_step(x, hfc_mag, block)
+            with _stage("phase"):
+                hfc, trace = phase_steps[channel](x, hfc_mag, block)
+                if channel == 0:
+                    first_trace = trace
 
-        with _stage("recombine"):
-            x[:, layout.k_lo : layout.k_hi] = hfc
+            with _stage("recombine"):
+                x[:, layout.k_lo : layout.k_hi] = hfc
 
-        with _stage("synthesize"):
-            overlap_add(x, out, f0, cfg)
-    with _stage("synthesize"):
-        out /= _synthesis_denominator(cfg, n_frames)
-    return Waveform(out, rate), trace
+            with _stage("synthesize"):
+                out = np.zeros(span.stop - span.start)
+                carry = carries[channel]
+                out[: len(carry)] = carry
+                overlap_add(x, out, 0, cfg)
+                carries[channel] = out[done - span.start :]
+                piece = out[: done - span.start]
+                piece /= _synthesis_denominator(cfg, n_frames, span.start, done)
+            pieces.append(piece)
+        with _stage("write-output"):
+            sink.write(pieces)
+    return first_trace
 
 
 def _reconstruct(
     job: SrJobSpec, channels: list[Waveform], references: dict
 ) -> tuple[list[Waveform], GlaTrace | None]:
-    """Reconstruct every channel of ``job``'s band-limited input ``channels``.
-
-    ``references`` maps resolved paths to the channel samples of reference
-    files already decoded; a reference the job names that is not there yet is
-    read and added. Returns the output channels and the first channel's GLA
-    trace (None without one).
-    """
-    rate = channels[0].sample_rate
-    with _stage("analyze"):
-        n_frames = job.stft.frame_count(len(channels[0]))
-    with _stage("magnitude"):
-        magnitude_steps = _magnitude_steps(job, n_frames, len(channels), rate, references)
-    with _stage("phase"):
-        phase_steps = _phase_steps(job, n_frames, len(channels), rate, references)
-
-    outputs: list[Waveform] = []
-    first_trace: GlaTrace | None = None
-    for index, ch in enumerate(channels):
-        wave, trace = _process_channel(
-            job, ch, n_frames, magnitude_steps[index], phase_steps[index]
-        )
-        outputs.append(wave)
-        if index == 0:
-            first_trace = trace
-    return outputs, first_trace
+    """Reconstruct every channel of ``job``'s band-limited input ``channels``
+    in memory. ``references`` is as in `_reconstruct_blocks`. Returns the
+    output channels and the first channel's GLA trace (None without one)."""
+    sink = _ArraySink()
+    trace = _reconstruct_blocks(job, _ArraySource(channels), sink, references)
+    return sink.waveforms(channels[0].sample_rate), trace
 
 
-def super_resolve(job: SrJobSpec, trace_path=None) -> Waveform:
+def super_resolve(job: SrJobSpec, trace_path=None) -> None:
     """Run the reconstruction pipeline on a file and write the result.
 
     Channels are processed independently and written together as float32.
-    Each reference file is decoded once per call. Returns the first
-    channel's reconstructed waveform. With ``trace_path`` set and a GLA
-    phase strategy, the first channel's residual trace is written as CSV.
+    The input and every reference are read one block span at a time, and
+    each finished stretch of output is appended to a temporary file beside
+    the output, which replaces the output path only after the last block; a
+    failure leaves no partial file. With ``trace_path`` set and a GLA phase
+    strategy, the first channel's residual trace is written as CSV.
     """
     with _stage("read-input"):
-        channels, _ = wav_read(job.input_path)
-    outputs, trace = _reconstruct(job, channels, {})
-    with _stage("write-output"):
-        wav_write(job.output_path, outputs, SampleDepth.FLOAT32)
-        if trace_path is not None and trace is not None:
+        source = _WavSource(job.input_path)
+    with _WavSink(job.output_path, source.sample_rate) as sink:
+        trace = _reconstruct_blocks(job, source, sink, {})
+    if trace_path is not None and trace is not None:
+        with _stage("write-output"):
             trace.to_csv(trace_path)
-    return outputs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +430,25 @@ def _mean_report(reports: Sequence[EvalReport]) -> EvalReport:
     )
 
 
-def _evaluate_channels(
-    truth_channels: list[Waveform], est_channels: list[Waveform], layout, cfg
-) -> EvalReport:
-    if len(truth_channels) != len(est_channels):
+def _evaluate_sources(truth, estimate, layout: BandLayout, cfg: StftConfig) -> EvalReport:
+    """Score every channel of ``estimate`` against ``truth``, reading both one
+    block span at a time, and average the channel reports."""
+    if truth.n_channels != estimate.n_channels:
         raise ShapeError(
-            f"channel counts differ: {len(truth_channels)} vs {len(est_channels)}"
+            f"channel counts differ: {truth.n_channels} vs {estimate.n_channels}"
         )
-    reports = [
-        evaluate(t, e, layout, cfg) for t, e in zip(truth_channels, est_channels)
-    ]
-    return _mean_report(reports)
+    n = min(truth.n_samples, estimate.n_samples)
+    rates = (truth.sample_rate, estimate.sample_rate)
+    evaluations = [_Evaluation(n, rates, layout, cfg) for _ in range(truth.n_channels)]
+    n_frames = evaluations[0].n_frames
+    for block in frame_blocks(n_frames, cfg):
+        _, f1, span = block
+        # The last block also reads the tail past the last frame, up to n.
+        stop = n if f1 == n_frames else span.stop
+        pairs = zip(truth.read(span.start, stop), estimate.read(span.start, stop))
+        for evaluation, (t, e) in zip(evaluations, pairs):
+            evaluation.add(block, t, e)
+    return _mean_report([evaluation.report() for evaluation in evaluations])
 
 
 @dataclass
@@ -330,7 +459,7 @@ class PhaseStudyResult:
     skipped: list[str] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _atomic_output(path, "w") as fh:
             fh.write(EVAL_CSV_HEADER + "\n")
             for row in self.rows:
                 fh.write(row + "\n")
@@ -374,9 +503,10 @@ def _study_one_clip(
         "reference": ReferencePhaseSpec(str(clip_path)),
     }
     # The oracle predictor and the reference phase read the clip itself.
-    references = {Path(clip_path).resolve(): [ch.samples for ch in truth]}
+    clip = _ArraySource(truth)
+    references = {Path(clip_path).resolve(): clip}
 
-    reports = {"lr": _evaluate_channels(truth, lr, layout, cfg)}
+    reports = {"lr": _evaluate_sources(clip, _ArraySource(lr), layout, cfg)}
     for method, phase_spec in phase_specs.items():
         est_path = workdir / f"{stem}_{method}.wav"
         job = SrJobSpec(
@@ -388,8 +518,11 @@ def _study_one_clip(
             layout=layout,
         )
         # Not bound to a name, so each output is freed before the next method.
-        reports[method] = _evaluate_channels(
-            truth, _write_float32(est_path, _reconstruct(job, lr, references)[0]), layout, cfg
+        reports[method] = _evaluate_sources(
+            clip,
+            _ArraySource(_write_float32(est_path, _reconstruct(job, lr, references)[0])),
+            layout,
+            cfg,
         )
     return reports
 
@@ -477,8 +610,8 @@ def evaluate_batch(
     successes: list[EvalReport] = []
     for truth_path, estimate_path in pairs:
         try:
-            report = _evaluate_channels(
-                wav_read(truth_path)[0], wav_read(estimate_path)[0], layout, cfg
+            report = _evaluate_sources(
+                _WavSource(truth_path), _WavSource(estimate_path), layout, cfg
             )
         except Exception as exc:
             logger.warning("pair (%s, %s) failed: %s", truth_path, estimate_path, exc)
@@ -489,7 +622,7 @@ def evaluate_batch(
     if successes:
         rows.append(_mean_report(successes).csv_row("mean", "eval"))
 
-    with open(out, "w", encoding="utf-8") as fh:
+    with _atomic_output(out, "w") as fh:
         fh.write(EVAL_CSV_HEADER + "\n")
         for row in rows:
             fh.write(row + "\n")

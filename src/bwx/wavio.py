@@ -4,10 +4,15 @@ Reads PCM 16-bit, PCM 24-bit and IEEE float 32-bit files; integer samples are
 normalised to [-1, 1) by dividing by 2^(depth-1). Writes PCM 16-bit (clamped,
 rounded half away from zero) or float 32-bit with a canonical 44-byte header.
 Unknown chunks are skipped on read.
+
+Both ends stream: ``wav_read(path, start, stop)`` decodes only a range of
+frames, and ``wav_write`` can write the header for a known total and then
+append the frames block by block to an open file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import os
 import struct
@@ -42,6 +47,10 @@ class _WavHeader:
     bits: int
     data_offset: int
     data_size: int
+
+    @property
+    def frames(self) -> int:
+        return self.data_size // (self.bits // 8 * self.n_channels)
 
 
 def _read_header(fh, path) -> _WavHeader:
@@ -102,37 +111,48 @@ def _read_header(fh, path) -> _WavHeader:
     return _WavHeader(n_channels, sample_rate, bits, *data)
 
 
-def wav_sample_rate(path) -> int:
-    """Sample rate of a WAV file, read from its header without decoding the
-    samples. Raises the same format errors as `wav_read`."""
+def wav_header(path) -> _WavHeader:
+    """Channel count, sample rate, bit depth and frame count of a WAV file,
+    read from its header without decoding the samples. Raises the same format
+    errors as `wav_read`."""
     with open(path, "rb") as fh:
-        return _read_header(fh, path).sample_rate
+        return _read_header(fh, path)
 
 
-def wav_read(path) -> tuple[list[Waveform], int]:
+def wav_sample_rate(path) -> int:
+    """Sample rate of a WAV file, read from its header."""
+    return wav_header(path).sample_rate
+
+
+def wav_read(path, start: int | None = None, stop: int | None = None) -> tuple[list[Waveform], int]:
     """Read a WAV file, returning one Waveform per channel and the bit depth.
 
-    The bit depth is 16, 24 or 32 (32 meaning IEEE float).
+    ``start`` and ``stop`` select a range of frames with the meaning of a
+    Python slice, so only that range is read and decoded. The bit depth is
+    16, 24 or 32 (32 meaning IEEE float).
     """
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
-        fh.seek(header.data_offset)
+        first, last, _ = slice(start, stop).indices(header.frames)
+        frames = max(last - first, 0)
+        block_align = header.bits // 8 * header.n_channels
+        fh.seek(header.data_offset + first * block_align)
         # PCM24 keeps one spare byte in front: each sample is then the top
         # three bytes of the little-endian int32 that starts one byte earlier.
         pad = 1 if header.bits == 24 else 0
-        raw = bytearray(pad + header.data_size)
+        raw = bytearray(pad + frames * block_align)
         fh.readinto(memoryview(raw)[pad:])
 
     n_channels, depth = header.n_channels, header.bits
     width = depth // 8
-    frames = header.data_size // (width * n_channels)
     code = {16: "<i2", 24: "<i4", 32: "<f4"}[depth]
+    # Every channel read straight out of the interleaved bytes.
+    interleaved = np.ndarray(
+        (frames, n_channels), dtype=code, buffer=raw, strides=(n_channels * width, width)
+    )
     channels = []
     for c in range(n_channels):
-        # Channel c read straight out of the interleaved bytes.
-        stored = np.ndarray(
-            (frames,), dtype=code, buffer=raw, offset=c * width, strides=(n_channels * width,)
-        )
+        stored = interleaved[:, c]
         if depth == 16:
             values = stored.astype(np.float64)
             values /= 32768.0
@@ -152,11 +172,14 @@ def _quantize_pcm16(samples: np.ndarray) -> np.ndarray:
     return np.clip(rounded, -32768, 32767).astype("<i2")
 
 
-def wav_write(path, x, depth: SampleDepth = SampleDepth.FLOAT32) -> None:
+def wav_write(path, x, depth: SampleDepth = SampleDepth.FLOAT32, total_frames: int | None = None) -> None:
     """Write one Waveform (or a list of equal-length channels) as WAV.
 
-    PCM16 output clamps to [-1, 1] and rounds half away from zero; float32
-    output preserves values bit-exactly.
+    ``path`` is a file name, or a binary file open for writing to stream a
+    file in blocks: with ``total_frames`` the header for that many frames is
+    written first, without it the frames are appended to what the file holds.
+    A file name gets a header for ``x`` alone. PCM16 output clamps to [-1, 1]
+    and rounds half away from zero; float32 output preserves values bit-exactly.
     """
     channels = [x] if isinstance(x, Waveform) else list(x)
     if not channels:
@@ -177,24 +200,29 @@ def wav_write(path, x, depth: SampleDepth = SampleDepth.FLOAT32) -> None:
     for c, ch in enumerate(channels):
         payload[:, c] = _quantize_pcm16(ch.samples) if bits == 16 else ch.samples
 
-    n_channels = len(channels)
-    block_align = n_channels * bits // 8
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF",
-        36 + payload.nbytes,
-        b"WAVE",
-        b"fmt ",
-        16,
-        tag,
-        n_channels,
-        rate,
-        rate * block_align,
-        block_align,
-        bits,
-        b"data",
-        payload.nbytes,
-    )
-    with open(path, "wb") as fh:
+    streaming = hasattr(path, "write")
+    header_frames = total_frames if streaming else n
+    header = b""
+    if header_frames is not None:
+        n_channels = len(channels)
+        block_align = n_channels * bits // 8
+        data_size = header_frames * block_align
+        header = struct.pack(
+            "<4sI4s4sIHHIIHH4sI",
+            b"RIFF",
+            36 + data_size,
+            b"WAVE",
+            b"fmt ",
+            16,
+            tag,
+            n_channels,
+            rate,
+            rate * block_align,
+            block_align,
+            bits,
+            b"data",
+            data_size,
+        )
+    with contextlib.nullcontext(path) if streaming else open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)

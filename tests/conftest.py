@@ -6,6 +6,9 @@ lines and noise-burst percussion, with enough 4-8 kHz content to make the
 phase comparison meaningful.
 """
 
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,20 @@ def synth_clip(seed, duration=10.0, sr=SAMPLE_RATE, roots=None, percussion_rate=
     mix += 10 ** (noise_db / 20.0) * rng.standard_normal(n)
 
     return 0.6 * mix / np.max(np.abs(mix))
+
+
+def write_pcm24(path, channels, sr=SAMPLE_RATE):
+    """Write float channels in [-1, 1) as a 24-bit PCM WAV, which `wav_write`
+    does not produce."""
+    stored = np.clip(np.round(np.stack(channels, axis=1) * (1 << 23)), -(1 << 23), (1 << 23) - 1)
+    payload = stored.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    n_channels = len(channels)
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
+        1, n_channels, sr, sr * 3 * n_channels, 3 * n_channels, 24, b"data", len(payload),
+    )
+    Path(path).write_bytes(header + payload + b"\0" * (len(payload) & 1))
 
 
 @pytest.fixture(scope="session")

@@ -41,6 +41,7 @@ from bwx import (
 from bwx.cli import main
 from bwx.dsp import frame_blocks, istft_array, overlap_add, stft_array, wrap_phase
 from bwx.errors import LengthError, PipelineError, ShapeError
+from bwx.pipeline import _reconstruct
 
 from conftest import synth_clip
 
@@ -92,7 +93,8 @@ def _sr(monkeypatch, tmp_path, block, lr, predictor, phase, residual):
         layout=LAYOUT,
         residual_band=residual,
     )
-    return super_resolve(job).samples, out.read_bytes()
+    super_resolve(job)
+    return _reconstruct(job, wav_read(lr)[0], {})[0][0].samples, out.read_bytes()
 
 
 @pytest.mark.parametrize("residual", list(ResidualBand))
@@ -280,23 +282,25 @@ def test_reference_channel_mismatch_is_shape_error(tmp_path, files, which):
     assert "has 1 channels, input has 2" in str(info.value.cause)
 
 
-def test_reference_decoded_once_per_job(monkeypatch, tmp_path, files):
+def test_reference_read_once_per_block(monkeypatch, tmp_path, files):
     # Oracle magnitudes and reference phase from one file, spelled two ways:
-    # the input and the reference are each decoded once.
+    # each block reads its span of the input and of the reference once.
+    monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", 8)
     hr, lr = files["stereo"]
     monkeypatch.chdir(hr.parent)
     reads = []
     original = bwx.pipeline.wav_read
 
-    def counting(path):
+    def counting(path, *args):
         reads.append(str(path))
-        return original(path)
+        return original(path, *args)
 
     monkeypatch.setattr(bwx.pipeline, "wav_read", counting)
     job = SrJobSpec(str(lr), str(tmp_path / "out.wav"), OracleSpec(hr.name),
                     ReferencePhaseSpec(str(hr)), stft=CFG, layout=LAYOUT)
     super_resolve(job)
-    assert reads == [str(lr), hr.name]
+    n_blocks = -(-CFG.frame_count(len(wav_read(lr)[0][0])) // 8)
+    assert reads == [str(lr), hr.name] * n_blocks
 
 
 # A 30 s mono oracle+flip super_resolve peaked at 396 MB of traced heap with

@@ -269,6 +269,39 @@ class TestIstftArray:
         assert np.array_equal(istft_array(X, cfg), expected)
 
 
+def whole_window_sum(cfg, n_frames):
+    """The floored window-square sum over every sample, summed as bwx always
+    has: with hop dividing the frame, row r of hop samples adds segment j of
+    frame r - j for j ascending; otherwise frames are added in ascending order."""
+    wsq = hann_window(cfg.frame_len) ** 2
+    if cfg.frame_len % cfg.hop == 0:
+        n_seg = cfg.frame_len // cfg.hop
+        wline = np.zeros((n_frames - 1 + n_seg, cfg.hop))
+        for j in range(n_seg):
+            wline[j : j + n_frames] += wsq.reshape(n_seg, cfg.hop)[j]
+        wsum = wline.reshape(-1)
+    else:
+        wsum = np.zeros(cfg.output_length(n_frames))
+        for i in range(n_frames):
+            wsum[i * cfg.hop : i * cfg.hop + cfg.frame_len] += wsq
+    return np.maximum(wsum, 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hop=st.one_of(st.sampled_from([4, 8, 16, 32, 64]), st.integers(1, 64)),
+    n_frames=st.integers(1, 30),
+    data=st.data(),
+)
+def test_denominator_range_equals_slice_of_whole_sum(hop, n_frames, data):
+    cfg = StftConfig(frame_len=64, hop=hop)
+    whole = whole_window_sum(cfg, n_frames)
+    start = data.draw(st.integers(0, len(whole)))
+    stop = data.draw(st.integers(start, len(whole)))
+    assert np.array_equal(_synthesis_denominator(cfg, n_frames, start, stop), whole[start:stop])
+    assert np.array_equal(_synthesis_denominator(cfg, n_frames), whole)
+
+
 class TestConsistencyProject:
     def test_fixed_point_on_stft_output(self, short_music):
         cfg = StftConfig()

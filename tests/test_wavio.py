@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bwx import SampleDepth, Waveform, wav_read, wav_write
 from bwx.errors import (
@@ -12,7 +14,9 @@ from bwx.errors import (
     TruncatedDataError,
     UnsupportedCodecError,
 )
-from bwx.wavio import wav_sample_rate
+from bwx.wavio import wav_header, wav_sample_rate
+
+from conftest import write_pcm24
 
 
 def test_float32_round_trip_bit_exact(tmp_path):
@@ -214,3 +218,54 @@ class TestSampleRateFromHeader:
         path = tmp_path / "x.wav"
         wav_write(path, Waveform(np.zeros(100), 22050), SampleDepth.PCM16)
         assert wav_sample_rate(path) == 22050 == wav_read(path)[0][0].sample_rate
+
+
+@pytest.fixture(scope="module")
+def codec_files(tmp_path_factory):
+    """A stereo file of 1001 frames in each codec bwx reads."""
+    d = tmp_path_factory.mktemp("codecs")
+    rng = np.random.default_rng(3)
+    channels = [rng.uniform(-1, 1, 1001) for _ in range(2)]
+    paths = {"pcm24": d / "pcm24.wav"}
+    write_pcm24(paths["pcm24"], channels, 8000)
+    for name, depth in (("pcm16", SampleDepth.PCM16), ("float32", SampleDepth.FLOAT32)):
+        paths[name] = d / f"{name}.wav"
+        wav_write(paths[name], [Waveform(c, 8000) for c in channels], depth)
+    return paths
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    codec=st.sampled_from(["pcm16", "pcm24", "float32"]),
+    start=st.one_of(st.none(), st.integers(-1200, 1200)),
+    stop=st.one_of(st.none(), st.integers(-1200, 1200)),
+)
+def test_ranged_read_equals_slice_of_whole_read(codec_files, codec, start, stop):
+    path = codec_files[codec]
+    whole, depth = wav_read(path)
+    part, part_depth = wav_read(path, start, stop)
+    assert part_depth == depth
+    assert len(part) == len(whole) == 2
+    for ranged, full in zip(part, whole):
+        assert ranged.sample_rate == full.sample_rate
+        assert np.array_equal(ranged.samples, full.samples[start:stop])
+
+
+def test_header_frame_count(codec_files):
+    for path in codec_files.values():
+        header = wav_header(path)
+        assert (header.n_channels, header.frames, header.sample_rate) == (2, 1001, 8000)
+
+
+def test_streamed_write_equals_whole_write(tmp_path):
+    rng = np.random.default_rng(4)
+    channels = [Waveform(rng.uniform(-1, 1, 1000), 8000) for _ in range(2)]
+    for depth in SampleDepth:
+        whole = tmp_path / "whole.wav"
+        wav_write(whole, channels, depth)
+        streamed = tmp_path / "streamed.wav"
+        with open(streamed, "wb") as fh:
+            for start in range(0, 1000, 300):
+                block = [Waveform(c.samples[start : start + 300], 8000) for c in channels]
+                wav_write(fh, block, depth, total_frames=1000 if start == 0 else None)
+        assert streamed.read_bytes() == whole.read_bytes()
