@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * Synthesis is weighted overlap-add with the analysis window applied a
   second time and the result divided by the overlapped squared-window sum
   (floored at 1e-12 to keep edge samples finite). That sum depends only on
-  the configuration, the frame count and the sample range, so it is cached
-  per (cfg, frames, range).
+  the configuration, the frame count and the sample range; the whole-length
+  sum is cached per (cfg, frames).
 * Every sample of the overlap-add sums its frames in ascending frame order,
   so adding a spectrogram block by block (`overlap_add` per block of
   `frame_blocks`) gives the same bits as adding it whole. Analysis is per
@@ -248,7 +248,6 @@ def stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return scipy.fft.rfft(frames, axis=1, workers=-1)
 
 
-@functools.lru_cache(maxsize=4)
 def _synthesis_denominator(
     cfg: StftConfig, n_frames: int, start: int = 0, stop: int | None = None
 ) -> np.ndarray:
@@ -257,10 +256,24 @@ def _synthesis_denominator(
 
     Each sample sums its frames' window squares in the same order whatever
     the range, so a range's values equal that slice of the whole sum bit for
-    bit. Cached per (cfg, n_frames, start, stop) and shared by every caller,
-    so it is returned read-only."""
-    frame_len, hop = cfg.frame_len, cfg.hop
+    bit. The whole sum is cached per (cfg, n_frames) and shared by every
+    caller, so it is returned read-only; a partial range (one block's) costs
+    a few vector adds and is computed afresh."""
     stop = cfg.output_length(n_frames) if stop is None else stop
+    if start == 0 and stop == cfg.output_length(n_frames):
+        return _whole_denominator(cfg, n_frames)
+    return _window_square_sum(cfg, n_frames, start, stop)
+
+
+@functools.lru_cache(maxsize=4)
+def _whole_denominator(cfg: StftConfig, n_frames: int) -> np.ndarray:
+    denominator = _window_square_sum(cfg, n_frames, 0, cfg.output_length(n_frames))
+    denominator.flags.writeable = False
+    return denominator
+
+
+def _window_square_sum(cfg: StftConfig, n_frames: int, start: int, stop: int) -> np.ndarray:
+    frame_len, hop = cfg.frame_len, cfg.hop
     window = cfg.window_values()
     wsq = window * window
     if frame_len % hop == 0:
@@ -279,9 +292,7 @@ def _synthesis_denominator(
         for i in range(max(0, (start - frame_len) // hop + 1), min(n_frames, -(-stop // hop))):
             lo, hi = max(i * hop, start), min(i * hop + frame_len, stop)
             wsum[lo - start : hi - start] += wsq[lo - i * hop : hi - i * hop]
-    denominator = np.maximum(wsum, WINDOW_SUM_FLOOR)
-    denominator.flags.writeable = False
-    return denominator
+    return np.maximum(wsum, WINDOW_SUM_FLOOR)
 
 
 def overlap_add(X_block: np.ndarray, out: np.ndarray, first_frame: int, cfg: StftConfig) -> None:

@@ -17,6 +17,7 @@ import contextlib
 import enum
 import logging
 import os
+import shutil
 import tempfile
 import uuid
 from concurrent.futures import ThreadPoolExecutor
@@ -114,15 +115,20 @@ def _stage(name: str):
 
 
 @contextlib.contextmanager
-def _atomic_output(path, mode: str = "wb"):
-    """Open a new temporary file beside ``path`` in ``mode`` and move it over
-    ``path`` once the block completes. On an error the temporary file is
-    removed, so no partial file appears and an existing ``path`` is untouched."""
-    path = Path(path)
+def _atomic_output(path):
+    """Open a new temporary binary file beside ``path`` and move it over
+    ``path`` once the block completes. A symlink at ``path`` is followed, so
+    its target is replaced, and an existing file's permission bits carry over
+    (its owner and other hard links do not). On an error the temporary file
+    is removed, so no partial file appears and an existing ``path`` is
+    untouched."""
+    path = Path(path).resolve()
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, "xb") as fh:
             yield fh
+        if path.exists():
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -145,11 +151,20 @@ class _ArraySource:
     def read(self, start: int, stop: int) -> list[np.ndarray]:
         return [ch.samples[start:stop] for ch in self.channels]
 
+    def check_unread(self) -> None:
+        """Nothing to do: `Waveform` checked the samples when it was made."""
+
+
+# Frames decoded per read when `_WavSource.check_unread` walks a file's tail.
+_CHECK_FRAMES = 1 << 16
+
 
 class _WavSource:
     """A WAV file read by sample range. Its header is read on construction;
     the last range read is kept, so steps that need the same range of one
-    file in one block read it once."""
+    file in one block read it once. Flows read ranges in ascending, touching
+    or overlapping order, so the samples read so far are one prefix of the
+    file, ``[0, checked)``."""
 
     def __init__(self, path):
         self.path = path
@@ -158,12 +173,23 @@ class _WavSource:
         self.n_samples = header.frames
         self.sample_rate = header.sample_rate
         self._last: tuple[tuple[int, int], list[np.ndarray]] | None = None
+        self.checked = 0
 
     def read(self, start: int, stop: int) -> list[np.ndarray]:
         if self._last is None or self._last[0] != (start, stop):
             channels, _ = wav_read(self.path, start, stop)
             self._last = ((start, stop), [ch.samples for ch in channels])
+            if start <= self.checked:
+                self.checked = max(self.checked, min(stop, self.n_samples))
         return self._last[1]
+
+    def check_unread(self) -> None:
+        """Decode the samples past ``checked`` a chunk at a time, so a
+        non-finite sample anywhere in the file raises `DomainError` as a
+        whole read would, though the flow had no use for it."""
+        for start in range(self.checked, self.n_samples, _CHECK_FRAMES):
+            wav_read(self.path, start, start + _CHECK_FRAMES)
+        self.checked = self.n_samples
 
 
 class _ArraySink:
@@ -323,7 +349,9 @@ def _reconstruct_blocks(job: SrJobSpec, source, sink, references: dict) -> GlaTr
     for every channel at once, so no whole-length signal is held unless a
     source or sink holds one.
 
-    Every check that can reject the job runs before the first block.
+    Every check that can reject the job runs before the first block, except
+    that the samples of a reference that no block reads (past the input's
+    last frame) are checked for non-finite values after the last block.
     Griffin-Lim is not frame-local, so it runs as one block of every frame.
     ``references`` maps resolved paths to the sources of reference files; one
     the job names that is not there yet is opened and added. Returns the
@@ -353,6 +381,8 @@ def _reconstruct_blocks(job: SrJobSpec, source, sink, references: dict) -> GlaTr
             # The last block also reads the input's tail past its last frame
             # (under one hop), so every input sample is checked.
             inputs = source.read(span.start, source.n_samples if last else span.stop)
+        with _stage("synthesize"):
+            denominator = _synthesis_denominator(cfg, n_frames, span.start, done)
         pieces = []
         for channel in range(n_channels):
             with _stage("analyze"):
@@ -378,10 +408,18 @@ def _reconstruct_blocks(job: SrJobSpec, source, sink, references: dict) -> GlaTr
                 overlap_add(x, out, 0, cfg)
                 carries[channel] = out[done - span.start :]
                 piece = out[: done - span.start]
-                piece /= _synthesis_denominator(cfg, n_frames, span.start, done)
+                piece /= denominator
             pieces.append(piece)
         with _stage("write-output"):
             sink.write(pieces)
+    # Each reference is checked to its end, in the stage that opened it.
+    with _stage("magnitude"):
+        if isinstance(job.predictor, OracleSpec):
+            path = job.predictor.reference_path
+            _reference_source(path, n_channels, references).check_unread()
+    with _stage("phase"):
+        if isinstance(job.phase, ReferencePhaseSpec):
+            _reference_source(job.phase.path, n_channels, references).check_unread()
     return first_trace
 
 
@@ -448,6 +486,9 @@ def _evaluate_sources(truth, estimate, layout: BandLayout, cfg: StftConfig) -> E
         pairs = zip(truth.read(span.start, stop), estimate.read(span.start, stop))
         for evaluation, (t, e) in zip(evaluations, pairs):
             evaluation.add(block, t, e)
+    # Past n only the longer file has samples; they are checked all the same.
+    truth.check_unread()
+    estimate.check_unread()
     return _mean_report([evaluation.report() for evaluation in evaluations])
 
 
@@ -459,7 +500,7 @@ class PhaseStudyResult:
     skipped: list[str] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with _atomic_output(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(EVAL_CSV_HEADER + "\n")
             for row in self.rows:
                 fh.write(row + "\n")
@@ -622,7 +663,7 @@ def evaluate_batch(
     if successes:
         rows.append(_mean_report(successes).csv_row("mean", "eval"))
 
-    with _atomic_output(out, "w") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         fh.write(EVAL_CSV_HEADER + "\n")
         for row in rows:
             fh.write(row + "\n")

@@ -284,7 +284,8 @@ def test_reference_channel_mismatch_is_shape_error(tmp_path, files, which):
 
 def test_reference_read_once_per_block(monkeypatch, tmp_path, files):
     # Oracle magnitudes and reference phase from one file, spelled two ways:
-    # each block reads its span of the input and of the reference once.
+    # each block reads its span of the input and of the reference once, and
+    # the reference's tail past the input's last frame is checked once after.
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", 8)
     hr, lr = files["stereo"]
     monkeypatch.chdir(hr.parent)
@@ -299,8 +300,9 @@ def test_reference_read_once_per_block(monkeypatch, tmp_path, files):
     job = SrJobSpec(str(lr), str(tmp_path / "out.wav"), OracleSpec(hr.name),
                     ReferencePhaseSpec(str(hr)), stft=CFG, layout=LAYOUT)
     super_resolve(job)
-    n_blocks = -(-CFG.frame_count(len(wav_read(lr)[0][0])) // 8)
-    assert reads == [str(lr), hr.name] * n_blocks
+    n_frames = CFG.frame_count(len(wav_read(lr)[0][0]))
+    assert len(wav_read(hr)[0][0]) > CFG.output_length(n_frames)
+    assert reads == [str(lr), hr.name] * -(-n_frames // 8) + [hr.name]
 
 
 # A 30 s mono oracle+flip super_resolve peaked at 396 MB of traced heap with

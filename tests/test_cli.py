@@ -167,19 +167,6 @@ class TestEval:
         assert len(lines) == 3
         assert capsys.readouterr().out.count(",eval,") == 2
 
-    @pytest.mark.parametrize("flag, value", [("--frame", "1024"), ("--hop", "512")])
-    def test_stft_flags(self, tmp_path, hr_path, lr_path, flag, value):
-        from bwx import BandLayout, evaluate
-
-        out = tmp_path / "report.csv"
-        argv = ["eval", "--truth", str(hr_path), "--est", str(lr_path), "--out", str(out)]
-        assert main(argv + [flag, value]) == 0
-        cfg = StftConfig(**{"frame_len" if flag == "--frame" else "hop": int(value)})
-        layout = BandLayout.from_frequencies(4000.0, 8000.0, SR, cfg)
-        report = evaluate(wav_read(hr_path)[0][0], wav_read(lr_path)[0][0], layout, cfg)
-        assert out.read_text().splitlines()[1] == report.csv_row(str(lr_path), "eval")
-        assert report.frames_compared == cfg.frame_count(len(wav_read(hr_path)[0][0]))
-
 
 class TestPhaseStudy:
     def test_directory_input(self, tmp_path, short_music, capsys):
@@ -201,30 +188,6 @@ class TestPhaseStudy:
         assert text.count("mean,") == 4
         printed = capsys.readouterr().out
         assert "mean gla" in printed
-
-    @pytest.mark.parametrize(
-        "flags, expected",
-        [
-            ([], {"lo_hz": 4000.0, "hi_hz": 8000.0, "gla_iterations": 100}),
-            (["--lo-hz", "3000"], {"lo_hz": 3000.0}),
-            (["--hi-hz", "7000"], {"hi_hz": 7000.0}),
-            (["--gla-iters", "7"], {"gla_iterations": 7}),
-        ],
-    )
-    def test_study_flags(self, tmp_path, monkeypatch, flags, expected):
-        from bwx.pipeline import PhaseStudyResult
-
-        calls = []
-
-        def spy(clips, out, **kwargs):
-            calls.append(kwargs)
-            return PhaseStudyResult(rows=[], means={}, snr_anomaly=False)
-
-        monkeypatch.setattr(bwx.cli, "run_phase_study", spy)
-        argv = ["phase-study", "--clips", "a.wav", "--out", str(tmp_path / "s.csv")]
-        assert main(argv + flags) == 0
-        assert len(calls) == 1
-        assert {key: calls[0][key] for key in expected} == expected
 
     def test_empty_directory_is_usage_error(self, tmp_path):
         empty = tmp_path / "empty"

@@ -255,6 +255,7 @@ class TestIstftArray:
         cfg = StftConfig(frame_len=64, hop=hop)
         denominator = _synthesis_denominator(cfg, 7)
         assert _synthesis_denominator(cfg, 7) is denominator
+        assert _synthesis_denominator(cfg, 7, 0, cfg.output_length(7)) is denominator
         assert not denominator.flags.writeable
         with pytest.raises(ValueError):
             denominator[0] = 1.0

@@ -3,6 +3,7 @@ block span at a time and append their output as they go. Whatever the block
 size, they write what the whole-array core writes, their memory does not grow
 with the input's length, and a failure leaves no partial output."""
 
+import stat
 import struct
 import tracemalloc
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import bwx.dsp
+import bwx.pipeline
 from bwx import (
     BandLayout,
     BandReplicationSpec,
@@ -43,6 +45,20 @@ SR = 44100
 LAYOUT = BandLayout(186, 372, CFG.n_bins)
 ONE_BLOCK = 10**9
 CODECS = ("pcm16", "pcm24", "float32")
+
+
+def _plant_nan(path, index):
+    """Overwrite sample ``index`` of a mono float32 WAV with NaN."""
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 44 + 4 * index, np.nan)
+    path.write_bytes(bytes(raw))
+
+
+def _longer_copy(path, src, extra):
+    """``src`` (mono) followed by ``extra`` zeros, its last sample NaN."""
+    samples = wav_read(src)[0][0].samples
+    wav_write(path, Waveform(np.concatenate([samples, np.zeros(extra)]), SR), SampleDepth.FLOAT32)
+    _plant_nan(path, len(samples) + extra - 1)
 
 
 def _write(path, channels, codec):
@@ -128,9 +144,8 @@ def test_non_finite_input_in_last_block_leaves_no_output(monkeypatch, tmp_path, 
     nan_at = n - from_end
     assert nan_at >= (2 * block - 1) * CFG.hop + CFG.frame_len
     bad = tmp_path / "bad.wav"
-    raw = bytearray(lr.read_bytes())
-    struct.pack_into("<f", raw, 44 + 4 * nan_at, np.nan)
-    bad.write_bytes(bytes(raw))
+    bad.write_bytes(lr.read_bytes())
+    _plant_nan(bad, nan_at)
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", block)
 
     out = tmp_path / "out.wav"
@@ -148,18 +163,64 @@ def test_non_finite_input_in_last_block_leaves_no_output(monkeypatch, tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.wav", "out.wav"]
 
 
+@pytest.mark.parametrize(
+    "mag, phase, stage",
+    [("oracle", "flip", "magnitude"), ("sbr", "ref", "phase"), ("oracle", "ref", "magnitude")],
+)
+def test_non_finite_reference_past_the_input_fails_the_job(
+    monkeypatch, tmp_path, inputs, mag, phase, stage
+):
+    # No block reads the reference past the input's last frame; its tail is
+    # still checked, a few chunks at a time, as a whole read would check it.
+    hr, lr = inputs["float32", "mono"]
+    ref = tmp_path / "ref.wav"
+    _longer_copy(ref, hr, 5000)
+    monkeypatch.setattr(bwx.pipeline, "_CHECK_FRAMES", 1500)
+    predictor = OracleSpec(str(ref)) if mag == "oracle" else BandReplicationSpec()
+    strategy = ReferencePhaseSpec(str(ref)) if phase == "ref" else FlipPhaseSpec()
+    out = tmp_path / "out.wav"
+    with pytest.raises(PipelineError) as info:
+        super_resolve(SrJobSpec(str(lr), str(out), predictor, strategy, LAYOUT, stft=CFG))
+    assert info.value.stage == stage
+    assert isinstance(info.value.cause, DomainError)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.wav"]
+
+
+def test_non_finite_sample_past_the_shorter_file_fails_the_pair(tmp_path, inputs):
+    hr, lr = inputs["float32", "mono"]
+    longer = tmp_path / "longer.wav"
+    _longer_copy(longer, hr, 3000)
+    csv = tmp_path / "eval.csv"
+    rows = evaluate_batch([(str(longer), str(lr)), (str(lr), str(longer))], LAYOUT, csv, CFG)
+    assert rows == [f"{lr},error,,,,", f"{longer},error,,,,"]
+
+
 def test_atomic_output_replaces_only_on_success(tmp_path):
-    target = tmp_path / "report.csv"
-    target.write_text("old\n")
+    target = tmp_path / "out.wav"
+    target.write_bytes(b"old")
     with pytest.raises(RuntimeError):
-        with _atomic_output(target, "w") as fh:
-            fh.write("partial\n")
+        with _atomic_output(target) as fh:
+            fh.write(b"partial")
             raise RuntimeError("mid-write")
-    assert target.read_text() == "old\n"
-    with _atomic_output(target, "w") as fh:
-        fh.write("new\n")
-    assert target.read_text() == "new\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+    assert target.read_bytes() == b"old"
+    with _atomic_output(target) as fh:
+        fh.write(b"new")
+    assert target.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.wav"]
+
+
+def test_atomic_output_writes_through_a_symlink_and_keeps_the_mode(tmp_path):
+    target = tmp_path / "real.wav"
+    target.write_bytes(b"old")
+    target.chmod(0o640)
+    link = tmp_path / "link.wav"
+    link.symlink_to(target)
+    with _atomic_output(link) as fh:
+        fh.write(b"new")
+    assert link.is_symlink()
+    assert target.read_bytes() == b"new"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.wav", "real.wav"]
 
 
 def _noise_wav(path, seconds, seed):
