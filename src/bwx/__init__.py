@@ -8,7 +8,6 @@ from .dsp import (
     StftConfig,
     Waveform,
     bin_index,
-    consistency_project,
     interior_slice,
     istft,
     stft,
@@ -34,10 +33,11 @@ from .phase import (
 from .pipeline import (
     FlipPhaseSpec,
     GlaPhaseSpec,
+    ReconstructSpec,
     ReferencePhaseSpec,
     ResidualBand,
-    SrJobSpec,
     evaluate_batch,
+    reconstruct,
     run_phase_study,
     super_resolve,
 )
@@ -62,16 +62,15 @@ __all__ = [
     "LowpassSpec",
     "MagnitudeSpectrogram",
     "OracleSpec",
+    "ReconstructSpec",
     "ReferencePhaseSpec",
     "ResidualBand",
     "SampleDepth",
     "SpecFileHeader",
     "SpecKind",
-    "SrJobSpec",
     "StftConfig",
     "Waveform",
     "bin_index",
-    "consistency_project",
     "consistency_residual",
     "evaluate",
     "evaluate_batch",
@@ -86,6 +85,7 @@ __all__ = [
     "make_pair",
     "predict_band_replication",
     "predict_oracle",
+    "reconstruct",
     "run_phase_study",
     "snr",
     "spec_read",

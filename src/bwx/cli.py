@@ -24,16 +24,16 @@ from .phase import GlaConfig, GlaInit
 from .pipeline import (
     FlipPhaseSpec,
     GlaPhaseSpec,
+    ReconstructSpec,
     ReferencePhaseSpec,
     ResidualBand,
-    SrJobSpec,
     evaluate_batch,
     run_phase_study,
     super_resolve,
 )
 from .prep import LowpassMode, LowpassSpec, make_pair
 from .specio import SpecKind, spec_read, spec_write
-from .wavio import SampleDepth, wav_read, wav_sample_rate, wav_write
+from .wavio import SampleDepth, wav_header, wav_read, wav_write
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,14 +113,12 @@ def _parse_mag(text: str):
     raise UsageError(f"--mag must be oracle:<path>, sbr or import:<path>, got {text!r}")
 
 
-def _parse_phase(text: str, layout: BandLayout, iters: int, init: str, record_trace: bool):
+def _parse_phase(text: str, iters: int, init: str, record_trace: bool):
     if text == "flip":
         return FlipPhaseSpec()
     if text == "gla":
         gla_init = GlaInit.ZERO_PHASE if init == "zero" else GlaInit.FLIP_PHASE
-        return GlaPhaseSpec(
-            GlaConfig(layout=layout, iterations=iters, init=gla_init, record_trace=record_trace)
-        )
+        return GlaPhaseSpec(GlaConfig(iterations=iters, init=gla_init, record_trace=record_trace))
     if text.startswith("ref:") and len(text) > 4:
         return ReferencePhaseSpec(text[4:])
     raise UsageError(f"--phase must be flip, gla or ref:<path>, got {text!r}")
@@ -146,30 +144,28 @@ def _cmd_prepare(args) -> int:
 
 def _cmd_sr(args) -> int:
     cfg = StftConfig(frame_len=args.frame, hop=args.hop)
-    sample_rate = wav_sample_rate(args.input)
+    sample_rate = wav_header(args.input).sample_rate
     layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
     phase = _parse_phase(
-        args.phase, layout, args.gla_iters, args.gla_init, record_trace=args.trace is not None
+        args.phase, args.gla_iters, args.gla_init, record_trace=args.trace is not None
     )
     if args.trace is not None and not isinstance(phase, GlaPhaseSpec):
         raise UsageError("--trace is only meaningful with --phase gla")
-    job = SrJobSpec(
-        input_path=args.input,
-        output_path=args.output,
+    spec = ReconstructSpec(
         predictor=_parse_mag(args.mag),
         phase=phase,
-        stft=cfg,
         layout=layout,
+        stft=cfg,
         residual_band=ResidualBand.PASSTHROUGH if args.residual == "pass" else ResidualBand.ZERO,
     )
-    super_resolve(job, trace_path=args.trace)
+    super_resolve(spec, args.input, args.output, trace_path=args.trace)
     print(f"wrote {args.output}")
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
     cfg = StftConfig()
-    sample_rate = wav_sample_rate(args.truth)
+    sample_rate = wav_header(args.truth).sample_rate
     layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
     rows = evaluate_batch([(args.truth, args.est)], layout, args.output, cfg)
     for row in rows:

@@ -65,19 +65,17 @@ def bin_index(freq_hz: float, sample_rate: int, frame_len: int) -> int:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Analysis/synthesis contract: frame length, hop and window type."""
+    """Analysis/synthesis contract: frame length and hop, with a periodic
+    Hann window."""
 
     frame_len: int = 2048
     hop: int = 256
-    window: str = "hann"
 
     def __post_init__(self) -> None:
         if self.frame_len <= 0 or self.frame_len % 2 != 0:
             raise DomainError(f"frame_len must be positive and even, got {self.frame_len}")
         if not 0 < self.hop <= self.frame_len:
             raise DomainError(f"hop must satisfy 0 < hop <= frame_len, got {self.hop}")
-        if self.window != "hann":
-            raise DomainError(f"unsupported window {self.window!r}, only 'hann'")
 
     @property
     def n_bins(self) -> int:
@@ -147,10 +145,6 @@ class BandLayout:
     @property
     def hfc_width(self) -> int:
         return self.k_hi - self.k_lo
-
-    @property
-    def residual_width(self) -> int:
-        return self.n_bins - self.k_hi
 
     @classmethod
     def from_frequencies(
@@ -375,20 +369,9 @@ def istft(X: ComplexSpectrogram) -> Waveform:
     return Waveform(istft_array(X.data, X.config), X.sample_rate)
 
 
-def consistency_project(X: ComplexSpectrogram) -> ComplexSpectrogram:
-    """Project onto the set of consistent spectrograms: stft(istft(X)).
-
-    Fixed point (up to rounding) exactly when X is the STFT of some signal.
-    """
-    if X.n_bins != X.config.n_bins:
-        raise ShapeError(
-            f"spectrogram has {X.n_bins} bins, config demands {X.config.n_bins}"
-        )
-    projected = consistency_project_array(X.data, X.config)
-    return ComplexSpectrogram(projected, X.config, X.sample_rate)
-
-
 def consistency_project_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """stft(istft(X)) on arrays. An L-frame spectrogram resynthesises to
-    output_length(L) samples, which analyse back into exactly L frames."""
+    """Project onto the set of consistent spectrograms: stft(istft(X)), a
+    fixed point (up to rounding) exactly when X is the STFT of some signal.
+    An L-frame spectrogram resynthesises to output_length(L) samples, which
+    analyse back into exactly L frames."""
     return stft_array(istft_array(X, cfg), cfg)

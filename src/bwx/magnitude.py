@@ -2,7 +2,8 @@
 
 Three sources for the missing magnitudes: the ground-truth recording
 (oracle), a non-neural band-replication baseline, or an external predictor's
-output imported through the BWXSPEC interchange format.
+output imported through the BWXSPEC interchange format. Each takes and
+returns plain arrays; every magnitude array has shape (frames, bins).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .dsp import BandLayout, MagnitudeSpectrogram, StftConfig, Waveform, stft_array
+from .dsp import BandLayout, StftConfig
 from .errors import FileFormatError, PayloadValueError, ShapeError
 from .specio import SpecKind, spec_read
 
@@ -55,31 +56,28 @@ class ImportSpec:
 MagnitudePredictorSpec = Union[OracleSpec, BandReplicationSpec, ImportSpec]
 
 
-def predict_oracle(
-    hr_reference: Waveform, cfg: StftConfig, layout: BandLayout
-) -> MagnitudeSpectrogram:
-    """|STFT| of the reference restricted to the high band."""
-    mags = np.abs(stft_array(hr_reference.samples, cfg))
-    return MagnitudeSpectrogram(
-        mags[:, layout.k_lo : layout.k_hi], cfg, hr_reference.sample_rate
-    )
+def predict_oracle(reference: np.ndarray, layout: BandLayout) -> np.ndarray:
+    """High-band magnitudes of ``reference``, the complex STFT of the
+    ground-truth recording: |X| over bins [k_lo, k_hi)."""
+    return np.abs(reference[:, layout.k_lo : layout.k_hi])
 
 
 def predict_band_replication(
-    lfc_mag: MagnitudeSpectrogram,
+    lfc_mag: np.ndarray,
     layout: BandLayout,
     spec: BandReplicationSpec = BandReplicationSpec(),
-) -> MagnitudeSpectrogram:
-    """Replicate low-band magnitudes into the high band.
+) -> np.ndarray:
+    """Replicate low-band magnitudes ``lfc_mag``, shape (frames, k_lo), into
+    the high band.
 
     Per frame, bin k copies M[k - k_lo], scaled by the ratio of the mean of
     the last ``gain_anchor_bins`` low-band magnitudes to the mean of the first
     ``gain_anchor_bins`` copied ones (denominator floored at 1e-12), then
     tilted by ``tilt_per_bin ** (k - k_lo)``.
     """
-    if lfc_mag.n_bins != layout.lfc_width:
+    if lfc_mag.shape[1] != layout.lfc_width:
         raise ShapeError(
-            f"low band has {lfc_mag.n_bins} bins, layout expects {layout.lfc_width}"
+            f"low band has {lfc_mag.shape[1]} bins, layout expects {layout.lfc_width}"
         )
     width = layout.hfc_width
     if width > layout.lfc_width:
@@ -88,27 +86,22 @@ def predict_band_replication(
             "replication source undefined"
         )
     anchors = spec.gain_anchor_bins
-    m = lfc_mag.data
-    copied = m[:, :width]
-    top_mean = np.mean(m[:, layout.lfc_width - anchors :], axis=1)
+    copied = lfc_mag[:, :width]
+    top_mean = np.mean(lfc_mag[:, layout.lfc_width - anchors :], axis=1)
     bottom_mean = np.mean(copied[:, :anchors], axis=1)
     gain = top_mean / np.maximum(bottom_mean, GAIN_DENOMINATOR_FLOOR)
     tilt = spec.tilt_per_bin ** np.arange(width)
-    data = copied * gain[:, None] * tilt[None, :]
-    return MagnitudeSpectrogram(data, lfc_mag.config, lfc_mag.sample_rate)
+    return copied * gain[:, None] * tilt[None, :]
 
 
 def load_magnitude(
-    path,
-    expected: tuple[int, int],
-    cfg: StftConfig | None = None,
-    sample_rate: int | None = None,
-) -> MagnitudeSpectrogram:
+    path, expected: tuple[int, int], cfg: StftConfig, sample_rate: int
+) -> np.ndarray:
     """Read a magnitude band from a BWXSPEC file and validate it.
 
-    ``expected`` is the required (frames, band width) shape. When ``cfg`` or
-    ``sample_rate`` are given, the stored STFT fields must agree. Negative or
-    NaN entries are rejected rather than clamped.
+    ``expected`` is the required (frames, band width) shape, and the stored
+    frame length, hop and sample rate must equal ``cfg``'s and
+    ``sample_rate``. Negative or NaN entries are rejected rather than clamped.
     """
     data, header = spec_read(path)
     if header.kind is not SpecKind.MAGNITUDE:
@@ -119,14 +112,13 @@ def load_magnitude(
         )
     if np.any(data < 0):
         raise PayloadValueError(f"{path}: magnitude payload contains negative entries")
-    if cfg is not None and (header.frame_len, header.hop) != (cfg.frame_len, cfg.hop):
+    if (header.frame_len, header.hop) != (cfg.frame_len, cfg.hop):
         raise ShapeError(
             f"{path}: stored STFT config ({header.frame_len}, {header.hop}) "
             f"does not match ({cfg.frame_len}, {cfg.hop})"
         )
-    if sample_rate is not None and header.sample_rate != sample_rate:
+    if header.sample_rate != sample_rate:
         raise ShapeError(
             f"{path}: stored sample rate {header.sample_rate} does not match {sample_rate}"
         )
-    out_cfg = cfg or StftConfig(frame_len=header.frame_len, hop=header.hop)
-    return MagnitudeSpectrogram(data.astype(np.float64), out_cfg, header.sample_rate)
+    return data.astype(np.float64)

@@ -18,7 +18,7 @@ from .dsp import (
     MagnitudeSpectrogram,
     StftConfig,
     Waveform,
-    consistency_project,
+    consistency_project_array,
     frame_blocks,
     stft_array,
 )
@@ -128,18 +128,21 @@ def snr(truth: Waveform, estimate: Waveform) -> float:
 
 def consistency_residual(X: ComplexSpectrogram) -> float:
     """||X - P_C(X)||_F / max(||X||_F, 1e-12); zero exactly for consistent X."""
-    return _consistency_residual(X.data, consistency_project(X).data)
+    if X.n_bins != X.config.n_bins:
+        raise ShapeError(
+            f"spectrogram has {X.n_bins} bins, config demands {X.config.n_bins}"
+        )
+    return _consistency_residual(X.data, consistency_project_array(X.data, X.config))
 
 
 @dataclass
 class EvalReport:
-    """One evaluated truth/estimate pair over a band layout."""
+    """One evaluated truth/estimate pair."""
 
     lsd_hf: float
     lsd_full: float
     snr: float
     frames_compared: int
-    band: BandLayout
 
     def __post_init__(self) -> None:
         if self.lsd_hf < 0 or self.lsd_full < 0:
@@ -169,7 +172,6 @@ class _Evaluation:
         sample_rates: tuple[int, int],
         layout: BandLayout,
         cfg: StftConfig,
-        full_range: tuple[int, int] | None = None,
     ) -> None:
         if n_samples <= 2 * cfg.frame_len:
             raise LengthError(
@@ -177,11 +179,10 @@ class _Evaluation:
                 f"with frame_len {cfg.frame_len}"
             )
         self.hf_bins = (layout.k_lo, layout.k_hi)
-        self.full_bins = full_range or (0, layout.k_hi)
-        for bins in (self.hf_bins, self.full_bins):
-            _check_bins(bins, cfg.n_bins)
+        self.full_bins = (0, layout.k_hi)
+        _check_bins(self.hf_bins, cfg.n_bins)  # and so the wider full range
         _check_rates(*sample_rates)
-        self.layout, self.cfg = layout, cfg
+        self.cfg = cfg
         self.n_frames = cfg.frame_count(n_samples)
         self.trim = (cfg.frame_len, n_samples - cfg.frame_len)
         self.hf = np.empty(self.n_frames)
@@ -194,8 +195,8 @@ class _Evaluation:
         to span.stop."""
         f0, f1, span = block
         cfg = self.cfg
-        # Only bins below the top of the two LSD ranges are compared.
-        top = max(self.hf_bins[1], self.full_bins[1])
+        # Only bins below k_hi, the top of both LSD ranges, are compared.
+        top = self.full_bins[1]
         mt = np.abs(stft_array(truth, cfg)[:, :top])
         me = np.abs(stft_array(estimate, cfg)[:, :top])
         self.hf[f0:f1] = _lsd_per_frame(mt, me, self.hf_bins)
@@ -215,7 +216,6 @@ class _Evaluation:
             float(np.mean(self.full)),
             self.energy.snr_db(),
             self.n_frames,
-            self.layout,
         )
 
 
@@ -224,17 +224,15 @@ def evaluate(
     estimate: Waveform,
     layout: BandLayout,
     cfg: StftConfig,
-    full_range: tuple[int, int] | None = None,
 ) -> EvalReport:
     """Build an EvalReport for a waveform pair, one block of frames at a time.
 
-    LSD-HF covers [k_lo, k_hi); the "full" range defaults to [0, k_hi) and can
-    be overridden. Both are means of per-frame values over every frame. SNR
+    LSD-HF covers [k_lo, k_hi) and LSD-Full [0, k_hi). Both are means of per-frame values over every frame. SNR
     is computed on interior samples only, trimming one frame length from each
     end to exclude overlap-add edge effects.
     """
     n = min(len(truth), len(estimate))
-    evaluation = _Evaluation(n, (truth.sample_rate, estimate.sample_rate), layout, cfg, full_range)
+    evaluation = _Evaluation(n, (truth.sample_rate, estimate.sample_rate), layout, cfg)
     for block in frame_blocks(evaluation.n_frames, cfg):
         span = block[2]
         evaluation.add(block, truth.samples[span], estimate.samples[span])

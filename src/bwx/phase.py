@@ -10,8 +10,8 @@ that already hold the right magnitudes.
   re-imposes the supplied magnitudes on every bin from the cutoff up while
   pinning the low band to its known complex values; its high band is the
   complex result itself.
-* ``extract_reference_phase`` reads unit phasors straight off a reference
-  waveform, e.g. the original recording or an external synthesiser's output.
+* ``extract_reference_phase`` reads unit phasors straight off a reference's
+  complex STFT, e.g. the original recording's or an external synthesiser's.
 
 A zero bin, and a frame the reference does not reach, get the phasor 1, that
 is phase zero (as ``np.angle(0) == 0``).
@@ -28,10 +28,7 @@ from .dsp import (
     BandLayout,
     ComplexSpectrogram,
     MagnitudeSpectrogram,
-    StftConfig,
-    Waveform,
     consistency_project_array,
-    stft_array,
 )
 from .errors import DomainError, NumericalError, ShapeError
 
@@ -47,7 +44,6 @@ class GlaInit(enum.Enum):
 
 @dataclass(frozen=True)
 class GlaConfig:
-    layout: BandLayout
     iterations: int = 100
     init: GlaInit = GlaInit.ZERO_PHASE
     record_trace: bool = True
@@ -119,9 +115,10 @@ def gla_reconstruct(
     full_magnitude: MagnitudeSpectrogram,
     lfc_complex: ComplexSpectrogram,
     cfg: GlaConfig,
+    layout: BandLayout,
     initial_hf_phase: np.ndarray | None = None,
 ) -> tuple[ComplexSpectrogram, GlaTrace]:
-    """Griffin-Lim with a pinned low band.
+    """Griffin-Lim with a pinned low band, split at ``layout``'s bins.
 
     The starting spectrogram copies ``lfc_complex`` into bins [0, k_lo) and
     gives every remaining bin the supplied magnitude with the configured
@@ -140,7 +137,6 @@ def gla_reconstruct(
     ``cfg.record_trace`` is off). ``iterations == 0`` returns the starting
     spectrogram unchanged.
     """
-    layout = cfg.layout
     if full_magnitude.n_bins != layout.n_bins:
         raise ShapeError(
             f"full magnitude has {full_magnitude.n_bins} bins, layout expects {layout.n_bins}"
@@ -198,20 +194,14 @@ def gla_reconstruct(
 
 
 def extract_reference_phase(
-    reference: Waveform,
-    cfg: StftConfig,
-    layout: BandLayout,
-    target_frames: int,
-) -> tuple[np.ndarray, bool]:
-    """High-band unit phasors read off a reference waveform.
-
-    Returns the phasors over [k_lo, k_hi) for exactly ``target_frames`` frames
-    plus a flag that is set whenever the reference's own frame count had to be
-    truncated or padded. Missing frames and zero bins get the phasor 1.
+    reference: np.ndarray, layout: BandLayout, target_frames: int
+) -> np.ndarray:
+    """High-band unit phasors read off ``reference``, a reference's complex
+    STFT, over [k_lo, k_hi) for exactly ``target_frames`` frames: the
+    reference's frames are cut or padded to that count. Missing frames and
+    zero bins get the phasor 1.
     """
-    X = stft_array(reference.samples, cfg)
-    ref_frames = X.shape[0]
-    n_copy = min(ref_frames, target_frames)
+    n_copy = min(reference.shape[0], target_frames)
     phasors = np.ones((target_frames, layout.hfc_width), dtype=np.complex128)
-    phasors[:n_copy] = _unit_phasors(X[:n_copy, layout.k_lo : layout.k_hi])
-    return phasors, ref_frames != target_frames
+    phasors[:n_copy] = _unit_phasors(reference[:n_copy, layout.k_lo : layout.k_hi])
+    return phasors

@@ -3,9 +3,10 @@
 ``_reconstruct_blocks`` is the one reconstruction core: block by block it
 analyses the band-limited input channels, predicts high-band magnitudes,
 estimates high-band phase, recombines the bands and resynthesises, reading
-samples from a source and handing finished output to a sink. Sources and
-sinks are arrays (``_reconstruct``, for the phase study and tests) or WAV
-files streamed one block at a time (``super_resolve``). ``run_phase_study``
+samples from a source and handing finished output to a sink, as a path-free
+``ReconstructSpec`` says. Sources and sinks are arrays (``reconstruct``, for
+the phase study and library callers) or WAV files streamed one block at a
+time (``super_resolve``). ``run_phase_study``
 reruns the oracle-magnitude phase comparison over a clip set, decoding each
 clip once; ``evaluate_batch`` scores truth/estimate file pairs, streaming
 them the same way.
@@ -83,10 +84,13 @@ class ReferencePhaseSpec:
 PhaseStrategySpec = Union[FlipPhaseSpec, GlaPhaseSpec, ReferencePhaseSpec]
 
 
-@dataclass
-class SrJobSpec:
-    input_path: str
-    output_path: str
+@dataclass(frozen=True)
+class ReconstructSpec:
+    """How to reconstruct: the high-band magnitude predictor and phase
+    strategy, the band layout, the STFT and what happens to bins above the
+    high band. The input and output are the caller's; only the predictor and
+    the phase strategy may name (reference) files."""
+
     predictor: MagnitudePredictorSpec
     phase: PhaseStrategySpec
     layout: BandLayout
@@ -94,14 +98,10 @@ class SrJobSpec:
     residual_band: ResidualBand = ResidualBand.PASSTHROUGH
 
     def __post_init__(self) -> None:
-        if Path(self.input_path).resolve() == Path(self.output_path).resolve():
-            raise ShapeError("input and output paths must be distinct")
         if self.layout.n_bins != self.stft.n_bins:
             raise ShapeError(
                 f"layout covers {self.layout.n_bins} bins, STFT config has {self.stft.n_bins}"
             )
-        if isinstance(self.phase, GlaPhaseSpec) and self.phase.config.layout != self.layout:
-            raise ShapeError("GLA config layout disagrees with the job layout")
 
 
 @contextlib.contextmanager
@@ -229,71 +229,92 @@ class _WavSink(contextlib.ExitStack):
         self._header_frames = None
 
 
-def _reference_source(path, n_channels: int, references: dict):
-    """The source of a reference file: ``references`` maps resolved paths to
-    the sources a job has opened, so each file is opened once per job."""
-    key = Path(path).resolve()
-    if key not in references:
-        source = _WavSource(path)
+class _References:
+    """The reference files a job reads, keyed by resolved path so each is
+    opened once. For a file that two steps read (oracle magnitudes and
+    reference phase), the STFT of a block span is kept from the first step's
+    read to the second's, so each block and channel of it is analysed once.
+    Nothing else is kept, so a whole-file analysis is not held through
+    Griffin-Lim and no block's outlives its use."""
+
+    def __init__(self, cfg: StftConfig, arrays: dict):
+        self.cfg = cfg
+        self.sources = {Path(path).resolve(): _ArraySource(chs) for path, chs in arrays.items()}
+        self._steps: dict = {}  # source -> number of steps that opened it
+        self._last: tuple[tuple, np.ndarray] | None = None
+
+    def open(self, path, n_channels: int):
+        """The source of reference ``path``, for one step: the channels given
+        for it, or else the WAV file, opened on first use."""
+        key = Path(path).resolve()
+        if key not in self.sources:
+            self.sources[key] = _WavSource(path)
+        source = self.sources[key]
         if source.n_channels != n_channels:
             raise ShapeError(
                 f"{path}: has {source.n_channels} channels, input has {n_channels}"
             )
-        references[key] = source
-    return references[key]
+        self._steps[source] = self._steps.get(source, 0) + 1
+        return source
 
-
-def _read_span(source, span: slice) -> list[np.ndarray]:
-    """A reference's samples over a block's span, cut at the reference's end."""
-    return source.read(span.start, min(span.stop, source.n_samples))
+    def stft(self, source, channel: int, span: slice) -> np.ndarray:
+        """STFT of one channel of ``source`` over a block's sample span, cut
+        at the source's end."""
+        key = (source, channel, span.start, span.stop)
+        if self._last is not None and self._last[0] == key:
+            X, self._last = self._last[1], None  # the second step's read is the last
+            return X
+        self._last = None  # freed before the next analysis is allocated
+        samples = source.read(span.start, min(span.stop, source.n_samples))[channel]
+        X = stft_array(samples, self.cfg)
+        if self._steps[source] > 1:
+            self._last = (key, X)
+        return X
 
 
 def _magnitude_steps(
-    job: SrJobSpec, n_frames: int, n_channels: int, rate: int, references: dict
+    spec: ReconstructSpec, n_frames: int, n_channels: int, rate: int, references: _References
 ) -> list:
     """One step per channel mapping a block of frames (its analysis ``x`` and
     its ``frame_blocks`` triple f0, f1, sample span) to the block's high-band
     magnitudes. Everything that can reject the job is checked here, before
     any block."""
-    predictor, cfg, layout = job.predictor, job.stft, job.layout
+    predictor, cfg, layout = spec.predictor, spec.stft, spec.layout
     if isinstance(predictor, OracleSpec):
-        source = _reference_source(predictor.reference_path, n_channels, references)
+        source = references.open(predictor.reference_path, n_channels)
         ref_frames = cfg.frame_count(source.n_samples)
         if ref_frames < n_frames:
             raise LengthError(f"reference yields {ref_frames} frames, {n_frames} required")
 
         def oracle(channel):
             return lambda x, block: predict_oracle(
-                Waveform(_read_span(source, block[2])[channel], rate), cfg, layout
-            ).data
+                references.stft(source, channel, block[2]), layout
+            )
 
         return [oracle(c) for c in range(n_channels)]
     if isinstance(predictor, BandReplicationSpec):
 
         def replicate(x, block):
-            lfc_mag = MagnitudeSpectrogram(np.abs(x[:, : layout.k_lo]), cfg, rate)
-            return predict_band_replication(lfc_mag, layout, predictor).data
+            return predict_band_replication(np.abs(x[:, : layout.k_lo]), layout, predictor)
 
         return [replicate] * n_channels
     if isinstance(predictor, ImportSpec):
         if n_channels != 1:
             raise ShapeError("imported magnitudes only support mono inputs")
-        imported = load_magnitude(
-            predictor.path, (n_frames, layout.hfc_width), cfg=cfg, sample_rate=rate
-        ).data
+        imported = load_magnitude(predictor.path, (n_frames, layout.hfc_width), cfg, rate)
         return [lambda x, block: imported[block[0] : block[1]]]
     raise ShapeError(f"unknown predictor spec {predictor!r}")
 
 
 def _phase_steps(
-    job: SrJobSpec, n_frames: int, n_channels: int, rate: int, references: dict
+    spec: ReconstructSpec, n_frames: int, n_channels: int, rate: int, references: _References
 ) -> list:
     """One step per channel mapping a block of frames (its analysis ``x``, its
     high-band magnitudes ``mag`` and its ``frame_blocks`` triple) to the
     block's complex high band and GLA trace (None for the other strategies).
     The reference strategy warns here, once per channel, when the
     reference's frame count differs from the input's."""
-    strategy, cfg, layout = job.phase, job.stft, job.layout
+    strategy, cfg, layout = spec.phase, spec.stft, spec.layout
     k_lo, k_hi = layout.k_lo, layout.k_hi
     if isinstance(strategy, FlipPhaseSpec):
         return [lambda x, mag, block: (mag * flip_phase(x[:, :k_lo], layout), None)] * n_channels
@@ -305,13 +326,14 @@ def _phase_steps(
                 MagnitudeSpectrogram(full, cfg, rate),
                 ComplexSpectrogram(x[:, :k_lo], cfg, rate),
                 strategy.config,
+                layout,
             )
             # The loop has already re-imposed ``mag`` on these bins.
             return result.data[:, k_lo:k_hi], trace
 
         return [gla] * n_channels
     if isinstance(strategy, ReferencePhaseSpec):
-        source = _reference_source(strategy.path, n_channels, references)
+        source = references.open(strategy.path, n_channels)
         ref_frames = cfg.frame_count(source.n_samples)
         if ref_frames != n_frames:
             for _ in range(n_channels):
@@ -321,19 +343,13 @@ def _phase_steps(
 
         def reference(channel):
             def step(x, mag, block):
-                # Frames past the reference's end keep zero phase.
+                # Frames past the reference's end keep zero phase; the span
+                # cut at its end analyses into exactly the frames it has.
                 f0, f1, span = block
-                last = min(f1, ref_frames)
-                if last <= f0:
+                if ref_frames <= f0:
                     return mag.astype(np.complex128), None
-                samples = _read_span(source, span)[channel]
-                phasors, _ = extract_reference_phase(
-                    Waveform(samples[: (last - 1 - f0) * cfg.hop + cfg.frame_len], rate),
-                    cfg,
-                    layout,
-                    target_frames=f1 - f0,
-                )
-                return mag * phasors, None
+                X = references.stft(source, channel, span)
+                return mag * extract_reference_phase(X, layout, f1 - f0), None
 
             return step
 
@@ -341,8 +357,10 @@ def _phase_steps(
     raise ShapeError(f"unknown phase spec {strategy!r}")
 
 
-def _reconstruct_blocks(job: SrJobSpec, source, sink, references: dict) -> GlaTrace | None:
-    """The reconstruction core: read ``job``'s band-limited input from
+def _reconstruct_blocks(
+    spec: ReconstructSpec, source, sink, references: _References
+) -> GlaTrace | None:
+    """The reconstruction core: read the band-limited input from
     ``source`` one block span at a time and, per channel, analyse, predict,
     estimate, recombine and overlap-add the block's frames. Each stretch of
     output that no later frame touches is normalised and handed to ``sink``
@@ -353,22 +371,20 @@ def _reconstruct_blocks(job: SrJobSpec, source, sink, references: dict) -> GlaTr
     that the samples of a reference that no block reads (past the input's
     last frame) are checked for non-finite values after the last block.
     Griffin-Lim is not frame-local, so it runs as one block of every frame.
-    ``references`` maps resolved paths to the sources of reference files; one
-    the job names that is not there yet is opened and added. Returns the
-    first channel's GLA trace (None without one).
+    Returns the first channel's GLA trace (None without one).
     """
-    cfg, layout = job.stft, job.layout
+    cfg, layout = spec.stft, spec.layout
     n_channels, rate = source.n_channels, source.sample_rate
     with _stage("analyze"):
         n_frames = cfg.frame_count(source.n_samples)
     with _stage("magnitude"):
-        magnitude_steps = _magnitude_steps(job, n_frames, n_channels, rate, references)
+        magnitude_steps = _magnitude_steps(spec, n_frames, n_channels, rate, references)
     with _stage("phase"):
-        phase_steps = _phase_steps(job, n_frames, n_channels, rate, references)
+        phase_steps = _phase_steps(spec, n_frames, n_channels, rate, references)
 
     with _stage("write-output"):
         sink.begin(n_channels, cfg.output_length(n_frames))
-    block_frames = n_frames if isinstance(job.phase, GlaPhaseSpec) else None
+    block_frames = n_frames if isinstance(spec.phase, GlaPhaseSpec) else None
     # Per channel, the overlap-add sums already begun past the last stretch out.
     carries = [np.zeros(0)] * n_channels
     first_trace: GlaTrace | None = None
@@ -387,7 +403,7 @@ def _reconstruct_blocks(job: SrJobSpec, source, sink, references: dict) -> GlaTr
         for channel in range(n_channels):
             with _stage("analyze"):
                 x = stft_array(inputs[channel], cfg)
-                if job.residual_band is ResidualBand.ZERO:
+                if spec.residual_band is ResidualBand.ZERO:
                     x[:, layout.k_hi :] = 0.0
 
             with _stage("magnitude"):
@@ -414,28 +430,37 @@ def _reconstruct_blocks(job: SrJobSpec, source, sink, references: dict) -> GlaTr
             sink.write(pieces)
     # Each reference is checked to its end, in the stage that opened it.
     with _stage("magnitude"):
-        if isinstance(job.predictor, OracleSpec):
-            path = job.predictor.reference_path
-            _reference_source(path, n_channels, references).check_unread()
+        if isinstance(spec.predictor, OracleSpec):
+            references.open(spec.predictor.reference_path, n_channels).check_unread()
     with _stage("phase"):
-        if isinstance(job.phase, ReferencePhaseSpec):
-            _reference_source(job.phase.path, n_channels, references).check_unread()
+        if isinstance(spec.phase, ReferencePhaseSpec):
+            references.open(spec.phase.path, n_channels).check_unread()
     return first_trace
 
 
-def _reconstruct(
-    job: SrJobSpec, channels: list[Waveform], references: dict
+def reconstruct(
+    spec: ReconstructSpec,
+    channels: Sequence[Waveform],
+    references: dict | None = None,
 ) -> tuple[list[Waveform], GlaTrace | None]:
-    """Reconstruct every channel of ``job``'s band-limited input ``channels``
-    in memory. ``references`` is as in `_reconstruct_blocks`. Returns the
-    output channels and the first channel's GLA trace (None without one)."""
+    """Reconstruct every channel of the band-limited input ``channels`` in
+    memory.
+
+    ``references`` maps a path that ``spec`` names (the oracle's or the
+    reference phase's) to that file's channels, already in memory; a named
+    path that is not there is read from its file one block span at a time.
+    Returns the output channels and the first channel's GLA trace (None
+    without one).
+    """
     sink = _ArraySink()
-    trace = _reconstruct_blocks(job, _ArraySource(channels), sink, references)
+    trace = _reconstruct_blocks(
+        spec, _ArraySource(channels), sink, _References(spec.stft, references or {})
+    )
     return sink.waveforms(channels[0].sample_rate), trace
 
 
-def super_resolve(job: SrJobSpec, trace_path=None) -> None:
-    """Run the reconstruction pipeline on a file and write the result.
+def super_resolve(spec: ReconstructSpec, input_path, output_path, trace_path=None) -> None:
+    """Reconstruct the WAV file ``input_path`` into ``output_path``.
 
     Channels are processed independently and written together as float32.
     The input and every reference are read one block span at a time, and
@@ -444,10 +469,12 @@ def super_resolve(job: SrJobSpec, trace_path=None) -> None:
     failure leaves no partial file. With ``trace_path`` set and a GLA phase
     strategy, the first channel's residual trace is written as CSV.
     """
+    if Path(input_path).resolve() == Path(output_path).resolve():
+        raise ShapeError("input and output paths must be distinct")
     with _stage("read-input"):
-        source = _WavSource(job.input_path)
-    with _WavSink(job.output_path, source.sample_rate) as sink:
-        trace = _reconstruct_blocks(job, source, sink, {})
+        source = _WavSource(input_path)
+    with _WavSink(output_path, source.sample_rate) as sink:
+        trace = _reconstruct_blocks(spec, source, sink, _References(spec.stft, {}))
     if trace_path is not None and trace is not None:
         with _stage("write-output"):
             trace.to_csv(trace_path)
@@ -464,7 +491,6 @@ def _mean_report(reports: Sequence[EvalReport]) -> EvalReport:
         lsd_full=float(np.mean([r.lsd_full for r in reports])),
         snr=float(np.mean([r.snr for r in reports])),
         frames_compared=int(round(np.mean([r.frames_compared for r in reports]))),
-        band=reports[0].band,
     )
 
 
@@ -538,30 +564,21 @@ def _study_one_clip(
 
     phase_specs: dict[str, PhaseStrategySpec] = {
         "flip": FlipPhaseSpec(),
-        "gla": GlaPhaseSpec(
-            GlaConfig(layout=layout, iterations=gla_iterations, record_trace=False)
-        ),
+        "gla": GlaPhaseSpec(GlaConfig(iterations=gla_iterations, record_trace=False)),
         "reference": ReferencePhaseSpec(str(clip_path)),
     }
     # The oracle predictor and the reference phase read the clip itself.
+    references = {clip_path: truth}
     clip = _ArraySource(truth)
-    references = {Path(clip_path).resolve(): clip}
 
     reports = {"lr": _evaluate_sources(clip, _ArraySource(lr), layout, cfg)}
     for method, phase_spec in phase_specs.items():
         est_path = workdir / f"{stem}_{method}.wav"
-        job = SrJobSpec(
-            input_path=str(lr_path),
-            output_path=str(est_path),
-            predictor=OracleSpec(str(clip_path)),
-            phase=phase_spec,
-            stft=cfg,
-            layout=layout,
-        )
+        spec = ReconstructSpec(OracleSpec(str(clip_path)), phase_spec, layout, cfg)
         # Not bound to a name, so each output is freed before the next method.
         reports[method] = _evaluate_sources(
             clip,
-            _ArraySource(_write_float32(est_path, _reconstruct(job, lr, references)[0])),
+            _ArraySource(_write_float32(est_path, reconstruct(spec, lr, references)[0])),
             layout,
             cfg,
         )

@@ -28,6 +28,10 @@ from .errors import DomainError, ShapeError
 from .wavio import SampleDepth, wav_read, wav_write
 
 
+# Window of the windowed-sinc FIR design.
+FIR_WINDOW = "hamming"
+
+
 class LowpassMode(enum.Enum):
     BRICKWALL = "brickwall"
     FIR_SINC = "fir"
@@ -38,7 +42,6 @@ class LowpassSpec:
     mode: LowpassMode = LowpassMode.BRICKWALL
     cutoff_hz: float = 4000.0
     taps: int = 511
-    fir_window: str = "hamming"
 
     def __post_init__(self) -> None:
         if self.cutoff_hz <= 0:
@@ -54,7 +57,7 @@ def design_fir(spec: LowpassSpec, sample_rate: int) -> np.ndarray:
             f"cutoff {spec.cutoff_hz} Hz is not below Nyquist ({sample_rate / 2} Hz)"
         )
     return scipy.signal.firwin(
-        spec.taps, spec.cutoff_hz, window=spec.fir_window, fs=sample_rate
+        spec.taps, spec.cutoff_hz, window=FIR_WINDOW, fs=sample_rate
     )
 
 

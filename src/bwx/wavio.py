@@ -119,11 +119,6 @@ def wav_header(path) -> _WavHeader:
         return _read_header(fh, path)
 
 
-def wav_sample_rate(path) -> int:
-    """Sample rate of a WAV file, read from its header."""
-    return wav_header(path).sample_rate
-
-
 def wav_read(path, start: int | None = None, stop: int | None = None) -> tuple[list[Waveform], int]:
     """Read a WAV file, returning one Waveform per channel and the bit depth.
 

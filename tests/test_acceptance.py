@@ -69,9 +69,7 @@ def gla_runs(clip_paths):
         magnitude = MagnitudeSpectrogram(np.abs(X), CFG, wave.sample_rate)
         lfc = ComplexSpectrogram(X[:, : LAYOUT.k_lo], CFG, wave.sample_rate)
         started = time.perf_counter()
-        _, trace = gla_reconstruct(
-            magnitude, lfc, GlaConfig(layout=LAYOUT, iterations=100)
-        )
+        _, trace = gla_reconstruct(magnitude, lfc, GlaConfig(iterations=100), LAYOUT)
         elapsed = time.perf_counter() - started
         runs.append((str(path), trace, elapsed, wave.duration))
     return runs
@@ -119,7 +117,8 @@ def test_criterion_02_gla_fixed_point(clip_paths):
     _, trace = gla_reconstruct(
         magnitude,
         lfc,
-        GlaConfig(layout=LAYOUT, iterations=100),
+        GlaConfig(iterations=100),
+        LAYOUT,
         initial_hf_phase=np.angle(X[:, LAYOUT.k_lo :]),
     )
     assert len(trace.residuals) == 100

@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +23,10 @@ from bwx import (
     MagnitudeSpectrogram,
     OracleSpec,
     ReferencePhaseSpec,
+    ReconstructSpec,
     ResidualBand,
     SampleDepth,
     SpecKind,
-    SrJobSpec,
     StftConfig,
     Waveform,
     evaluate,
@@ -33,6 +34,7 @@ from bwx import (
     lsd,
     make_pair,
     predict_band_replication,
+    reconstruct,
     spec_write,
     super_resolve,
     wav_read,
@@ -41,7 +43,6 @@ from bwx import (
 from bwx.cli import main
 from bwx.dsp import frame_blocks, istft_array, overlap_add, stft_array, wrap_phase
 from bwx.errors import LengthError, PipelineError, ShapeError
-from bwx.pipeline import _reconstruct
 
 from conftest import synth_clip
 
@@ -84,17 +85,9 @@ def _predictor(name, hr, band):
 def _sr(monkeypatch, tmp_path, block, lr, predictor, phase, residual):
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", block)
     out = tmp_path / f"out_{block}.wav"
-    job = SrJobSpec(
-        input_path=str(lr),
-        output_path=str(out),
-        predictor=predictor,
-        phase=phase,
-        stft=CFG,
-        layout=LAYOUT,
-        residual_band=residual,
-    )
-    super_resolve(job)
-    return _reconstruct(job, wav_read(lr)[0], {})[0][0].samples, out.read_bytes()
+    spec = ReconstructSpec(predictor, phase, LAYOUT, stft=CFG, residual_band=residual)
+    super_resolve(spec, lr, out)
+    return reconstruct(spec, wav_read(lr)[0])[0][0].samples, out.read_bytes()
 
 
 @pytest.mark.parametrize("residual", list(ResidualBand))
@@ -121,19 +114,19 @@ def test_evaluate_blocked_equals_one_block(monkeypatch, files):
     hr, lr = files["mono"]
     truth, estimate = wav_read(hr)[0][0], wav_read(lr)[0][0]
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", ONE_BLOCK)
-    whole = evaluate(truth, estimate, LAYOUT, CFG, full_range=(10, 900))
+    whole = evaluate(truth, estimate, LAYOUT, CFG)
     mt, me = (
         MagnitudeSpectrogram(np.abs(stft_array(w.samples, CFG)), CFG, SR) for w in (truth, estimate)
     )
     np.testing.assert_allclose(
         [whole.lsd_hf, whole.lsd_full],
-        [lsd(mt, me, (LAYOUT.k_lo, LAYOUT.k_hi)), lsd(mt, me, (10, 900))],
+        [lsd(mt, me, (LAYOUT.k_lo, LAYOUT.k_hi)), lsd(mt, me, (0, LAYOUT.k_hi))],
         rtol=1e-12,
         atol=0,
     )
     for block in BLOCK_SIZES:
         monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", block)
-        report = evaluate(truth, estimate, LAYOUT, CFG, full_range=(10, 900))
+        report = evaluate(truth, estimate, LAYOUT, CFG)
         np.testing.assert_allclose(
             [report.lsd_hf, report.lsd_full], [whole.lsd_hf, whole.lsd_full], rtol=1e-12, atol=0
         )
@@ -208,8 +201,7 @@ def _whole_array_reference_phase_sr(lr, ref):
     """SBR magnitudes with reference phase computed on whole arrays: frames
     past the reference's end take zero phase."""
     X = stft_array(lr, CFG)
-    lfc_mag = MagnitudeSpectrogram(np.abs(X[:, : LAYOUT.k_lo]), CFG, SR)
-    mag = predict_band_replication(lfc_mag, LAYOUT).data
+    mag = predict_band_replication(np.abs(X[:, : LAYOUT.k_lo]), LAYOUT)
     phase = np.zeros_like(mag)
     ref_phase = wrap_phase(np.angle(stft_array(ref, CFG)[:, LAYOUT.k_lo : LAYOUT.k_hi]))
     n = min(len(ref_phase), len(phase))
@@ -235,10 +227,9 @@ def test_reference_length_mismatch(monkeypatch, tmp_path, files, caplog, frame_d
         ref_channels = [c.samples[:keep] for c in hr_channels]
     wav_write(ref, [Waveform(c, SR) for c in ref_channels], SampleDepth.FLOAT32)
     out = tmp_path / "out.wav"
-    job = SrJobSpec(str(lr), str(out), BandReplicationSpec(), ReferencePhaseSpec(str(ref)),
-                    stft=CFG, layout=LAYOUT)
+    spec = ReconstructSpec(BandReplicationSpec(), ReferencePhaseSpec(str(ref)), LAYOUT, stft=CFG)
     with caplog.at_level(logging.WARNING, logger="bwx"):
-        super_resolve(job)
+        super_resolve(spec, lr, out)
     adjusted = [r for r in caplog.records if "reference frame count adjusted" in r.getMessage()]
     assert len(adjusted) == 2  # once per channel
 
@@ -255,10 +246,9 @@ def test_oracle_reference_too_short_is_length_error(monkeypatch, tmp_path, files
     samples = wav_read(hr)[0][0].samples
     wav_write(short, Waveform(samples[: len(samples) - 20 * CFG.hop], SR), SampleDepth.FLOAT32)
     out = tmp_path / "out.wav"
-    job = SrJobSpec(str(lr), str(out), OracleSpec(str(short)), FlipPhaseSpec(),
-                    stft=CFG, layout=LAYOUT)
+    spec = ReconstructSpec(OracleSpec(str(short)), FlipPhaseSpec(), LAYOUT, stft=CFG)
     with pytest.raises(PipelineError, match="magnitude") as info:
-        super_resolve(job)
+        super_resolve(spec, lr, out)
     assert isinstance(info.value.cause, LengthError)
     assert "reference yields" in str(info.value.cause)
     assert not out.exists()
@@ -274,35 +264,40 @@ def test_reference_channel_mismatch_is_shape_error(tmp_path, files, which):
         predictor, phase, stage = OracleSpec(str(mono_hr)), FlipPhaseSpec(), "magnitude"
     else:
         predictor, phase, stage = BandReplicationSpec(), ReferencePhaseSpec(str(mono_hr)), "phase"
-    job = SrJobSpec(str(stereo_lr), str(tmp_path / "out.wav"), predictor, phase,
-                    stft=CFG, layout=LAYOUT)
+    spec = ReconstructSpec(predictor, phase, LAYOUT, stft=CFG)
     with pytest.raises(PipelineError, match=stage) as info:
-        super_resolve(job)
+        super_resolve(spec, stereo_lr, tmp_path / "out.wav")
     assert isinstance(info.value.cause, ShapeError)
     assert "has 1 channels, input has 2" in str(info.value.cause)
 
 
 def test_reference_read_once_per_block(monkeypatch, tmp_path, files):
     # Oracle magnitudes and reference phase from one file, spelled two ways:
-    # each block reads its span of the input and of the reference once, and
-    # the reference's tail past the input's last frame is checked once after.
+    # each block reads its span of the input and of the reference once and
+    # analyses each once per channel, and the reference's tail past the
+    # input's last frame is checked once after.
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", 8)
     hr, lr = files["stereo"]
     monkeypatch.chdir(hr.parent)
-    reads = []
-    original = bwx.pipeline.wav_read
+    reads, analyses = [], []
+    original, original_rfft = bwx.pipeline.wav_read, scipy.fft.rfft
 
     def counting(path, *args):
         reads.append(str(path))
         return original(path, *args)
 
+    def counting_rfft(*args, **kwargs):
+        analyses.append(1)
+        return original_rfft(*args, **kwargs)
+
     monkeypatch.setattr(bwx.pipeline, "wav_read", counting)
-    job = SrJobSpec(str(lr), str(tmp_path / "out.wav"), OracleSpec(hr.name),
-                    ReferencePhaseSpec(str(hr)), stft=CFG, layout=LAYOUT)
-    super_resolve(job)
+    monkeypatch.setattr(scipy.fft, "rfft", counting_rfft)
+    spec = ReconstructSpec(OracleSpec(hr.name), ReferencePhaseSpec(str(hr)), LAYOUT, stft=CFG)
+    super_resolve(spec, lr, tmp_path / "out.wav")
     n_frames = CFG.frame_count(len(wav_read(lr)[0][0]))
     assert len(wav_read(hr)[0][0]) > CFG.output_length(n_frames)
     assert reads == [str(lr), hr.name] * -(-n_frames // 8) + [hr.name]
+    assert len(analyses) == 2 * 2 * -(-n_frames // 8)  # input and reference, two channels
 
 
 # A 30 s mono oracle+flip super_resolve peaked at 396 MB of traced heap with
@@ -319,11 +314,10 @@ def test_super_resolve_peak_memory_is_bounded(tmp_path):
     hr, lr = tmp_path / "hr.wav", tmp_path / "lr.wav"
     wav_write(hr, Waveform(x, SR), SampleDepth.FLOAT32)
     wav_write(lr, Waveform(x, SR), SampleDepth.FLOAT32)
-    job = SrJobSpec(str(lr), str(tmp_path / "out.wav"), OracleSpec(str(hr)), FlipPhaseSpec(),
-                    stft=CFG, layout=LAYOUT)
+    spec = ReconstructSpec(OracleSpec(str(hr)), FlipPhaseSpec(), LAYOUT, stft=CFG)
     tracemalloc.start()
     try:
-        super_resolve(job)
+        super_resolve(spec, lr, tmp_path / "out.wav")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

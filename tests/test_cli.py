@@ -81,14 +81,16 @@ class TestSr:
     def test_gla_records_trace_only_when_written(
         self, tmp_path, hr_path, lr_path, monkeypatch, with_trace
     ):
-        jobs = []
-        monkeypatch.setattr(bwx.cli, "super_resolve", lambda job, trace_path: jobs.append(job))
+        specs = []
+        monkeypatch.setattr(
+            bwx.cli, "super_resolve", lambda spec, *paths, trace_path: specs.append(spec)
+        )
         argv = ["sr", "--in", str(lr_path), "--out", str(tmp_path / "sr.wav"),
                 "--mag", f"oracle:{hr_path}", "--phase", "gla"]
         if with_trace:
             argv += ["--trace", str(tmp_path / "trace.csv")]
         assert main(argv) == 0
-        assert [job.phase.config.record_trace for job in jobs] == [with_trace]
+        assert [spec.phase.config.record_trace for spec in specs] == [with_trace]
 
     def test_sbr_with_residual_zero(self, tmp_path, lr_path):
         out = tmp_path / "sr.wav"

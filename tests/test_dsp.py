@@ -11,7 +11,6 @@ from bwx import (
     StftConfig,
     Waveform,
     bin_index,
-    consistency_project,
     interior_slice,
     istft,
     stft,
@@ -307,25 +306,24 @@ class TestConsistencyProject:
     def test_fixed_point_on_stft_output(self, short_music):
         cfg = StftConfig()
         X = stft(short_music, cfg)
-        P = consistency_project(X)
-        err = np.linalg.norm(P.data - X.data) / np.linalg.norm(X.data)
+        P = consistency_project_array(X.data, cfg)
+        err = np.linalg.norm(P - X.data) / np.linalg.norm(X.data)
         assert err < 1e-6
 
     def test_zero_is_fixed(self):
         cfg = StftConfig()
-        X = ComplexSpectrogram(np.zeros((12, cfg.n_bins)), cfg, 44100)
-        assert np.all(consistency_project(X).data == 0)
+        X = np.zeros((12, cfg.n_bins), dtype=np.complex128)
+        assert np.all(consistency_project_array(X, cfg) == 0)
 
     def test_contraction_on_random_phases(self, short_music):
         cfg = StftConfig()
         rng = np.random.default_rng(1)
         X = stft(short_music, cfg)
         scrambled = np.abs(X.data) * np.exp(2j * np.pi * rng.random(X.data.shape))
-        X1 = ComplexSpectrogram(scrambled, cfg, X.sample_rate)
-        X2 = consistency_project(X1)
-        X3 = consistency_project(X2)
-        first = np.linalg.norm(X2.data - X1.data)
-        second = np.linalg.norm(X3.data - X2.data)
+        X2 = consistency_project_array(scrambled, cfg)
+        X3 = consistency_project_array(X2, cfg)
+        first = np.linalg.norm(X2 - scrambled)
+        second = np.linalg.norm(X3 - X2)
         assert 0 < second < first
 
     @settings(max_examples=40, deadline=None)
@@ -348,7 +346,6 @@ class TestBands:
         layout = BandLayout(186, 372, 1025)
         assert layout.lfc_width == 186
         assert layout.hfc_width == 186
-        assert layout.residual_width == 653
 
     def test_from_frequencies(self):
         layout = BandLayout.from_frequencies(4000, 8000, 44100, StftConfig())

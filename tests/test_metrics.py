@@ -153,6 +153,11 @@ class TestConsistencyResidual:
         X = ComplexSpectrogram(np.zeros((8, CFG.n_bins)), CFG, 44100)
         assert consistency_residual(X) == 0.0
 
+    def test_bin_count_must_match_config(self):
+        X = ComplexSpectrogram(np.zeros((8, 100)), CFG, 44100)
+        with pytest.raises(ShapeError, match="config demands 1025"):
+            consistency_residual(X)
+
     def test_scrambled_phases_are_inconsistent(self, short_music):
         rng = np.random.default_rng(11)
         X = stft(short_music, CFG)
@@ -174,22 +179,20 @@ class TestConsistencyResidual:
 
         lfc = ComplexSpectrogram(X.data[:, :186], CFG, X.sample_rate)
         gla_out, _ = gla_reconstruct(
-            magnitude, lfc, GlaConfig(layout=layout, iterations=20, record_trace=False)
+            magnitude, lfc, GlaConfig(iterations=20, record_trace=False), layout
         )
         assert consistency_residual(gla_out) < flip_residual
 
 
 class TestEvalReport:
     def test_csv_row_format(self):
-        layout = BandLayout(186, 372, CFG.n_bins)
-        report = EvalReport(1.23456, 0.98765, 42.0, 17, layout)
+        report = EvalReport(1.23456, 0.98765, 42.0, 17)
         row = report.csv_row("a.wav", "gla")
         assert row == "a.wav,gla,1.2346,0.9877,42.0000,17"
 
     def test_negative_lsd_rejected(self):
-        layout = BandLayout(186, 372, CFG.n_bins)
         with pytest.raises(DomainError):
-            EvalReport(-1.0, 0.0, 0.0, 1, layout)
+            EvalReport(-1.0, 0.0, 0.0, 1)
 
     def test_evaluate_identical_waveforms(self, short_music):
         layout = BandLayout(186, 372, CFG.n_bins)

@@ -10,7 +10,6 @@ from bwx import (
     GlaInit,
     MagnitudeSpectrogram,
     StftConfig,
-    Waveform,
     extract_reference_phase,
     flip_phase,
     gla_reconstruct,
@@ -110,9 +109,9 @@ class TestGlaReconstruct:
     def test_consistent_input_is_fixed_point(self, short_music):
         # Warm-start with the true phases: the loop must sit still.
         X, magnitude, lfc = _consistent_inputs(short_music)
-        cfg = GlaConfig(layout=LAYOUT, iterations=20)
+        cfg = GlaConfig(iterations=20)
         true_phase = np.angle(X.data[:, 186:])
-        out, trace = gla_reconstruct(magnitude, lfc, cfg, initial_hf_phase=true_phase)
+        out, trace = gla_reconstruct(magnitude, lfc, cfg, LAYOUT, initial_hf_phase=true_phase)
         assert len(trace) == 20
         assert np.all(trace.residuals < 1e-6)
         err = np.linalg.norm(out.data - X.data) / np.linalg.norm(X.data)
@@ -120,8 +119,8 @@ class TestGlaReconstruct:
 
     def test_zero_iterations_returns_documented_start(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
-        cfg = GlaConfig(layout=LAYOUT, iterations=0)
-        out, trace = gla_reconstruct(magnitude, lfc, cfg)
+        cfg = GlaConfig(iterations=0)
+        out, trace = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
         assert len(trace) == 0
         expected = np.empty_like(out.data)
         expected[:, :186] = lfc.data
@@ -130,8 +129,8 @@ class TestGlaReconstruct:
 
     def test_flip_init_start(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
-        cfg = GlaConfig(layout=LAYOUT, iterations=0, init=GlaInit.FLIP_PHASE)
-        out, _ = gla_reconstruct(magnitude, lfc, cfg)
+        cfg = GlaConfig(iterations=0, init=GlaInit.FLIP_PHASE)
+        out, _ = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
         assert np.array_equal(out.data[:, :186], lfc.data)
         # high band carries the mirrored phase, residual band stays zero phase
         k = 186
@@ -145,48 +144,48 @@ class TestGlaReconstruct:
     def test_residual_decreases_on_oracle_task(self, short_music):
         # Zero the high band of the constraint, keep oracle magnitudes.
         X, magnitude, lfc = _consistent_inputs(short_music)
-        cfg = GlaConfig(layout=LAYOUT, iterations=30)
-        out, trace = gla_reconstruct(magnitude, lfc, cfg)
+        cfg = GlaConfig(iterations=30)
+        out, trace = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
         assert trace.residuals[-1] < trace.residuals[0]
 
     def test_low_band_preserved_bit_for_bit(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
-        cfg = GlaConfig(layout=LAYOUT, iterations=5)
-        out, _ = gla_reconstruct(magnitude, lfc, cfg)
+        cfg = GlaConfig(iterations=5)
+        out, _ = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
         assert np.array_equal(out.data[:, :186], lfc.data)
 
     def test_final_magnitudes_match_constraint(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
-        cfg = GlaConfig(layout=LAYOUT, iterations=5)
-        out, _ = gla_reconstruct(magnitude, lfc, cfg)
+        cfg = GlaConfig(iterations=5)
+        out, _ = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
         np.testing.assert_allclose(
             np.abs(out.data[:, 186:]), magnitude.data[:, 186:], rtol=1e-12, atol=0
         )
 
     def test_deterministic(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
-        cfg = GlaConfig(layout=LAYOUT, iterations=8)
-        out1, trace1 = gla_reconstruct(magnitude, lfc, cfg)
-        out2, trace2 = gla_reconstruct(magnitude, lfc, cfg)
+        cfg = GlaConfig(iterations=8)
+        out1, trace1 = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
+        out2, trace2 = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
         assert np.array_equal(out1.data, out2.data)
         assert np.array_equal(trace1.residuals, trace2.residuals)
 
     def test_record_trace_off(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
-        cfg = GlaConfig(layout=LAYOUT, iterations=3, record_trace=False)
-        _, trace = gla_reconstruct(magnitude, lfc, cfg)
+        cfg = GlaConfig(iterations=3, record_trace=False)
+        _, trace = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
         assert len(trace) == 0
 
     def test_shape_mismatch_rejected(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
         bad_lfc = ComplexSpectrogram(lfc.data[:, :100], CFG, 44100)
         with pytest.raises(ShapeError):
-            gla_reconstruct(magnitude, bad_lfc, GlaConfig(layout=LAYOUT))
+            gla_reconstruct(magnitude, bad_lfc, GlaConfig(), LAYOUT)
 
     def test_trace_csv_format(self, tmp_path, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
-        cfg = GlaConfig(layout=LAYOUT, iterations=4)
-        _, trace = gla_reconstruct(magnitude, lfc, cfg)
+        cfg = GlaConfig(iterations=4)
+        _, trace = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -227,14 +226,12 @@ class TestGlaKernel:
         if start == "warm":
             rng = np.random.default_rng(17)
             warm = rng.uniform(-np.pi, np.pi, size=(magnitude.n_frames, CFG.n_bins - 186))
-        start_cfg = GlaConfig(layout=LAYOUT, iterations=0, init=init)
-        X0, _ = gla_reconstruct(magnitude, lfc, start_cfg, initial_hf_phase=warm)
+        start_cfg = GlaConfig(iterations=0, init=init)
+        X0, _ = gla_reconstruct(magnitude, lfc, start_cfg, LAYOUT, initial_hf_phase=warm)
         expected, expected_residuals = _reference_loop(magnitude, lfc, X0.data, self.ITERATIONS)
 
-        cfg = GlaConfig(
-            layout=LAYOUT, iterations=self.ITERATIONS, init=init, record_trace=record_trace
-        )
-        out, trace = gla_reconstruct(magnitude, lfc, cfg, initial_hf_phase=warm)
+        cfg = GlaConfig(iterations=self.ITERATIONS, init=init, record_trace=record_trace)
+        out, trace = gla_reconstruct(magnitude, lfc, cfg, LAYOUT, initial_hf_phase=warm)
         # A * (Y / |Y|) and Y * (A / |Y|) round differently, and the FFTs spread
         # that rounding over every bin, so the tolerance is relative to the
         # spectrogram's scale rather than to each (possibly tiny) entry.
@@ -252,7 +249,7 @@ class TestGlaKernel:
         A[:, 300:400] = 0.0
         A[:, 900:] = 0.0
         zeroed = MagnitudeSpectrogram(A, CFG, 44100)
-        out, _ = gla_reconstruct(zeroed, lfc, GlaConfig(layout=LAYOUT, iterations=3))
+        out, _ = gla_reconstruct(zeroed, lfc, GlaConfig(iterations=3), LAYOUT)
         assert np.all(np.isfinite(out.data))
         assert np.all(out.data[:, 300:400] == 0)
         assert np.all(out.data[:, 900:] == 0)
@@ -262,7 +259,7 @@ class TestGlaKernel:
         frames = 6
         magnitude = MagnitudeSpectrogram(np.zeros((frames, CFG.n_bins)), CFG, 44100)
         lfc = ComplexSpectrogram(np.zeros((frames, 186)), CFG, 44100)
-        out, trace = gla_reconstruct(magnitude, lfc, GlaConfig(layout=LAYOUT, iterations=3))
+        out, trace = gla_reconstruct(magnitude, lfc, GlaConfig(iterations=3), LAYOUT)
         assert np.all(out.data == 0)
         assert np.all(np.isfinite(trace.residuals))
 
@@ -279,39 +276,37 @@ class TestGlaKernel:
 
         monkeypatch.setattr(bwx.phase, "consistency_project_array", poisoned)
         with pytest.raises(NumericalError, match="iteration 2"):
-            gla_reconstruct(magnitude, lfc, GlaConfig(layout=LAYOUT, iterations=5))
+            gla_reconstruct(magnitude, lfc, GlaConfig(iterations=5), LAYOUT)
         assert len(calls) == 3
 
 
 class TestExtractReferencePhase:
     def test_exact_match_on_hr_file(self, short_music):
         X = stft(short_music, CFG)
-        phasors, adjusted = extract_reference_phase(
-            short_music, CFG, LAYOUT, target_frames=X.data.shape[0]
-        )
-        assert not adjusted
+        phasors = extract_reference_phase(X.data, LAYOUT, target_frames=X.data.shape[0])
         np.testing.assert_allclose(
             np.angle(phasors), np.angle(X.data[:, 186:372]), atol=1e-12
         )
         np.testing.assert_allclose(np.abs(phasors), 1.0, rtol=0, atol=1e-12)
 
     def test_silence_gives_zero_phase(self):
-        silence = Waveform(np.zeros(3 * CFG.frame_len), 44100)
-        frames = CFG.frame_count(len(silence.samples))
-        phasors, adjusted = extract_reference_phase(silence, CFG, LAYOUT, frames)
-        assert not adjusted
+        silence = stft_array(np.zeros(3 * CFG.frame_len), CFG)
+        phasors = extract_reference_phase(silence, LAYOUT, len(silence))
         assert np.all(phasors == 1)
 
-    def test_short_reference_padded_with_flag(self, short_music):
-        frames = stft_array(short_music.samples, CFG).shape[0]
-        short_ref = Waveform(short_music.samples[: len(short_music.samples) - CFG.hop], 44100)
-        phasors, adjusted = extract_reference_phase(short_ref, CFG, LAYOUT, frames)
-        assert adjusted
+    def test_short_reference_padded(self, short_music):
+        X = stft_array(short_music.samples, CFG)
+        frames = len(X)
+        short_ref = stft_array(short_music.samples[: len(short_music.samples) - CFG.hop], CFG)
+        assert len(short_ref) == frames - 1
+        phasors = extract_reference_phase(short_ref, LAYOUT, frames)
         assert phasors.shape == (frames, 186)
+        assert np.array_equal(phasors[:-1], extract_reference_phase(X, LAYOUT, frames)[:-1])
         assert np.all(phasors[-1] == 1)
 
-    def test_long_reference_truncated_with_flag(self, short_music):
-        frames = stft_array(short_music.samples, CFG).shape[0]
-        phasors, adjusted = extract_reference_phase(short_music, CFG, LAYOUT, frames - 3)
-        assert adjusted
+    def test_long_reference_truncated(self, short_music):
+        X = stft_array(short_music.samples, CFG)
+        frames = len(X)
+        phasors = extract_reference_phase(X, LAYOUT, frames - 3)
         assert phasors.shape == (frames - 3, 186)
+        assert np.array_equal(phasors, extract_reference_phase(X, LAYOUT, frames)[:-3])

@@ -11,15 +11,16 @@ from bwx import (
     GlaPhaseSpec,
     ImportSpec,
     OracleSpec,
+    ReconstructSpec,
     ReferencePhaseSpec,
     ResidualBand,
     SampleDepth,
     SpecKind,
-    SrJobSpec,
     StftConfig,
     Waveform,
     evaluate,
     evaluate_batch,
+    reconstruct,
     run_phase_study,
     spec_write,
     super_resolve,
@@ -29,7 +30,6 @@ from bwx import (
 from bwx.dsp import interior_slice, istft_array, stft_array
 from bwx.errors import PipelineError, ShapeError
 from bwx.metrics import EVAL_CSV_HEADER
-from bwx.pipeline import _reconstruct
 
 CFG = StftConfig()
 SR = 44100
@@ -47,21 +47,14 @@ def hr_lr_paths(tmp_path, short_music):
     return hr, lr
 
 
-def _job(lr, out, predictor, phase, residual=ResidualBand.PASSTHROUGH):
-    return SrJobSpec(
-        input_path=str(lr),
-        output_path=str(out),
-        predictor=predictor,
-        phase=phase,
-        stft=CFG,
-        layout=LAYOUT,
-        residual_band=residual,
-    )
+def _spec(predictor, phase, residual=ResidualBand.PASSTHROUGH):
+    return ReconstructSpec(predictor, phase, LAYOUT, stft=CFG, residual_band=residual)
 
 
-def _rebuild(job):
-    """First output channel of ``job`` from the in-memory core, in float64."""
-    return _reconstruct(job, wav_read(job.input_path)[0], {})[0][0]
+def _rebuild(lr, spec):
+    """First output channel of ``spec`` on the file ``lr`` from the in-memory
+    core, in float64."""
+    return reconstruct(spec, wav_read(lr)[0])[0][0]
 
 
 class TestSuperResolve:
@@ -69,9 +62,7 @@ class TestSuperResolve:
         # With full information in (the HR file also supplies the low band and
         # residual band), the pipeline is an interior-exact identity.
         hr, _ = hr_lr_paths
-        out = tmp_path / "out.wav"
-        job = _job(hr, out, OracleSpec(str(hr)), ReferencePhaseSpec(str(hr)))
-        rebuilt = _rebuild(job)
+        rebuilt = _rebuild(hr, _spec(OracleSpec(str(hr)), ReferencePhaseSpec(str(hr))))
 
         truth = wav_read(hr)[0][0].samples
         n = len(rebuilt.samples)
@@ -86,9 +77,7 @@ class TestSuperResolve:
         # to leakage level; the low band is the LR's own, so time-domain
         # equality is bounded by the lowpass redistribution (~1e-3), not 1e-6.
         hr, lr = hr_lr_paths
-        out = tmp_path / "out.wav"
-        job = _job(lr, out, OracleSpec(str(hr)), ReferencePhaseSpec(str(hr)))
-        rebuilt = _rebuild(job)
+        rebuilt = _rebuild(lr, _spec(OracleSpec(str(hr)), ReferencePhaseSpec(str(hr))))
         truth = wav_read(hr)[0][0]
         report = evaluate(truth, rebuilt, LAYOUT, CFG)
         assert report.lsd_hf < 0.5
@@ -104,8 +93,7 @@ class TestSuperResolve:
             zeros, np.zeros((frames, 186), dtype=np.float32),
             SpecKind.MAGNITUDE, SR, CFG.frame_len, CFG.hop,
         )
-        out = tmp_path / "out.wav"
-        rebuilt = _rebuild(_job(lr, out, ImportSpec(str(zeros)), FlipPhaseSpec()))
+        rebuilt = _rebuild(lr, _spec(ImportSpec(str(zeros)), FlipPhaseSpec()))
 
         X = stft_array(lr_wave.samples, CFG)
         X[:, 186:372] = 0
@@ -127,10 +115,9 @@ class TestSuperResolve:
         results = {}
         for name, phase in (
             ("flip", FlipPhaseSpec()),
-            ("gla", GlaPhaseSpec(GlaConfig(layout=LAYOUT, iterations=30, record_trace=False))),
+            ("gla", GlaPhaseSpec(GlaConfig(iterations=30, record_trace=False))),
         ):
-            out = tmp_path / f"{name}.wav"
-            rebuilt = _rebuild(_job(lr, out, OracleSpec(str(hr)), phase))
+            rebuilt = _rebuild(lr, _spec(OracleSpec(str(hr)), phase))
             results[name] = evaluate(truth, rebuilt, LAYOUT, CFG)
         assert results["gla"].lsd_hf < results["flip"].lsd_hf
 
@@ -140,10 +127,7 @@ class TestSuperResolve:
         # within the cross-band leakage of overlapped Hann analysis (~1e-3);
         # exact equality is impossible once new high-band content is added.
         hr, lr = hr_lr_paths
-        out = tmp_path / "out.wav"
-        rebuilt = _rebuild(
-            _job(lr, out, OracleSpec(str(hr)), FlipPhaseSpec())
-        )
+        rebuilt = _rebuild(lr, _spec(OracleSpec(str(hr)), FlipPhaseSpec()))
         lr_wave = wav_read(lr)[0][0]
         reference = stft_array(
             istft_array(stft_array(lr_wave.samples, CFG), CFG), CFG
@@ -157,9 +141,8 @@ class TestSuperResolve:
 
     def test_residual_zero_bandlimits_output(self, tmp_path, hr_lr_paths):
         hr, lr = hr_lr_paths
-        out = tmp_path / "out.wav"
         rebuilt = _rebuild(
-            _job(lr, out, OracleSpec(str(hr)), ReferencePhaseSpec(str(hr)), ResidualBand.ZERO)
+            lr, _spec(OracleSpec(str(hr)), ReferencePhaseSpec(str(hr)), ResidualBand.ZERO)
         )
         X = stft_array(rebuilt.samples, CFG)
         ratio = np.linalg.norm(X[:, 372:]) / np.linalg.norm(X)
@@ -169,36 +152,37 @@ class TestSuperResolve:
         hr, lr = hr_lr_paths
         out1 = tmp_path / "a.wav"
         out2 = tmp_path / "b.wav"
-        phase = GlaPhaseSpec(GlaConfig(layout=LAYOUT, iterations=10, record_trace=False))
-        super_resolve(_job(lr, out1, OracleSpec(str(hr)), phase))
-        super_resolve(_job(lr, out2, OracleSpec(str(hr)), phase))
+        phase = GlaPhaseSpec(GlaConfig(iterations=10, record_trace=False))
+        super_resolve(_spec(OracleSpec(str(hr)), phase), lr, out1)
+        super_resolve(_spec(OracleSpec(str(hr)), phase), lr, out2)
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_sbr_predictor_runs(self, tmp_path, hr_lr_paths):
         _, lr = hr_lr_paths
         out = tmp_path / "out.wav"
-        job = _job(lr, out, BandReplicationSpec(), FlipPhaseSpec())
-        rebuilt = _rebuild(job)
-        super_resolve(job)
+        spec = _spec(BandReplicationSpec(), FlipPhaseSpec())
+        rebuilt = _rebuild(lr, spec)
+        super_resolve(spec, lr, out)
         assert np.all(np.isfinite(rebuilt.samples))
         assert out.exists()
 
     def test_stage_label_on_missing_reference(self, tmp_path, hr_lr_paths):
         _, lr = hr_lr_paths
         out = tmp_path / "out.wav"
-        job = _job(lr, out, OracleSpec(str(tmp_path / "nope.wav")), FlipPhaseSpec())
+        spec = _spec(OracleSpec(str(tmp_path / "nope.wav")), FlipPhaseSpec())
         with pytest.raises(PipelineError, match="magnitude"):
-            super_resolve(job)
+            super_resolve(spec, lr, out)
 
     def test_stage_label_on_missing_input(self, tmp_path):
-        job = _job(tmp_path / "missing.wav", tmp_path / "out.wav",
-                   BandReplicationSpec(), FlipPhaseSpec())
+        spec = _spec(BandReplicationSpec(), FlipPhaseSpec())
         with pytest.raises(PipelineError, match="read-input"):
-            super_resolve(job)
+            super_resolve(spec, tmp_path / "missing.wav", tmp_path / "out.wav")
 
     def test_identical_paths_rejected(self, tmp_path):
+        # Rejected as such before any stage opens a file (x.wav does not exist).
+        spec = _spec(BandReplicationSpec(), FlipPhaseSpec())
         with pytest.raises(ShapeError, match="distinct"):
-            _job(tmp_path / "x.wav", tmp_path / "x.wav", BandReplicationSpec(), FlipPhaseSpec())
+            super_resolve(spec, tmp_path / "x.wav", tmp_path / "x.wav")
 
     @pytest.mark.parametrize(
         "spelling", ["./x.wav", "sub/../x.wav", "{tmp}/x.wav", "{tmp}/./x.wav"]
@@ -206,17 +190,16 @@ class TestSuperResolve:
     def test_equivalent_path_spellings_rejected(self, tmp_path, monkeypatch, spelling):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
+        spec = _spec(BandReplicationSpec(), FlipPhaseSpec())
         with pytest.raises(ShapeError, match="distinct"):
-            _job("x.wav", spelling.format(tmp=tmp_path), BandReplicationSpec(), FlipPhaseSpec())
+            super_resolve(spec, "x.wav", spelling.format(tmp=tmp_path))
 
     def test_gla_trace_written(self, tmp_path, hr_lr_paths):
         hr, lr = hr_lr_paths
         out = tmp_path / "out.wav"
         trace = tmp_path / "trace.csv"
-        phase = GlaPhaseSpec(GlaConfig(layout=LAYOUT, iterations=5))
-        super_resolve(
-            _job(lr, out, OracleSpec(str(hr)), phase), trace_path=trace
-        )
+        phase = GlaPhaseSpec(GlaConfig(iterations=5))
+        super_resolve(_spec(OracleSpec(str(hr)), phase), lr, out, trace_path=trace)
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "iteration,residual"
         assert len(lines) == 6
@@ -226,7 +209,7 @@ class TestSuperResolve:
         other = Waveform(short_music.samples[::-1].copy(), SR)
         wav_write(hr, [short_music, other], SampleDepth.FLOAT32)
         out = tmp_path / "out2.wav"
-        super_resolve(_job(hr, out, OracleSpec(str(hr)), ReferencePhaseSpec(str(hr))))
+        super_resolve(_spec(OracleSpec(str(hr)), ReferencePhaseSpec(str(hr))), hr, out)
         channels, _ = wav_read(out)
         assert len(channels) == 2
         truths = wav_read(hr)[0]
@@ -335,13 +318,13 @@ class TestRunPhaseStudy:
             estimates = {"lr": lr}
             phases = {
                 "flip": FlipPhaseSpec(),
-                "gla": GlaPhaseSpec(GlaConfig(layout=layout, iterations=6, record_trace=False)),
+                "gla": GlaPhaseSpec(GlaConfig(iterations=6, record_trace=False)),
                 "reference": ReferencePhaseSpec(clip),
             }
             for method, phase in phases.items():
                 estimates[method] = tmp_path / f"chain_{method}.wav"
-                super_resolve(SrJobSpec(str(lr), str(estimates[method]), OracleSpec(clip),
-                                        phase, layout, stft=CFG))
+                spec = ReconstructSpec(OracleSpec(clip), phase, layout, stft=CFG)
+                super_resolve(spec, lr, estimates[method])
             reports = {}
             for method, path in estimates.items():
                 pairs = zip(wav_read(clip)[0], wav_read(path)[0])

@@ -19,15 +19,16 @@ from bwx import (
     ImportSpec,
     LowpassSpec,
     OracleSpec,
+    ReconstructSpec,
     ReferencePhaseSpec,
     SampleDepth,
     SpecKind,
-    SrJobSpec,
     StftConfig,
     Waveform,
     evaluate,
     evaluate_batch,
     lowpass,
+    reconstruct,
     spec_write,
     super_resolve,
     wav_read,
@@ -36,7 +37,7 @@ from bwx import (
 from bwx.cli import main
 from bwx.dsp import stft_array
 from bwx.errors import DomainError, PipelineError
-from bwx.pipeline import _ArraySource, _atomic_output, _mean_report, _reconstruct
+from bwx.pipeline import _atomic_output, _mean_report
 
 from conftest import synth_clip, write_pcm24
 
@@ -107,14 +108,12 @@ def test_streamed_flows_equal_whole_array_core(monkeypatch, tmp_path, inputs, co
     }[mag]
     strategy = FlipPhaseSpec() if phase == "flip" else ReferencePhaseSpec(str(hr))
 
-    def job(out):
-        return SrJobSpec(str(lr), str(out), predictor, strategy, LAYOUT, stft=CFG)
+    spec = ReconstructSpec(predictor, strategy, LAYOUT, stft=CFG)
 
     # The whole-array core: whole decoded input and reference, one block.
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", ONE_BLOCK)
     truth = wav_read(hr)[0]
-    references = {hr.resolve(): _ArraySource(truth)}
-    whole = _reconstruct(job(tmp_path / "unused.wav"), wav_read(lr)[0], references)[0]
+    whole = reconstruct(spec, wav_read(lr)[0], {hr: truth})[0]
     expected = tmp_path / "whole.wav"
     wav_write(expected, whole, SampleDepth.FLOAT32)
     expected_report = _mean_report(
@@ -124,7 +123,7 @@ def test_streamed_flows_equal_whole_array_core(monkeypatch, tmp_path, inputs, co
     for block in (1, 3, ONE_BLOCK):
         monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", block)
         out = tmp_path / f"out_{block}.wav"
-        super_resolve(job(out))
+        super_resolve(spec, lr, out)
         assert out.read_bytes() == expected.read_bytes()
         csv = tmp_path / f"eval_{block}.csv"
         rows = evaluate_batch([(str(hr), str(expected))], LAYOUT, csv, CFG)
@@ -150,9 +149,9 @@ def test_non_finite_input_in_last_block_leaves_no_output(monkeypatch, tmp_path, 
 
     out = tmp_path / "out.wav"
     out.write_bytes(b"an earlier output")
-    job = SrJobSpec(str(bad), str(out), OracleSpec(str(hr)), FlipPhaseSpec(), LAYOUT, stft=CFG)
+    spec = ReconstructSpec(OracleSpec(str(hr)), FlipPhaseSpec(), LAYOUT, stft=CFG)
     with pytest.raises(PipelineError, match="read-input") as info:
-        super_resolve(job)
+        super_resolve(spec, bad, out)
     assert isinstance(info.value.cause, DomainError)
     assert out.read_bytes() == b"an earlier output"
 
@@ -180,7 +179,7 @@ def test_non_finite_reference_past_the_input_fails_the_job(
     strategy = ReferencePhaseSpec(str(ref)) if phase == "ref" else FlipPhaseSpec()
     out = tmp_path / "out.wav"
     with pytest.raises(PipelineError) as info:
-        super_resolve(SrJobSpec(str(lr), str(out), predictor, strategy, LAYOUT, stft=CFG))
+        super_resolve(ReconstructSpec(predictor, strategy, LAYOUT, stft=CFG), lr, out)
     assert info.value.stage == stage
     assert isinstance(info.value.cause, DomainError)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.wav"]
@@ -256,9 +255,8 @@ def test_streamed_memory_does_not_grow_with_length(tmp_path):
         _noise_wav(hr, seconds, 1)
         _noise_wav(lr, seconds, 2)
         out = tmp_path / f"out{seconds}.wav"
-        job = SrJobSpec(str(lr), str(out), OracleSpec(str(hr)), ReferencePhaseSpec(str(hr)),
-                        LAYOUT, stft=CFG)
-        peaks["sr", seconds] = _traced_peak(lambda: super_resolve(job))
+        spec = ReconstructSpec(OracleSpec(str(hr)), ReferencePhaseSpec(str(hr)), LAYOUT, stft=CFG)
+        peaks["sr", seconds] = _traced_peak(lambda: super_resolve(spec, lr, out))
         pairs = [(str(hr), str(out))]
         csv = tmp_path / f"eval{seconds}.csv"
         peaks["eval", seconds] = _traced_peak(lambda: evaluate_batch(pairs, LAYOUT, csv, CFG))

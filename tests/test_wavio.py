@@ -14,7 +14,7 @@ from bwx.errors import (
     TruncatedDataError,
     UnsupportedCodecError,
 )
-from bwx.wavio import wav_header, wav_sample_rate
+from bwx.wavio import wav_header
 
 from conftest import write_pcm24
 
@@ -139,26 +139,26 @@ def test_channel_mismatch_rejected(tmp_path):
 
 
 class TestMalformedFiles:
-    # The header-only sample-rate lookup shares the chunk walk with wav_read,
+    # The header-only reader shares the chunk walk with wav_read,
     # so both must reject a malformed file with the same typed error.
     def test_not_riff(self, tmp_path):
         path = tmp_path / "x.wav"
         path.write_bytes(b"JUNK" + b"\x00" * 64)
-        for reader in (wav_read, wav_sample_rate):
+        for reader in (wav_read, wav_header):
             with pytest.raises(MalformedHeaderError, match="RIFF"):
                 reader(path)
 
     def test_not_wave(self, tmp_path):
         path = tmp_path / "x.wav"
         path.write_bytes(b"RIFF" + struct.pack("<I", 64) + b"AVI " + b"\x00" * 64)
-        for reader in (wav_read, wav_sample_rate):
+        for reader in (wav_read, wav_header):
             with pytest.raises(MalformedHeaderError, match="WAVE"):
                 reader(path)
 
     def test_tiny_file(self, tmp_path):
         path = tmp_path / "x.wav"
         path.write_bytes(b"RIFF")
-        for reader in (wav_read, wav_sample_rate):
+        for reader in (wav_read, wav_header):
             with pytest.raises(MalformedHeaderError, match="small"):
                 reader(path)
 
@@ -169,7 +169,7 @@ class TestMalformedFiles:
         )
         path = tmp_path / "x.wav"
         path.write_bytes(header)
-        for reader in (wav_read, wav_sample_rate):
+        for reader in (wav_read, wav_header):
             with pytest.raises(MalformedHeaderError, match="data"):
                 reader(path)
 
@@ -182,7 +182,7 @@ class TestMalformedFiles:
         )
         path = tmp_path / "x.wav"
         path.write_bytes(header + payload)
-        for reader in (wav_read, wav_sample_rate):
+        for reader in (wav_read, wav_header):
             with pytest.raises(TruncatedDataError, match="declares"):
                 reader(path)
 
@@ -195,7 +195,7 @@ class TestMalformedFiles:
         )
         path = tmp_path / "x.wav"
         path.write_bytes(header + payload)
-        for reader in (wav_read, wav_sample_rate):
+        for reader in (wav_read, wav_header):
             with pytest.raises(UnsupportedCodecError, match="tag 7"):
                 reader(path)
 
@@ -208,7 +208,7 @@ class TestMalformedFiles:
         )
         path = tmp_path / "x.wav"
         path.write_bytes(header + payload)
-        for reader in (wav_read, wav_sample_rate):
+        for reader in (wav_read, wav_header):
             with pytest.raises(UnsupportedCodecError):
                 reader(path)
 
@@ -217,7 +217,7 @@ class TestSampleRateFromHeader:
     def test_matches_full_read(self, tmp_path):
         path = tmp_path / "x.wav"
         wav_write(path, Waveform(np.zeros(100), 22050), SampleDepth.PCM16)
-        assert wav_sample_rate(path) == 22050 == wav_read(path)[0][0].sample_rate
+        assert wav_header(path).sample_rate == 22050 == wav_read(path)[0][0].sample_rate
 
 
 @pytest.fixture(scope="module")
