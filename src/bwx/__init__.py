@@ -4,14 +4,12 @@ audio by recombining predicted magnitudes with estimated phase."""
 from .dsp import (
     BandLayout,
     ComplexSpectrogram,
-    MagnitudeSpectrogram,
     StftConfig,
     Waveform,
     bin_index,
     interior_slice,
-    istft,
-    stft,
-    wrap_phase,
+    istft_array,
+    stft_array,
 )
 from .magnitude import (
     BandReplicationSpec,
@@ -60,7 +58,6 @@ __all__ = [
     "ImportSpec",
     "LowpassMode",
     "LowpassSpec",
-    "MagnitudeSpectrogram",
     "OracleSpec",
     "ReconstructSpec",
     "ReferencePhaseSpec",
@@ -78,7 +75,7 @@ __all__ = [
     "flip_phase",
     "gla_reconstruct",
     "interior_slice",
-    "istft",
+    "istft_array",
     "load_magnitude",
     "lowpass",
     "lsd",
@@ -90,9 +87,8 @@ __all__ = [
     "snr",
     "spec_read",
     "spec_write",
-    "stft",
+    "stft_array",
     "super_resolve",
     "wav_read",
     "wav_write",
-    "wrap_phase",
 ]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import BandLayout, ComplexSpectrogram, StftConfig, istft, stft
+from .dsp import BandLayout, StftConfig, Waveform, istft_array, stft_array
 from .errors import BwxError, FileFormatError, NumericalError, PipelineError, ShapeError
 from .magnitude import BandReplicationSpec, ImportSpec, OracleSpec
 from .phase import GlaConfig, GlaInit
@@ -194,25 +194,12 @@ def _cmd_spec(args) -> int:
             raise ShapeError(
                 f"{args.input}: spec export takes mono input, found {len(channels)} channels"
             )
-        spectrogram = stft(channels[0], cfg)
+        spectrogram = stft_array(channels[0].samples, cfg)
         if args.kind == "magnitude":
-            spec_write(
-                args.output,
-                np.abs(spectrogram.data),
-                SpecKind.MAGNITUDE,
-                spectrogram.sample_rate,
-                cfg.frame_len,
-                cfg.hop,
-            )
+            data, kind = np.abs(spectrogram), SpecKind.MAGNITUDE
         else:
-            spec_write(
-                args.output,
-                spectrogram.data,
-                SpecKind.COMPLEX,
-                spectrogram.sample_rate,
-                cfg.frame_len,
-                cfg.hop,
-            )
+            data, kind = spectrogram, SpecKind.COMPLEX
+        spec_write(args.output, data, kind, channels[0].sample_rate, cfg.frame_len, cfg.hop)
         print(f"wrote {args.output}")
         return EXIT_OK
 
@@ -224,9 +211,7 @@ def _cmd_spec(args) -> int:
     if header.kind is not SpecKind.COMPLEX:
         raise UsageError("only complex BWXSPEC files can be resynthesised to wav")
     cfg = StftConfig(frame_len=header.frame_len, hop=header.hop)
-    wave = istft(
-        ComplexSpectrogram(data.astype(np.complex128), cfg, header.sample_rate)
-    )
+    wave = Waveform(istft_array(data, cfg), header.sample_rate)
     wav_write(args.output, wave, SampleDepth.FLOAT32)
     print(f"wrote {args.output}")
     return EXIT_OK

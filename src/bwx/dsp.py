@@ -43,11 +43,6 @@ def hann_window(frame_len: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / frame_len)
 
 
-def wrap_phase(theta: np.ndarray) -> np.ndarray:
-    """Wrap angles into (-pi, pi]; -pi maps to +pi."""
-    return np.pi - np.mod(np.pi - np.asarray(theta, dtype=np.float64), 2.0 * np.pi)
-
-
 def bin_index(freq_hz: float, sample_rate: int, frame_len: int) -> int:
     """Map a frequency in Hz to the nearest one-sided spectrogram bin.
 
@@ -157,61 +152,26 @@ class BandLayout:
         )
 
 
-def _validate_spectrogram_data(data: np.ndarray) -> None:
-    if data.ndim != 2:
-        raise ShapeError(f"spectrogram data must be 2-D (frames x bins), got {data.shape}")
-    if not np.all(np.isfinite(data)):
-        raise DomainError("spectrogram contains non-finite entries")
+def _checked_magnitude(m: np.ndarray) -> np.ndarray:
+    """``m`` as float64, checked to be 2-D (frames x bins; `ShapeError`),
+    finite and non-negative (`DomainError`)."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ShapeError(f"spectrogram data must be 2-D (frames x bins), got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("magnitude spectrogram contains non-finite entries")
+    if np.any(m < 0):
+        raise DomainError("magnitude spectrogram contains negative entries")
+    return m
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComplexSpectrogram:
-    """Complex STFT values, shape (frames, bins). May be a band slice."""
+    """Griffin-Lim's result: complex STFT values, shape (frames, bins), and
+    the configuration they were analysed with."""
 
     data: np.ndarray
     config: StftConfig
-    sample_rate: int
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.complex128)
-        _validate_spectrogram_data(self.data)
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass
-class MagnitudeSpectrogram:
-    """Non-negative magnitudes, shape (frames, bins). May be a band slice."""
-
-    data: np.ndarray
-    config: StftConfig
-    sample_rate: int
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.float64)
-        _validate_spectrogram_data(self.data)
-        if np.any(self.data < 0):
-            raise DomainError("magnitude spectrogram contains negative entries")
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[1]
-
-
-# ---------------------------------------------------------------------------
-# Array-level core. The public operations below wrap these in the typed
-# containers; iterative callers (Griffin-Lim) use them directly.
-# ---------------------------------------------------------------------------
 
 
 _scratch = threading.local()
@@ -232,8 +192,12 @@ def _frame_scratch(n_frames: int, frame_len: int) -> np.ndarray:
 
 
 def stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """STFT of a 1-D float array, returning (frames, bins) complex128."""
+    """STFT of a 1-D float array, returning (frames, bins) complex128. The
+    samples are not scanned for non-finite values: `Waveform` and the WAV
+    reader check them where they enter."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ShapeError(f"signal must be 1-D, got shape {x.shape}")
     n_frames = cfg.frame_count(len(x))
     windows = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)[:: cfg.hop]
     frames = np.multiply(
@@ -319,8 +283,13 @@ def istft_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
     (L - 1) * hop + frame_len samples.
 
     The overlap-added signal is divided by the floored squared-window sum,
-    which is computed once per (cfg, L) and cached."""
+    which is computed once per (cfg, L) and cached. ``X`` must have
+    ``cfg.n_bins`` bins (`ShapeError` otherwise)."""
     X = np.asarray(X, dtype=np.complex128)
+    if X.ndim != 2:
+        raise ShapeError(f"spectrogram data must be 2-D (frames x bins), got {X.shape}")
+    if X.shape[1] != cfg.n_bins:
+        raise ShapeError(f"spectrogram has {X.shape[1]} bins, config demands {cfg.n_bins}")
     n_frames = X.shape[0]
     out = np.zeros(cfg.output_length(n_frames))
     overlap_add(X, out, 0, cfg)
@@ -348,25 +317,6 @@ def interior_slice(n_samples: int, cfg: StftConfig) -> slice:
     frames, i.e. where the round trip is exact."""
     margin = cfg.frame_len - cfg.hop
     return slice(margin, n_samples - margin)
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
-
-
-def stft(x: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
-    """Forward STFT of a waveform."""
-    return ComplexSpectrogram(stft_array(x.samples, cfg), cfg, x.sample_rate)
-
-
-def istft(X: ComplexSpectrogram) -> Waveform:
-    """Inverse STFT by weighted overlap-add synthesis."""
-    if X.n_bins != X.config.n_bins:
-        raise ShapeError(
-            f"spectrogram has {X.n_bins} bins, config demands {X.config.n_bins}"
-        )
-    return Waveform(istft_array(X.data, X.config), X.sample_rate)
 
 
 def consistency_project_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:

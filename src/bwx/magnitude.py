@@ -18,6 +18,8 @@ from .errors import FileFormatError, PayloadValueError, ShapeError
 from .specio import SpecKind, spec_read
 
 GAIN_DENOMINATOR_FLOOR = 1e-12
+# Bins on each side of the cutoff whose mean magnitudes set the SBR gain.
+GAIN_ANCHOR_BINS = 4
 
 
 @dataclass(frozen=True)
@@ -29,21 +31,7 @@ class OracleSpec:
 
 @dataclass(frozen=True)
 class BandReplicationSpec:
-    """Copy low-band magnitudes upward with a continuity gain at the cutoff.
-
-    ``gain_anchor_bins`` sets how many bins on each side of the cutoff form
-    the gain estimate; ``tilt_per_bin`` applies a per-bin spectral tilt to the
-    replicated block.
-    """
-
-    gain_anchor_bins: int = 4
-    tilt_per_bin: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.gain_anchor_bins < 1:
-            raise ShapeError(f"gain_anchor_bins must be >= 1, got {self.gain_anchor_bins}")
-        if self.tilt_per_bin <= 0:
-            raise ShapeError(f"tilt_per_bin must be > 0, got {self.tilt_per_bin}")
+    """Copy low-band magnitudes upward with a continuity gain at the cutoff."""
 
 
 @dataclass(frozen=True)
@@ -62,18 +50,13 @@ def predict_oracle(reference: np.ndarray, layout: BandLayout) -> np.ndarray:
     return np.abs(reference[:, layout.k_lo : layout.k_hi])
 
 
-def predict_band_replication(
-    lfc_mag: np.ndarray,
-    layout: BandLayout,
-    spec: BandReplicationSpec = BandReplicationSpec(),
-) -> np.ndarray:
+def predict_band_replication(lfc_mag: np.ndarray, layout: BandLayout) -> np.ndarray:
     """Replicate low-band magnitudes ``lfc_mag``, shape (frames, k_lo), into
     the high band.
 
     Per frame, bin k copies M[k - k_lo], scaled by the ratio of the mean of
-    the last ``gain_anchor_bins`` low-band magnitudes to the mean of the first
-    ``gain_anchor_bins`` copied ones (denominator floored at 1e-12), then
-    tilted by ``tilt_per_bin ** (k - k_lo)``.
+    the last ``GAIN_ANCHOR_BINS`` low-band magnitudes to the mean of the
+    first ``GAIN_ANCHOR_BINS`` copied ones (denominator floored at 1e-12).
     """
     if lfc_mag.shape[1] != layout.lfc_width:
         raise ShapeError(
@@ -85,13 +68,11 @@ def predict_band_replication(
             f"high band ({width} bins) wider than low band ({layout.lfc_width}); "
             "replication source undefined"
         )
-    anchors = spec.gain_anchor_bins
     copied = lfc_mag[:, :width]
-    top_mean = np.mean(lfc_mag[:, layout.lfc_width - anchors :], axis=1)
-    bottom_mean = np.mean(copied[:, :anchors], axis=1)
+    top_mean = np.mean(lfc_mag[:, layout.lfc_width - GAIN_ANCHOR_BINS :], axis=1)
+    bottom_mean = np.mean(copied[:, :GAIN_ANCHOR_BINS], axis=1)
     gain = top_mean / np.maximum(bottom_mean, GAIN_DENOMINATOR_FLOOR)
-    tilt = spec.tilt_per_bin ** np.arange(width)
-    return copied * gain[:, None] * tilt[None, :]
+    return copied * gain[:, None]
 
 
 def load_magnitude(

@@ -14,10 +14,9 @@ import numpy as np
 
 from .dsp import (
     BandLayout,
-    ComplexSpectrogram,
-    MagnitudeSpectrogram,
     StftConfig,
     Waveform,
+    _checked_magnitude,
     consistency_project_array,
     frame_blocks,
     stft_array,
@@ -40,22 +39,20 @@ def log_power(magnitude: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(m * m + LSD_POWER_FLOOR)
 
 
-def lsd(
-    truth: MagnitudeSpectrogram,
-    estimate: MagnitudeSpectrogram,
-    bins: tuple[int, int],
-) -> float:
-    """Log-spectral distance in dB over the half-open bin range ``bins``.
+def lsd(truth: np.ndarray, estimate: np.ndarray, bins: tuple[int, int]) -> float:
+    """Log-spectral distance in dB between two magnitude spectrograms, shape
+    (frames, bins), over the half-open bin range ``bins``.
 
     Per frame, the RMS of log-power differences across the selected bins;
-    those per-frame values are averaged over all frames.
+    those per-frame values are averaged over all frames. Both inputs must be
+    2-D, finite and non-negative.
     """
-    if truth.data.shape != estimate.data.shape:
-        raise ShapeError(
-            f"magnitude shapes differ: {truth.data.shape} vs {estimate.data.shape}"
-        )
-    _check_bins(bins, truth.n_bins)
-    return float(np.mean(_lsd_per_frame(truth.data, estimate.data, bins)))
+    truth = _checked_magnitude(truth)
+    estimate = _checked_magnitude(estimate)
+    if truth.shape != estimate.shape:
+        raise ShapeError(f"magnitude shapes differ: {truth.shape} vs {estimate.shape}")
+    _check_bins(bins, truth.shape[1])
+    return float(np.mean(_lsd_per_frame(truth, estimate, bins)))
 
 
 def _check_bins(bins: tuple[int, int], n_bins: int) -> None:
@@ -126,13 +123,11 @@ def snr(truth: Waveform, estimate: Waveform) -> float:
     return sums.snr_db()
 
 
-def consistency_residual(X: ComplexSpectrogram) -> float:
-    """||X - P_C(X)||_F / max(||X||_F, 1e-12); zero exactly for consistent X."""
-    if X.n_bins != X.config.n_bins:
-        raise ShapeError(
-            f"spectrogram has {X.n_bins} bins, config demands {X.config.n_bins}"
-        )
-    return _consistency_residual(X.data, consistency_project_array(X.data, X.config))
+def consistency_residual(X: np.ndarray, cfg: StftConfig) -> float:
+    """||X - P_C(X)||_F / max(||X||_F, 1e-12) for a complex spectrogram
+    ``X`` analysed under ``cfg``; zero exactly for consistent X. ``X`` must
+    have ``cfg.n_bins`` bins (`ShapeError` otherwise)."""
+    return _consistency_residual(X, consistency_project_array(X, cfg))
 
 
 @dataclass

@@ -27,7 +27,8 @@ import numpy as np
 from .dsp import (
     BandLayout,
     ComplexSpectrogram,
-    MagnitudeSpectrogram,
+    StftConfig,
+    _checked_magnitude,
     consistency_project_array,
 )
 from .errors import DomainError, NumericalError, ShapeError
@@ -112,24 +113,30 @@ def _consistency_residual(X: np.ndarray, projected: np.ndarray) -> float:
 
 
 def gla_reconstruct(
-    full_magnitude: MagnitudeSpectrogram,
-    lfc_complex: ComplexSpectrogram,
+    magnitude: np.ndarray,
+    lfc: np.ndarray,
     cfg: GlaConfig,
     layout: BandLayout,
+    stft: StftConfig,
     initial_hf_phase: np.ndarray | None = None,
 ) -> tuple[ComplexSpectrogram, GlaTrace]:
     """Griffin-Lim with a pinned low band, split at ``layout``'s bins.
 
-    The starting spectrogram copies ``lfc_complex`` into bins [0, k_lo) and
-    gives every remaining bin the supplied magnitude with the configured
-    initial phase. Each iteration projects onto consistent spectrograms and
+    ``magnitude``, shape (frames, n_bins - k_lo), holds the magnitudes of
+    every bin from the cutoff up; ``lfc``, shape (frames, k_lo), is the
+    complex low band. Both are checked once, on entry: shapes
+    (`ShapeError`), finiteness and non-negative magnitudes (`DomainError`).
+
+    The starting spectrogram copies ``lfc`` into bins [0, k_lo) and gives
+    every remaining bin its magnitude with the configured initial phase.
+    Each iteration projects onto consistent spectrograms under ``stft`` and
     re-imposes the magnitudes on bins k_lo and above only, as
     ``Y * (A / |Y|)`` with zero divided by zero defined as zero. The low band
     is never written after the start, so it survives bit for bit. The
     spectrogram and the magnitude-ratio buffer are allocated once; each
     iteration's NaN check covers only the re-imposed bins.
 
-    ``initial_hf_phase``, shape (frames, n_bins - k_lo), overrides the
+    ``initial_hf_phase``, shaped like ``magnitude``, overrides the
     configured init and warm-starts the loop with explicit phases for every
     bin at and above the cutoff.
 
@@ -137,29 +144,27 @@ def gla_reconstruct(
     ``cfg.record_trace`` is off). ``iterations == 0`` returns the starting
     spectrogram unchanged.
     """
-    if full_magnitude.n_bins != layout.n_bins:
-        raise ShapeError(
-            f"full magnitude has {full_magnitude.n_bins} bins, layout expects {layout.n_bins}"
-        )
-    if lfc_complex.n_bins != layout.lfc_width:
-        raise ShapeError(
-            f"low-band constraint has {lfc_complex.n_bins} bins, layout expects {layout.lfc_width}"
-        )
-    if full_magnitude.n_frames != lfc_complex.n_frames:
-        raise ShapeError(
-            f"frame counts differ: magnitude {full_magnitude.n_frames}, "
-            f"low band {lfc_complex.n_frames}"
-        )
-    if full_magnitude.config.n_bins != layout.n_bins:
-        raise ShapeError("layout is inconsistent with the STFT configuration")
-
-    A = full_magnitude.data
-    lfc = lfc_complex.data
-    stft_cfg = full_magnitude.config
+    A_hi = _checked_magnitude(magnitude)
+    lfc = np.asarray(lfc, dtype=np.complex128)
     k_lo, k_hi = layout.k_lo, layout.k_hi
+    if layout.n_bins != stft.n_bins:
+        raise ShapeError("layout is inconsistent with the STFT configuration")
+    if A_hi.shape[1] != layout.n_bins - k_lo:
+        raise ShapeError(
+            f"magnitude has {A_hi.shape[1]} bins, layout expects {layout.n_bins - k_lo}"
+        )
+    if lfc.ndim != 2 or lfc.shape[1] != layout.lfc_width:
+        raise ShapeError(
+            f"low-band constraint has shape {lfc.shape}, layout expects {layout.lfc_width} bins"
+        )
+    if A_hi.shape[0] != lfc.shape[0]:
+        raise ShapeError(
+            f"frame counts differ: magnitude {A_hi.shape[0]}, low band {lfc.shape[0]}"
+        )
+    if not np.all(np.isfinite(lfc)):
+        raise DomainError("low-band constraint contains non-finite entries")
 
-    A_hi = A[:, k_lo:]
-    X = np.empty(A.shape, dtype=np.complex128)
+    X = np.empty((A_hi.shape[0], layout.n_bins), dtype=np.complex128)
     X[:, :k_lo] = lfc
     X_hi = X[:, k_lo:]
     if initial_hf_phase is not None:
@@ -177,7 +182,7 @@ def gla_reconstruct(
 
     residuals = np.empty(cfg.iterations) if cfg.record_trace else None
     for m in range(cfg.iterations):
-        Y = consistency_project_array(X, stft_cfg)
+        Y = consistency_project_array(X, stft)
         if residuals is not None:
             residuals[m] = _consistency_residual(X, Y)
         Y_hi = Y[:, k_lo:]
@@ -188,7 +193,7 @@ def gla_reconstruct(
         if np.isnan(X_hi).any():
             raise NumericalError(f"NaN appeared at Griffin-Lim iteration {m}")
 
-    result = ComplexSpectrogram(X, stft_cfg, full_magnitude.sample_rate)
+    result = ComplexSpectrogram(X, stft)
     trace = GlaTrace(residuals if residuals is not None else np.empty(0))
     return result, trace
 

@@ -30,8 +30,6 @@ import numpy as np
 
 from .dsp import (
     BandLayout,
-    ComplexSpectrogram,
-    MagnitudeSpectrogram,
     StftConfig,
     Waveform,
     _synthesis_denominator,
@@ -295,7 +293,7 @@ def _magnitude_steps(
     if isinstance(predictor, BandReplicationSpec):
 
         def replicate(x, block):
-            return predict_band_replication(np.abs(x[:, : layout.k_lo]), layout, predictor)
+            return predict_band_replication(np.abs(x[:, : layout.k_lo]), layout)
 
         return [replicate] * n_channels
     if isinstance(predictor, ImportSpec):
@@ -307,7 +305,7 @@ def _magnitude_steps(
 
 
 def _phase_steps(
-    spec: ReconstructSpec, n_frames: int, n_channels: int, rate: int, references: _References
+    spec: ReconstructSpec, n_frames: int, n_channels: int, references: _References
 ) -> list:
     """One step per channel mapping a block of frames (its analysis ``x``, its
     high-band magnitudes ``mag`` and its ``frame_blocks`` triple) to the
@@ -321,13 +319,11 @@ def _phase_steps(
     if isinstance(strategy, GlaPhaseSpec):
 
         def gla(x, mag, block):
-            full = np.hstack([np.abs(x[:, :k_lo]), mag, np.abs(x[:, k_hi:])])
-            result, trace = gla_reconstruct(
-                MagnitudeSpectrogram(full, cfg, rate),
-                ComplexSpectrogram(x[:, :k_lo], cfg, rate),
-                strategy.config,
-                layout,
-            )
+            # GLA's magnitudes, bins k_lo up, assembled in place: no |residual| temporary.
+            magnitude = np.empty((len(x), layout.n_bins - k_lo))
+            magnitude[:, : k_hi - k_lo] = mag
+            np.abs(x[:, k_hi:], out=magnitude[:, k_hi - k_lo :])
+            result, trace = gla_reconstruct(magnitude, x[:, :k_lo], strategy.config, layout, cfg)
             # The loop has already re-imposed ``mag`` on these bins.
             return result.data[:, k_lo:k_hi], trace
 
@@ -380,7 +376,7 @@ def _reconstruct_blocks(
     with _stage("magnitude"):
         magnitude_steps = _magnitude_steps(spec, n_frames, n_channels, rate, references)
     with _stage("phase"):
-        phase_steps = _phase_steps(spec, n_frames, n_channels, rate, references)
+        phase_steps = _phase_steps(spec, n_frames, n_channels, references)
 
     with _stage("write-output"):
         sink.begin(n_channels, cfg.output_length(n_frames))

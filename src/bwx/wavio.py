@@ -103,6 +103,8 @@ def _read_header(fh, path) -> _WavHeader:
     tag, n_channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if n_channels < 1:
         raise MalformedHeaderError(f"{path}: channel count {n_channels} invalid")
+    if sample_rate < 1:
+        raise MalformedHeaderError(f"{path}: sample rate {sample_rate} Hz invalid")
     if (tag, bits) not in _SUPPORTED:
         raise UnsupportedCodecError(
             f"{path}: format tag {tag} with {bits} bits is not supported "

@@ -146,17 +146,26 @@ class TestSr:
         assert code == 1
         assert lr_path.read_bytes() == before
 
-    @pytest.mark.parametrize("command", ["sr", "eval"])
-    def test_malformed_input_is_io_error(self, tmp_path, hr_path, command):
-        bad = tmp_path / "bad.wav"
-        bad.write_bytes(hr_path.read_bytes()[:-100])  # data chunk cut short
-        if command == "sr":
-            argv = ["sr", "--in", str(bad), "--out", str(tmp_path / "o.wav"),
-                    "--mag", "sbr", "--phase", "flip"]
-        else:
-            argv = ["eval", "--truth", str(bad), "--est", str(hr_path),
-                    "--out", str(tmp_path / "e.csv")]
-        assert main(argv) == 2
+    @pytest.mark.parametrize("command", ["sr", "eval", "prepare", "spec-export"])
+    def test_malformed_input_is_io_error(self, tmp_path, hr_path, command, capsys):
+        good = hr_path.read_bytes()
+        rate_at = good.index(b"fmt ") + 12  # the fmt chunk's sample-rate field
+        damaged = {
+            "truncated": good[:-100],  # data chunk cut short
+            "zero-rate": good[:rate_at] + bytes(4) + good[rate_at + 4 :],
+        }
+        for name, data in damaged.items():
+            bad = tmp_path / f"{name}.wav"
+            bad.write_bytes(data)
+            out = str(tmp_path / "out")
+            argv = {
+                "sr": ["sr", "--in", str(bad), "--out", out, "--mag", "sbr", "--phase", "flip"],
+                "eval": ["eval", "--truth", str(bad), "--est", str(hr_path), "--out", out],
+                "prepare": ["prepare", "--in", str(bad), "--out", out],
+                "spec-export": ["spec", "export", "--in", str(bad), "--out", out],
+            }[command]
+            assert main(argv) == 2, name
+            assert str(bad) in capsys.readouterr().err
 
 
 class TestEval:

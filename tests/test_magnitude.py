@@ -5,7 +5,6 @@ import pytest
 
 from bwx import (
     BandLayout,
-    BandReplicationSpec,
     SpecKind,
     StftConfig,
     bin_index,
@@ -54,16 +53,10 @@ class TestBandReplication:
 
     def test_ramp_gain_matches_closed_form(self):
         ramp = np.tile(np.arange(186.0), (2, 1))
-        out = predict_band_replication(self._lfc(ramp), LAYOUT, BandReplicationSpec())
+        out = predict_band_replication(self._lfc(ramp), LAYOUT)
         gain = np.mean([182.0, 183.0, 184.0, 185.0]) / np.mean([0.0, 1.0, 2.0, 3.0])
         assert gain == 183.5 / 1.5
         np.testing.assert_allclose(out, ramp * gain, rtol=1e-12)
-
-    def test_tilt(self):
-        flat = self._lfc(np.ones((1, 186)))
-        spec = BandReplicationSpec(tilt_per_bin=0.99)
-        out = predict_band_replication(flat, LAYOUT, spec)
-        np.testing.assert_allclose(out[0], 0.99 ** np.arange(186), rtol=1e-12)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(6)

@@ -5,19 +5,17 @@ import pytest
 
 from bwx import (
     BandLayout,
-    ComplexSpectrogram,
     GlaConfig,
     GlaInit,
-    MagnitudeSpectrogram,
     StftConfig,
     extract_reference_phase,
     flip_phase,
     gla_reconstruct,
-    stft,
+    stft_array,
 )
 import bwx.phase
-from bwx.dsp import consistency_project_array, stft_array
-from bwx.errors import NumericalError, ShapeError
+from bwx.dsp import consistency_project_array
+from bwx.errors import DomainError, NumericalError, ShapeError
 
 CFG = StftConfig()
 LAYOUT = BandLayout(186, 372, CFG.n_bins)
@@ -99,10 +97,14 @@ class TestFlipPhase:
 
 
 def _consistent_inputs(wave):
-    X = stft(wave, CFG)
-    magnitude = MagnitudeSpectrogram(np.abs(X.data), CFG, wave.sample_rate)
-    lfc = ComplexSpectrogram(X.data[:, :186].copy(), CFG, wave.sample_rate)
-    return X, magnitude, lfc
+    """The STFT of ``wave``, the magnitudes of its bins from the cutoff up and
+    its complex low band."""
+    X = stft_array(wave.samples, CFG)
+    return X, np.abs(X[:, 186:]), X[:, :186].copy()
+
+
+def _gla(magnitude, lfc, cfg, **kwargs):
+    return gla_reconstruct(magnitude, lfc, cfg, LAYOUT, CFG, **kwargs)
 
 
 class TestGlaReconstruct:
@@ -110,82 +112,109 @@ class TestGlaReconstruct:
         # Warm-start with the true phases: the loop must sit still.
         X, magnitude, lfc = _consistent_inputs(short_music)
         cfg = GlaConfig(iterations=20)
-        true_phase = np.angle(X.data[:, 186:])
-        out, trace = gla_reconstruct(magnitude, lfc, cfg, LAYOUT, initial_hf_phase=true_phase)
+        true_phase = np.angle(X[:, 186:])
+        out, trace = _gla(magnitude, lfc, cfg, initial_hf_phase=true_phase)
         assert len(trace) == 20
         assert np.all(trace.residuals < 1e-6)
-        err = np.linalg.norm(out.data - X.data) / np.linalg.norm(X.data)
+        err = np.linalg.norm(out.data - X) / np.linalg.norm(X)
         assert err < 1e-6
 
     def test_zero_iterations_returns_documented_start(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
         cfg = GlaConfig(iterations=0)
-        out, trace = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
+        out, trace = _gla(magnitude, lfc, cfg)
         assert len(trace) == 0
         expected = np.empty_like(out.data)
-        expected[:, :186] = lfc.data
-        expected[:, 186:] = magnitude.data[:, 186:]  # zero phase
+        expected[:, :186] = lfc
+        expected[:, 186:] = magnitude  # zero phase
         assert np.array_equal(out.data, expected)
 
     def test_flip_init_start(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
         cfg = GlaConfig(iterations=0, init=GlaInit.FLIP_PHASE)
-        out, _ = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
-        assert np.array_equal(out.data[:, :186], lfc.data)
+        out, _ = _gla(magnitude, lfc, cfg)
+        assert np.array_equal(out.data[:, :186], lfc)
         # high band carries the mirrored phase, residual band stays zero phase
         k = 186
         src = closed_form_source(k, 186)
-        expected = magnitude.data[:, k] * np.exp(-1j * np.angle(lfc.data[:, src]))
+        expected = magnitude[:, k - 186] * np.exp(-1j * np.angle(lfc[:, src]))
         np.testing.assert_allclose(out.data[:, k], expected, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(
-            out.data[:, 372:], magnitude.data[:, 372:].astype(complex), atol=1e-12
+            out.data[:, 372:], magnitude[:, 372 - 186 :].astype(complex), atol=1e-12
         )
 
     def test_residual_decreases_on_oracle_task(self, short_music):
         # Zero the high band of the constraint, keep oracle magnitudes.
         X, magnitude, lfc = _consistent_inputs(short_music)
         cfg = GlaConfig(iterations=30)
-        out, trace = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
+        out, trace = _gla(magnitude, lfc, cfg)
         assert trace.residuals[-1] < trace.residuals[0]
 
     def test_low_band_preserved_bit_for_bit(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
         cfg = GlaConfig(iterations=5)
-        out, _ = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
-        assert np.array_equal(out.data[:, :186], lfc.data)
+        out, _ = _gla(magnitude, lfc, cfg)
+        assert np.array_equal(out.data[:, :186], lfc)
 
     def test_final_magnitudes_match_constraint(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
         cfg = GlaConfig(iterations=5)
-        out, _ = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
+        out, _ = _gla(magnitude, lfc, cfg)
         np.testing.assert_allclose(
-            np.abs(out.data[:, 186:]), magnitude.data[:, 186:], rtol=1e-12, atol=0
+            np.abs(out.data[:, 186:]), magnitude, rtol=1e-12, atol=0
         )
 
     def test_deterministic(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
         cfg = GlaConfig(iterations=8)
-        out1, trace1 = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
-        out2, trace2 = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
+        out1, trace1 = _gla(magnitude, lfc, cfg)
+        out2, trace2 = _gla(magnitude, lfc, cfg)
         assert np.array_equal(out1.data, out2.data)
         assert np.array_equal(trace1.residuals, trace2.residuals)
 
     def test_record_trace_off(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
         cfg = GlaConfig(iterations=3, record_trace=False)
-        _, trace = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
+        _, trace = _gla(magnitude, lfc, cfg)
         assert len(trace) == 0
 
     def test_shape_mismatch_rejected(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
-        bad_lfc = ComplexSpectrogram(lfc.data[:, :100], CFG, 44100)
-        with pytest.raises(ShapeError):
-            gla_reconstruct(magnitude, bad_lfc, GlaConfig(), LAYOUT)
+        for bad_magnitude, bad_lfc in (
+            (magnitude, lfc[:, :100]),  # low band too narrow
+            (np.abs(stft_array(short_music.samples, CFG)), lfc),  # every bin, not k_lo up
+            (magnitude[:-1], lfc),  # frame counts differ
+            (magnitude[0], lfc[0]),  # not 2-D
+        ):
+            with pytest.raises(ShapeError):
+                _gla(bad_magnitude, bad_lfc, GlaConfig())
+        with pytest.raises(ShapeError, match="inconsistent"):
+            gla_reconstruct(magnitude, lfc, GlaConfig(), LAYOUT, StftConfig(1024, 256))
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            ("negative magnitude", "magnitude spectrogram contains negative"),
+            ("nan magnitude", "magnitude spectrogram contains non-finite"),
+            ("inf magnitude", "magnitude spectrogram contains non-finite"),
+            ("nan low band", "low-band constraint contains non-finite"),
+            ("inf low band", "low-band constraint contains non-finite"),
+        ],
+    )
+    def test_bad_values_rejected(self, short_music, damage, match):
+        _, magnitude, lfc = _consistent_inputs(short_music)
+        value = {"negative": -1.0, "nan": np.nan, "inf": np.inf}[damage.split()[0]]
+        if damage.endswith("magnitude"):
+            magnitude[2, 5] = value
+        else:
+            lfc[2, 5] = complex(0.0, value)
+        with pytest.raises(DomainError, match=match):
+            _gla(magnitude, lfc, GlaConfig(iterations=1))
 
     def test_trace_csv_format(self, tmp_path, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
         cfg = GlaConfig(iterations=4)
-        _, trace = gla_reconstruct(magnitude, lfc, cfg, LAYOUT)
+        _, trace = _gla(magnitude, lfc, cfg)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -202,7 +231,8 @@ def _reference_loop(magnitude, lfc, start, iterations):
     """The loop as first written: project, re-impose A * Y / |Y| on every bin
     with 0/0 -> 0, then re-pin the low band. Returns the spectrogram and the
     residual of every iteration."""
-    A, k_lo = magnitude.data, lfc.n_bins
+    k_lo = lfc.shape[1]
+    A = np.hstack([np.abs(lfc), magnitude])
     X = start.copy()
     residuals = []
     for _ in range(iterations):
@@ -210,7 +240,7 @@ def _reference_loop(magnitude, lfc, start, iterations):
         residuals.append(np.linalg.norm(X - Y) / max(np.linalg.norm(X), 1e-12))
         absY = np.abs(Y)
         X = A * np.divide(Y, absY, out=np.zeros_like(Y), where=absY > 0)
-        X[:, :k_lo] = lfc.data
+        X[:, :k_lo] = lfc
     return X, np.array(residuals)
 
 
@@ -225,19 +255,19 @@ class TestGlaKernel:
         warm = None
         if start == "warm":
             rng = np.random.default_rng(17)
-            warm = rng.uniform(-np.pi, np.pi, size=(magnitude.n_frames, CFG.n_bins - 186))
+            warm = rng.uniform(-np.pi, np.pi, size=magnitude.shape)
         start_cfg = GlaConfig(iterations=0, init=init)
-        X0, _ = gla_reconstruct(magnitude, lfc, start_cfg, LAYOUT, initial_hf_phase=warm)
+        X0, _ = _gla(magnitude, lfc, start_cfg, initial_hf_phase=warm)
         expected, expected_residuals = _reference_loop(magnitude, lfc, X0.data, self.ITERATIONS)
 
         cfg = GlaConfig(iterations=self.ITERATIONS, init=init, record_trace=record_trace)
-        out, trace = gla_reconstruct(magnitude, lfc, cfg, LAYOUT, initial_hf_phase=warm)
+        out, trace = _gla(magnitude, lfc, cfg, initial_hf_phase=warm)
         # A * (Y / |Y|) and Y * (A / |Y|) round differently, and the FFTs spread
         # that rounding over every bin, so the tolerance is relative to the
         # spectrogram's scale rather than to each (possibly tiny) entry.
         scale = np.abs(expected).max()
         np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12 * scale)
-        assert np.array_equal(out.data[:, :186], lfc.data)
+        assert np.array_equal(out.data[:, :186], lfc)
         if record_trace:
             np.testing.assert_allclose(trace.residuals, expected_residuals, rtol=1e-9)
         else:
@@ -245,11 +275,10 @@ class TestGlaKernel:
 
     def test_zero_magnitude_bins_give_zero(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
-        A = magnitude.data.copy()
-        A[:, 300:400] = 0.0
-        A[:, 900:] = 0.0
-        zeroed = MagnitudeSpectrogram(A, CFG, 44100)
-        out, _ = gla_reconstruct(zeroed, lfc, GlaConfig(iterations=3), LAYOUT)
+        zeroed = magnitude.copy()
+        zeroed[:, 300 - 186 : 400 - 186] = 0.0
+        zeroed[:, 900 - 186 :] = 0.0
+        out, _ = _gla(zeroed, lfc, GlaConfig(iterations=3))
         assert np.all(np.isfinite(out.data))
         assert np.all(out.data[:, 300:400] == 0)
         assert np.all(out.data[:, 900:] == 0)
@@ -257,9 +286,9 @@ class TestGlaKernel:
     def test_silence_stays_silent(self):
         # |Y| = 0 everywhere: every re-imposed bin is 0 / 0, defined as 0.
         frames = 6
-        magnitude = MagnitudeSpectrogram(np.zeros((frames, CFG.n_bins)), CFG, 44100)
-        lfc = ComplexSpectrogram(np.zeros((frames, 186)), CFG, 44100)
-        out, trace = gla_reconstruct(magnitude, lfc, GlaConfig(iterations=3), LAYOUT)
+        magnitude = np.zeros((frames, CFG.n_bins - 186))
+        lfc = np.zeros((frames, 186), dtype=complex)
+        out, trace = _gla(magnitude, lfc, GlaConfig(iterations=3))
         assert np.all(out.data == 0)
         assert np.all(np.isfinite(trace.residuals))
 
@@ -276,16 +305,16 @@ class TestGlaKernel:
 
         monkeypatch.setattr(bwx.phase, "consistency_project_array", poisoned)
         with pytest.raises(NumericalError, match="iteration 2"):
-            gla_reconstruct(magnitude, lfc, GlaConfig(iterations=5), LAYOUT)
+            _gla(magnitude, lfc, GlaConfig(iterations=5))
         assert len(calls) == 3
 
 
 class TestExtractReferencePhase:
     def test_exact_match_on_hr_file(self, short_music):
-        X = stft(short_music, CFG)
-        phasors = extract_reference_phase(X.data, LAYOUT, target_frames=X.data.shape[0])
+        X = stft_array(short_music.samples, CFG)
+        phasors = extract_reference_phase(X, LAYOUT, target_frames=X.shape[0])
         np.testing.assert_allclose(
-            np.angle(phasors), np.angle(X.data[:, 186:372]), atol=1e-12
+            np.angle(phasors), np.angle(X[:, 186:372]), atol=1e-12
         )
         np.testing.assert_allclose(np.abs(phasors), 1.0, rtol=0, atol=1e-12)
 

@@ -186,6 +186,19 @@ class TestMalformedFiles:
             with pytest.raises(TruncatedDataError, match="declares"):
                 reader(path)
 
+    def test_zero_sample_rate(self, tmp_path):
+        payload = b"\x00\x00" * 10
+        header = struct.pack(
+            "<4sI4s4sIHHIIHH4sI",
+            b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
+            1, 1, 0, 0, 2, 16, b"data", len(payload),
+        )
+        path = tmp_path / "x.wav"
+        path.write_bytes(header + payload)
+        for reader in (wav_read, wav_header):
+            with pytest.raises(MalformedHeaderError, match="sample rate 0"):
+                reader(path)
+
     def test_unsupported_codec(self, tmp_path):
         payload = b"\x00" * 8
         header = struct.pack(
