@@ -21,18 +21,16 @@ from .magnitude import (
 )
 from .metrics import EvalReport, consistency_residual, evaluate, lsd, snr
 from .phase import (
+    FlipPhaseSpec,
     GlaConfig,
     GlaInit,
-    GlaTrace,
+    ReferencePhaseSpec,
     extract_reference_phase,
     flip_phase,
     gla_reconstruct,
 )
 from .pipeline import (
-    FlipPhaseSpec,
-    GlaPhaseSpec,
     ReconstructSpec,
-    ReferencePhaseSpec,
     ResidualBand,
     evaluate_batch,
     reconstruct,
@@ -53,8 +51,6 @@ __all__ = [
     "FlipPhaseSpec",
     "GlaConfig",
     "GlaInit",
-    "GlaPhaseSpec",
-    "GlaTrace",
     "ImportSpec",
     "LowpassMode",
     "LowpassSpec",

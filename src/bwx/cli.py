@@ -20,12 +20,9 @@ import numpy as np
 from .dsp import BandLayout, StftConfig, Waveform, istft_array, stft_array
 from .errors import BwxError, FileFormatError, NumericalError, PipelineError, ShapeError
 from .magnitude import BandReplicationSpec, ImportSpec, OracleSpec
-from .phase import GlaConfig, GlaInit
+from .phase import FlipPhaseSpec, GlaConfig, GlaInit, ReferencePhaseSpec
 from .pipeline import (
-    FlipPhaseSpec,
-    GlaPhaseSpec,
     ReconstructSpec,
-    ReferencePhaseSpec,
     ResidualBand,
     evaluate_batch,
     run_phase_study,
@@ -113,12 +110,12 @@ def _parse_mag(text: str):
     raise UsageError(f"--mag must be oracle:<path>, sbr or import:<path>, got {text!r}")
 
 
-def _parse_phase(text: str, iters: int, init: str, record_trace: bool):
+def _parse_phase(text: str, iters: int, init: str):
     if text == "flip":
         return FlipPhaseSpec()
     if text == "gla":
         gla_init = GlaInit.ZERO_PHASE if init == "zero" else GlaInit.FLIP_PHASE
-        return GlaPhaseSpec(GlaConfig(iterations=iters, init=gla_init, record_trace=record_trace))
+        return GlaConfig(iterations=iters, init=gla_init)
     if text.startswith("ref:") and len(text) > 4:
         return ReferencePhaseSpec(text[4:])
     raise UsageError(f"--phase must be flip, gla or ref:<path>, got {text!r}")
@@ -146,10 +143,8 @@ def _cmd_sr(args) -> int:
     cfg = StftConfig(frame_len=args.frame, hop=args.hop)
     sample_rate = wav_header(args.input).sample_rate
     layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
-    phase = _parse_phase(
-        args.phase, args.gla_iters, args.gla_init, record_trace=args.trace is not None
-    )
-    if args.trace is not None and not isinstance(phase, GlaPhaseSpec):
+    phase = _parse_phase(args.phase, args.gla_iters, args.gla_init)
+    if args.trace is not None and not isinstance(phase, GlaConfig):
         raise UsageError("--trace is only meaningful with --phase gla")
     spec = ReconstructSpec(
         predictor=_parse_mag(args.mag),

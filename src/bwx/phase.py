@@ -14,13 +14,15 @@ that already hold the right magnitudes.
   complex STFT, e.g. the original recording's or an external synthesiser's.
 
 A zero bin, and a frame the reference does not reach, get the phasor 1, that
-is phase zero (as ``np.angle(0) == 0``).
+is phase zero (as ``np.angle(0) == 0``). ``FlipPhaseSpec``, ``GlaConfig`` and
+``ReferencePhaseSpec`` name the strategies in a ``ReconstructSpec``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -44,37 +46,30 @@ class GlaInit(enum.Enum):
 
 
 @dataclass(frozen=True)
+class FlipPhaseSpec:
+    """Mirror the low band's phasors about the cutoff, conjugated."""
+
+
+@dataclass(frozen=True)
 class GlaConfig:
+    """Run Griffin-Lim for ``iterations`` from the ``init`` start."""
+
     iterations: int = 100
     init: GlaInit = GlaInit.ZERO_PHASE
-    record_trace: bool = True
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
             raise DomainError(f"iterations must be >= 0, got {self.iterations}")
 
 
-@dataclass
-class GlaTrace:
-    """Per-iteration consistency residuals, ||X - P_C(X)||_F / max(||X||_F, 1e-12)."""
+@dataclass(frozen=True)
+class ReferencePhaseSpec:
+    """Read the high band's phasors off the reference file at ``path``."""
 
-    residuals: np.ndarray = field(default_factory=lambda: np.empty(0))
+    path: str
 
-    def __post_init__(self) -> None:
-        self.residuals = np.asarray(self.residuals, dtype=np.float64)
 
-    def __len__(self) -> int:
-        return len(self.residuals)
-
-    def to_csv(self, path) -> None:
-        """Write `iteration,residual` rows, residuals in decimal notation with
-        at least 9 significant digits."""
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("iteration,residual\n")
-            for i, r in enumerate(self.residuals):
-                fh.write(
-                    f"{i},{np.format_float_positional(r, precision=9, unique=False, fractional=False)}\n"
-                )
+PhaseStrategySpec = Union[FlipPhaseSpec, GlaConfig, ReferencePhaseSpec]
 
 
 def flip_source_bins(layout: BandLayout) -> np.ndarray:
@@ -118,8 +113,10 @@ def gla_reconstruct(
     cfg: GlaConfig,
     layout: BandLayout,
     stft: StftConfig,
-    initial_hf_phase: np.ndarray | None = None,
-) -> tuple[ComplexSpectrogram, GlaTrace]:
+    initial_hf: np.ndarray | None = None,
+    *,
+    record_trace: bool = True,
+) -> tuple[ComplexSpectrogram, np.ndarray]:
     """Griffin-Lim with a pinned low band, split at ``layout``'s bins.
 
     ``magnitude``, shape (frames, n_bins - k_lo), holds the magnitudes of
@@ -136,13 +133,15 @@ def gla_reconstruct(
     spectrogram and the magnitude-ratio buffer are allocated once; each
     iteration's NaN check covers only the re-imposed bins.
 
-    ``initial_hf_phase``, shaped like ``magnitude``, overrides the
-    configured init and warm-starts the loop with explicit phases for every
-    bin at and above the cutoff.
+    ``initial_hf``, complex and shaped like ``magnitude``, overrides the
+    configured init and warm-starts the loop: every bin at and above the
+    cutoff starts at its magnitude times its ``initial_hf`` value, usually a
+    unit phasor.
 
-    Returns the final spectrogram and the residual trace (empty when
-    ``cfg.record_trace`` is off). ``iterations == 0`` returns the starting
-    spectrogram unchanged.
+    Returns the final spectrogram and the per-iteration consistency
+    residuals, ||X - P_C(X)||_F / max(||X||_F, 1e-12), as a float array
+    (empty when ``record_trace`` is off). ``iterations == 0`` returns the
+    starting spectrogram unchanged.
     """
     A_hi = _checked_magnitude(magnitude)
     lfc = np.asarray(lfc, dtype=np.complex128)
@@ -167,23 +166,23 @@ def gla_reconstruct(
     X = np.empty((A_hi.shape[0], layout.n_bins), dtype=np.complex128)
     X[:, :k_lo] = lfc
     X_hi = X[:, k_lo:]
-    if initial_hf_phase is not None:
-        init_phase = np.asarray(initial_hf_phase, dtype=np.float64)
-        if init_phase.shape != A_hi.shape:
+    if initial_hf is not None:
+        initial_hf = np.asarray(initial_hf, dtype=np.complex128)
+        if initial_hf.shape != A_hi.shape:
             raise ShapeError(
-                f"initial phase has shape {init_phase.shape}, expected {A_hi.shape}"
+                f"initial high band has shape {initial_hf.shape}, expected {A_hi.shape}"
             )
-        X_hi[...] = A_hi * np.exp(1j * init_phase)
+        X_hi[...] = A_hi * initial_hf
     else:
         X_hi[...] = A_hi  # zero phase
         if cfg.init is GlaInit.FLIP_PHASE:
             X_hi[:, : k_hi - k_lo] *= flip_phase(lfc, layout)
     scale = np.empty(A_hi.shape)
 
-    residuals = np.empty(cfg.iterations) if cfg.record_trace else None
+    residuals = np.empty(cfg.iterations if record_trace else 0)
     for m in range(cfg.iterations):
         Y = consistency_project_array(X, stft)
-        if residuals is not None:
+        if record_trace:
             residuals[m] = _consistency_residual(X, Y)
         Y_hi = Y[:, k_lo:]
         np.abs(Y_hi, out=scale)
@@ -193,9 +192,7 @@ def gla_reconstruct(
         if np.isnan(X_hi).any():
             raise NumericalError(f"NaN appeared at Griffin-Lim iteration {m}")
 
-    result = ComplexSpectrogram(X, stft)
-    trace = GlaTrace(residuals if residuals is not None else np.empty(0))
-    return result, trace
+    return ComplexSpectrogram(X, stft), residuals
 
 
 def extract_reference_phase(

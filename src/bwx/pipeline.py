@@ -24,7 +24,7 @@ import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .dsp import (
     overlap_add,
     stft_array,
 )
-from .errors import BwxError, LengthError, PipelineError, ShapeError
+from .errors import BwxError, DomainError, LengthError, PipelineError, ShapeError
 from .magnitude import (
     BandReplicationSpec,
     ImportSpec,
@@ -48,7 +48,15 @@ from .magnitude import (
     predict_oracle,
 )
 from .metrics import EVAL_CSV_HEADER, EvalReport, _Evaluation
-from .phase import GlaConfig, GlaTrace, extract_reference_phase, flip_phase, gla_reconstruct
+from .phase import (
+    FlipPhaseSpec,
+    GlaConfig,
+    PhaseStrategySpec,
+    ReferencePhaseSpec,
+    extract_reference_phase,
+    flip_phase,
+    gla_reconstruct,
+)
 from .prep import LowpassSpec, lowpass
 from .wavio import SampleDepth, wav_header, wav_read, wav_write
 
@@ -62,24 +70,6 @@ class ResidualBand(enum.Enum):
 
     PASSTHROUGH = "pass"
     ZERO = "zero"
-
-
-@dataclass(frozen=True)
-class FlipPhaseSpec:
-    pass
-
-
-@dataclass(frozen=True)
-class GlaPhaseSpec:
-    config: GlaConfig
-
-
-@dataclass(frozen=True)
-class ReferencePhaseSpec:
-    path: str
-
-
-PhaseStrategySpec = Union[FlipPhaseSpec, GlaPhaseSpec, ReferencePhaseSpec]
 
 
 @dataclass(frozen=True)
@@ -238,12 +228,12 @@ class _References:
     def __init__(self, cfg: StftConfig, arrays: dict):
         self.cfg = cfg
         self.sources = {Path(path).resolve(): _ArraySource(chs) for path, chs in arrays.items()}
-        self._steps: dict = {}  # source -> number of steps that opened it
+        self._stages: dict = {}  # source -> stages of the steps that opened it
         self._last: tuple[tuple, np.ndarray] | None = None
 
-    def open(self, path, n_channels: int):
-        """The source of reference ``path``, for one step: the channels given
-        for it, or else the WAV file, opened on first use."""
+    def open(self, path, n_channels: int, stage: str):
+        """The source of reference ``path``, for the step of ``stage``: the
+        channels given for it, or else the WAV file, opened on first use."""
         key = Path(path).resolve()
         if key not in self.sources:
             self.sources[key] = _WavSource(path)
@@ -252,8 +242,14 @@ class _References:
             raise ShapeError(
                 f"{path}: has {source.n_channels} channels, input has {n_channels}"
             )
-        self._steps[source] = self._steps.get(source, 0) + 1
+        self._stages.setdefault(source, []).append(stage)
         return source
+
+    def check_unread(self) -> None:
+        """Check every opened source to its end, in its first opener's stage."""
+        for source, stages in self._stages.items():
+            with _stage(stages[0]):
+                source.check_unread()
 
     def stft(self, source, channel: int, span: slice) -> np.ndarray:
         """STFT of one channel of ``source`` over a block's sample span, cut
@@ -265,71 +261,75 @@ class _References:
         self._last = None  # freed before the next analysis is allocated
         samples = source.read(span.start, min(span.stop, source.n_samples))[channel]
         X = stft_array(samples, self.cfg)
-        if self._steps[source] > 1:
+        if len(self._stages[source]) > 1:
             self._last = (key, X)
         return X
 
 
-def _magnitude_steps(
+def _magnitude_step(
     spec: ReconstructSpec, n_frames: int, n_channels: int, rate: int, references: _References
-) -> list:
-    """One step per channel mapping a block of frames (its analysis ``x`` and
-    its ``frame_blocks`` triple f0, f1, sample span) to the block's high-band
-    magnitudes. Everything that can reject the job is checked here, before
-    any block."""
+):
+    """The step mapping a channel's block of frames (the channel, its
+    analysis ``x`` and its ``frame_blocks`` triple f0, f1, sample span) to the
+    block's high-band magnitudes. Everything that can reject the job is
+    checked here, before any block."""
     predictor, cfg, layout = spec.predictor, spec.stft, spec.layout
     if isinstance(predictor, OracleSpec):
-        source = references.open(predictor.reference_path, n_channels)
+        source = references.open(predictor.reference_path, n_channels, "magnitude")
         ref_frames = cfg.frame_count(source.n_samples)
         if ref_frames < n_frames:
             raise LengthError(f"reference yields {ref_frames} frames, {n_frames} required")
-
-        def oracle(channel):
-            return lambda x, block: predict_oracle(
-                references.stft(source, channel, block[2]), layout
-            )
-
-        return [oracle(c) for c in range(n_channels)]
+        return lambda channel, x, block: predict_oracle(
+            references.stft(source, channel, block[2]), layout
+        )
     if isinstance(predictor, BandReplicationSpec):
-
-        def replicate(x, block):
-            return predict_band_replication(np.abs(x[:, : layout.k_lo]), layout)
-
-        return [replicate] * n_channels
+        return lambda channel, x, block: predict_band_replication(
+            np.abs(x[:, : layout.k_lo]), layout
+        )
     if isinstance(predictor, ImportSpec):
         if n_channels != 1:
             raise ShapeError("imported magnitudes only support mono inputs")
         imported = load_magnitude(predictor.path, (n_frames, layout.hfc_width), cfg, rate)
-        return [lambda x, block: imported[block[0] : block[1]]]
+        return lambda channel, x, block: imported[block[0] : block[1]]
     raise ShapeError(f"unknown predictor spec {predictor!r}")
 
 
-def _phase_steps(
-    spec: ReconstructSpec, n_frames: int, n_channels: int, references: _References
-) -> list:
-    """One step per channel mapping a block of frames (its analysis ``x``, its
-    high-band magnitudes ``mag`` and its ``frame_blocks`` triple) to the
-    block's complex high band and GLA trace (None for the other strategies).
-    The reference strategy warns here, once per channel, when the
-    reference's frame count differs from the input's."""
+def _phase_step(
+    spec: ReconstructSpec,
+    n_frames: int,
+    n_channels: int,
+    references: _References,
+    traces: list | None,
+):
+    """The step mapping a channel's block of frames (the channel, its
+    analysis ``x``, its high-band magnitudes ``mag`` and its ``frame_blocks``
+    triple) to the block's complex high band. Given a ``traces`` list, GLA
+    records the first channel's residuals and appends them to it. The
+    reference strategy warns here, once per channel, when the reference's
+    frame count differs from the input's."""
     strategy, cfg, layout = spec.phase, spec.stft, spec.layout
     k_lo, k_hi = layout.k_lo, layout.k_hi
     if isinstance(strategy, FlipPhaseSpec):
-        return [lambda x, mag, block: (mag * flip_phase(x[:, :k_lo], layout), None)] * n_channels
-    if isinstance(strategy, GlaPhaseSpec):
+        return lambda channel, x, mag, block: mag * flip_phase(x[:, :k_lo], layout)
+    if isinstance(strategy, GlaConfig):
 
-        def gla(x, mag, block):
+        def gla(channel, x, mag, block):
             # GLA's magnitudes, bins k_lo up, assembled in place: no |residual| temporary.
             magnitude = np.empty((len(x), layout.n_bins - k_lo))
             magnitude[:, : k_hi - k_lo] = mag
             np.abs(x[:, k_hi:], out=magnitude[:, k_hi - k_lo :])
-            result, trace = gla_reconstruct(magnitude, x[:, :k_lo], strategy.config, layout, cfg)
+            record = traces is not None and channel == 0
+            result, residuals = gla_reconstruct(
+                magnitude, x[:, :k_lo], strategy, layout, cfg, record_trace=record
+            )
+            if record:
+                traces.append(residuals)
             # The loop has already re-imposed ``mag`` on these bins.
-            return result.data[:, k_lo:k_hi], trace
+            return result.data[:, k_lo:k_hi]
 
-        return [gla] * n_channels
+        return gla
     if isinstance(strategy, ReferencePhaseSpec):
-        source = references.open(strategy.path, n_channels)
+        source = references.open(strategy.path, n_channels, "phase")
         ref_frames = cfg.frame_count(source.n_samples)
         if ref_frames != n_frames:
             for _ in range(n_channels):
@@ -337,25 +337,22 @@ def _phase_steps(
                     "%s: reference frame count adjusted to %d", strategy.path, n_frames
                 )
 
-        def reference(channel):
-            def step(x, mag, block):
-                # Frames past the reference's end keep zero phase; the span
-                # cut at its end analyses into exactly the frames it has.
-                f0, f1, span = block
-                if ref_frames <= f0:
-                    return mag.astype(np.complex128), None
-                X = references.stft(source, channel, span)
-                return mag * extract_reference_phase(X, layout, f1 - f0), None
+        def reference(channel, x, mag, block):
+            # Frames past the reference's end keep zero phase; the span
+            # cut at its end analyses into exactly the frames it has.
+            f0, f1, span = block
+            if ref_frames <= f0:
+                return mag.astype(np.complex128)
+            X = references.stft(source, channel, span)
+            return mag * extract_reference_phase(X, layout, f1 - f0)
 
-            return step
-
-        return [reference(c) for c in range(n_channels)]
+        return reference
     raise ShapeError(f"unknown phase spec {strategy!r}")
 
 
 def _reconstruct_blocks(
-    spec: ReconstructSpec, source, sink, references: _References
-) -> GlaTrace | None:
+    spec: ReconstructSpec, source, sink, references: _References, traces: list | None = None
+) -> None:
     """The reconstruction core: read the band-limited input from
     ``source`` one block span at a time and, per channel, analyse, predict,
     estimate, recombine and overlap-add the block's frames. Each stretch of
@@ -367,23 +364,23 @@ def _reconstruct_blocks(
     that the samples of a reference that no block reads (past the input's
     last frame) are checked for non-finite values after the last block.
     Griffin-Lim is not frame-local, so it runs as one block of every frame.
-    Returns the first channel's GLA trace (None without one).
+    Given a ``traces`` list, the GLA strategy appends the first channel's
+    residuals to it.
     """
     cfg, layout = spec.stft, spec.layout
     n_channels, rate = source.n_channels, source.sample_rate
     with _stage("analyze"):
         n_frames = cfg.frame_count(source.n_samples)
     with _stage("magnitude"):
-        magnitude_steps = _magnitude_steps(spec, n_frames, n_channels, rate, references)
+        magnitude_step = _magnitude_step(spec, n_frames, n_channels, rate, references)
     with _stage("phase"):
-        phase_steps = _phase_steps(spec, n_frames, n_channels, references)
+        phase_step = _phase_step(spec, n_frames, n_channels, references, traces)
 
     with _stage("write-output"):
         sink.begin(n_channels, cfg.output_length(n_frames))
-    block_frames = n_frames if isinstance(spec.phase, GlaPhaseSpec) else None
+    block_frames = n_frames if isinstance(spec.phase, GlaConfig) else None
     # Per channel, the overlap-add sums already begun past the last stretch out.
     carries = [np.zeros(0)] * n_channels
-    first_trace: GlaTrace | None = None
     for block in frame_blocks(n_frames, cfg, block_frames):
         f0, f1, span = block
         last = f1 == n_frames
@@ -403,12 +400,10 @@ def _reconstruct_blocks(
                     x[:, layout.k_hi :] = 0.0
 
             with _stage("magnitude"):
-                hfc_mag = magnitude_steps[channel](x, block)
+                hfc_mag = magnitude_step(channel, x, block)
 
             with _stage("phase"):
-                hfc, trace = phase_steps[channel](x, hfc_mag, block)
-                if channel == 0:
-                    first_trace = trace
+                hfc = phase_step(channel, x, hfc_mag, block)
 
             with _stage("recombine"):
                 x[:, layout.k_lo : layout.k_hi] = hfc
@@ -424,35 +419,26 @@ def _reconstruct_blocks(
             pieces.append(piece)
         with _stage("write-output"):
             sink.write(pieces)
-    # Each reference is checked to its end, in the stage that opened it.
-    with _stage("magnitude"):
-        if isinstance(spec.predictor, OracleSpec):
-            references.open(spec.predictor.reference_path, n_channels).check_unread()
-    with _stage("phase"):
-        if isinstance(spec.phase, ReferencePhaseSpec):
-            references.open(spec.phase.path, n_channels).check_unread()
-    return first_trace
+    references.check_unread()
 
 
 def reconstruct(
     spec: ReconstructSpec,
     channels: Sequence[Waveform],
     references: dict | None = None,
-) -> tuple[list[Waveform], GlaTrace | None]:
+) -> list[Waveform]:
     """Reconstruct every channel of the band-limited input ``channels`` in
-    memory.
+    memory and return the output channels.
 
     ``references`` maps a path that ``spec`` names (the oracle's or the
     reference phase's) to that file's channels, already in memory; a named
     path that is not there is read from its file one block span at a time.
-    Returns the output channels and the first channel's GLA trace (None
-    without one).
     """
     sink = _ArraySink()
-    trace = _reconstruct_blocks(
+    _reconstruct_blocks(
         spec, _ArraySource(channels), sink, _References(spec.stft, references or {})
     )
-    return sink.waveforms(channels[0].sample_rate), trace
+    return sink.waveforms(channels[0].sample_rate)
 
 
 def super_resolve(spec: ReconstructSpec, input_path, output_path, trace_path=None) -> None:
@@ -463,17 +449,23 @@ def super_resolve(spec: ReconstructSpec, input_path, output_path, trace_path=Non
     each finished stretch of output is appended to a temporary file beside
     the output, which replaces the output path only after the last block; a
     failure leaves no partial file. With ``trace_path`` set and a GLA phase
-    strategy, the first channel's residual trace is written as CSV.
+    strategy, the first channel's residuals are recorded and written there as
+    ``iteration,residual`` CSV rows, each residual in decimal notation with at
+    least 9 significant digits.
     """
     if Path(input_path).resolve() == Path(output_path).resolve():
         raise ShapeError("input and output paths must be distinct")
     with _stage("read-input"):
         source = _WavSource(input_path)
+    traces = [] if trace_path is not None else None
     with _WavSink(output_path, source.sample_rate) as sink:
-        trace = _reconstruct_blocks(spec, source, sink, _References(spec.stft, {}))
-    if trace_path is not None and trace is not None:
-        with _stage("write-output"):
-            trace.to_csv(trace_path)
+        _reconstruct_blocks(spec, source, sink, _References(spec.stft, {}), traces)
+    if traces:
+        with _stage("write-output"), open(trace_path, "w", encoding="ascii") as fh:
+            fh.write("iteration,residual\n")
+            for i, r in enumerate(traces[0]):
+                digits = np.format_float_positional(r, precision=9, unique=False, fractional=False)
+                fh.write(f"{i},{digits}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +552,7 @@ def _study_one_clip(
 
     phase_specs: dict[str, PhaseStrategySpec] = {
         "flip": FlipPhaseSpec(),
-        "gla": GlaPhaseSpec(GlaConfig(iterations=gla_iterations, record_trace=False)),
+        "gla": GlaConfig(iterations=gla_iterations),
         "reference": ReferencePhaseSpec(str(clip_path)),
     }
     # The oracle predictor and the reference phase read the clip itself.
@@ -574,7 +566,7 @@ def _study_one_clip(
         # Not bound to a name, so each output is freed before the next method.
         reports[method] = _evaluate_sources(
             clip,
-            _ArraySource(_write_float32(est_path, reconstruct(spec, lr, references)[0])),
+            _ArraySource(_write_float32(est_path, reconstruct(spec, lr, references))),
             layout,
             cfg,
         )
@@ -600,6 +592,8 @@ def run_phase_study(
     """
     if not clips:
         raise BwxError("phase study needs at least one clip")
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
 
     clips = [str(clip) for clip in clips]
     with tempfile.TemporaryDirectory(prefix="bwx-study-") as tmp:

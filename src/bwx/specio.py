@@ -51,12 +51,6 @@ class SpecFileHeader:
     frame_len: int
     hop: int
 
-    def __post_init__(self) -> None:
-        if self.frames < 1 or self.bins < 1:
-            raise MalformedHeaderError(
-                f"frames and bins must be >= 1, got {self.frames}x{self.bins}"
-            )
-
 
 def spec_write(
     path,
@@ -94,7 +88,8 @@ def spec_write(
 
 
 def spec_read(path) -> tuple[np.ndarray, SpecFileHeader]:
-    """Read a BWXSPEC file, validating magic, kind and payload length.
+    """Read a BWXSPEC file, validating magic, kind, header fields and payload
+    length. A header field out of range raises `MalformedHeaderError`.
 
     Returns float32 magnitudes or complex64 values, shape (frames, bins).
     """
@@ -114,6 +109,14 @@ def spec_read(path) -> tuple[np.ndarray, SpecFileHeader]:
         kind = SpecKind(kind_byte)
     except ValueError:
         raise MalformedHeaderError(f"{path}: unknown spectrogram kind {kind_byte}") from None
+    for bad, problem in (
+        (frames < 1 or bins < 1, f"frames and bins must be >= 1, got {frames}x{bins}"),
+        (sample_rate < 1, f"sample rate must be >= 1, got {sample_rate}"),
+        (frame_len < 1 or frame_len % 2, f"frame length must be even and >= 2, got {frame_len}"),
+        (not 0 < hop <= frame_len, f"hop must be in 1..frame length {frame_len}, got {hop}"),
+    ):
+        if bad:
+            raise MalformedHeaderError(f"{path}: {problem}")
     header = SpecFileHeader(frames, bins, kind, sample_rate, frame_len, hop)
 
     per_value = 8 if kind is SpecKind.COMPLEX else 4

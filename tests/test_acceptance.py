@@ -38,7 +38,7 @@ from bwx.errors import (
     PayloadMismatchError,
     TruncatedDataError,
 )
-from bwx.phase import flip_source_bins
+from bwx.phase import _unit_phasors, flip_source_bins
 from bwx.pipeline import run_phase_study
 
 CFG = StftConfig()
@@ -66,9 +66,9 @@ def gla_runs(clip_paths):
         X = stft_array(wave.samples, CFG)
         magnitude, lfc = np.abs(X[:, LAYOUT.k_lo :]), X[:, : LAYOUT.k_lo]
         started = time.perf_counter()
-        _, trace = gla_reconstruct(magnitude, lfc, GlaConfig(iterations=100), LAYOUT, CFG)
+        _, residuals = gla_reconstruct(magnitude, lfc, GlaConfig(iterations=100), LAYOUT, CFG)
         elapsed = time.perf_counter() - started
-        runs.append((str(path), trace, elapsed, wave.duration))
+        runs.append((str(path), residuals, elapsed, wave.duration))
     return runs
 
 
@@ -105,22 +105,22 @@ def test_criterion_01_stft_round_trip_and_oracle():
 def test_criterion_02_gla_fixed_point(clip_paths):
     wave = wav_read(clip_paths[0])[0][0]
     X = stft_array(wave.samples, CFG)
-    _, trace = gla_reconstruct(
+    _, residuals = gla_reconstruct(
         np.abs(X[:, LAYOUT.k_lo :]),
         X[:, : LAYOUT.k_lo],
         GlaConfig(iterations=100),
         LAYOUT,
         CFG,
-        initial_hf_phase=np.angle(X[:, LAYOUT.k_lo :]),
+        initial_hf=_unit_phasors(X[:, LAYOUT.k_lo :]),  # the true phasors, 1 at a zero bin
     )
-    assert len(trace.residuals) == 100
-    assert np.all(trace.residuals < 1e-6)
-    _ok(2, f"fixed point held for 100 iterations, max residual {trace.residuals.max():.2e}")
+    assert len(residuals) == 100
+    assert np.all(residuals < 1e-6)
+    _ok(2, f"fixed point held for 100 iterations, max residual {residuals.max():.2e}")
 
 
 def test_criterion_03_gla_progress(gla_runs):
-    for path, trace, elapsed, duration in gla_runs:
-        assert trace.residuals[99] < trace.residuals[0], path
+    for path, residuals, elapsed, duration in gla_runs:
+        assert residuals[99] < residuals[0], path
         assert elapsed < 30.0, f"{path}: {elapsed:.1f} s for 100 iterations"
     slowest = max(r[2] for r in gla_runs)
     _ok(3, f"residual(100) < residual(1) on all {len(gla_runs)} clips, slowest {slowest:.1f} s")

@@ -86,7 +86,7 @@ def _sr(monkeypatch, tmp_path, block, lr, predictor, phase, residual):
     out = tmp_path / f"out_{block}.wav"
     spec = ReconstructSpec(predictor, phase, LAYOUT, stft=CFG, residual_band=residual)
     super_resolve(spec, lr, out)
-    return reconstruct(spec, wav_read(lr)[0])[0][0].samples, out.read_bytes()
+    return reconstruct(spec, wav_read(lr)[0])[0].samples, out.read_bytes()
 
 
 @pytest.mark.parametrize("residual", list(ResidualBand))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bwx.cli
-from bwx import SampleDepth, StftConfig, Waveform, wav_read, wav_write
+from bwx import GlaConfig, SampleDepth, StftConfig, Waveform, wav_read, wav_write
 from bwx.cli import main
 from bwx.specio import SpecKind, spec_read
 
@@ -81,16 +81,20 @@ class TestSr:
     def test_gla_records_trace_only_when_written(
         self, tmp_path, hr_path, lr_path, monkeypatch, with_trace
     ):
-        specs = []
+        # super_resolve records the residuals exactly when it gets a trace path.
+        calls = []
         monkeypatch.setattr(
-            bwx.cli, "super_resolve", lambda spec, *paths, trace_path: specs.append(spec)
+            bwx.cli,
+            "super_resolve",
+            lambda spec, *paths, trace_path: calls.append((spec.phase, trace_path)),
         )
+        trace = str(tmp_path / "trace.csv")
         argv = ["sr", "--in", str(lr_path), "--out", str(tmp_path / "sr.wav"),
-                "--mag", f"oracle:{hr_path}", "--phase", "gla"]
+                "--mag", f"oracle:{hr_path}", "--phase", "gla", "--gla-iters", "7"]
         if with_trace:
-            argv += ["--trace", str(tmp_path / "trace.csv")]
+            argv += ["--trace", trace]
         assert main(argv) == 0
-        assert [spec.phase.config.record_trace for spec in specs] == [with_trace]
+        assert calls == [(GlaConfig(iterations=7), trace if with_trace else None)]
 
     def test_sbr_with_residual_zero(self, tmp_path, lr_path):
         out = tmp_path / "sr.wav"
@@ -200,6 +204,14 @@ class TestPhaseStudy:
         printed = capsys.readouterr().out
         assert "mean gla" in printed
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, hr_path, jobs, capsys):
+        out = tmp_path / "s.csv"
+        argv = ["phase-study", "--clips", str(hr_path), "--out", str(out), "--jobs", jobs]
+        assert main(argv) == 1
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_directory_is_usage_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -246,6 +258,15 @@ class TestSpecFiles:
         bad.write_bytes(b"definitely not a spectrogram")
         assert main(["spec", "import", "--in", str(bad), "--out", str(tmp_path / "x.wav")]) == 2
 
+    def test_import_bad_header_field_is_io_error(self, tmp_path, hr_path, capsys):
+        spec = tmp_path / "c.bwx"
+        assert main(["spec", "export", "--in", str(hr_path), "--out", str(spec),
+                     "--kind", "complex"]) == 0
+        _zero_sample_rate(spec)
+        capsys.readouterr()
+        assert main(["spec", "import", "--in", str(spec), "--out", str(tmp_path / "x.wav")]) == 2
+        assert f"{spec}: sample rate" in capsys.readouterr().err
+
 
 def test_exit_code_classification():
     from bwx.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE, _classify
@@ -285,6 +306,30 @@ def test_import_used_for_sr(tmp_path, hr_path, lr_path):
     )
     assert code == 0
     assert out.exists()
+
+
+def _zero_sample_rate(path):
+    """Overwrite the sample-rate field of the BWXSPEC header at ``path`` with 0."""
+    raw = bytearray(path.read_bytes())
+    raw[17:21] = bytes(4)
+    path.write_bytes(bytes(raw))
+
+
+def test_import_bad_header_field_for_sr_is_io_error(tmp_path, lr_path, capsys):
+    from bwx import spec_write
+
+    frames = CFG.frame_count(len(wav_read(lr_path)[0][0].samples))
+    mag_file = tmp_path / "hfc.bwx"
+    spec_write(mag_file, np.zeros((frames, 186)), SpecKind.MAGNITUDE, SR, CFG.frame_len, CFG.hop)
+    _zero_sample_rate(mag_file)
+    out = tmp_path / "sr.wav"
+    code = main(
+        ["sr", "--in", str(lr_path), "--out", str(out),
+         "--mag", f"import:{mag_file}", "--phase", "flip"]
+    )
+    assert code == 2
+    assert f"{mag_file}: sample rate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -185,7 +185,7 @@ class TestConsistencyResidual:
         flip_residual = consistency_residual(flipped, CFG)
 
         gla_out, _ = gla_reconstruct(
-            magnitude, X[:, :186], GlaConfig(iterations=20, record_trace=False), layout, CFG
+            magnitude, X[:, :186], GlaConfig(iterations=20), layout, CFG, record_trace=False
         )
         assert consistency_residual(gla_out.data, CFG) < flip_residual
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+import bwx.phase
+import bwx.pipeline
 from bwx import (
     BandLayout,
     BandReplicationSpec,
     FlipPhaseSpec,
     GlaConfig,
-    GlaPhaseSpec,
     ImportSpec,
     OracleSpec,
     ReconstructSpec,
@@ -28,7 +29,7 @@ from bwx import (
     wav_write,
 )
 from bwx.dsp import interior_slice, istft_array, stft_array
-from bwx.errors import PipelineError, ShapeError
+from bwx.errors import DomainError, PipelineError, ShapeError
 from bwx.metrics import EVAL_CSV_HEADER
 
 CFG = StftConfig()
@@ -54,7 +55,7 @@ def _spec(predictor, phase, residual=ResidualBand.PASSTHROUGH):
 def _rebuild(lr, spec):
     """First output channel of ``spec`` on the file ``lr`` from the in-memory
     core, in float64."""
-    return reconstruct(spec, wav_read(lr)[0])[0][0]
+    return reconstruct(spec, wav_read(lr)[0])[0]
 
 
 class TestSuperResolve:
@@ -115,7 +116,7 @@ class TestSuperResolve:
         results = {}
         for name, phase in (
             ("flip", FlipPhaseSpec()),
-            ("gla", GlaPhaseSpec(GlaConfig(iterations=30, record_trace=False))),
+            ("gla", GlaConfig(iterations=30)),
         ):
             rebuilt = _rebuild(lr, _spec(OracleSpec(str(hr)), phase))
             results[name] = evaluate(truth, rebuilt, LAYOUT, CFG)
@@ -152,7 +153,7 @@ class TestSuperResolve:
         hr, lr = hr_lr_paths
         out1 = tmp_path / "a.wav"
         out2 = tmp_path / "b.wav"
-        phase = GlaPhaseSpec(GlaConfig(iterations=10, record_trace=False))
+        phase = GlaConfig(iterations=10)
         super_resolve(_spec(OracleSpec(str(hr)), phase), lr, out1)
         super_resolve(_spec(OracleSpec(str(hr)), phase), lr, out2)
         assert out1.read_bytes() == out2.read_bytes()
@@ -198,11 +199,49 @@ class TestSuperResolve:
         hr, lr = hr_lr_paths
         out = tmp_path / "out.wav"
         trace = tmp_path / "trace.csv"
-        phase = GlaPhaseSpec(GlaConfig(iterations=5))
-        super_resolve(_spec(OracleSpec(str(hr)), phase), lr, out, trace_path=trace)
+        spec = _spec(OracleSpec(str(hr)), GlaConfig(iterations=5))
+        super_resolve(spec, lr, out, trace_path=trace)
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "iteration,residual"
         assert len(lines) == 6
+
+    def test_residuals_computed_only_when_written(self, tmp_path, hr_lr_paths, monkeypatch):
+        hr, lr = hr_lr_paths
+        calls = []
+        residual = bwx.phase._consistency_residual
+        monkeypatch.setattr(
+            bwx.phase, "_consistency_residual", lambda X, Y: calls.append(1) or residual(X, Y)
+        )
+        spec = _spec(OracleSpec(str(hr)), GlaConfig(iterations=4))
+        super_resolve(spec, lr, tmp_path / "a.wav")
+        assert calls == []
+        trace = tmp_path / "trace.csv"
+        super_resolve(spec, lr, tmp_path / "b.wav", trace_path=trace)
+        assert len(trace.read_text().splitlines()) == 4 + 1
+        assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+    def test_trace_csv_format(self, tmp_path, hr_lr_paths, monkeypatch):
+        hr, lr = hr_lr_paths
+        kernel = []
+
+        def recording(*args, **kwargs):
+            result = bwx.phase.gla_reconstruct(*args, **kwargs)
+            kernel.append(result[1])
+            return result
+
+        monkeypatch.setattr(bwx.pipeline, "gla_reconstruct", recording)
+        trace = tmp_path / "trace.csv"
+        spec = _spec(OracleSpec(str(hr)), GlaConfig(iterations=4))
+        super_resolve(spec, lr, tmp_path / "out.wav", trace_path=trace)
+        lines = trace.read_text().strip().splitlines()
+        assert lines[0] == "iteration,residual"
+        assert len(lines) == 5
+        for i, line in enumerate(lines[1:]):
+            idx, value = line.split(",")
+            assert int(idx) == i
+            assert "e" not in value.lower()  # decimal notation
+            # The kernel's residual, rounded to 9 significant digits.
+            assert float(value) == float(f"{kernel[0][i]:.9g}")
 
     def test_stereo_identity(self, tmp_path, short_music):
         hr = tmp_path / "hr2.wav"
@@ -318,7 +357,7 @@ class TestRunPhaseStudy:
             estimates = {"lr": lr}
             phases = {
                 "flip": FlipPhaseSpec(),
-                "gla": GlaPhaseSpec(GlaConfig(iterations=6, record_trace=False)),
+                "gla": GlaConfig(iterations=6),
                 "reference": ReferencePhaseSpec(clip),
             }
             for method, phase in phases.items():
@@ -345,7 +384,6 @@ class TestRunPhaseStudy:
             assert [report.lsd_hf, report.lsd_full, report.snr] == expected.tolist()
 
     def test_each_clip_decoded_once(self, tmp_path, monkeypatch, two_clips):
-        import bwx.pipeline
         import bwx.prep
 
         decoded = []
@@ -365,3 +403,12 @@ class TestRunPhaseStudy:
 
         with pytest.raises(BwxError, match="failed"):
             run_phase_study([str(tmp_path / "missing.wav")], tmp_path / "s.csv")
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, monkeypatch, jobs):
+        def no_tempdir(*args, **kwargs):
+            raise AssertionError("temporary directory created")
+
+        monkeypatch.setattr(bwx.pipeline.tempfile, "TemporaryDirectory", no_tempdir)
+        with pytest.raises(DomainError, match="jobs must be >= 1"):
+            run_phase_study(["clip.wav"], tmp_path / "s.csv", jobs=jobs)

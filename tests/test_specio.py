@@ -90,6 +90,36 @@ def test_unknown_kind(tmp_path):
         spec_read(path)
 
 
+@pytest.mark.parametrize(
+    "offset, value, match",
+    [
+        (8, 0, "frames and bins"),  # frames
+        (12, 0, "frames and bins"),  # bins
+        (17, 0, "sample rate"),
+        (21, 0, "frame length"),
+        (21, 2047, "frame length"),
+        (25, 0, "hop"),
+        (25, 2049, "hop"),  # longer than the frame
+    ],
+)
+def test_bad_header_field_rejected(tmp_path, offset, value, match):
+    path = tmp_path / "field.bwx"
+    spec_write(path, np.ones((2, 2)), SpecKind.MAGNITUDE, 44100, 2048, 256)
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + 4] = value.to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(MalformedHeaderError, match=match) as excinfo:
+        spec_read(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def test_hop_equal_to_frame_length_accepted(tmp_path):
+    path = tmp_path / "edge.bwx"
+    spec_write(path, np.ones((2, 2)), SpecKind.MAGNITUDE, 1, 2, 2)
+    _, header = spec_read(path)
+    assert (header.sample_rate, header.frame_len, header.hop) == (1, 2, 2)
+
+
 def test_nan_payload_rejected_on_read(tmp_path):
     path = tmp_path / "nan.bwx"
     spec_write(path, np.ones((2, 2)), SpecKind.MAGNITUDE, 44100, 2048, 256)

@@ -113,7 +113,7 @@ def test_streamed_flows_equal_whole_array_core(monkeypatch, tmp_path, inputs, co
     # The whole-array core: whole decoded input and reference, one block.
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", ONE_BLOCK)
     truth = wav_read(hr)[0]
-    whole = reconstruct(spec, wav_read(lr)[0], {hr: truth})[0]
+    whole = reconstruct(spec, wav_read(lr)[0], {hr: truth})
     expected = tmp_path / "whole.wav"
     wav_write(expected, whole, SampleDepth.FLOAT32)
     expected_report = _mean_report(
