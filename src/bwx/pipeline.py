@@ -3,13 +3,13 @@
 ``_reconstruct_blocks`` is the one reconstruction core: block by block it
 analyses the band-limited input channels, predicts high-band magnitudes,
 estimates high-band phase, recombines the bands and resynthesises, reading
-samples from a source and handing finished output to a sink, as a path-free
-``ReconstructSpec`` says. Sources and sinks are arrays (``reconstruct``, for
-the phase study and library callers) or WAV files streamed one block at a
-time (``super_resolve``). ``run_phase_study``
-reruns the oracle-magnitude phase comparison over a clip set, decoding each
-clip once; ``evaluate_batch`` scores truth/estimate file pairs, streaming
-them the same way.
+samples from a source and returning the finished output stretch by stretch,
+as a path-free ``ReconstructSpec`` says. ``reconstruct`` runs it on arrays
+(for the phase study and library callers) and ``super_resolve`` on WAV files
+read and written one block at a time. ``run_phase_study`` reruns the
+oracle-magnitude phase comparison over a clip set, decoding each clip once;
+``evaluate_batch`` scores truth/estimate file pairs, streaming them the same
+way. Every CSV goes through ``_write_csv``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -123,8 +123,8 @@ def _atomic_output(path):
         raise
 
 
-# Sources give a flow its samples by range, sinks take its output stretch by
-# stretch: arrays for the in-memory callers, WAV files for the CLI and batch.
+# Sources give a flow its samples by range: arrays for the in-memory callers,
+# WAV files for the CLI and batch.
 
 
 class _ArraySource:
@@ -180,43 +180,6 @@ class _WavSource:
         self.checked = self.n_samples
 
 
-class _ArraySink:
-    """Output stretches gathered in memory, one list per channel."""
-
-    def begin(self, n_channels: int, n_samples: int) -> None:
-        self.parts: list[list[np.ndarray]] = [[] for _ in range(n_channels)]
-
-    def write(self, pieces: list[np.ndarray]) -> None:
-        for parts, piece in zip(self.parts, pieces):
-            parts.append(piece)
-
-    def waveforms(self, sample_rate: int) -> list[Waveform]:
-        return [
-            Waveform(parts[0] if len(parts) == 1 else np.concatenate(parts), sample_rate)
-            for parts in self.parts
-        ]
-
-
-class _WavSink(contextlib.ExitStack):
-    """Float32 WAV output at ``path``, written stretch by stretch through
-    `_atomic_output`: the file appears when the ``with`` block ends without
-    an error. The first write puts the header in front."""
-
-    def __init__(self, path, sample_rate: int):
-        super().__init__()
-        self.path = path
-        self.sample_rate = sample_rate
-
-    def begin(self, n_channels: int, n_samples: int) -> None:
-        self._fh = self.enter_context(_atomic_output(self.path))
-        self._header_frames: int | None = n_samples
-
-    def write(self, pieces: list[np.ndarray]) -> None:
-        channels = [Waveform(piece, self.sample_rate) for piece in pieces]
-        wav_write(self._fh, channels, SampleDepth.FLOAT32, total_frames=self._header_frames)
-        self._header_frames = None
-
-
 class _References:
     """The reference files a job reads, keyed by resolved path so each is
     opened once. For a file that two steps read (oracle magnitudes and
@@ -231,16 +194,21 @@ class _References:
         self._stages: dict = {}  # source -> stages of the steps that opened it
         self._last: tuple[tuple, np.ndarray] | None = None
 
-    def open(self, path, n_channels: int, stage: str):
+    def open(self, path, inputs, stage: str):
         """The source of reference ``path``, for the step of ``stage``: the
-        channels given for it, or else the WAV file, opened on first use."""
+        channels given for it, or else the WAV file, opened on first use. Its
+        channel count and sample rate must be those of the input source."""
         key = Path(path).resolve()
         if key not in self.sources:
             self.sources[key] = _WavSource(path)
         source = self.sources[key]
-        if source.n_channels != n_channels:
+        if source.n_channels != inputs.n_channels:
             raise ShapeError(
-                f"{path}: has {source.n_channels} channels, input has {n_channels}"
+                f"{path}: has {source.n_channels} channels, input has {inputs.n_channels}"
+            )
+        if source.sample_rate != inputs.sample_rate:
+            raise ShapeError(
+                f"{path}: sample rate {source.sample_rate} Hz, input has {inputs.sample_rate} Hz"
             )
         self._stages.setdefault(source, []).append(stage)
         return source
@@ -266,16 +234,14 @@ class _References:
         return X
 
 
-def _magnitude_step(
-    spec: ReconstructSpec, n_frames: int, n_channels: int, rate: int, references: _References
-):
+def _magnitude_step(spec: ReconstructSpec, n_frames: int, inputs, references: _References):
     """The step mapping a channel's block of frames (the channel, its
     analysis ``x`` and its ``frame_blocks`` triple f0, f1, sample span) to the
     block's high-band magnitudes. Everything that can reject the job is
     checked here, before any block."""
     predictor, cfg, layout = spec.predictor, spec.stft, spec.layout
     if isinstance(predictor, OracleSpec):
-        source = references.open(predictor.reference_path, n_channels, "magnitude")
+        source = references.open(predictor.reference_path, inputs, "magnitude")
         ref_frames = cfg.frame_count(source.n_samples)
         if ref_frames < n_frames:
             raise LengthError(f"reference yields {ref_frames} frames, {n_frames} required")
@@ -287,19 +253,17 @@ def _magnitude_step(
             np.abs(x[:, : layout.k_lo]), layout
         )
     if isinstance(predictor, ImportSpec):
-        if n_channels != 1:
+        if inputs.n_channels != 1:
             raise ShapeError("imported magnitudes only support mono inputs")
-        imported = load_magnitude(predictor.path, (n_frames, layout.hfc_width), cfg, rate)
+        imported = load_magnitude(
+            predictor.path, (n_frames, layout.hfc_width), cfg, inputs.sample_rate
+        )
         return lambda channel, x, block: imported[block[0] : block[1]]
     raise ShapeError(f"unknown predictor spec {predictor!r}")
 
 
 def _phase_step(
-    spec: ReconstructSpec,
-    n_frames: int,
-    n_channels: int,
-    references: _References,
-    traces: list | None,
+    spec: ReconstructSpec, n_frames: int, inputs, references: _References, traces: list | None
 ):
     """The step mapping a channel's block of frames (the channel, its
     analysis ``x``, its high-band magnitudes ``mag`` and its ``frame_blocks``
@@ -329,10 +293,10 @@ def _phase_step(
 
         return gla
     if isinstance(strategy, ReferencePhaseSpec):
-        source = references.open(strategy.path, n_channels, "phase")
+        source = references.open(strategy.path, inputs, "phase")
         ref_frames = cfg.frame_count(source.n_samples)
         if ref_frames != n_frames:
-            for _ in range(n_channels):
+            for _ in range(inputs.n_channels):
                 logger.warning(
                     "%s: reference frame count adjusted to %d", strategy.path, n_frames
                 )
@@ -351,75 +315,75 @@ def _phase_step(
 
 
 def _reconstruct_blocks(
-    spec: ReconstructSpec, source, sink, references: _References, traces: list | None = None
-) -> None:
-    """The reconstruction core: read the band-limited input from
-    ``source`` one block span at a time and, per channel, analyse, predict,
-    estimate, recombine and overlap-add the block's frames. Each stretch of
-    output that no later frame touches is normalised and handed to ``sink``
-    for every channel at once, so no whole-length signal is held unless a
-    source or sink holds one.
+    spec: ReconstructSpec, source, references: _References, traces: list | None = None
+) -> tuple[int, Iterator[list[np.ndarray]]]:
+    """The reconstruction core. Every check that can reject the job runs
+    when it is called; it returns the output length and a generator that
+    reads the band-limited input from ``source`` one block span at a time
+    and, per channel, analyses, predicts, estimates, recombines and
+    overlap-adds the block's frames. For each stretch of output that no
+    later frame touches it yields the normalised float64 stretch of every
+    channel, so no whole-length signal is held unless a source or the caller
+    holds one.
 
-    Every check that can reject the job runs before the first block, except
-    that the samples of a reference that no block reads (past the input's
-    last frame) are checked for non-finite values after the last block.
+    After the last block, the generator checks the samples of a reference
+    that no block read (past the input's last frame) for non-finite values.
     Griffin-Lim is not frame-local, so it runs as one block of every frame.
     Given a ``traces`` list, the GLA strategy appends the first channel's
     residuals to it.
     """
     cfg, layout = spec.stft, spec.layout
-    n_channels, rate = source.n_channels, source.sample_rate
     with _stage("analyze"):
         n_frames = cfg.frame_count(source.n_samples)
     with _stage("magnitude"):
-        magnitude_step = _magnitude_step(spec, n_frames, n_channels, rate, references)
+        magnitude_step = _magnitude_step(spec, n_frames, source, references)
     with _stage("phase"):
-        phase_step = _phase_step(spec, n_frames, n_channels, references, traces)
+        phase_step = _phase_step(spec, n_frames, source, references, traces)
 
-    with _stage("write-output"):
-        sink.begin(n_channels, cfg.output_length(n_frames))
-    block_frames = n_frames if isinstance(spec.phase, GlaConfig) else None
-    # Per channel, the overlap-add sums already begun past the last stretch out.
-    carries = [np.zeros(0)] * n_channels
-    for block in frame_blocks(n_frames, cfg, block_frames):
-        f0, f1, span = block
-        last = f1 == n_frames
-        # No later frame reaches below f1 * hop; the last block ends the output.
-        done = span.stop if last else f1 * cfg.hop
-        with _stage("read-input"):
-            # The last block also reads the input's tail past its last frame
-            # (under one hop), so every input sample is checked.
-            inputs = source.read(span.start, source.n_samples if last else span.stop)
-        with _stage("synthesize"):
-            denominator = _synthesis_denominator(cfg, n_frames, span.start, done)
-        pieces = []
-        for channel in range(n_channels):
-            with _stage("analyze"):
-                x = stft_array(inputs[channel], cfg)
-                if spec.residual_band is ResidualBand.ZERO:
-                    x[:, layout.k_hi :] = 0.0
-
-            with _stage("magnitude"):
-                hfc_mag = magnitude_step(channel, x, block)
-
-            with _stage("phase"):
-                hfc = phase_step(channel, x, hfc_mag, block)
-
-            with _stage("recombine"):
-                x[:, layout.k_lo : layout.k_hi] = hfc
-
+    def blocks():
+        block_frames = n_frames if isinstance(spec.phase, GlaConfig) else None
+        # Per channel, the overlap-add sums already begun past the last stretch out.
+        carries = [np.zeros(0)] * source.n_channels
+        for block in frame_blocks(n_frames, cfg, block_frames):
+            f0, f1, span = block
+            last = f1 == n_frames
+            # No later frame reaches below f1 * hop; the last block ends the output.
+            done = span.stop if last else f1 * cfg.hop
+            with _stage("read-input"):
+                # The last block also reads the input's tail past its last frame
+                # (under one hop), so every input sample is checked.
+                inputs = source.read(span.start, source.n_samples if last else span.stop)
             with _stage("synthesize"):
-                out = np.zeros(span.stop - span.start)
-                carry = carries[channel]
-                out[: len(carry)] = carry
-                overlap_add(x, out, 0, cfg)
-                carries[channel] = out[done - span.start :]
-                piece = out[: done - span.start]
-                piece /= denominator
-            pieces.append(piece)
-        with _stage("write-output"):
-            sink.write(pieces)
-    references.check_unread()
+                denominator = _synthesis_denominator(cfg, n_frames, span.start, done)
+            pieces = []
+            for channel in range(source.n_channels):
+                with _stage("analyze"):
+                    x = stft_array(inputs[channel], cfg)
+                    if spec.residual_band is ResidualBand.ZERO:
+                        x[:, layout.k_hi :] = 0.0
+
+                with _stage("magnitude"):
+                    hfc_mag = magnitude_step(channel, x, block)
+
+                with _stage("phase"):
+                    hfc = phase_step(channel, x, hfc_mag, block)
+
+                with _stage("recombine"):
+                    x[:, layout.k_lo : layout.k_hi] = hfc
+
+                with _stage("synthesize"):
+                    out = np.zeros(span.stop - span.start)
+                    carry = carries[channel]
+                    out[: len(carry)] = carry
+                    overlap_add(x, out, 0, cfg)
+                    carries[channel] = out[done - span.start :]
+                    piece = out[: done - span.start]
+                    piece /= denominator
+                pieces.append(piece)
+            yield pieces
+        references.check_unread()
+
+    return cfg.output_length(n_frames), blocks()
 
 
 def reconstruct(
@@ -434,11 +398,11 @@ def reconstruct(
     reference phase's) to that file's channels, already in memory; a named
     path that is not there is read from its file one block span at a time.
     """
-    sink = _ArraySink()
-    _reconstruct_blocks(
-        spec, _ArraySource(channels), sink, _References(spec.stft, references or {})
+    _, blocks = _reconstruct_blocks(
+        spec, _ArraySource(channels), _References(spec.stft, references or {})
     )
-    return sink.waveforms(channels[0].sample_rate)
+    rate = channels[0].sample_rate
+    return [Waveform(np.concatenate(parts), rate) for parts in zip(*blocks)]
 
 
 def super_resolve(spec: ReconstructSpec, input_path, output_path, trace_path=None) -> None:
@@ -458,14 +422,25 @@ def super_resolve(spec: ReconstructSpec, input_path, output_path, trace_path=Non
     with _stage("read-input"):
         source = _WavSource(input_path)
     traces = [] if trace_path is not None else None
-    with _WavSink(output_path, source.sample_rate) as sink:
-        _reconstruct_blocks(spec, source, sink, _References(spec.stft, {}), traces)
+    total, blocks = _reconstruct_blocks(spec, source, _References(spec.stft, {}), traces)
+    with _stage("write-output"), _atomic_output(output_path) as fh:
+        for pieces in blocks:
+            channels = [Waveform(piece, source.sample_rate) for piece in pieces]
+            wav_write(fh, channels, SampleDepth.FLOAT32, total_frames=total)
+            total = None  # only the first write puts the header in front
     if traces:
-        with _stage("write-output"), open(trace_path, "w", encoding="ascii") as fh:
-            fh.write("iteration,residual\n")
-            for i, r in enumerate(traces[0]):
-                digits = np.format_float_positional(r, precision=9, unique=False, fractional=False)
-                fh.write(f"{i},{digits}\n")
+        rows = (
+            f"{i},{np.format_float_positional(r, precision=9, unique=False, fractional=False)}"
+            for i, r in enumerate(traces[0])
+        )
+        with _stage("write-output"):
+            _write_csv(trace_path, ["iteration,residual", *rows])
+
+
+def _write_csv(path, lines) -> None:
+    """Write ``lines``, the header first, each ended by a newline, as UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +487,6 @@ class PhaseStudyResult:
     means: dict[str, EvalReport]
     snr_anomaly: bool
     skipped: list[str] = field(default_factory=list)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(EVAL_CSV_HEADER + "\n")
-            for row in self.rows:
-                fh.write(row + "\n")
-            if self.snr_anomaly:
-                fh.write(
-                    "# snr_anomaly: zero-filled LR baseline mean SNR >= GLA mean SNR "
-                    f"({self.means['lr'].snr:.4f} dB vs {self.means['gla'].snr:.4f} dB); "
-                    "expected for this task\n"
-                )
 
 
 def _write_float32(path, channels: list[Waveform]) -> list[Waveform]:
@@ -630,6 +593,7 @@ def run_phase_study(
     for method in PHASE_STUDY_METHODS:
         rows.append(means[method].csv_row("mean", method))
 
+    lines = [EVAL_CSV_HEADER, *rows]
     anomaly = means["lr"].snr >= means["gla"].snr
     if anomaly:
         logger.info(
@@ -638,9 +602,12 @@ def run_phase_study(
             means["lr"].snr,
             means["gla"].snr,
         )
-    result = PhaseStudyResult(rows=rows, means=means, snr_anomaly=anomaly, skipped=skipped)
-    result.to_csv(out)
-    return result
+        lines.append(
+            "# snr_anomaly: zero-filled LR baseline mean SNR >= GLA mean SNR "
+            f"({means['lr'].snr:.4f} dB vs {means['gla'].snr:.4f} dB); expected for this task"
+        )
+    _write_csv(out, lines)
+    return PhaseStudyResult(rows=rows, means=means, snr_anomaly=anomaly, skipped=skipped)
 
 
 def evaluate_batch(
@@ -652,10 +619,12 @@ def evaluate_batch(
     """Score (truth, estimate) file pairs; one CSV row per pair plus a mean row.
 
     Failing pairs are logged and reported as rows with empty metric fields;
-    the mean covers the successes. Rows keep the input order.
+    the mean covers the successes. Rows keep the input order. When every pair
+    fails, the first failure's exception is raised and no CSV is written.
     """
     rows: list[str] = []
     successes: list[EvalReport] = []
+    first_failure: Exception | None = None
     for truth_path, estimate_path in pairs:
         try:
             report = _evaluate_sources(
@@ -663,15 +632,14 @@ def evaluate_batch(
             )
         except Exception as exc:
             logger.warning("pair (%s, %s) failed: %s", truth_path, estimate_path, exc)
+            first_failure = first_failure or exc
             rows.append(f"{estimate_path},error,,,,")
             continue
         successes.append(report)
         rows.append(report.csv_row(str(estimate_path), "eval"))
+    if first_failure is not None and not successes:
+        raise first_failure
     if successes:
         rows.append(_mean_report(successes).csv_row("mean", "eval"))
-
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(EVAL_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+    _write_csv(out, [EVAL_CSV_HEADER, *rows])
     return rows

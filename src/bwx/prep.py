@@ -24,7 +24,7 @@ from .dsp import (
     overlap_add,
     stft_array,
 )
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .wavio import SampleDepth, wav_read, wav_write
 
 
@@ -52,13 +52,7 @@ class LowpassSpec:
 
 def design_fir(spec: LowpassSpec, sample_rate: int) -> np.ndarray:
     """Windowed-sinc low-pass taps with unity DC gain."""
-    if spec.cutoff_hz >= sample_rate / 2:
-        raise DomainError(
-            f"cutoff {spec.cutoff_hz} Hz is not below Nyquist ({sample_rate / 2} Hz)"
-        )
-    return scipy.signal.firwin(
-        spec.taps, spec.cutoff_hz, window=FIR_WINDOW, fs=sample_rate
-    )
+    return scipy.signal.firwin(spec.taps, spec.cutoff_hz, window=FIR_WINDOW, fs=sample_rate)
 
 
 def _lowpass_brickwall(x: np.ndarray, sample_rate: int, cutoff_hz: float, cfg: StftConfig) -> np.ndarray:
@@ -104,7 +98,4 @@ def make_pair(hr_path, out_lr_path, spec: LowpassSpec = LowpassSpec(), cfg: Stft
     """
     channels, _depth = wav_read(hr_path)
     filtered = [lowpass(ch, spec, cfg) for ch in channels]
-    for ch in filtered:
-        if len(ch.samples) != len(channels[0].samples):
-            raise ShapeError("lowpass changed the sample count")
     wav_write(out_lr_path, filtered, SampleDepth.FLOAT32)

@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    BwxError,
+    DomainError,
     MalformedHeaderError,
     PayloadMismatchError,
     PayloadValueError,
@@ -35,6 +37,7 @@ from .errors import (
 MAGIC = b"BWXSPEC1"
 _HEADER_STRUCT = struct.Struct("<8sIIBIII")
 HEADER_SIZE = _HEADER_STRUCT.size  # 29
+_U32_MAX = 2**32 - 1
 
 
 class SpecKind(enum.IntEnum):
@@ -52,6 +55,22 @@ class SpecFileHeader:
     hop: int
 
 
+def _header_error(frames, bins, sample_rate, frame_len, hop) -> BwxError | None:
+    """The error, as a writer raises it, for the first header field that
+    breaks the format's rule, or None when the header is valid."""
+    fields = (frames, bins, sample_rate, frame_len, hop)
+    rules = (
+        (DomainError, max(fields) > _U32_MAX, f"header fields must be below 2**32, got {fields}"),
+        (ShapeError, frames < 1 or bins < 1, f"frames and bins must be >= 1, got {frames}x{bins}"),
+        (DomainError, sample_rate < 1, f"sample rate must be >= 1, got {sample_rate}"),
+        (DomainError, frame_len < 1 or frame_len % 2,
+         f"frame length must be even and >= 2, got {frame_len}"),
+        (DomainError, not 0 < hop <= frame_len,
+         f"hop must be in 1..frame length {frame_len}, got {hop}"),
+    )
+    return next((error(problem) for error, bad, problem in rules if bad), None)
+
+
 def spec_write(
     path,
     data: np.ndarray,
@@ -62,10 +81,14 @@ def spec_write(
 ) -> None:
     """Write a spectrogram payload with its header. Magnitude data is stored
     as float32, complex data as interleaved float32 re,im pairs. A payload
-    holding NaN or infinity, also one that overflows float32, is refused."""
+    holding NaN or infinity, also one that overflows float32, is refused, and
+    so is a header that `spec_read` would refuse."""
     data = np.asarray(data)
     if data.ndim != 2:
         raise ShapeError(f"spectrogram data must be 2-D, got shape {data.shape}")
+    error = _header_error(*data.shape, sample_rate, frame_len, hop)
+    if error is not None:
+        raise error
 
     kind = SpecKind(kind)
     with np.errstate(over="ignore"):
@@ -109,14 +132,9 @@ def spec_read(path) -> tuple[np.ndarray, SpecFileHeader]:
         kind = SpecKind(kind_byte)
     except ValueError:
         raise MalformedHeaderError(f"{path}: unknown spectrogram kind {kind_byte}") from None
-    for bad, problem in (
-        (frames < 1 or bins < 1, f"frames and bins must be >= 1, got {frames}x{bins}"),
-        (sample_rate < 1, f"sample rate must be >= 1, got {sample_rate}"),
-        (frame_len < 1 or frame_len % 2, f"frame length must be even and >= 2, got {frame_len}"),
-        (not 0 < hop <= frame_len, f"hop must be in 1..frame length {frame_len}, got {hop}"),
-    ):
-        if bad:
-            raise MalformedHeaderError(f"{path}: {problem}")
+    error = _header_error(frames, bins, sample_rate, frame_len, hop)
+    if error is not None:
+        raise MalformedHeaderError(f"{path}: {error}")
     header = SpecFileHeader(frames, bins, kind, sample_rate, frame_len, hop)
 
     per_value = 8 if kind is SpecKind.COMPLEX else 4

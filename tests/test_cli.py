@@ -140,6 +140,25 @@ class TestSr:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "mag, phase, stage",
+        [("oracle", "flip", "magnitude"), ("sbr", "ref", "phase"), ("oracle", "ref", "magnitude")],
+    )
+    def test_reference_at_another_rate_is_usage_error(
+        self, tmp_path, short_music, lr_path, mag, phase, stage, capsys
+    ):
+        ref = tmp_path / "ref22k.wav"
+        wav_write(ref, Waveform(short_music.samples, 22050), SampleDepth.FLOAT32)
+        out = tmp_path / "o.wav"
+        argv = ["sr", "--in", str(lr_path), "--out", str(out),
+                "--mag", f"oracle:{ref}" if mag == "oracle" else mag,
+                "--phase", f"ref:{ref}" if phase == "ref" else phase]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"stage '{stage}'" in err
+        assert f"{ref}: sample rate 22050 Hz, input has 44100 Hz" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hr.wav", "lr.wav", "ref22k.wav"]
+
     def test_output_over_input_is_usage_error(self, tmp_path, lr_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         before = lr_path.read_bytes()
@@ -181,6 +200,23 @@ class TestEval:
         assert lines[0] == "file,method,lsd_hf_db,lsd_full_db,snr_db,frames"
         assert len(lines) == 3
         assert capsys.readouterr().out.count(",eval,") == 2
+
+    def test_missing_estimate_is_io_error(self, tmp_path, hr_path, capsys):
+        out = tmp_path / "report.csv"
+        missing = tmp_path / "missing.wav"
+        argv = ["eval", "--truth", str(hr_path), "--est", str(missing), "--out", str(out)]
+        assert main(argv) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_channel_mismatch_is_usage_error(self, tmp_path, hr_path, short_music, capsys):
+        out = tmp_path / "report.csv"
+        stereo = tmp_path / "stereo.wav"
+        wav_write(stereo, [short_music, short_music], SampleDepth.FLOAT32)
+        argv = ["eval", "--truth", str(hr_path), "--est", str(stereo), "--out", str(out)]
+        assert main(argv) == 1
+        assert "channel counts differ: 1 vs 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPhaseStudy:

@@ -55,12 +55,13 @@ def test_sr_on_silence_writes_finite_output(tmp_path, silent_wav, mag, phase):
 
 
 @pytest.mark.parametrize("which", ["silent", "short"])
-def test_eval_on_unscorable_pair_reports_an_error_row(tmp_path, short_wav, silent_wav, which):
+def test_eval_on_unscorable_pair_fails(tmp_path, short_wav, silent_wav, which, capsys):
     path = silent_wav if which == "silent" else short_wav
     csv = tmp_path / "eval.csv"
     argv = ["eval", "--truth", str(path), "--est", str(path), "--out", str(csv)]
-    assert main(argv) == 0
-    assert csv.read_text().splitlines()[1:] == [f"{path},error,,,,"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not csv.exists()
 
 
 def test_phase_study_on_a_short_clip_fails(tmp_path, short_wav, capsys):

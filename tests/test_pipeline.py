@@ -174,6 +174,26 @@ class TestSuperResolve:
         with pytest.raises(PipelineError, match="magnitude"):
             super_resolve(spec, lr, out)
 
+    @pytest.mark.parametrize(
+        "predictor, phase, stage",
+        [
+            (OracleSpec("missing.wav"), FlipPhaseSpec(), "magnitude"),
+            (BandReplicationSpec(), ReferencePhaseSpec("missing.wav"), "phase"),
+            (OracleSpec("missing.wav"), GlaConfig(iterations=2), "magnitude"),
+        ],
+    )
+    def test_checks_run_before_output_is_opened(
+        self, tmp_path, hr_lr_paths, monkeypatch, predictor, phase, stage
+    ):
+        _, lr = hr_lr_paths
+        monkeypatch.chdir(tmp_path)
+        opened = []
+        monkeypatch.setattr(bwx.pipeline, "_atomic_output", opened.append)
+        with pytest.raises(PipelineError) as info:
+            super_resolve(_spec(predictor, phase), lr, tmp_path / "out.wav")
+        assert info.value.stage == stage
+        assert opened == []
+
     def test_stage_label_on_missing_input(self, tmp_path):
         spec = _spec(BandReplicationSpec(), FlipPhaseSpec())
         with pytest.raises(PipelineError, match="read-input"):

@@ -6,9 +6,11 @@ import pytest
 from bwx import SpecKind, spec_read, spec_write
 from bwx.errors import (
     BadMagicError,
+    DomainError,
     MalformedHeaderError,
     PayloadMismatchError,
     PayloadValueError,
+    ShapeError,
     TruncatedDataError,
 )
 from bwx.specio import HEADER_SIZE
@@ -111,6 +113,28 @@ def test_bad_header_field_rejected(tmp_path, offset, value, match):
     with pytest.raises(MalformedHeaderError, match=match) as excinfo:
         spec_read(path)
     assert str(excinfo.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
+    "shape, fields, error, match",
+    [
+        ((0, 2), (44100, 2048, 256), ShapeError, "frames and bins"),
+        ((2, 0), (44100, 2048, 256), ShapeError, "frames and bins"),
+        ((2, 2), (0, 2048, 256), DomainError, "sample rate"),
+        ((2, 2), (-1, 2048, 256), DomainError, "sample rate"),
+        ((2, 2), (44100, 0, 256), DomainError, "frame length"),
+        ((2, 2), (44100, 2047, 256), DomainError, "frame length"),
+        ((2, 2), (44100, 2048, 0), DomainError, "hop"),
+        ((2, 2), (44100, 2048, 2049), DomainError, "hop"),
+        ((2, 2), (2**32, 2048, 256), DomainError, r"below 2\*\*32"),
+        ((2, 2), (44100, 2**32, 256), DomainError, r"below 2\*\*32"),
+    ],
+)
+def test_bad_header_field_rejected_on_write(tmp_path, shape, fields, error, match):
+    path = tmp_path / "field.bwx"
+    with pytest.raises(error, match=match):
+        spec_write(path, np.ones(shape), SpecKind.MAGNITUDE, *fields)
+    assert not path.exists()
 
 
 def test_hop_equal_to_frame_length_accepted(tmp_path):

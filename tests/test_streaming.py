@@ -190,8 +190,15 @@ def test_non_finite_sample_past_the_shorter_file_fails_the_pair(tmp_path, inputs
     longer = tmp_path / "longer.wav"
     _longer_copy(longer, hr, 3000)
     csv = tmp_path / "eval.csv"
-    rows = evaluate_batch([(str(longer), str(lr)), (str(lr), str(longer))], LAYOUT, csv, CFG)
-    assert rows == [f"{lr},error,,,,", f"{longer},error,,,,"]
+    failing = [(str(longer), str(lr)), (str(lr), str(longer))]
+    rows = evaluate_batch([*failing, (str(hr), str(hr))], LAYOUT, csv, CFG)
+    assert rows[:2] == [f"{lr},error,,,,", f"{longer},error,,,,"]
+    assert rows[2].startswith(f"{hr},eval,")
+    # With no pair left to score, the first failure is raised and no CSV written.
+    csv.unlink()
+    with pytest.raises(DomainError):
+        evaluate_batch(failing, LAYOUT, csv, CFG)
+    assert not csv.exists()
 
 
 def test_atomic_output_replaces_only_on_success(tmp_path):
