@@ -14,6 +14,11 @@ Conventions used throughout the package:
   so adding a spectrogram block by block (`overlap_add` per block of
   `frame_blocks`) gives the same bits as adding it whole. Analysis is per
   frame, so a block's STFT equals the matching rows of the whole STFT.
+* `stft_array` and `overlap_add` work through at most `BLOCK_FRAMES` frames
+  at a time, so no transform takes a whole-file frame buffer. The
+  consistency projection stft(istft(X)) is streamed (`project_blocks`): each
+  block of X is overlap-added into one output-length signal, and a frame is
+  analysed as soon as no later block can touch its samples.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ from .errors import DomainError, LengthError, ShapeError
 WINDOW_SUM_FLOOR = 1e-12
 
 # Frames per block in the frame-local flows (sr without Griffin-Lim, eval,
-# brickwall prepare): 256 frames of 2048/256 hold about 4 MB of complex128,
-# so their spectrogram memory does not grow with the input's length; sr and
-# eval also read and write their WAV files one block at a time.
+# brickwall prepare) and the most frames any transform here works on at once:
+# 256 frames of 2048/256 hold about 4 MB of complex128, so block memory does
+# not grow with the input's length; sr and eval also read and write their WAV
+# files one block at a time.
 BLOCK_FRAMES = 256
 
 
@@ -178,32 +184,38 @@ _scratch = threading.local()
 
 
 def _frame_scratch(n_frames: int, frame_len: int) -> np.ndarray:
-    """A (n_frames, frame_len) float64 array for windowed frames. Up to
-    `BLOCK_FRAMES` frames it comes from one buffer per thread, reused by
-    every later call: a fresh multi-MB array per block page-faults anew on
-    every block once the allocator has handed the previous block's memory
-    back to the system. Longer (whole-file) requests get a fresh array."""
-    if n_frames > BLOCK_FRAMES:
-        return np.empty((n_frames, frame_len))
+    """A (n_frames, frame_len) float64 array for windowed frames, n_frames at
+    most `BLOCK_FRAMES`, from one buffer per thread reused by every later
+    call: a fresh multi-MB array per block page-faults anew on every block
+    once the allocator has handed the previous block's memory back to the
+    system."""
     buffer = getattr(_scratch, "frames", None)
     if buffer is None or buffer.shape[1] != frame_len or len(buffer) < n_frames:
         buffer = _scratch.frames = np.empty((n_frames, frame_len))
     return buffer[:n_frames]
 
 
+def _windowed_rfft(windows: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    frames = np.multiply(windows, cfg.window_values(), out=_frame_scratch(len(windows), cfg.frame_len))
+    return scipy.fft.rfft(frames, axis=1, workers=-1)
+
+
 def stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """STFT of a 1-D float array, returning (frames, bins) complex128. The
-    samples are not scanned for non-finite values: `Waveform` and the WAV
-    reader check them where they enter."""
+    """STFT of a 1-D float array, returning (frames, bins) complex128,
+    analysed `BLOCK_FRAMES` frames at a time. The samples are not scanned
+    for non-finite values: `Waveform` and the WAV reader check them where
+    they enter."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"signal must be 1-D, got shape {x.shape}")
     n_frames = cfg.frame_count(len(x))
-    windows = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)[:: cfg.hop]
-    frames = np.multiply(
-        windows[:n_frames], cfg.window_values(), out=_frame_scratch(n_frames, cfg.frame_len)
-    )
-    return scipy.fft.rfft(frames, axis=1, workers=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)[:: cfg.hop][:n_frames]
+    if n_frames <= BLOCK_FRAMES:  # one block: rfft's own array, not a copy
+        return _windowed_rfft(windows, cfg)
+    X = np.empty((n_frames, cfg.n_bins), dtype=np.complex128)
+    for f0, f1, _ in frame_blocks(n_frames, cfg):
+        X[f0:f1] = _windowed_rfft(windows[f0:f1], cfg)
+    return X
 
 
 def _synthesis_denominator(
@@ -253,13 +265,19 @@ def _window_square_sum(cfg: StftConfig, n_frames: int, start: int, stop: int) ->
     return np.maximum(wsum, WINDOW_SUM_FLOOR)
 
 
-def overlap_add(X_block: np.ndarray, out: np.ndarray, first_frame: int, cfg: StftConfig) -> None:
-    """Add the windowed irfft frames of ``X_block`` into ``out``, frame i at
-    sample (first_frame + i) * hop, without normalising.
+def overlap_add(X: np.ndarray, out: np.ndarray, first_frame: int, cfg: StftConfig) -> None:
+    """Add the windowed irfft frames of ``X`` into ``out``, frame i at sample
+    (first_frame + i) * hop, without normalising, `BLOCK_FRAMES` frames at a
+    time.
 
     Each sample receives its frames in ascending frame order, so calling this
     block after block in frame order sums exactly as one call on the whole
     spectrogram does."""
+    for f0, f1, _ in frame_blocks(X.shape[0], cfg):
+        _overlap_add_block(X[f0:f1], out, first_frame + f0, cfg)
+
+
+def _overlap_add_block(X_block: np.ndarray, out: np.ndarray, first_frame: int, cfg: StftConfig) -> None:
     frame_len, hop = cfg.frame_len, cfg.hop
     n_frames = X_block.shape[0]
     frames = scipy.fft.irfft(X_block, n=frame_len, axis=1, workers=-1)
@@ -278,6 +296,17 @@ def overlap_add(X_block: np.ndarray, out: np.ndarray, first_frame: int, cfg: Stf
             out[start + i * hop : start + i * hop + frame_len] += frames[i]
 
 
+def _checked_spectrogram(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """``X`` as complex128, checked to be 2-D with ``cfg.n_bins`` bins
+    (`ShapeError` otherwise)."""
+    X = np.asarray(X, dtype=np.complex128)
+    if X.ndim != 2:
+        raise ShapeError(f"spectrogram data must be 2-D (frames x bins), got {X.shape}")
+    if X.shape[1] != cfg.n_bins:
+        raise ShapeError(f"spectrogram has {X.shape[1]} bins, config demands {cfg.n_bins}")
+    return X
+
+
 def istft_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Weighted overlap-add inverse of `stft_array`; output has
     (L - 1) * hop + frame_len samples.
@@ -285,11 +314,7 @@ def istft_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
     The overlap-added signal is divided by the floored squared-window sum,
     which is computed once per (cfg, L) and cached. ``X`` must have
     ``cfg.n_bins`` bins (`ShapeError` otherwise)."""
-    X = np.asarray(X, dtype=np.complex128)
-    if X.ndim != 2:
-        raise ShapeError(f"spectrogram data must be 2-D (frames x bins), got {X.shape}")
-    if X.shape[1] != cfg.n_bins:
-        raise ShapeError(f"spectrogram has {X.shape[1]} bins, config demands {cfg.n_bins}")
+    X = _checked_spectrogram(X, cfg)
     n_frames = X.shape[0]
     out = np.zeros(cfg.output_length(n_frames))
     overlap_add(X, out, 0, cfg)
@@ -319,9 +344,45 @@ def interior_slice(n_samples: int, cfg: StftConfig) -> slice:
     return slice(margin, n_samples - margin)
 
 
+def project_blocks(X: np.ndarray, cfg: StftConfig) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Stream the consistency projection stft(istft(X)) in frame blocks.
+
+    Yields ``(a0, a1, Y_block)``, consecutive from frame 0: ``Y_block`` is
+    rows a0..a1-1 of the projection, bit for bit, and has at most
+    `BLOCK_FRAMES` rows. Block by block, X is overlap-added into one
+    output-length signal; the stretch that no later frame reaches is divided
+    by the cached squared-window sum, and every frame whose samples are then
+    final is analysed. When a block is yielded, the rows of ``X`` below a1
+    have been read for the last time, so the caller may overwrite them in
+    place before asking for the next block. ``X`` must have ``cfg.n_bins``
+    bins (`ShapeError` otherwise)."""
+    X = _checked_spectrogram(X, cfg)
+    frame_len, hop = cfg.frame_len, cfg.hop
+    n_frames = X.shape[0]
+    signal = np.zeros(cfg.output_length(n_frames))
+    denominator = _synthesis_denominator(cfg, n_frames)
+    divided = a0 = 0  # samples divided so far; frames yielded so far
+    for f0, f1, _ in frame_blocks(n_frames, cfg):
+        overlap_add(X[f0:f1], signal, f0, cfg)
+        # No frame from f1 on reaches below f1 * hop; the last block ends the signal.
+        final = len(signal) if f1 == n_frames else f1 * hop
+        signal[divided:final] /= denominator[divided:final]
+        divided = final
+        a1 = max(a0, (final - frame_len) // hop + 1)  # frames lying wholly below `final`
+        ready = signal[a0 * hop : (a1 - 1) * hop + frame_len]
+        for g0, g1, span in frame_blocks(a1 - a0, cfg):
+            yield a0 + g0, a0 + g1, stft_array(ready[span], cfg)
+        a0 = a1
+
+
 def consistency_project_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Project onto the set of consistent spectrograms: stft(istft(X)), a
     fixed point (up to rounding) exactly when X is the STFT of some signal.
     An L-frame spectrogram resynthesises to output_length(L) samples, which
-    analyse back into exactly L frames."""
-    return stft_array(istft_array(X, cfg), cfg)
+    analyse back into exactly L frames. Filled block by block from
+    `project_blocks`."""
+    X = _checked_spectrogram(X, cfg)
+    Y = np.empty_like(X)
+    for a0, a1, Y_block in project_blocks(X, cfg):
+        Y[a0:a1] = Y_block
+    return Y

@@ -22,7 +22,7 @@ from .dsp import (
     stft_array,
 )
 from .errors import DomainError, LengthError, ShapeError
-from .phase import _consistency_residual
+from .phase import RESIDUAL_NORM_FLOOR
 
 LSD_POWER_FLOOR = 1e-10
 SNR_RATIO_FLOOR = 1e-12
@@ -64,7 +64,10 @@ def _check_bins(bins: tuple[int, int], n_bins: int) -> None:
 def _lsd_per_frame(truth: np.ndarray, estimate: np.ndarray, bins: tuple[int, int]) -> np.ndarray:
     """Per-frame RMS of log-power differences over the bin range ``bins``."""
     lo, hi = bins
-    diff = log_power(truth[:, lo:hi]) - log_power(estimate[:, lo:hi])
+    return _rms_per_frame(log_power(truth[:, lo:hi]) - log_power(estimate[:, lo:hi]))
+
+
+def _rms_per_frame(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(diff * diff, axis=1))
 
 
@@ -127,7 +130,8 @@ def consistency_residual(X: np.ndarray, cfg: StftConfig) -> float:
     """||X - P_C(X)||_F / max(||X||_F, 1e-12) for a complex spectrogram
     ``X`` analysed under ``cfg``; zero exactly for consistent X. ``X`` must
     have ``cfg.n_bins`` bins (`ShapeError` otherwise)."""
-    return _consistency_residual(X, consistency_project_array(X, cfg))
+    num = np.linalg.norm(X - consistency_project_array(X, cfg))
+    return float(num / max(np.linalg.norm(X), RESIDUAL_NORM_FLOOR))
 
 
 @dataclass
@@ -190,12 +194,14 @@ class _Evaluation:
         to span.stop."""
         f0, f1, span = block
         cfg = self.cfg
-        # Only bins below k_hi, the top of both LSD ranges, are compared.
+        # Only bins below k_hi, the top of both LSD ranges, are compared; the
+        # log-power difference is taken once over [0, k_hi) and the HF range
+        # sliced from it.
         top = self.full_bins[1]
-        mt = np.abs(stft_array(truth, cfg)[:, :top])
-        me = np.abs(stft_array(estimate, cfg)[:, :top])
-        self.hf[f0:f1] = _lsd_per_frame(mt, me, self.hf_bins)
-        self.full[f0:f1] = _lsd_per_frame(mt, me, self.full_bins)
+        diff = log_power(np.abs(stft_array(truth, cfg)[:, :top]))
+        diff -= log_power(np.abs(stft_array(estimate, cfg)[:, :top]))
+        self.hf[f0:f1] = _rms_per_frame(diff[:, slice(*self.hf_bins)])
+        self.full[f0:f1] = _rms_per_frame(diff)
         # SNR takes the block's own stretch: from span.start to where the next
         # block's span starts (f1 * hop), or to the span's end for the last.
         own_stop = span.stop if f1 == self.n_frames else f1 * cfg.hop

@@ -31,7 +31,7 @@ from .dsp import (
     ComplexSpectrogram,
     StftConfig,
     _checked_magnitude,
-    consistency_project_array,
+    project_blocks,
 )
 from .errors import DomainError, NumericalError, ShapeError
 
@@ -101,10 +101,8 @@ def flip_phase(lfc: np.ndarray, layout: BandLayout) -> np.ndarray:
     return np.conjugate(phasors, out=phasors)
 
 
-def _consistency_residual(X: np.ndarray, projected: np.ndarray) -> float:
-    num = np.linalg.norm(X - projected)
-    den = max(np.linalg.norm(X), RESIDUAL_NORM_FLOOR)
-    return float(num / den)
+def _squared_norm(z: np.ndarray) -> float:
+    return float(np.vdot(z, z).real)
 
 
 def gla_reconstruct(
@@ -126,12 +124,14 @@ def gla_reconstruct(
 
     The starting spectrogram copies ``lfc`` into bins [0, k_lo) and gives
     every remaining bin its magnitude with the configured initial phase.
-    Each iteration projects onto consistent spectrograms under ``stft`` and
-    re-imposes the magnitudes on bins k_lo and above only, as
-    ``Y * (A / |Y|)`` with zero divided by zero defined as zero. The low band
-    is never written after the start, so it survives bit for bit. The
-    spectrogram and the magnitude-ratio buffer are allocated once; each
-    iteration's NaN check covers only the re-imposed bins.
+    Each iteration streams the projection onto consistent spectrograms under
+    ``stft`` (`project_blocks`) and, block by block, re-imposes the
+    magnitudes on bins k_lo and above only, as ``Y * (A / |Y|)`` with zero
+    divided by zero defined as zero, writing into the spectrogram in place.
+    The low band is never written after the start, so it survives bit for
+    bit. Besides the spectrogram, an iteration holds one output-length
+    signal and block-sized arrays; each block's NaN check covers only the
+    re-imposed bins.
 
     ``initial_hf``, complex and shaped like ``magnitude``, overrides the
     configured init and warm-starts the loop: every bin at and above the
@@ -177,20 +177,27 @@ def gla_reconstruct(
         X_hi[...] = A_hi  # zero phase
         if cfg.init is GlaInit.FLIP_PHASE:
             X_hi[:, : k_hi - k_lo] *= flip_phase(lfc, layout)
-    scale = np.empty(A_hi.shape)
+    ratio = np.empty((0, A_hi.shape[1]))  # |Y|, then A / |Y|, for one block
 
     residuals = np.empty(cfg.iterations if record_trace else 0)
     for m in range(cfg.iterations):
-        Y = consistency_project_array(X, stft)
+        change = total = 0.0  # squared norms of X - P_C(X) and of X
+        for a0, a1, Y in project_blocks(X, stft):
+            if record_trace:
+                change += _squared_norm(X[a0:a1] - Y)
+                total += _squared_norm(X[a0:a1])
+            if len(ratio) < a1 - a0:
+                ratio = np.empty((a1 - a0, A_hi.shape[1]))
+            scale, Y_hi, X_block = ratio[: a1 - a0], Y[:, k_lo:], X_hi[a0:a1]
+            np.abs(Y_hi, out=scale)
+            # A / |Y| where |Y| > 0; the rest of `scale` already holds |Y| = 0.
+            np.divide(A_hi[a0:a1], scale, out=scale, where=scale > 0)
+            np.multiply(Y_hi, scale, out=X_block)
+            if np.isnan(X_block).any():
+                raise NumericalError(f"NaN appeared at Griffin-Lim iteration {m}")
+            del Y, Y_hi  # free this block before the next one is computed
         if record_trace:
-            residuals[m] = _consistency_residual(X, Y)
-        Y_hi = Y[:, k_lo:]
-        np.abs(Y_hi, out=scale)
-        # A / |Y| where |Y| > 0; the rest of `scale` already holds |Y| = 0.
-        np.divide(A_hi, scale, out=scale, where=scale > 0)
-        np.multiply(Y_hi, scale, out=X_hi)
-        if np.isnan(X_hi).any():
-            raise NumericalError(f"NaN appeared at Griffin-Lim iteration {m}")
+            residuals[m] = np.sqrt(change) / max(np.sqrt(total), RESIDUAL_NORM_FLOOR)
 
     return ComplexSpectrogram(X, stft), residuals
 

@@ -288,8 +288,9 @@ def _phase_step(
             )
             if record:
                 traces.append(residuals)
-            # The loop has already re-imposed ``mag`` on these bins.
-            return result.data[:, k_lo:k_hi]
+            # The loop has already re-imposed ``mag`` on these bins. A copy, so
+            # the whole GLA spectrogram is freed before synthesis.
+            return result.data[:, k_lo:k_hi].copy()
 
         return gla
     if isinstance(strategy, ReferencePhaseSpec):
@@ -620,25 +621,29 @@ def evaluate_batch(
 
     Failing pairs are logged and reported as rows with empty metric fields;
     the mean covers the successes. Rows keep the input order. When every pair
-    fails, the first failure's exception is raised and no CSV is written.
+    fails, the first failure's exception is raised (and not logged, since the
+    caller reports it), the others are logged, and no CSV is written.
     """
     rows: list[str] = []
     successes: list[EvalReport] = []
-    first_failure: Exception | None = None
+    failures: list[tuple[str, str, Exception]] = []
     for truth_path, estimate_path in pairs:
         try:
             report = _evaluate_sources(
                 _WavSource(truth_path), _WavSource(estimate_path), layout, cfg
             )
         except Exception as exc:
-            logger.warning("pair (%s, %s) failed: %s", truth_path, estimate_path, exc)
-            first_failure = first_failure or exc
+            failures.append((truth_path, estimate_path, exc))
             rows.append(f"{estimate_path},error,,,,")
             continue
         successes.append(report)
         rows.append(report.csv_row(str(estimate_path), "eval"))
-    if first_failure is not None and not successes:
-        raise first_failure
+    raised = failures[0] if failures and not successes else None
+    for failure in failures:
+        if failure is not raised:
+            logger.warning("pair (%s, %s) failed: %s", *failure)
+    if raised is not None:
+        raise raised[2]
     if successes:
         rows.append(_mean_report(successes).csv_row("mean", "eval"))
     _write_csv(out, [EVAL_CSV_HEADER, *rows])

@@ -18,6 +18,8 @@ from bwx import (
     BandLayout,
     BandReplicationSpec,
     FlipPhaseSpec,
+    GlaConfig,
+    GlaInit,
     ImportSpec,
     LowpassSpec,
     OracleSpec,
@@ -29,6 +31,7 @@ from bwx import (
     StftConfig,
     Waveform,
     evaluate,
+    gla_reconstruct,
     lowpass,
     lsd,
     make_pair,
@@ -40,7 +43,14 @@ from bwx import (
     wav_write,
 )
 from bwx.cli import main
-from bwx.dsp import frame_blocks, istft_array, overlap_add, stft_array
+from bwx.dsp import (
+    consistency_project_array,
+    frame_blocks,
+    istft_array,
+    overlap_add,
+    project_blocks,
+    stft_array,
+)
 from bwx.errors import LengthError, PipelineError, ShapeError
 
 from conftest import synth_clip
@@ -173,6 +183,56 @@ def test_blocks_match_whole_signal_transforms(hop, extra, block, seed):
     assert covered == list(range(n_frames))
     out /= bwx.dsp._synthesis_denominator(cfg, n_frames)
     assert np.array_equal(out, istft_array(Y, cfg))
+
+
+# Bins of a 64-sample frame: [0, 8) pinned, [8, 20) and above re-imposed.
+SMALL_LAYOUT = BandLayout(8, 20, 33)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    hop=st.sampled_from([16, 24, 40]),  # 24 and 40 do not divide the frame
+    n_frames=st.sampled_from([1, 6, 7, 8, 9, 14, 15, 16, 17, 55, 56, 57]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transforms_and_gla_block_size_invariant(hop, n_frames, seed):
+    # Whatever BLOCK_FRAMES is, every transform, the streamed projection and
+    # a 3-iteration GLA from each start give the same bits as one block.
+    cfg = StftConfig(frame_len=64, hop=hop)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(cfg.output_length(n_frames) + int(rng.integers(hop)))
+    X = stft_array(x, cfg)
+    Y = X * np.exp(1j * rng.uniform(-np.pi, np.pi, X.shape))
+    magnitude, lfc = np.abs(X[:, 8:]), X[:, :8].copy()
+    warm = np.exp(1j * rng.uniform(-np.pi, np.pi, magnitude.shape))
+    starts = [(GlaInit.ZERO_PHASE, None), (GlaInit.FLIP_PHASE, None), (GlaInit.ZERO_PHASE, warm)]
+
+    def run():
+        glas = [
+            gla_reconstruct(magnitude, lfc, GlaConfig(3, init), SMALL_LAYOUT, cfg, initial_hf=hf)
+            for init, hf in starts
+        ]
+        arrays = [stft_array(x, cfg), istft_array(Y, cfg), consistency_project_array(Y, cfg)]
+        return arrays + [out.data for out, _ in glas], [residuals for _, residuals in glas]
+
+    with mock.patch.object(bwx.dsp, "BLOCK_FRAMES", ONE_BLOCK):
+        whole, whole_residuals = run()
+    for block in (1, 7, 8):
+        with mock.patch.object(bwx.dsp, "BLOCK_FRAMES", block):
+            arrays, residuals = run()
+            # The rows below a1 are never read again: spoiling them after each
+            # block leaves every later block unchanged.
+            Z, rows = Y.copy(), []
+            for a0, a1, Y_block in project_blocks(Z, cfg):
+                assert 0 < a1 - a0 <= block
+                assert np.array_equal(Y_block, whole[2][a0:a1])
+                Z[a0:a1] = np.nan
+                rows.extend(range(a0, a1))
+        assert rows == list(range(n_frames))
+        for got, expected in zip(arrays, whole):
+            assert np.array_equal(got, expected)
+        # Residual norms are summed per block, so only their rounding moves.
+        np.testing.assert_allclose(residuals, whole_residuals, rtol=1e-12, atol=0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -319,3 +379,23 @@ def test_super_resolve_peak_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / 2**20 < PEAK_BOUND_MB
+
+
+# Two GLA iterations over four blocks of frames grew the traced heap by 4.66x
+# the complex spectrogram when each iteration projected the whole spectrogram
+# at once (frames, spectra and signal all whole-file), and by 1.85x streamed:
+# the spectrogram itself, one output-length signal and its window-sum
+# denominator, and one block's arrays.
+def test_gla_heap_growth_is_bounded():
+    n_frames = 4 * bwx.dsp.BLOCK_FRAMES
+    x = np.random.default_rng(0).standard_normal(CFG.output_length(n_frames))
+    X = stft_array(x, CFG)
+    magnitude, lfc = np.abs(X[:, LAYOUT.k_lo :]), X[:, : LAYOUT.k_lo].copy()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        gla_reconstruct(magnitude, lfc, GlaConfig(iterations=2), LAYOUT, CFG)
+        growth = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert growth <= 2 * X.nbytes

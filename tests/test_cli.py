@@ -1,5 +1,7 @@
 """Command-line interface: subcommands and exit codes."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,17 @@ class TestEval:
         assert main(argv) == 2
         assert str(missing) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failing_pair_reported_once(self, tmp_path, hr_path, capsys, caplog):
+        # With every pair failing, the CLI's error line is the whole report:
+        # the batch does not also log the pair whose error it raises.
+        missing = tmp_path / "missing.wav"
+        argv = ["eval", "--truth", str(hr_path), "--est", str(missing), "--out", str(tmp_path / "r.csv")]
+        with caplog.at_level(logging.WARNING, logger="bwx"):
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count(str(missing)) == 1
+        assert str(missing) not in caplog.text
 
     def test_channel_mismatch_is_usage_error(self, tmp_path, hr_path, short_music, capsys):
         out = tmp_path / "report.csv"

@@ -13,6 +13,7 @@ from bwx import (
     gla_reconstruct,
     stft_array,
 )
+import bwx.dsp
 import bwx.phase
 from bwx.dsp import consistency_project_array
 from bwx.errors import DomainError, NumericalError, ShapeError
@@ -284,20 +285,32 @@ class TestGlaKernel:
         assert np.all(np.isfinite(residuals))
 
     def test_nan_names_its_iteration(self, short_music, monkeypatch):
+        # The NaN enters through the streamed projection's analysis, in the
+        # first block of iteration 2; the loop stops at that block.
         _, magnitude, lfc = _consistent_inputs(short_music)
         calls = []
+        original = bwx.dsp.stft_array
 
-        def poisoned(X, cfg):
-            Y = consistency_project_array(X, cfg)
-            if len(calls) == 2:
-                Y[3, 500] = np.nan
+        def counting(x, cfg):
             calls.append(1)
+            return original(x, cfg)
+
+        monkeypatch.setattr(bwx.dsp, "stft_array", counting)
+        _gla(magnitude, lfc, GlaConfig(iterations=1))
+        per_iteration = len(calls)
+        assert per_iteration > 1  # 337 frames take two blocks
+        calls.clear()
+
+        def poisoned(x, cfg):
+            Y = counting(x, cfg)
+            if len(calls) == 2 * per_iteration + 1:
+                Y[3, 500] = np.nan
             return Y
 
-        monkeypatch.setattr(bwx.phase, "consistency_project_array", poisoned)
+        monkeypatch.setattr(bwx.dsp, "stft_array", poisoned)
         with pytest.raises(NumericalError, match="iteration 2"):
             _gla(magnitude, lfc, GlaConfig(iterations=5))
-        assert len(calls) == 3
+        assert len(calls) == 2 * per_iteration + 1  # no later block or iteration ran
 
 
 class TestExtractReferencePhase:
