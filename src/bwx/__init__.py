@@ -7,7 +7,6 @@ from .dsp import (
     StftConfig,
     Waveform,
     bin_index,
-    interior_slice,
     istft_array,
     stft_array,
 )
@@ -23,7 +22,6 @@ from .metrics import EvalReport, consistency_residual, evaluate, lsd, snr
 from .phase import (
     FlipPhaseSpec,
     GlaConfig,
-    GlaInit,
     ReferencePhaseSpec,
     extract_reference_phase,
     flip_phase,
@@ -50,7 +48,6 @@ __all__ = [
     "EvalReport",
     "FlipPhaseSpec",
     "GlaConfig",
-    "GlaInit",
     "ImportSpec",
     "LowpassMode",
     "LowpassSpec",
@@ -70,7 +67,6 @@ __all__ = [
     "extract_reference_phase",
     "flip_phase",
     "gla_reconstruct",
-    "interior_slice",
     "istft_array",
     "load_magnitude",
     "lowpass",

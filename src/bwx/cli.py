@@ -20,7 +20,7 @@ import numpy as np
 from .dsp import BandLayout, StftConfig, Waveform, istft_array, stft_array
 from .errors import BwxError, FileFormatError, NumericalError, PipelineError, ShapeError
 from .magnitude import BandReplicationSpec, ImportSpec, OracleSpec
-from .phase import FlipPhaseSpec, GlaConfig, GlaInit, ReferencePhaseSpec
+from .phase import FlipPhaseSpec, GlaConfig, ReferencePhaseSpec
 from .pipeline import (
     ReconstructSpec,
     ResidualBand,
@@ -64,7 +64,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mag", required=True, help="oracle:<path> | sbr | import:<path>")
     p.add_argument("--phase", required=True, help="flip | gla | ref:<path>")
     p.add_argument("--gla-iters", type=int, default=100)
-    p.add_argument("--gla-init", choices=["zero", "flip"], default="zero")
     p.add_argument("--frame", type=int, default=2048)
     p.add_argument("--hop", type=int, default=256)
     p.add_argument("--lo-hz", type=float, default=4000.0)
@@ -110,12 +109,11 @@ def _parse_mag(text: str):
     raise UsageError(f"--mag must be oracle:<path>, sbr or import:<path>, got {text!r}")
 
 
-def _parse_phase(text: str, iters: int, init: str):
+def _parse_phase(text: str, iters: int):
     if text == "flip":
         return FlipPhaseSpec()
     if text == "gla":
-        gla_init = GlaInit.ZERO_PHASE if init == "zero" else GlaInit.FLIP_PHASE
-        return GlaConfig(iterations=iters, init=gla_init)
+        return GlaConfig(iterations=iters)
     if text.startswith("ref:") and len(text) > 4:
         return ReferencePhaseSpec(text[4:])
     raise UsageError(f"--phase must be flip, gla or ref:<path>, got {text!r}")
@@ -143,7 +141,7 @@ def _cmd_sr(args) -> int:
     cfg = StftConfig(frame_len=args.frame, hop=args.hop)
     sample_rate = wav_header(args.input).sample_rate
     layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
-    phase = _parse_phase(args.phase, args.gla_iters, args.gla_init)
+    phase = _parse_phase(args.phase, args.gla_iters)
     if args.trace is not None and not isinstance(phase, GlaConfig):
         raise UsageError("--trace is only meaningful with --phase gla")
     spec = ReconstructSpec(

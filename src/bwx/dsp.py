@@ -7,13 +7,21 @@ Conventions used throughout the package:
 * Spectrograms are one-sided, shape (L, F) with F = frame_len // 2 + 1.
 * Synthesis is weighted overlap-add with the analysis window applied a
   second time and the result divided by the overlapped squared-window sum
-  (floored at 1e-12 to keep edge samples finite). That sum depends only on
-  the configuration, the frame count and the sample range; the whole-length
-  sum is cached per (cfg, frames).
+  (floored at 1e-12 to keep edge samples finite). The whole-length sum
+  depends only on the configuration and the frame count and is cached per
+  (cfg, frames).
 * Every sample of the overlap-add sums its frames in ascending frame order,
   so adding a spectrogram block by block (`overlap_add` per block of
   `frame_blocks`) gives the same bits as adding it whole. Analysis is per
   frame, so a block's STFT equals the matching rows of the whole STFT.
+* Reconstruction and brickwall filtering run on a padded grid
+  (`padded_grid`, `resynthesize`): ceil((frame_len - hop) / hop) * hop zeros
+  go in front of the signal and enough behind it that every sample lies under
+  a full set of frames, and the output is cut back to the signal's own
+  samples. Each of those is divided by the hop-periodic full-coverage sum, so
+  the output has the input's length and no edge sample sits on the floor.
+  The lead is a multiple of hop, so the grid's frames lead/hop onwards are
+  the frames the signal alone analyses into.
 * `stft_array` and `overlap_add` work through at most `BLOCK_FRAMES` frames
   at a time, so no transform takes a whole-file frame buffer. The
   consistency projection stft(istft(X)) is streamed (`project_blocks`): each
@@ -218,50 +226,31 @@ def stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return X
 
 
-def _synthesis_denominator(
-    cfg: StftConfig, n_frames: int, start: int = 0, stop: int | None = None
-) -> np.ndarray:
-    """Overlapped squared-window sum of ``n_frames`` frames over samples
-    [start, stop) (default: all of them), floored at WINDOW_SUM_FLOOR.
-
-    Each sample sums its frames' window squares in the same order whatever
-    the range, so a range's values equal that slice of the whole sum bit for
-    bit. The whole sum is cached per (cfg, n_frames) and shared by every
-    caller, so it is returned read-only; a partial range (one block's) costs
-    a few vector adds and is computed afresh."""
-    stop = cfg.output_length(n_frames) if stop is None else stop
-    if start == 0 and stop == cfg.output_length(n_frames):
-        return _whole_denominator(cfg, n_frames)
-    return _window_square_sum(cfg, n_frames, start, stop)
-
-
 @functools.lru_cache(maxsize=4)
-def _whole_denominator(cfg: StftConfig, n_frames: int) -> np.ndarray:
-    denominator = _window_square_sum(cfg, n_frames, 0, cfg.output_length(n_frames))
+def _synthesis_denominator(cfg: StftConfig, n_frames: int) -> np.ndarray:
+    """Overlapped squared-window sum of ``n_frames`` frames over all their
+    samples, floored at WINDOW_SUM_FLOOR. Cached per (cfg, n_frames) and
+    shared by every caller, so it is returned read-only."""
+    denominator = _window_square_sum(cfg, n_frames)
     denominator.flags.writeable = False
     return denominator
 
 
-def _window_square_sum(cfg: StftConfig, n_frames: int, start: int, stop: int) -> np.ndarray:
+def _window_square_sum(cfg: StftConfig, n_frames: int) -> np.ndarray:
     frame_len, hop = cfg.frame_len, cfg.hop
     window = cfg.window_values()
     wsq = window * window
     if frame_len % hop == 0:
         # Rows of hop samples; row r takes segment j of frame r - j, j ascending.
         n_seg = frame_len // hop
-        wblocks = wsq.reshape(n_seg, hop)
-        r0, r1 = start // hop, -(-stop // hop)
-        wline = np.zeros((r1 - r0, hop))
-        for j in range(n_seg):
-            lo, hi = max(j, r0), min(j + n_frames, r1)
-            if lo < hi:
-                wline[lo - r0 : hi - r0] += wblocks[j]
-        wsum = wline.reshape(-1)[start - r0 * hop : stop - r0 * hop]
+        wline = np.zeros((n_frames - 1 + n_seg, hop))
+        for j, segment in enumerate(wsq.reshape(n_seg, hop)):
+            wline[j : j + n_frames] += segment
+        wsum = wline.reshape(-1)
     else:
-        wsum = np.zeros(stop - start)
-        for i in range(max(0, (start - frame_len) // hop + 1), min(n_frames, -(-stop // hop))):
-            lo, hi = max(i * hop, start), min(i * hop + frame_len, stop)
-            wsum[lo - start : hi - start] += wsq[lo - i * hop : hi - i * hop]
+        wsum = np.zeros(cfg.output_length(n_frames))
+        for i in range(n_frames):
+            wsum[i * hop : i * hop + frame_len] += wsq
     return np.maximum(wsum, WINDOW_SUM_FLOOR)
 
 
@@ -337,11 +326,71 @@ def frame_blocks(
         yield f0, f1, slice(f0 * cfg.hop, (f1 - 1) * cfg.hop + cfg.frame_len)
 
 
-def interior_slice(n_samples: int, cfg: StftConfig) -> slice:
-    """Index range where every sample is covered by a full set of overlapping
-    frames, i.e. where the round trip is exact."""
-    margin = cfg.frame_len - cfg.hop
-    return slice(margin, n_samples - margin)
+def padded_grid(cfg: StftConfig, n_samples: int) -> tuple[int, int]:
+    """The padded frame grid over a signal of ``n_samples`` samples, as
+    ``(lead, n_frames)``: ``lead`` = ceil((frame_len - hop) / hop) * hop zeros
+    go in front of the signal and zeros behind it, and ``n_frames`` frames
+    from the first zero put every signal sample under a full set of frames.
+    ``lead`` is a multiple of hop, so grid frames lead/hop .. lead/hop + L - 1
+    are the L frames of the signal alone."""
+    hop = cfg.hop
+    lead = -(-(cfg.frame_len - hop) // hop) * hop
+    return lead, lead // hop - (-n_samples // hop)
+
+
+def read_padded(read, n_samples: int, cfg: StftConfig, start: int, stop: int) -> list[np.ndarray]:
+    """Samples [start, stop) of a signal of ``n_samples`` samples as its
+    padded grid holds it, one array per channel: zeros outside the signal,
+    whose own samples [a, b) ``read(a, b)`` returns per channel."""
+    lead, _ = padded_grid(cfg, n_samples)
+    a = min(max(start - lead, 0), n_samples)
+    b = max(min(stop - lead, n_samples), a)
+    padded = []
+    for samples in read(a, b):
+        x = np.zeros(stop - start)
+        x[lead + a - start : lead + b - start] = samples
+        padded.append(x)
+    return padded
+
+
+def resynthesize(
+    read, n_samples: int, cfg: StftConfig, edit, block_frames: int | None = None
+) -> Iterator[list[np.ndarray]]:
+    """Analyse a signal on its padded grid, edit it and resynthesise it, one
+    block of ``block_frames`` (default `BLOCK_FRAMES`) frames at a time.
+
+    ``read(a, b)`` returns the signal's samples [a, b) per channel (see
+    `read_padded`), and ``edit(channel, X, block)`` changes a channel's block
+    spectrogram ``X`` in place, ``block`` being the `frame_blocks` triple. For
+    each block that finishes some of the signal's samples, yields those
+    samples of every channel, normalised: the pieces join into exactly
+    ``n_samples`` samples per channel. Each piece starts on a hop boundary of
+    the grid and lies under full sets of frames, so it is divided by the
+    hop-periodic full-coverage window-square sum."""
+    lead, n_frames = padded_grid(cfg, n_samples)
+    # One hop of that sum, taken from the interior of a whole sum.
+    period = _window_square_sum(cfg, lead // cfg.hop + 1)[lead : lead + cfg.hop]
+    carries = None  # per channel, the overlap-add sums begun past the last piece
+    for block in frame_blocks(n_frames, cfg, block_frames):
+        f0, f1, span = block
+        # No later frame reaches below f1 * hop; the signal ends at lead + n_samples.
+        done = min(f1 * cfg.hop, lead + n_samples) - span.start
+        first = max(lead - span.start, 0)
+        channels = read_padded(read, n_samples, cfg, span.start, span.stop)
+        carries = carries or [np.zeros(0)] * len(channels)
+        pieces = []
+        for channel, x in enumerate(channels):
+            X = stft_array(x, cfg)
+            edit(channel, X, block)
+            out = np.zeros(len(x))
+            out[: len(carries[channel])] = carries[channel]
+            overlap_add(X, out, 0, cfg)
+            carries[channel] = out[done:]
+            piece = out[first:done]
+            piece /= np.resize(period, len(piece))
+            pieces.append(piece)
+        if first < done:
+            yield pieces
 
 
 def project_blocks(X: np.ndarray, cfg: StftConfig) -> Iterator[tuple[int, int, np.ndarray]]:

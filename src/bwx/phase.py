@@ -20,7 +20,6 @@ is phase zero (as ``np.angle(0) == 0``). ``FlipPhaseSpec``, ``GlaConfig`` and
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Union
 
@@ -38,13 +37,6 @@ from .errors import DomainError, NumericalError, ShapeError
 RESIDUAL_NORM_FLOOR = 1e-12
 
 
-class GlaInit(enum.Enum):
-    """Initial high-band phase for the Griffin-Lim loop."""
-
-    ZERO_PHASE = "zero"
-    FLIP_PHASE = "flip"
-
-
 @dataclass(frozen=True)
 class FlipPhaseSpec:
     """Mirror the low band's phasors about the cutoff, conjugated."""
@@ -52,10 +44,9 @@ class FlipPhaseSpec:
 
 @dataclass(frozen=True)
 class GlaConfig:
-    """Run Griffin-Lim for ``iterations`` from the ``init`` start."""
+    """Run Griffin-Lim for ``iterations`` from zero high-band phase."""
 
     iterations: int = 100
-    init: GlaInit = GlaInit.ZERO_PHASE
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
@@ -123,7 +114,7 @@ def gla_reconstruct(
     (`ShapeError`), finiteness and non-negative magnitudes (`DomainError`).
 
     The starting spectrogram copies ``lfc`` into bins [0, k_lo) and gives
-    every remaining bin its magnitude with the configured initial phase.
+    every remaining bin its magnitude with zero phase.
     Each iteration streams the projection onto consistent spectrograms under
     ``stft`` (`project_blocks`) and, block by block, re-imposes the
     magnitudes on bins k_lo and above only, as ``Y * (A / |Y|)`` with zero
@@ -133,10 +124,9 @@ def gla_reconstruct(
     signal and block-sized arrays; each block's NaN check covers only the
     re-imposed bins.
 
-    ``initial_hf``, complex and shaped like ``magnitude``, overrides the
-    configured init and warm-starts the loop: every bin at and above the
-    cutoff starts at its magnitude times its ``initial_hf`` value, usually a
-    unit phasor.
+    ``initial_hf``, complex and shaped like ``magnitude``, warm-starts the
+    loop instead: every bin at and above the cutoff starts at its magnitude
+    times its ``initial_hf`` value, usually a unit phasor.
 
     Returns the final spectrogram and the per-iteration consistency
     residuals, ||X - P_C(X)||_F / max(||X||_F, 1e-12), as a float array
@@ -145,7 +135,7 @@ def gla_reconstruct(
     """
     A_hi = _checked_magnitude(magnitude)
     lfc = np.asarray(lfc, dtype=np.complex128)
-    k_lo, k_hi = layout.k_lo, layout.k_hi
+    k_lo = layout.k_lo
     if layout.n_bins != stft.n_bins:
         raise ShapeError("layout is inconsistent with the STFT configuration")
     if A_hi.shape[1] != layout.n_bins - k_lo:
@@ -175,8 +165,6 @@ def gla_reconstruct(
         X_hi[...] = A_hi * initial_hf
     else:
         X_hi[...] = A_hi  # zero phase
-        if cfg.init is GlaInit.FLIP_PHASE:
-            X_hi[:, : k_hi - k_lo] *= flip_phase(lfc, layout)
     ratio = np.empty((0, A_hi.shape[1]))  # |Y|, then A / |Y|, for one block
 
     residuals = np.empty(cfg.iterations if record_trace else 0)
@@ -202,15 +190,8 @@ def gla_reconstruct(
     return ComplexSpectrogram(X, stft), residuals
 
 
-def extract_reference_phase(
-    reference: np.ndarray, layout: BandLayout, target_frames: int
-) -> np.ndarray:
+def extract_reference_phase(reference: np.ndarray, layout: BandLayout) -> np.ndarray:
     """High-band unit phasors read off ``reference``, a reference's complex
-    STFT, over [k_lo, k_hi) for exactly ``target_frames`` frames: the
-    reference's frames are cut or padded to that count. Missing frames and
-    zero bins get the phasor 1.
-    """
-    n_copy = min(reference.shape[0], target_frames)
-    phasors = np.ones((target_frames, layout.hfc_width), dtype=np.complex128)
-    phasors[:n_copy] = _unit_phasors(reference[:n_copy, layout.k_lo : layout.k_hi])
-    return phasors
+    STFT, over [k_lo, k_hi), one row per frame. Zero bins, such as those of a
+    frame past the reference's end, get the phasor 1."""
+    return _unit_phasors(reference[:, layout.k_lo : layout.k_hi])

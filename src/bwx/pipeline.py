@@ -1,12 +1,13 @@
 """End-to-end spectrogram-recombination pipeline and batch drivers.
 
-``_reconstruct_blocks`` is the one reconstruction core: block by block it
-analyses the band-limited input channels, predicts high-band magnitudes,
-estimates high-band phase, recombines the bands and resynthesises, reading
-samples from a source and returning the finished output stretch by stretch,
-as a path-free ``ReconstructSpec`` says. ``reconstruct`` runs it on arrays
-(for the phase study and library callers) and ``super_resolve`` on WAV files
-read and written one block at a time. ``run_phase_study`` reruns the
+``_reconstruct_blocks`` is the one reconstruction core: block by block of
+the padded frame grid (``dsp.resynthesize``) it analyses the band-limited
+input channels, predicts high-band magnitudes, estimates high-band phase,
+recombines the bands and resynthesises, reading samples from a source and
+returning the finished output stretch by stretch, exactly as long as the
+input, as a path-free ``ReconstructSpec`` says. ``reconstruct`` runs it on
+arrays (for the phase study and library callers) and ``super_resolve`` on
+WAV files read and written one block at a time. ``run_phase_study`` reruns the
 oracle-magnitude phase comparison over a clip set, decoding each clip once;
 ``evaluate_batch`` scores truth/estimate file pairs, streaming them the same
 way. Every CSV goes through ``_write_csv``.
@@ -32,9 +33,10 @@ from .dsp import (
     BandLayout,
     StftConfig,
     Waveform,
-    _synthesis_denominator,
     frame_blocks,
-    overlap_add,
+    padded_grid,
+    read_padded,
+    resynthesize,
     stft_array,
 )
 from .errors import BwxError, DomainError, LengthError, PipelineError, ShapeError
@@ -220,25 +222,26 @@ class _References:
                 source.check_unread()
 
     def stft(self, source, channel: int, span: slice) -> np.ndarray:
-        """STFT of one channel of ``source`` over a block's sample span, cut
-        at the source's end."""
+        """STFT of one channel of ``source`` over a block's span of the
+        padded grid, which reads zeros outside the source's samples."""
         key = (source, channel, span.start, span.stop)
         if self._last is not None and self._last[0] == key:
             X, self._last = self._last[1], None  # the second step's read is the last
             return X
         self._last = None  # freed before the next analysis is allocated
-        samples = source.read(span.start, min(span.stop, source.n_samples))[channel]
-        X = stft_array(samples, self.cfg)
+        samples = read_padded(source.read, source.n_samples, self.cfg, span.start, span.stop)
+        X = stft_array(samples[channel], self.cfg)
         if len(self._stages[source]) > 1:
             self._last = (key, X)
         return X
 
 
 def _magnitude_step(spec: ReconstructSpec, n_frames: int, inputs, references: _References):
-    """The step mapping a channel's block of frames (the channel, its
-    analysis ``x`` and its ``frame_blocks`` triple f0, f1, sample span) to the
-    block's high-band magnitudes. Everything that can reject the job is
-    checked here, before any block."""
+    """The step mapping a channel's block of padded-grid frames (the channel,
+    its analysis ``x`` and its ``frame_blocks`` triple f0, f1, sample span)
+    to the block's high-band magnitudes. ``n_frames`` is the input's own
+    frame count, L. Everything that can reject the job is checked here,
+    before any block."""
     predictor, cfg, layout = spec.predictor, spec.stft, spec.layout
     if isinstance(predictor, OracleSpec):
         source = references.open(predictor.reference_path, inputs, "magnitude")
@@ -255,7 +258,11 @@ def _magnitude_step(spec: ReconstructSpec, n_frames: int, inputs, references: _R
     if isinstance(predictor, ImportSpec):
         if inputs.n_channels != 1:
             raise ShapeError("imported magnitudes only support mono inputs")
-        imported = load_magnitude(
+        # The file's L rows are the input's own frames; the grid's other
+        # frames get a zero high band.
+        lead, grid_frames = padded_grid(cfg, inputs.n_samples)
+        imported = np.zeros((grid_frames, layout.hfc_width))
+        imported[lead // cfg.hop : lead // cfg.hop + n_frames] = load_magnitude(
             predictor.path, (n_frames, layout.hfc_width), cfg, inputs.sample_rate
         )
         return lambda channel, x, block: imported[block[0] : block[1]]
@@ -265,12 +272,12 @@ def _magnitude_step(spec: ReconstructSpec, n_frames: int, inputs, references: _R
 def _phase_step(
     spec: ReconstructSpec, n_frames: int, inputs, references: _References, traces: list | None
 ):
-    """The step mapping a channel's block of frames (the channel, its
-    analysis ``x``, its high-band magnitudes ``mag`` and its ``frame_blocks``
-    triple) to the block's complex high band. Given a ``traces`` list, GLA
-    records the first channel's residuals and appends them to it. The
-    reference strategy warns here, once per channel, when the reference's
-    frame count differs from the input's."""
+    """The step mapping a channel's block of padded-grid frames (the channel,
+    its analysis ``x``, its high-band magnitudes ``mag`` and its
+    ``frame_blocks`` triple) to the block's complex high band. Given a
+    ``traces`` list, GLA records the first channel's residuals and appends
+    them to it. The reference strategy warns here, once per channel, when the
+    reference's frame count differs from the input's, L = ``n_frames``."""
     strategy, cfg, layout = spec.phase, spec.stft, spec.layout
     k_lo, k_hi = layout.k_lo, layout.k_hi
     if isinstance(strategy, FlipPhaseSpec):
@@ -302,33 +309,26 @@ def _phase_step(
                     "%s: reference frame count adjusted to %d", strategy.path, n_frames
                 )
 
-        def reference(channel, x, mag, block):
-            # Frames past the reference's end keep zero phase; the span
-            # cut at its end analyses into exactly the frames it has.
-            f0, f1, span = block
-            if ref_frames <= f0:
-                return mag.astype(np.complex128)
-            X = references.stft(source, channel, span)
-            return mag * extract_reference_phase(X, layout, f1 - f0)
-
-        return reference
+        return lambda channel, x, mag, block: mag * extract_reference_phase(
+            references.stft(source, channel, block[2]), layout
+        )
     raise ShapeError(f"unknown phase spec {strategy!r}")
 
 
 def _reconstruct_blocks(
     spec: ReconstructSpec, source, references: _References, traces: list | None = None
-) -> tuple[int, Iterator[list[np.ndarray]]]:
+) -> Iterator[list[np.ndarray]]:
     """The reconstruction core. Every check that can reject the job runs
-    when it is called; it returns the output length and a generator that
-    reads the band-limited input from ``source`` one block span at a time
-    and, per channel, analyses, predicts, estimates, recombines and
-    overlap-adds the block's frames. For each stretch of output that no
-    later frame touches it yields the normalised float64 stretch of every
-    channel, so no whole-length signal is held unless a source or the caller
-    holds one.
+    when it is called; it returns a generator that reads the band-limited
+    input from ``source`` one block span of the padded grid at a time and,
+    per channel, analyses, predicts, estimates, recombines and overlap-adds
+    the block's frames. For each stretch of output that no later frame
+    touches it yields the normalised float64 stretch of every channel; the
+    stretches join into exactly the input's length, and no whole-length
+    signal is held unless a source or the caller holds one.
 
     After the last block, the generator checks the samples of a reference
-    that no block read (past the input's last frame) for non-finite values.
+    that no block read (past the grid's last frame) for non-finite values.
     Griffin-Lim is not frame-local, so it runs as one block of every frame.
     Given a ``traces`` list, the GLA strategy appends the first channel's
     residuals to it.
@@ -341,50 +341,25 @@ def _reconstruct_blocks(
     with _stage("phase"):
         phase_step = _phase_step(spec, n_frames, source, references, traces)
 
+    def read(start, stop):
+        with _stage("read-input"):
+            return source.read(start, stop)
+
+    def edit(channel, x, block):
+        if spec.residual_band is ResidualBand.ZERO:
+            x[:, layout.k_hi :] = 0.0
+        with _stage("magnitude"):
+            hfc_mag = magnitude_step(channel, x, block)
+        with _stage("phase"):
+            hfc = phase_step(channel, x, hfc_mag, block)
+        x[:, layout.k_lo : layout.k_hi] = hfc
+
     def blocks():
-        block_frames = n_frames if isinstance(spec.phase, GlaConfig) else None
-        # Per channel, the overlap-add sums already begun past the last stretch out.
-        carries = [np.zeros(0)] * source.n_channels
-        for block in frame_blocks(n_frames, cfg, block_frames):
-            f0, f1, span = block
-            last = f1 == n_frames
-            # No later frame reaches below f1 * hop; the last block ends the output.
-            done = span.stop if last else f1 * cfg.hop
-            with _stage("read-input"):
-                # The last block also reads the input's tail past its last frame
-                # (under one hop), so every input sample is checked.
-                inputs = source.read(span.start, source.n_samples if last else span.stop)
-            with _stage("synthesize"):
-                denominator = _synthesis_denominator(cfg, n_frames, span.start, done)
-            pieces = []
-            for channel in range(source.n_channels):
-                with _stage("analyze"):
-                    x = stft_array(inputs[channel], cfg)
-                    if spec.residual_band is ResidualBand.ZERO:
-                        x[:, layout.k_hi :] = 0.0
-
-                with _stage("magnitude"):
-                    hfc_mag = magnitude_step(channel, x, block)
-
-                with _stage("phase"):
-                    hfc = phase_step(channel, x, hfc_mag, block)
-
-                with _stage("recombine"):
-                    x[:, layout.k_lo : layout.k_hi] = hfc
-
-                with _stage("synthesize"):
-                    out = np.zeros(span.stop - span.start)
-                    carry = carries[channel]
-                    out[: len(carry)] = carry
-                    overlap_add(x, out, 0, cfg)
-                    carries[channel] = out[done - span.start :]
-                    piece = out[: done - span.start]
-                    piece /= denominator
-                pieces.append(piece)
-            yield pieces
+        whole = padded_grid(cfg, source.n_samples)[1] if isinstance(spec.phase, GlaConfig) else None
+        yield from resynthesize(read, source.n_samples, cfg, edit, whole)
         references.check_unread()
 
-    return cfg.output_length(n_frames), blocks()
+    return blocks()
 
 
 def reconstruct(
@@ -399,7 +374,7 @@ def reconstruct(
     reference phase's) to that file's channels, already in memory; a named
     path that is not there is read from its file one block span at a time.
     """
-    _, blocks = _reconstruct_blocks(
+    blocks = _reconstruct_blocks(
         spec, _ArraySource(channels), _References(spec.stft, references or {})
     )
     rate = channels[0].sample_rate
@@ -423,7 +398,8 @@ def super_resolve(spec: ReconstructSpec, input_path, output_path, trace_path=Non
     with _stage("read-input"):
         source = _WavSource(input_path)
     traces = [] if trace_path is not None else None
-    total, blocks = _reconstruct_blocks(spec, source, _References(spec.stft, {}), traces)
+    blocks = _reconstruct_blocks(spec, source, _References(spec.stft, {}), traces)
+    total = source.n_samples  # the output's length is the input's
     with _stage("write-output"), _atomic_output(output_path) as fh:
         for pieces in blocks:
             channels = [Waveform(piece, source.sample_rate) for piece in pieces]

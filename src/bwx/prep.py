@@ -15,15 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
-from .dsp import (
-    StftConfig,
-    Waveform,
-    _synthesis_denominator,
-    bin_index,
-    frame_blocks,
-    overlap_add,
-    stft_array,
-)
+from .dsp import StftConfig, Waveform, bin_index, resynthesize
 from .errors import DomainError
 from .wavio import SampleDepth, wav_read, wav_write
 
@@ -56,20 +48,14 @@ def design_fir(spec: LowpassSpec, sample_rate: int) -> np.ndarray:
 
 
 def _lowpass_brickwall(x: np.ndarray, sample_rate: int, cutoff_hz: float, cfg: StftConfig) -> np.ndarray:
-    n = len(x)
-    # Pad so every sample falls inside some frame, then trim back after OLA.
-    n_frames = 1 if n < cfg.frame_len else -(-(n - cfg.frame_len) // cfg.hop) + 1
-    padded = np.zeros(cfg.output_length(n_frames))
-    padded[:n] = x
-
     cutoff_bin = bin_index(cutoff_hz, sample_rate, cfg.frame_len)
-    out = np.zeros(len(padded))
-    for f0, _, span in frame_blocks(n_frames, cfg):
-        X = stft_array(padded[span], cfg)
+
+    def zero_high_band(channel, X, block):
         X[:, cutoff_bin:] = 0.0
-        overlap_add(X, out, f0, cfg)
-    out /= _synthesis_denominator(cfg, n_frames)
-    return out[:n]
+
+    pieces = resynthesize(lambda a, b: [x[a:b]], len(x), cfg, zero_high_band)
+    # An empty signal yields no piece.
+    return np.concatenate([np.zeros(0), *(channels[0] for channels in pieces)])
 
 
 def _lowpass_fir(x: np.ndarray, sample_rate: int, spec: LowpassSpec) -> np.ndarray:

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bwx import SampleDepth, Waveform, wav_write
+from bwx import SampleDepth, StftConfig, Waveform, istft_array, stft_array, wav_write
+from bwx.dsp import padded_grid
 
 SAMPLE_RATE = 44100
 
@@ -100,6 +101,27 @@ def synth_clip(seed, duration=10.0, sr=SAMPLE_RATE, roots=None, percussion_rate=
     mix += 10 ** (noise_db / 20.0) * rng.standard_normal(n)
 
     return 0.6 * mix / np.max(np.abs(mix))
+
+
+def interior_slice(n_samples: int, cfg: StftConfig) -> slice:
+    """Index range of an unpadded grid (frames from sample 0) where every
+    sample is covered by a full set of overlapping frames, i.e. where the
+    round trip is exact."""
+    margin = cfg.frame_len - cfg.hop
+    return slice(margin, n_samples - margin)
+
+
+def padded_round_trip(x: np.ndarray, cfg: StftConfig, edit=None) -> np.ndarray:
+    """Whole-array model of reconstruction on the padded grid: pad ``x`` as
+    the grid does, analyse, let ``edit(X)`` change the whole spectrogram in
+    place, resynthesise with `istft_array` and cut back to ``x``'s samples."""
+    lead, n_frames = padded_grid(cfg, len(x))
+    padded = np.zeros(cfg.output_length(n_frames))
+    padded[lead : lead + len(x)] = x
+    X = stft_array(padded, cfg)
+    if edit is not None:
+        edit(X)
+    return istft_array(X, cfg)[lead : lead + len(x)]
 
 
 def write_pcm24(path, channels, sr=SAMPLE_RATE):

@@ -19,7 +19,6 @@ from bwx import (
     BandReplicationSpec,
     FlipPhaseSpec,
     GlaConfig,
-    GlaInit,
     ImportSpec,
     LowpassSpec,
     OracleSpec,
@@ -48,12 +47,13 @@ from bwx.dsp import (
     frame_blocks,
     istft_array,
     overlap_add,
+    padded_grid,
     project_blocks,
     stft_array,
 )
 from bwx.errors import LengthError, PipelineError, ShapeError
 
-from conftest import synth_clip
+from conftest import padded_round_trip, synth_clip
 
 CFG = StftConfig()
 SR = 44100
@@ -197,7 +197,8 @@ SMALL_LAYOUT = BandLayout(8, 20, 33)
 )
 def test_transforms_and_gla_block_size_invariant(hop, n_frames, seed):
     # Whatever BLOCK_FRAMES is, every transform, the streamed projection and
-    # a 3-iteration GLA from each start give the same bits as one block.
+    # a 3-iteration GLA from zero phase and from a warm start give the same
+    # bits as one block.
     cfg = StftConfig(frame_len=64, hop=hop)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(cfg.output_length(n_frames) + int(rng.integers(hop)))
@@ -205,12 +206,11 @@ def test_transforms_and_gla_block_size_invariant(hop, n_frames, seed):
     Y = X * np.exp(1j * rng.uniform(-np.pi, np.pi, X.shape))
     magnitude, lfc = np.abs(X[:, 8:]), X[:, :8].copy()
     warm = np.exp(1j * rng.uniform(-np.pi, np.pi, magnitude.shape))
-    starts = [(GlaInit.ZERO_PHASE, None), (GlaInit.FLIP_PHASE, None), (GlaInit.ZERO_PHASE, warm)]
 
     def run():
         glas = [
-            gla_reconstruct(magnitude, lfc, GlaConfig(3, init), SMALL_LAYOUT, cfg, initial_hf=hf)
-            for init, hf in starts
+            gla_reconstruct(magnitude, lfc, GlaConfig(3), SMALL_LAYOUT, cfg, initial_hf=hf)
+            for hf in (None, warm)
         ]
         arrays = [stft_array(x, cfg), istft_array(Y, cfg), consistency_project_array(Y, cfg)]
         return arrays + [out.data for out, _ in glas], [residuals for _, residuals in glas]
@@ -255,16 +255,20 @@ def test_brickwall_lowpass_block_size_invariant(hop, n, block, seed):
 
 
 def _whole_array_reference_phase_sr(lr, ref):
-    """SBR magnitudes with reference phase computed on whole arrays: frames
-    past the reference's end take zero phase."""
-    X = stft_array(lr, CFG)
-    mag = predict_band_replication(np.abs(X[:, : LAYOUT.k_lo]), LAYOUT)
-    phase = np.zeros_like(mag)
-    ref_phase = np.angle(stft_array(ref, CFG)[:, LAYOUT.k_lo : LAYOUT.k_hi])
-    n = min(len(ref_phase), len(phase))
-    phase[:n] = ref_phase[:n]
-    X[:, LAYOUT.k_lo : LAYOUT.k_hi] = mag * np.exp(1j * phase)
-    return istft_array(X, CFG)
+    """SBR magnitudes with reference phase computed on whole arrays of the
+    padded grid. The reference is padded as the input is and cut at the
+    grid's end, so frames past its end read zeros and take zero phase."""
+    lead, n_frames = padded_grid(CFG, len(lr))
+    padded_ref = np.zeros(CFG.output_length(n_frames))
+    kept = ref[: len(padded_ref) - lead]
+    padded_ref[lead : lead + len(kept)] = kept
+    ref_phase = np.angle(stft_array(padded_ref, CFG)[:, LAYOUT.k_lo : LAYOUT.k_hi])
+
+    def edit(X):
+        mag = predict_band_replication(np.abs(X[:, : LAYOUT.k_lo]), LAYOUT)
+        X[:, LAYOUT.k_lo : LAYOUT.k_hi] = mag * np.exp(1j * ref_phase)
+
+    return padded_round_trip(lr, CFG, edit)
 
 
 @pytest.mark.parametrize("frame_delta", [-21, 5])
@@ -331,8 +335,8 @@ def test_reference_channel_mismatch_is_shape_error(tmp_path, files, which):
 def test_reference_read_once_per_block(monkeypatch, tmp_path, files):
     # Oracle magnitudes and reference phase from one file, spelled two ways:
     # each block reads its span of the input and of the reference once and
-    # analyses each once per channel, and the reference's tail past the
-    # input's last frame is checked once after.
+    # analyses each once per channel. The padded grid's blocks read all of a
+    # reference as long as the input, so no tail is left to check after.
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", 8)
     hr, lr = files["stereo"]
     monkeypatch.chdir(hr.parent)
@@ -351,10 +355,11 @@ def test_reference_read_once_per_block(monkeypatch, tmp_path, files):
     monkeypatch.setattr(scipy.fft, "rfft", counting_rfft)
     spec = ReconstructSpec(OracleSpec(hr.name), ReferencePhaseSpec(str(hr)), LAYOUT, stft=CFG)
     super_resolve(spec, lr, tmp_path / "out.wav")
-    n_frames = CFG.frame_count(len(wav_read(lr)[0][0]))
-    assert len(wav_read(hr)[0][0]) > CFG.output_length(n_frames)
-    assert reads == [str(lr), hr.name] * -(-n_frames // 8) + [hr.name]
-    assert len(analyses) == 2 * 2 * -(-n_frames // 8)  # input and reference, two channels
+    n = len(wav_read(lr)[0][0])
+    assert len(wav_read(hr)[0][0]) == n
+    blocks = -(-padded_grid(CFG, n)[1] // 8)
+    assert reads == [str(lr), hr.name] * blocks
+    assert len(analyses) == 2 * 2 * blocks  # input and reference, two channels
 
 
 # A 30 s mono oracle+flip super_resolve peaked at 396 MB of traced heap with

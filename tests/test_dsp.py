@@ -10,12 +10,19 @@ from bwx import (
     StftConfig,
     Waveform,
     bin_index,
-    interior_slice,
     istft_array,
     stft_array,
 )
-from bwx.dsp import _synthesis_denominator, consistency_project_array, hann_window
+from bwx.dsp import (
+    _synthesis_denominator,
+    consistency_project_array,
+    hann_window,
+    padded_grid,
+    resynthesize,
+)
 from bwx.errors import DomainError, LengthError, ShapeError
+
+from conftest import interior_slice, padded_round_trip
 
 
 def dft_oracle_frames(x, cfg):
@@ -256,7 +263,6 @@ class TestIstftArray:
         cfg = StftConfig(frame_len=64, hop=hop)
         denominator = _synthesis_denominator(cfg, 7)
         assert _synthesis_denominator(cfg, 7) is denominator
-        assert _synthesis_denominator(cfg, 7, 0, cfg.output_length(7)) is denominator
         assert not denominator.flags.writeable
         with pytest.raises(ValueError):
             denominator[0] = 1.0
@@ -293,15 +299,43 @@ def whole_window_sum(cfg, n_frames):
 @given(
     hop=st.one_of(st.sampled_from([4, 8, 16, 32, 64]), st.integers(1, 64)),
     n_frames=st.integers(1, 30),
-    data=st.data(),
 )
-def test_denominator_range_equals_slice_of_whole_sum(hop, n_frames, data):
+def test_denominator_equals_whole_window_sum(hop, n_frames):
     cfg = StftConfig(frame_len=64, hop=hop)
-    whole = whole_window_sum(cfg, n_frames)
-    start = data.draw(st.integers(0, len(whole)))
-    stop = data.draw(st.integers(start, len(whole)))
-    assert np.array_equal(_synthesis_denominator(cfg, n_frames, start, stop), whole[start:stop])
-    assert np.array_equal(_synthesis_denominator(cfg, n_frames), whole)
+    assert np.array_equal(_synthesis_denominator(cfg, n_frames), whole_window_sum(cfg, n_frames))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # hop < frame_len: with hop == frame_len no frame overlaps another, and
+    # the window's zero at each frame start loses that sample.
+    hop=st.one_of(st.sampled_from([4, 8, 16, 32]), st.integers(1, 63)),
+    n=st.integers(1, 700),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_resynthesize_round_trip_is_exact_on_every_sample(hop, n, seed):
+    # On the padded grid every sample lies under a full set of frames, so the
+    # unedited round trip gives the input back on the whole signal, not only
+    # an interior, for any length and any hop (dividing frame_len 64 or not);
+    # and it is, bit for bit, the whole-array model's.
+    cfg = StftConfig(frame_len=64, hop=hop)
+    x = np.random.default_rng(seed).uniform(-1, 1, n)
+    y = np.concatenate([p for p, in resynthesize(lambda a, b: [x[a:b]], n, cfg, lambda *_: None)])
+    assert len(y) == n
+    np.testing.assert_allclose(y, x, rtol=0, atol=1e-9)
+    assert np.array_equal(y, padded_round_trip(x, cfg))
+
+
+@pytest.mark.parametrize("frame_len, hop", [(2048, 256), (64, 16), (64, 24), (64, 7), (64, 64)])
+def test_padded_grid_covers_every_sample(frame_len, hop):
+    cfg = StftConfig(frame_len=frame_len, hop=hop)
+    lead, _ = padded_grid(cfg, 1)
+    # A multiple of hop, and at least frame_len - hop: every frame over the
+    # first signal sample starts at or after padded sample 0.
+    assert lead % hop == 0 and frame_len - hop <= lead < frame_len
+    for n in (1, hop - 1, hop, frame_len - 1, frame_len, frame_len + 1, 5 * frame_len + 3):
+        # The last signal sample's latest frame is the grid's last.
+        assert padded_grid(cfg, n) == (lead, (lead + n - 1) // hop + 1)
 
 
 class TestConsistencyProject:

@@ -6,7 +6,6 @@ import pytest
 from bwx import (
     BandLayout,
     GlaConfig,
-    GlaInit,
     StftConfig,
     extract_reference_phase,
     flip_phase,
@@ -137,10 +136,11 @@ class TestGlaReconstruct:
         with pytest.raises(ShapeError, match="initial high band"):
             _gla(magnitude, lfc, cfg, initial_hf=warm[:, 1:])
 
-    def test_flip_init_start(self, short_music):
+    def test_flip_phasor_warm_start(self, short_music):
+        # A flip start is a warm start: flip phasors on the high band, 1 above.
         _, magnitude, lfc = _consistent_inputs(short_music)
-        cfg = GlaConfig(iterations=0, init=GlaInit.FLIP_PHASE)
-        out, _ = _gla(magnitude, lfc, cfg)
+        cfg = GlaConfig(iterations=0)
+        out, _ = _gla(magnitude, lfc, cfg, initial_hf=_flip_start(lfc, magnitude))
         assert np.array_equal(out.data[:, :186], lfc)
         # high band carries the mirrored phase, residual band stays zero phase
         k = 186
@@ -236,6 +236,14 @@ def _reference_loop(magnitude, lfc, start, iterations):
     return X, np.array(residuals)
 
 
+def _flip_start(lfc, magnitude):
+    """Warm-start phasors for every bin from the cutoff up: the mirrored low
+    band's on the high band, phase zero above it."""
+    start = np.ones(magnitude.shape, dtype=np.complex128)
+    start[:, : LAYOUT.hfc_width] = flip_phase(lfc, LAYOUT)
+    return start
+
+
 class TestGlaKernel:
     ITERATIONS = 6
 
@@ -243,16 +251,16 @@ class TestGlaKernel:
     @pytest.mark.parametrize("start", ["zero", "flip", "warm"])
     def test_matches_reference_loop(self, short_music, start, record_trace):
         _, magnitude, lfc = _consistent_inputs(short_music)
-        init = GlaInit.FLIP_PHASE if start == "flip" else GlaInit.ZERO_PHASE
         warm = None
-        if start == "warm":
+        if start == "flip":
+            warm = _flip_start(lfc, magnitude)
+        elif start == "warm":
             rng = np.random.default_rng(17)
             warm = np.exp(1j * rng.uniform(-np.pi, np.pi, size=magnitude.shape))
-        start_cfg = GlaConfig(iterations=0, init=init)
-        X0, _ = _gla(magnitude, lfc, start_cfg, initial_hf=warm)
+        X0, _ = _gla(magnitude, lfc, GlaConfig(iterations=0), initial_hf=warm)
         expected, expected_residuals = _reference_loop(magnitude, lfc, X0.data, self.ITERATIONS)
 
-        cfg = GlaConfig(iterations=self.ITERATIONS, init=init)
+        cfg = GlaConfig(iterations=self.ITERATIONS)
         out, residuals = _gla(magnitude, lfc, cfg, initial_hf=warm, record_trace=record_trace)
         # A * (Y / |Y|) and Y * (A / |Y|) round differently, and the FFTs spread
         # that rounding over every bin, so the tolerance is relative to the
@@ -316,7 +324,7 @@ class TestGlaKernel:
 class TestExtractReferencePhase:
     def test_exact_match_on_hr_file(self, short_music):
         X = stft_array(short_music.samples, CFG)
-        phasors = extract_reference_phase(X, LAYOUT, target_frames=X.shape[0])
+        phasors = extract_reference_phase(X, LAYOUT)
         np.testing.assert_allclose(
             np.angle(phasors), np.angle(X[:, 186:372]), atol=1e-12
         )
@@ -324,22 +332,20 @@ class TestExtractReferencePhase:
 
     def test_silence_gives_zero_phase(self):
         silence = stft_array(np.zeros(3 * CFG.frame_len), CFG)
-        phasors = extract_reference_phase(silence, LAYOUT, len(silence))
+        phasors = extract_reference_phase(silence, LAYOUT)
         assert np.all(phasors == 1)
 
     def test_short_reference_padded(self, short_music):
-        X = stft_array(short_music.samples, CFG)
-        frames = len(X)
-        short_ref = stft_array(short_music.samples[: len(short_music.samples) - CFG.hop], CFG)
-        assert len(short_ref) == frames - 1
-        phasors = extract_reference_phase(short_ref, LAYOUT, frames)
+        # The padded grid reads zeros past a reference's end: frames that lie
+        # wholly there get the phasor 1, earlier frames the reference's own.
+        x = short_music.samples
+        frames = len(stft_array(x, CFG))
+        cut = len(x) - 3 * CFG.frame_len
+        padded = np.concatenate([x[:cut], np.zeros(len(x) - cut)])
+        phasors = extract_reference_phase(stft_array(padded, CFG), LAYOUT)
         assert phasors.shape == (frames, 186)
-        assert np.array_equal(phasors[:-1], extract_reference_phase(X, LAYOUT, frames)[:-1])
-        assert np.all(phasors[-1] == 1)
-
-    def test_long_reference_truncated(self, short_music):
-        X = stft_array(short_music.samples, CFG)
-        frames = len(X)
-        phasors = extract_reference_phase(X, LAYOUT, frames - 3)
-        assert phasors.shape == (frames - 3, 186)
-        assert np.array_equal(phasors, extract_reference_phase(X, LAYOUT, frames)[:-3])
+        whole = extract_reference_phase(stft_array(x, CFG), LAYOUT)
+        inside = CFG.frame_count(cut)
+        assert np.array_equal(phasors[:inside], whole[:inside])
+        past = -(-cut // CFG.hop)  # first frame starting at or past the cut
+        assert np.all(phasors[past:] == 1)

@@ -28,9 +28,11 @@ from bwx import (
     wav_read,
     wav_write,
 )
-from bwx.dsp import interior_slice, istft_array, stft_array
+from bwx.dsp import istft_array, stft_array
 from bwx.errors import DomainError, PipelineError, ShapeError
 from bwx.metrics import EVAL_CSV_HEADER
+
+from conftest import interior_slice, padded_round_trip
 
 CFG = StftConfig()
 SR = 44100
@@ -72,6 +74,9 @@ class TestSuperResolve:
             truth[:n][sel]
         )
         assert err < 1e-6
+        # On the padded grid every sample is interior.
+        assert n == len(truth)
+        assert np.linalg.norm(truth - rebuilt.samples) / np.linalg.norm(truth) < 1e-6
 
     def test_full_oracle_from_lr_restores_high_band(self, tmp_path, hr_lr_paths):
         # From the band-limited input the restored high band matches the truth
@@ -96,19 +101,19 @@ class TestSuperResolve:
         )
         rebuilt = _rebuild(lr, _spec(ImportSpec(str(zeros)), FlipPhaseSpec()))
 
-        X = stft_array(lr_wave.samples, CFG)
-        X[:, 186:372] = 0
-        expected = istft_array(X, CFG)
-        assert np.array_equal(
-            rebuilt.samples.astype(np.float32), expected.astype(np.float32)
-        )
+        def zero_high_band(X):
+            X[:, 186:372] = 0
+
+        expected = padded_round_trip(lr_wave.samples, CFG, zero_high_band)
+        assert np.array_equal(rebuilt.samples, expected)
         # and its interior is close to the plain round trip of the band-limited
-        # input (the extreme edge samples sit on the window-sum floor and are
-        # excluded, as everywhere else)
+        # input; on the padded grid so is every sample
         plain = istft_array(stft_array(lr_wave.samples, CFG), CFG)
         sel = interior_slice(len(plain), CFG)
         rel = np.linalg.norm(rebuilt.samples[sel] - plain[sel]) / np.linalg.norm(plain[sel])
         assert rel < 0.05
+        whole = lr_wave.samples
+        assert np.linalg.norm(rebuilt.samples - whole) / np.linalg.norm(whole) < 0.05
 
     def test_gla_beats_flip_on_lsd_hf(self, tmp_path, hr_lr_paths):
         hr, lr = hr_lr_paths
@@ -280,6 +285,9 @@ class TestSuperResolve:
                 truth.samples[:n][sel] - ch.samples[sel]
             ) / np.linalg.norm(truth.samples[:n][sel])
             assert err < 1e-6
+            assert n == len(truth.samples)
+            whole = np.linalg.norm(truth.samples - ch.samples) / np.linalg.norm(truth.samples)
+            assert whole < 1e-6
 
 
 class TestEvaluateBatch:

@@ -16,9 +16,11 @@ from bwx import (
     wav_read,
     wav_write,
 )
-from bwx.dsp import interior_slice, stft_array
+from bwx.dsp import stft_array
 from bwx.errors import DomainError
 from bwx.prep import design_fir
+
+from conftest import interior_slice
 
 CFG = StftConfig()
 SR = 44100
@@ -50,6 +52,9 @@ class TestBrickwall:
         out = lowpass(Waveform(x, SR), LowpassSpec(cutoff_hz=4000.0), CFG)
         sel = interior_slice(len(x), CFG)
         assert _rms(out.samples[sel]) < 1e-3 * _rms(x[sel])
+        # The sine's abrupt start and end leak below the cutoff, but every
+        # sample stays bounded.
+        assert np.abs(out.samples).max() < 0.5
 
     def test_passband_sine_preserved(self):
         t = np.arange(6 * CFG.frame_len) / SR
@@ -57,6 +62,7 @@ class TestBrickwall:
         out = lowpass(Waveform(x, SR), LowpassSpec(cutoff_hz=4000.0), CFG)
         sel = interior_slice(len(x), CFG)
         assert _rms(out.samples[sel]) == pytest.approx(_rms(x[sel]), rel=0.01)
+        assert _rms(out.samples) == pytest.approx(_rms(x), rel=0.01)
 
     def test_length_preserved(self, short_music):
         out = lowpass(short_music, LowpassSpec(cutoff_hz=4000.0), CFG)
