@@ -139,6 +139,12 @@ def _cmd_prepare(args) -> int:
 
 def _cmd_sr(args) -> int:
     cfg = StftConfig(frame_len=args.frame, hop=args.hop)
+    # Past half a frame the full-coverage window-square sum dips towards zero
+    # between frame centres, which magnifies any high-band edit.
+    if 2 * cfg.hop > cfg.frame_len:
+        raise UsageError(
+            f"--hop must be at most --frame / 2 ({cfg.frame_len // 2}), got {cfg.hop}"
+        )
     sample_rate = wav_header(args.input).sample_rate
     layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
     phase = _parse_phase(args.phase, args.gla_iters)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,6 +351,23 @@ def read_padded(read, n_samples: int, cfg: StftConfig, start: int, stop: int) ->
         x[lead + a - start : lead + b - start] = samples
         padded.append(x)
     return padded
+
+
+class _ArraySource:
+    """Channels held in memory, read by sample range without copying: the
+    in-memory counterpart of a WAV file source."""
+
+    def __init__(self, channels: Sequence[Waveform]):
+        self.channels = channels
+        self.n_channels = len(channels)
+        self.n_samples = len(channels[0])
+        self.sample_rate = channels[0].sample_rate
+
+    def read(self, start: int, stop: int) -> list[np.ndarray]:
+        return [ch.samples[start:stop] for ch in self.channels]
+
+    def check_unread(self) -> None:
+        """Nothing to do: `Waveform` checked the samples when it was made."""
 
 
 def resynthesize(

@@ -1,9 +1,11 @@
 """High-band magnitude predictors.
 
 Three sources for the missing magnitudes: the ground-truth recording
-(oracle), a non-neural band-replication baseline, or an external predictor's
-output imported through the BWXSPEC interchange format. Each takes and
-returns plain arrays; every magnitude array has shape (frames, bins).
+(oracle), a non-neural band-replication baseline (the SBR copy-up patch,
+which tiles the low band's top octave upward, unscaled), or an external
+predictor's output imported through the BWXSPEC interchange format. Each
+takes and returns plain arrays; every magnitude array has shape (frames,
+bins).
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ from .dsp import BandLayout, StftConfig
 from .errors import FileFormatError, PayloadValueError, ShapeError
 from .specio import SpecKind, spec_read
 
-GAIN_DENOMINATOR_FLOOR = 1e-12
-# Bins on each side of the cutoff whose mean magnitudes set the SBR gain.
-GAIN_ANCHOR_BINS = 4
-
 
 @dataclass(frozen=True)
 class OracleSpec:
@@ -31,7 +29,7 @@ class OracleSpec:
 
 @dataclass(frozen=True)
 class BandReplicationSpec:
-    """Copy low-band magnitudes upward with a continuity gain at the cutoff."""
+    """Tile the low band's top octave upward, unscaled (the SBR copy-up patch)."""
 
 
 @dataclass(frozen=True)
@@ -52,27 +50,16 @@ def predict_oracle(reference: np.ndarray, layout: BandLayout) -> np.ndarray:
 
 def predict_band_replication(lfc_mag: np.ndarray, layout: BandLayout) -> np.ndarray:
     """Replicate low-band magnitudes ``lfc_mag``, shape (frames, k_lo), into
-    the high band.
-
-    Per frame, bin k copies M[k - k_lo], scaled by the ratio of the mean of
-    the last ``GAIN_ANCHOR_BINS`` low-band magnitudes to the mean of the
-    first ``GAIN_ANCHOR_BINS`` copied ones (denominator floored at 1e-12).
-    """
+    the high band: bin k_lo + i copies bin k_lo // 2 + i mod (k_lo - k_lo // 2),
+    unscaled, so the low band's top octave is tiled as far up as the high band
+    reaches (the SBR copy-up patch of Dietz et al., "Spectral Band
+    Replication, a novel approach in audio coding", AES 112, 2002)."""
     if lfc_mag.shape[1] != layout.lfc_width:
         raise ShapeError(
             f"low band has {lfc_mag.shape[1]} bins, layout expects {layout.lfc_width}"
         )
-    width = layout.hfc_width
-    if width > layout.lfc_width:
-        raise ShapeError(
-            f"high band ({width} bins) wider than low band ({layout.lfc_width}); "
-            "replication source undefined"
-        )
-    copied = lfc_mag[:, :width]
-    top_mean = np.mean(lfc_mag[:, layout.lfc_width - GAIN_ANCHOR_BINS :], axis=1)
-    bottom_mean = np.mean(copied[:, :GAIN_ANCHOR_BINS], axis=1)
-    gain = top_mean / np.maximum(bottom_mean, GAIN_DENOMINATOR_FLOOR)
-    return copied * gain[:, None]
+    octave = layout.k_lo // 2
+    return lfc_mag[:, octave + np.arange(layout.hfc_width) % (layout.k_lo - octave)]
 
 
 def load_magnitude(

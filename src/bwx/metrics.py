@@ -8,6 +8,7 @@ Absolute LSD numbers depend on that floor, orderings do not.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .dsp import (
     BandLayout,
     StftConfig,
     Waveform,
+    _ArraySource,
     _checked_magnitude,
     consistency_project_array,
     frame_blocks,
@@ -190,8 +192,7 @@ class _Evaluation:
 
     def add(self, block: tuple[int, int, slice], truth: np.ndarray, estimate: np.ndarray) -> None:
         """Feed one ``frame_blocks`` block (f0, f1, span): ``truth`` and
-        ``estimate`` hold the pair's samples from span.start on, at least up
-        to span.stop."""
+        ``estimate`` hold the pair's samples over span."""
         f0, f1, span = block
         cfg = self.cfg
         # Only bins below k_hi, the top of both LSD ranges, are compared; the
@@ -220,21 +221,49 @@ class _Evaluation:
         )
 
 
+def _mean_report(reports: Sequence[EvalReport]) -> EvalReport:
+    return EvalReport(
+        lsd_hf=float(np.mean([r.lsd_hf for r in reports])),
+        lsd_full=float(np.mean([r.lsd_full for r in reports])),
+        snr=float(np.mean([r.snr for r in reports])),
+        frames_compared=int(round(np.mean([r.frames_compared for r in reports]))),
+    )
+
+
+def _evaluate_sources(truth, estimate, layout: BandLayout, cfg: StftConfig) -> EvalReport:
+    """Score every channel of the source ``estimate`` against the source
+    ``truth``, reading both one block span at a time, and average the channel
+    reports. Samples past the shorter source's end are not scored, but each
+    source is still checked to its end."""
+    if truth.n_channels != estimate.n_channels:
+        raise ShapeError(
+            f"channel counts differ: {truth.n_channels} vs {estimate.n_channels}"
+        )
+    n = min(truth.n_samples, estimate.n_samples)
+    rates = (truth.sample_rate, estimate.sample_rate)
+    evaluations = [_Evaluation(n, rates, layout, cfg) for _ in range(truth.n_channels)]
+    for block in frame_blocks(evaluations[0].n_frames, cfg):
+        span = block[2]
+        pairs = zip(truth.read(span.start, span.stop), estimate.read(span.start, span.stop))
+        for evaluation, (t, e) in zip(evaluations, pairs):
+            evaluation.add(block, t, e)
+    truth.check_unread()
+    estimate.check_unread()
+    return _mean_report([evaluation.report() for evaluation in evaluations])
+
+
 def evaluate(
     truth: Waveform,
     estimate: Waveform,
     layout: BandLayout,
     cfg: StftConfig,
 ) -> EvalReport:
-    """Build an EvalReport for a waveform pair, one block of frames at a time.
+    """Build an EvalReport for a waveform pair, one block of frames at a time,
+    by the same walk as ``eval`` and the phase study.
 
-    LSD-HF covers [k_lo, k_hi) and LSD-Full [0, k_hi). Both are means of per-frame values over every frame. SNR
-    is computed on interior samples only, trimming one frame length from each
-    end to exclude overlap-add edge effects.
+    LSD-HF covers [k_lo, k_hi) and LSD-Full [0, k_hi). Both are means of
+    per-frame values over every frame. SNR is computed on interior samples
+    only, trimming one frame length from each end to exclude overlap-add edge
+    effects.
     """
-    n = min(len(truth), len(estimate))
-    evaluation = _Evaluation(n, (truth.sample_rate, estimate.sample_rate), layout, cfg)
-    for block in frame_blocks(evaluation.n_frames, cfg):
-        span = block[2]
-        evaluation.add(block, truth.samples[span], estimate.samples[span])
-    return evaluation.report()
+    return _evaluate_sources(_ArraySource([truth]), _ArraySource([estimate]), layout, cfg)

@@ -33,7 +33,7 @@ from .dsp import (
     BandLayout,
     StftConfig,
     Waveform,
-    frame_blocks,
+    _ArraySource,
     padded_grid,
     read_padded,
     resynthesize,
@@ -49,7 +49,7 @@ from .magnitude import (
     predict_band_replication,
     predict_oracle,
 )
-from .metrics import EVAL_CSV_HEADER, EvalReport, _Evaluation
+from .metrics import EVAL_CSV_HEADER, EvalReport, _evaluate_sources, _mean_report
 from .phase import (
     FlipPhaseSpec,
     GlaConfig,
@@ -125,24 +125,8 @@ def _atomic_output(path):
         raise
 
 
-# Sources give a flow its samples by range: arrays for the in-memory callers,
-# WAV files for the CLI and batch.
-
-
-class _ArraySource:
-    """Channels held in memory, read by sample range without copying."""
-
-    def __init__(self, channels: Sequence[Waveform]):
-        self.channels = channels
-        self.n_channels = len(channels)
-        self.n_samples = len(channels[0])
-        self.sample_rate = channels[0].sample_rate
-
-    def read(self, start: int, stop: int) -> list[np.ndarray]:
-        return [ch.samples[start:stop] for ch in self.channels]
-
-    def check_unread(self) -> None:
-        """Nothing to do: `Waveform` checked the samples when it was made."""
+# Sources give a flow its samples by range: arrays (`dsp._ArraySource`) for
+# the in-memory callers, WAV files for the CLI and batch.
 
 
 # Frames decoded per read when `_WavSource.check_unread` walks a file's tail.
@@ -423,39 +407,6 @@ def _write_csv(path, lines) -> None:
 # ---------------------------------------------------------------------------
 # Batch drivers
 # ---------------------------------------------------------------------------
-
-
-def _mean_report(reports: Sequence[EvalReport]) -> EvalReport:
-    return EvalReport(
-        lsd_hf=float(np.mean([r.lsd_hf for r in reports])),
-        lsd_full=float(np.mean([r.lsd_full for r in reports])),
-        snr=float(np.mean([r.snr for r in reports])),
-        frames_compared=int(round(np.mean([r.frames_compared for r in reports]))),
-    )
-
-
-def _evaluate_sources(truth, estimate, layout: BandLayout, cfg: StftConfig) -> EvalReport:
-    """Score every channel of ``estimate`` against ``truth``, reading both one
-    block span at a time, and average the channel reports."""
-    if truth.n_channels != estimate.n_channels:
-        raise ShapeError(
-            f"channel counts differ: {truth.n_channels} vs {estimate.n_channels}"
-        )
-    n = min(truth.n_samples, estimate.n_samples)
-    rates = (truth.sample_rate, estimate.sample_rate)
-    evaluations = [_Evaluation(n, rates, layout, cfg) for _ in range(truth.n_channels)]
-    n_frames = evaluations[0].n_frames
-    for block in frame_blocks(n_frames, cfg):
-        _, f1, span = block
-        # The last block also reads the tail past the last frame, up to n.
-        stop = n if f1 == n_frames else span.stop
-        pairs = zip(truth.read(span.start, stop), estimate.read(span.start, stop))
-        for evaluation, (t, e) in zip(evaluations, pairs):
-            evaluation.add(block, t, e)
-    # Past n only the longer file has samples; they are checked all the same.
-    truth.check_unread()
-    estimate.check_unread()
-    return _mean_report([evaluation.report() for evaluation in evaluations])
 
 
 @dataclass

@@ -135,6 +135,17 @@ class TestSr:
         )
         assert code == 1
 
+    def test_hop_over_half_a_frame_is_usage_error(self, tmp_path, capsys):
+        # Checked before any file is read: a missing input would be exit 2.
+        out = tmp_path / "o.wav"
+        code = main(
+            ["sr", "--in", str(tmp_path / "no.wav"), "--out", str(out),
+             "--mag", "sbr", "--phase", "flip", "--frame", "64", "--hop", "40"]
+        )
+        assert code == 1
+        assert "--hop must be at most --frame / 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_oracle_file_is_io_error(self, tmp_path, lr_path):
         code = main(
             ["sr", "--in", str(lr_path), "--out", str(tmp_path / "o.wav"),

@@ -51,12 +51,13 @@ class TestBandReplication:
         out = predict_band_replication(self._lfc(np.zeros((3, 186))), LAYOUT)
         assert np.all(out == 0)
 
-    def test_ramp_gain_matches_closed_form(self):
+    def test_ramp_lands_on_the_top_octave(self):
+        # A ramp holds each bin's own index, so the output is the source map:
+        # bin 186 + i copies bin 93 + i mod 93, unscaled.
         ramp = np.tile(np.arange(186.0), (2, 1))
         out = predict_band_replication(self._lfc(ramp), LAYOUT)
-        gain = np.mean([182.0, 183.0, 184.0, 185.0]) / np.mean([0.0, 1.0, 2.0, 3.0])
-        assert gain == 183.5 / 1.5
-        np.testing.assert_allclose(out, ramp * gain, rtol=1e-12)
+        expected = np.concatenate([np.arange(93.0, 186.0)] * 2)
+        np.testing.assert_array_equal(out, np.tile(expected, (2, 1)))
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(6)
@@ -77,12 +78,20 @@ class TestBandReplication:
         with pytest.raises(ShapeError, match="low band has 100 bins, layout expects 186"):
             predict_band_replication(np.ones((2, 100)), LAYOUT)
 
-    def test_hfc_wider_than_lfc_rejected(self):
-        cfg = StftConfig(frame_len=64, hop=16)
-        layout = BandLayout(k_lo=5, k_hi=20, n_bins=cfg.n_bins)
-        lfc = np.ones((2, 5))
-        with pytest.raises(ShapeError, match="wider"):
-            predict_band_replication(lfc, layout)
+    def test_hfc_wider_than_lfc_tiles(self):
+        # 15 high-band bins over a 5-bin low band: its top octave, bins 2..4,
+        # repeats five times.
+        layout = BandLayout(k_lo=5, k_hi=20, n_bins=33)
+        lfc = self._lfc(np.tile(np.arange(5.0), (2, 1)))
+        out = predict_band_replication(lfc, layout)
+        np.testing.assert_array_equal(out, np.tile([2.0, 3.0, 4.0] * 5, (2, 1)))
+
+    def test_odd_k_lo(self):
+        # k_lo = 7: the top octave is bins 3..6, four bins wide.
+        layout = BandLayout(k_lo=7, k_hi=13, n_bins=33)
+        lfc = self._lfc([[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+        out = predict_band_replication(lfc, layout)
+        np.testing.assert_array_equal(out, [[3.0, 4.0, 5.0, 6.0, 3.0, 4.0]])
 
 
 class TestLoadMagnitude:
