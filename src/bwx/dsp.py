@@ -51,10 +51,14 @@ WINDOW_SUM_FLOOR = 1e-12
 BLOCK_FRAMES = 256
 
 
+@functools.lru_cache(maxsize=4)
 def hann_window(frame_len: int) -> np.ndarray:
-    """Periodic Hann window of the given even length."""
+    """Periodic Hann window of the given even length. Cached per frame_len and
+    shared by every caller, so it is returned read-only."""
     n = np.arange(frame_len)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / frame_len)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / frame_len)
+    window.flags.writeable = False
+    return window
 
 
 def bin_index(freq_hz: float, sample_rate: int, frame_len: int) -> int:

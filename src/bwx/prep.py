@@ -2,9 +2,11 @@
 
 Brickwall mode zeroes spectrogram bins at and above the cutoff and
 resynthesises, matching the band-split semantics of the pipeline exactly.
-FirSinc mode applies a windowed-sinc FIR forward and backward (zero net group
-delay), modelling a realistic acquisition chain. Both keep the original
-sample rate and length.
+FirSinc mode applies a Hamming-windowed-sinc FIR forward and backward (zero
+net group delay), modelling a realistic acquisition chain. The FIR follows
+SciPy's ``filtfilt`` with odd extension, computed here by overlap-save FFT
+convolution so that bwx imports no more of SciPy than ``scipy.fft``. Both modes
+keep the original sample rate and length; an empty signal gives an empty one.
 """
 
 from __future__ import annotations
@@ -13,15 +15,11 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
+import scipy.fft
 
 from .dsp import StftConfig, Waveform, bin_index, resynthesize
 from .errors import DomainError
 from .wavio import SampleDepth, wav_read, wav_write
-
-
-# Window of the windowed-sinc FIR design.
-FIR_WINDOW = "hamming"
 
 
 class LowpassMode(enum.Enum):
@@ -43,8 +41,12 @@ class LowpassSpec:
 
 
 def design_fir(spec: LowpassSpec, sample_rate: int) -> np.ndarray:
-    """Windowed-sinc low-pass taps with unity DC gain."""
-    return scipy.signal.firwin(spec.taps, spec.cutoff_hz, window=FIR_WINDOW, fs=sample_rate)
+    """Hamming-windowed-sinc low-pass taps with unity DC gain: SciPy's
+    ``firwin(taps, cutoff, window="hamming", fs=sample_rate)``."""
+    c = spec.cutoff_hz / (sample_rate / 2)
+    m = np.arange(spec.taps) - (spec.taps - 1) / 2
+    h = c * np.sinc(c * m) * np.hamming(spec.taps)
+    return h / h.sum()
 
 
 def _lowpass_brickwall(x: np.ndarray, sample_rate: int, cutoff_hz: float, cfg: StftConfig) -> np.ndarray:
@@ -58,10 +60,44 @@ def _lowpass_brickwall(x: np.ndarray, sample_rate: int, cutoff_hz: float, cfg: S
     return np.concatenate([np.zeros(0), *(channels[0] for channels in pieces)])
 
 
+def _held_convolution(x: np.ndarray, taps_fft: np.ndarray, n_taps: int, n_fft: int) -> np.ndarray:
+    """y[n] = sum_k taps[k] * x[n - k] with x held at x[0] before it starts,
+    over len(x) outputs; ``taps_fft`` is rfft(taps, n_fft).
+
+    Overlap-save: each FFT of length n_fft yields n_fft - n_taps + 1 outputs
+    from the input samples they need, so the temporaries are block-sized
+    whatever the signal's length."""
+    history = n_taps - 1
+    step = n_fft - history
+    y = np.empty(len(x))
+    segment = np.empty(n_fft)
+    for start in range(0, len(x), step):
+        count = min(step, len(x) - start)
+        held = max(history - start, 0)  # step > history: the first block only
+        segment[:held] = x[0]
+        segment[held : history + count] = x[start + held - history : start + count]
+        segment[history + count :] = 0.0
+        block = scipy.fft.irfft(scipy.fft.rfft(segment) * taps_fft, n_fft)
+        y[start : start + count] = block[history : history + count]
+    return y
+
+
 def _lowpass_fir(x: np.ndarray, sample_rate: int, spec: LowpassSpec) -> np.ndarray:
+    """SciPy's ``filtfilt(taps, [1.0], x, padlen=min(3T, N - 1))``: odd
+    extension by p samples at each end, a forward pass starting from the
+    steady state of the first extended value (lfilter_zi), the same pass over
+    the reversed output starting from its last value, then p samples cut from
+    each end."""
+    if len(x) == 0:
+        return np.zeros(0)
     taps = design_fir(spec, sample_rate)
-    padlen = min(3 * spec.taps, len(x) - 1)
-    return scipy.signal.filtfilt(taps, [1.0], x, padlen=padlen)
+    n_fft = scipy.fft.next_fast_len(8 * spec.taps, real=True)
+    taps_fft = scipy.fft.rfft(taps, n_fft)
+    p = min(3 * spec.taps, len(x) - 1)
+    extended = np.concatenate([2 * x[0] - x[p:0:-1], x, 2 * x[-1] - x[-2 : -p - 2 : -1]])
+    forward = _held_convolution(extended, taps_fft, spec.taps, n_fft)
+    both = _held_convolution(forward[::-1], taps_fft, spec.taps, n_fft)[::-1]
+    return both[p : len(both) - p]
 
 
 def lowpass(x: Waveform, spec: LowpassSpec, cfg: StftConfig = StftConfig()) -> Waveform:

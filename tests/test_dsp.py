@@ -45,6 +45,17 @@ def test_public_names_resolve():
     assert [name for name in bwx.__all__ if not hasattr(bwx, name)] == []
 
 
+@pytest.mark.parametrize("frame_len", [64, 2048])
+def test_window_is_cached_read_only_periodic_hann(frame_len):
+    window = StftConfig(frame_len=frame_len, hop=frame_len // 4).window_values()
+    assert StftConfig(frame_len=frame_len, hop=frame_len // 2).window_values() is window
+    assert not window.flags.writeable
+    with pytest.raises(ValueError):
+        window[0] = 1.0
+    n = np.arange(frame_len)
+    np.testing.assert_array_equal(window, 0.5 - 0.5 * np.cos(2.0 * np.pi * n / frame_len))
+
+
 class TestBinIndex:
     def test_4khz_default_grid(self):
         assert bin_index(4000, 44100, 2048) == 186

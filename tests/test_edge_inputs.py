@@ -69,3 +69,15 @@ def test_phase_study_on_a_short_clip_fails(tmp_path, short_wav, capsys):
     assert main(["phase-study", "--clips", str(short_wav), "--out", str(out)]) == 1
     assert "all clips failed" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("filter_name", ["brickwall", "fir"])
+def test_prepare_on_an_empty_wav_writes_an_empty_wav(tmp_path, filter_name):
+    path = tmp_path / "empty.wav"
+    wav_write(path, Waveform(np.zeros(0), SR), SampleDepth.FLOAT32)
+    out = tmp_path / "lr.wav"
+    assert main(["prepare", "--in", str(path), "--out", str(out), "--filter", filter_name]) == 0
+    channels, _ = wav_read(out)
+    assert len(channels) == 1
+    assert len(channels[0]) == 0
+    assert channels[0].sample_rate == SR

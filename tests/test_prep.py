@@ -1,8 +1,17 @@
 """Low-pass dataset preparation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bwx
 from bwx import (
     BandLayout,
     LowpassMode,
@@ -121,6 +130,73 @@ class TestFirSinc:
         out = lowpass(Waveform(x, SR), spec, CFG)
         inner = slice(spec.taps, -spec.taps)  # edge transients ring for ~1 filter length
         assert _rms(out.samples[inner]) < 1e-4 * _rms(x[inner])
+
+
+FIR_TAPS = [11, 13, 255, 511]
+FIR_CUTOFFS = [100.0, 1000.0, 4000.0, 11025.0, 20000.0]
+# Tolerance fixed from float64 rounding over two passes of up to 511 taps.
+FIR_RTOL = 1e-12
+
+
+@st.composite
+def fir_cases(draw):
+    taps = draw(st.sampled_from(FIR_TAPS))
+    edge = 3 * taps + 1  # N - 1 == 3T: the extension takes every sample
+    n = draw(st.one_of(st.integers(1, 4 * taps), st.sampled_from([edge - 1, edge, edge + 1])))
+    cutoff = draw(st.sampled_from(FIR_CUTOFFS))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1e-6, 1.0, 3e4]))
+    return taps, cutoff, scale * np.random.default_rng(seed).standard_normal(n)
+
+
+class TestScipyReference:
+    """The numpy FIR design and zero-phase filter against scipy.signal."""
+
+    @pytest.mark.parametrize("taps", FIR_TAPS)
+    @pytest.mark.parametrize("cutoff", FIR_CUTOFFS)
+    def test_design_matches_firwin(self, taps, cutoff):
+        spec = LowpassSpec(mode=LowpassMode.FIR_SINC, cutoff_hz=cutoff, taps=taps)
+        expected = scipy.signal.firwin(taps, cutoff, window="hamming", fs=SR)
+        np.testing.assert_allclose(design_fir(spec, SR), expected, rtol=0, atol=1e-15)
+
+    @settings(max_examples=80, deadline=None)
+    @given(fir_cases())
+    def test_lowpass_matches_filtfilt(self, case):
+        taps, cutoff, x = case
+        spec = LowpassSpec(mode=LowpassMode.FIR_SINC, cutoff_hz=cutoff, taps=taps)
+        expected = scipy.signal.filtfilt(
+            design_fir(spec, SR), [1.0], x, padlen=min(3 * taps, len(x) - 1)
+        )
+        out = lowpass(Waveform(x, SR), spec, CFG).samples
+        assert out.shape == x.shape
+        assert np.abs(out - expected).max() <= FIR_RTOL * np.abs(x).max()
+
+    def test_stereo_make_pair_matches_filtfilt(self, tmp_path, short_music):
+        hr = tmp_path / "hr.wav"
+        lr = tmp_path / "lr.wav"
+        rng = np.random.default_rng(3)
+        other = Waveform(0.3 * rng.standard_normal(len(short_music.samples)), SR)
+        wav_write(hr, [short_music, other], SampleDepth.FLOAT32)
+        spec = LowpassSpec(mode=LowpassMode.FIR_SINC, cutoff_hz=5000.0, taps=255)
+        make_pair(hr, lr, spec)
+        taps = design_fir(spec, SR)
+        for source, written in zip(wav_read(hr)[0], wav_read(lr)[0], strict=True):
+            x = source.samples
+            expected = scipy.signal.filtfilt(taps, [1.0], x, padlen=3 * spec.taps)
+            # Stored as float32: one ulp of the peak covers the rounding.
+            atol = FIR_RTOL * np.abs(x).max() + np.spacing(np.float32(np.abs(expected).max()))
+            np.testing.assert_allclose(written.samples, expected, rtol=0, atol=atol)
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # A fresh interpreter: this process imported scipy.signal for the references.
+    code = "import sys, bwx.cli; print('scipy.signal' in sys.modules)"
+    src = str(Path(bwx.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestMakePair:
