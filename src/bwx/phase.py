@@ -6,10 +6,11 @@ that already hold the right magnitudes.
 
 * ``flip_phase`` mirrors the low band about the cutoff and conjugates it,
   returning unit phasors.
-* ``gla_reconstruct`` runs an alternating-projection loop (Griffin-Lim) that
-  re-imposes the supplied magnitudes on every bin from the cutoff up while
-  pinning the low band to its known complex values; its high band is the
-  complex result itself.
+* ``gla_reconstruct`` runs an alternating-projection loop (Griffin-Lim) in
+  place on the caller's spectrogram: it re-imposes the supplied magnitudes on
+  the high band [k_lo, k_hi) only and pins every other bin, the known low
+  band and whatever lies above the high band, to its start value; its high
+  band is the complex result itself.
 * ``extract_reference_phase`` reads unit phasors straight off a reference's
   complex STFT, e.g. the original recording's or an external synthesiser's.
 
@@ -44,7 +45,8 @@ class FlipPhaseSpec:
 
 @dataclass(frozen=True)
 class GlaConfig:
-    """Run Griffin-Lim for ``iterations`` from zero high-band phase."""
+    """Run Griffin-Lim for ``iterations`` on the high band; the pipeline
+    starts it from zero high-band phase, with every other bin pinned."""
 
     iterations: int = 100
 
@@ -93,80 +95,62 @@ def flip_phase(lfc: np.ndarray, layout: BandLayout) -> np.ndarray:
 
 
 def _squared_norm(z: np.ndarray) -> float:
-    return float(np.vdot(z, z).real)
+    # numpy's own loop, not BLAS: after a threaded BLAS dot the worker threads
+    # spin, which doubled the CPU time of a traced Griffin-Lim run.
+    v = z.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", v, v))
 
 
 def gla_reconstruct(
     magnitude: np.ndarray,
-    lfc: np.ndarray,
+    X: np.ndarray,
     cfg: GlaConfig,
     layout: BandLayout,
     stft: StftConfig,
-    initial_hf: np.ndarray | None = None,
     *,
     record_trace: bool = True,
 ) -> tuple[ComplexSpectrogram, np.ndarray]:
-    """Griffin-Lim with a pinned low band, split at ``layout``'s bins.
+    """Griffin-Lim on the high band [k_lo, k_hi) of ``layout``, in place.
 
-    ``magnitude``, shape (frames, n_bins - k_lo), holds the magnitudes of
-    every bin from the cutoff up; ``lfc``, shape (frames, k_lo), is the
-    complex low band. Both are checked once, on entry: shapes
-    (`ShapeError`), finiteness and non-negative magnitudes (`DomainError`).
+    ``X``, complex128 of shape (frames, n_bins), is the start and is
+    overwritten; ``magnitude``, shape (frames, k_hi - k_lo), holds the
+    magnitudes re-imposed on the high band. Both are checked once, on entry:
+    ``X``'s dtype and shape and ``magnitude``'s shape (`ShapeError`; ``X`` is
+    not converted, since a copy would not be written in place), finite
+    magnitudes and pinned bins, and non-negative magnitudes (`DomainError`).
 
-    The starting spectrogram copies ``lfc`` into bins [0, k_lo) and gives
-    every remaining bin its magnitude with zero phase.
     Each iteration streams the projection onto consistent spectrograms under
     ``stft`` (`project_blocks`) and, block by block, re-imposes the
-    magnitudes on bins k_lo and above only, as ``Y * (A / |Y|)`` with zero
-    divided by zero defined as zero, writing into the spectrogram in place.
-    The low band is never written after the start, so it survives bit for
-    bit. Besides the spectrogram, an iteration holds one output-length
-    signal and block-sized arrays; each block's NaN check covers only the
-    re-imposed bins.
+    magnitudes on the high band only, as ``Y * (A / |Y|)`` with zero divided
+    by zero defined as zero, writing into ``X``. Every bin outside the high
+    band is pinned: never written, it keeps its start value bit for bit.
+    Besides ``X``, an iteration holds one output-length signal and
+    block-sized arrays; each block's NaN check covers only the re-imposed
+    bins.
 
-    ``initial_hf``, complex and shaped like ``magnitude``, warm-starts the
-    loop instead: every bin at and above the cutoff starts at its magnitude
-    times its ``initial_hf`` value, usually a unit phasor.
-
-    Returns the final spectrogram and the per-iteration consistency
-    residuals, ||X - P_C(X)||_F / max(||X||_F, 1e-12), as a float array
-    (empty when ``record_trace`` is off). ``iterations == 0`` returns the
-    starting spectrogram unchanged.
+    Returns ``X`` as the result record and the per-iteration consistency
+    residuals over every bin, ||X - P_C(X)||_F / max(||X||_F, 1e-12), as a
+    float array (empty when ``record_trace`` is off). ``iterations == 0``
+    returns the start unchanged.
     """
-    A_hi = _checked_magnitude(magnitude)
-    lfc = np.asarray(lfc, dtype=np.complex128)
-    k_lo = layout.k_lo
+    A = _checked_magnitude(magnitude)
+    k_lo, k_hi = layout.k_lo, layout.k_hi
     if layout.n_bins != stft.n_bins:
         raise ShapeError("layout is inconsistent with the STFT configuration")
-    if A_hi.shape[1] != layout.n_bins - k_lo:
+    if A.shape[1] != layout.hfc_width:
+        raise ShapeError(f"magnitude has {A.shape[1]} bins, layout expects {layout.hfc_width}")
+    if not isinstance(X, np.ndarray) or X.dtype != np.complex128:
+        raise ShapeError("Griffin-Lim start must be a complex128 array, updated in place")
+    if X.shape != (A.shape[0], layout.n_bins):
         raise ShapeError(
-            f"magnitude has {A_hi.shape[1]} bins, layout expects {layout.n_bins - k_lo}"
+            f"Griffin-Lim start has shape {X.shape}, expected {(A.shape[0], layout.n_bins)}"
         )
-    if lfc.ndim != 2 or lfc.shape[1] != layout.lfc_width:
-        raise ShapeError(
-            f"low-band constraint has shape {lfc.shape}, layout expects {layout.lfc_width} bins"
-        )
-    if A_hi.shape[0] != lfc.shape[0]:
-        raise ShapeError(
-            f"frame counts differ: magnitude {A_hi.shape[0]}, low band {lfc.shape[0]}"
-        )
-    if not np.all(np.isfinite(lfc)):
-        raise DomainError("low-band constraint contains non-finite entries")
+    for name, pinned in (("low-band constraint", X[:, :k_lo]), ("residual band", X[:, k_hi:])):
+        if not np.all(np.isfinite(pinned)):
+            raise DomainError(f"{name} contains non-finite entries")
 
-    X = np.empty((A_hi.shape[0], layout.n_bins), dtype=np.complex128)
-    X[:, :k_lo] = lfc
-    X_hi = X[:, k_lo:]
-    if initial_hf is not None:
-        initial_hf = np.asarray(initial_hf, dtype=np.complex128)
-        if initial_hf.shape != A_hi.shape:
-            raise ShapeError(
-                f"initial high band has shape {initial_hf.shape}, expected {A_hi.shape}"
-            )
-        X_hi[...] = A_hi * initial_hf
-    else:
-        X_hi[...] = A_hi  # zero phase
-    ratio = np.empty((0, A_hi.shape[1]))  # |Y|, then A / |Y|, for one block
-
+    X_band = X[:, k_lo:k_hi]
+    ratio = np.empty((0, A.shape[1]))  # |Y|, then A / |Y|, for one block
     residuals = np.empty(cfg.iterations if record_trace else 0)
     for m in range(cfg.iterations):
         change = total = 0.0  # squared norms of X - P_C(X) and of X
@@ -175,15 +159,15 @@ def gla_reconstruct(
                 change += _squared_norm(X[a0:a1] - Y)
                 total += _squared_norm(X[a0:a1])
             if len(ratio) < a1 - a0:
-                ratio = np.empty((a1 - a0, A_hi.shape[1]))
-            scale, Y_hi, X_block = ratio[: a1 - a0], Y[:, k_lo:], X_hi[a0:a1]
-            np.abs(Y_hi, out=scale)
+                ratio = np.empty((a1 - a0, A.shape[1]))
+            scale, Y_band, X_block = ratio[: a1 - a0], Y[:, k_lo:k_hi], X_band[a0:a1]
+            np.abs(Y_band, out=scale)
             # A / |Y| where |Y| > 0; the rest of `scale` already holds |Y| = 0.
-            np.divide(A_hi[a0:a1], scale, out=scale, where=scale > 0)
-            np.multiply(Y_hi, scale, out=X_block)
+            np.divide(A[a0:a1], scale, out=scale, where=scale > 0)
+            np.multiply(Y_band, scale, out=X_block)
             if np.isnan(X_block).any():
                 raise NumericalError(f"NaN appeared at Griffin-Lim iteration {m}")
-            del Y, Y_hi  # free this block before the next one is computed
+            del Y, Y_band  # free this block before the next one is computed
         if record_trace:
             residuals[m] = np.sqrt(change) / max(np.sqrt(total), RESIDUAL_NORM_FLOOR)
 

@@ -269,19 +269,14 @@ def _phase_step(
     if isinstance(strategy, GlaConfig):
 
         def gla(channel, x, mag, block):
-            # GLA's magnitudes, bins k_lo up, assembled in place: no |residual| temporary.
-            magnitude = np.empty((len(x), layout.n_bins - k_lo))
-            magnitude[:, : k_hi - k_lo] = mag
-            np.abs(x[:, k_hi:], out=magnitude[:, k_hi - k_lo :])
+            # GLA runs in place on the block's own spectrogram from a zero-phase
+            # high band; the bins outside it, residual band included, stay pinned.
+            x[:, k_lo:k_hi] = mag
             record = traces is not None and channel == 0
-            result, residuals = gla_reconstruct(
-                magnitude, x[:, :k_lo], strategy, layout, cfg, record_trace=record
-            )
+            _, residuals = gla_reconstruct(mag, x, strategy, layout, cfg, record_trace=record)
             if record:
                 traces.append(residuals)
-            # The loop has already re-imposed ``mag`` on these bins. A copy, so
-            # the whole GLA spectrogram is freed before synthesis.
-            return result.data[:, k_lo:k_hi].copy()
+            return x[:, k_lo:k_hi]
 
         return gla
     if isinstance(strategy, ReferencePhaseSpec):

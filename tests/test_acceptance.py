@@ -46,6 +46,9 @@ from conftest import interior_slice
 CFG = StftConfig()
 SR = 44100
 LAYOUT = BandLayout(186, 372, CFG.n_bins)
+# Griffin-Lim re-imposing every bin from the cutoff up, the problem criteria 02
+# and 03 were set on.
+GLA_LAYOUT = BandLayout(LAYOUT.k_lo, CFG.n_bins, CFG.n_bins)
 
 
 def _ok(n, message):
@@ -61,15 +64,17 @@ def phase_study(clip_paths, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def gla_runs(clip_paths):
-    """Oracle-magnitude, zero-phase-init GLA on every bundled clip."""
+    """Oracle-magnitude, zero-phase-init GLA on every bundled clip, timed in
+    this process's CPU seconds (every FFT worker, no other process)."""
     runs = []
     for path in clip_paths:
         wave = wav_read(path)[0][0]
         X = stft_array(wave.samples, CFG)
-        magnitude, lfc = np.abs(X[:, LAYOUT.k_lo :]), X[:, : LAYOUT.k_lo]
-        started = time.perf_counter()
-        _, residuals = gla_reconstruct(magnitude, lfc, GlaConfig(iterations=100), LAYOUT, CFG)
-        elapsed = time.perf_counter() - started
+        magnitude = np.abs(X[:, LAYOUT.k_lo :])
+        X[:, LAYOUT.k_lo :] = magnitude  # zero phase
+        started = time.process_time()
+        _, residuals = gla_reconstruct(magnitude, X, GlaConfig(iterations=100), GLA_LAYOUT, CFG)
+        elapsed = time.process_time() - started
         runs.append((str(path), residuals, elapsed, wave.duration))
     return runs
 
@@ -107,14 +112,10 @@ def test_criterion_01_stft_round_trip_and_oracle():
 def test_criterion_02_gla_fixed_point(clip_paths):
     wave = wav_read(clip_paths[0])[0][0]
     X = stft_array(wave.samples, CFG)
-    _, residuals = gla_reconstruct(
-        np.abs(X[:, LAYOUT.k_lo :]),
-        X[:, : LAYOUT.k_lo],
-        GlaConfig(iterations=100),
-        LAYOUT,
-        CFG,
-        initial_hf=_unit_phasors(X[:, LAYOUT.k_lo :]),  # the true phasors, 1 at a zero bin
-    )
+    magnitude = np.abs(X[:, LAYOUT.k_lo :])
+    # Start from the true phasors, 1 at a zero bin.
+    X[:, LAYOUT.k_lo :] = magnitude * _unit_phasors(X[:, LAYOUT.k_lo :])
+    _, residuals = gla_reconstruct(magnitude, X, GlaConfig(iterations=100), GLA_LAYOUT, CFG)
     assert len(residuals) == 100
     assert np.all(residuals < 1e-6)
     _ok(2, f"fixed point held for 100 iterations, max residual {residuals.max():.2e}")
@@ -123,9 +124,9 @@ def test_criterion_02_gla_fixed_point(clip_paths):
 def test_criterion_03_gla_progress(gla_runs):
     for path, residuals, elapsed, duration in gla_runs:
         assert residuals[99] < residuals[0], path
-        assert elapsed < 30.0, f"{path}: {elapsed:.1f} s for 100 iterations"
+        assert elapsed < 30.0, f"{path}: {elapsed:.1f} s CPU for 100 iterations"
     slowest = max(r[2] for r in gla_runs)
-    _ok(3, f"residual(100) < residual(1) on all {len(gla_runs)} clips, slowest {slowest:.1f} s")
+    _ok(3, f"residual(100) < residual(1) on all {len(gla_runs)} clips, slowest {slowest:.1f} s CPU")
 
 
 def test_criterion_04_phase_study_ordering(phase_study):

@@ -185,7 +185,7 @@ def test_blocks_match_whole_signal_transforms(hop, extra, block, seed):
     assert np.array_equal(out, istft_array(Y, cfg))
 
 
-# Bins of a 64-sample frame: [0, 8) pinned, [8, 20) and above re-imposed.
+# Bins of a 64-sample frame: [8, 20) re-imposed, [0, 8) and [20, 33) pinned.
 SMALL_LAYOUT = BandLayout(8, 20, 33)
 
 
@@ -204,13 +204,18 @@ def test_transforms_and_gla_block_size_invariant(hop, n_frames, seed):
     x = rng.standard_normal(cfg.output_length(n_frames) + int(rng.integers(hop)))
     X = stft_array(x, cfg)
     Y = X * np.exp(1j * rng.uniform(-np.pi, np.pi, X.shape))
-    magnitude, lfc = np.abs(X[:, 8:]), X[:, :8].copy()
+    magnitude = np.abs(X[:, 8:20])
     warm = np.exp(1j * rng.uniform(-np.pi, np.pi, magnitude.shape))
+
+    def start(band):
+        X0 = X.copy()
+        X0[:, 8:20] = band
+        return X0
 
     def run():
         glas = [
-            gla_reconstruct(magnitude, lfc, GlaConfig(3), SMALL_LAYOUT, cfg, initial_hf=hf)
-            for hf in (None, warm)
+            gla_reconstruct(magnitude, start(band), GlaConfig(3), SMALL_LAYOUT, cfg)
+            for band in (magnitude, magnitude * warm)
         ]
         arrays = [stft_array(x, cfg), istft_array(Y, cfg), consistency_project_array(Y, cfg)]
         return arrays + [out.data for out, _ in glas], [residuals for _, residuals in glas]
@@ -388,19 +393,22 @@ def test_super_resolve_peak_memory_is_bounded(tmp_path):
 
 # Two GLA iterations over four blocks of frames grew the traced heap by 4.66x
 # the complex spectrogram when each iteration projected the whole spectrogram
-# at once (frames, spectra and signal all whole-file), and by 1.85x streamed:
-# the spectrogram itself, one output-length signal and its window-sum
-# denominator, and one block's arrays.
+# at once (frames, spectra and signal all whole-file), by 1.85x streamed (a
+# second spectrogram, the magnitudes of every bin from the cutoff up, one
+# output-length signal and its window-sum denominator, and one block's
+# arrays), and by 0.77x in place on the caller's spectrogram: under one
+# spectrogram, so GLA holds no copy of it.
 def test_gla_heap_growth_is_bounded():
     n_frames = 4 * bwx.dsp.BLOCK_FRAMES
     x = np.random.default_rng(0).standard_normal(CFG.output_length(n_frames))
     X = stft_array(x, CFG)
-    magnitude, lfc = np.abs(X[:, LAYOUT.k_lo :]), X[:, : LAYOUT.k_lo].copy()
+    magnitude = np.abs(X[:, LAYOUT.k_lo : LAYOUT.k_hi])
+    X[:, LAYOUT.k_lo : LAYOUT.k_hi] = magnitude
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        gla_reconstruct(magnitude, lfc, GlaConfig(iterations=2), LAYOUT, CFG)
+        gla_reconstruct(magnitude, X, GlaConfig(iterations=2), LAYOUT, CFG)
         growth = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert growth <= 2 * X.nbytes
+    assert growth <= X.nbytes

@@ -184,8 +184,11 @@ class TestConsistencyResidual:
         flipped[:, 186:372] = magnitude[:, :186] * flip_phase(X[:, :186], layout)
         flip_residual = consistency_residual(flipped, CFG)
 
+        start = X.copy()
+        start[:, 186:] = magnitude
+        every_bin = BandLayout(186, CFG.n_bins, CFG.n_bins)
         gla_out, _ = gla_reconstruct(
-            magnitude, X[:, :186], GlaConfig(iterations=20), layout, CFG, record_trace=False
+            magnitude, start, GlaConfig(iterations=20), every_bin, CFG, record_trace=False
         )
         assert consistency_residual(gla_out.data, CFG) < flip_residual
 

@@ -103,44 +103,52 @@ def _consistent_inputs(wave):
     return X, np.abs(X[:, 186:]), X[:, :186].copy()
 
 
-def _gla(magnitude, lfc, cfg, **kwargs):
-    return gla_reconstruct(magnitude, lfc, cfg, LAYOUT, CFG, **kwargs)
+# Re-imposes every bin from the cutoff up, so only the low band is pinned;
+# the cases with a pinned residual band use LAYOUT.
+FULL = BandLayout(186, CFG.n_bins, CFG.n_bins)
+
+
+def _start(lfc, magnitude, phasors=None):
+    """A Griffin-Lim start: the complex low band, then ``magnitude`` times
+    ``phasors`` (zero phase when None) on every bin from the cutoff up."""
+    X = np.empty((len(lfc), CFG.n_bins), dtype=np.complex128)
+    X[:, :186] = lfc
+    X[:, 186:] = magnitude if phasors is None else magnitude * phasors
+    return X
+
+
+def _gla(magnitude, lfc, cfg, phasors=None, **kwargs):
+    return gla_reconstruct(magnitude, _start(lfc, magnitude, phasors), cfg, FULL, CFG, **kwargs)
 
 
 class TestGlaReconstruct:
     def test_consistent_input_is_fixed_point(self, short_music):
-        # Warm-start with the true phases: the loop must sit still.
+        # Start from the true phases: the loop must sit still.
         X, magnitude, lfc = _consistent_inputs(short_music)
         cfg = GlaConfig(iterations=20)
         phasors = bwx.phase._unit_phasors(X[:, 186:])  # 1 where a bin is 0
-        out, residuals = _gla(magnitude, lfc, cfg, initial_hf=phasors)
+        out, residuals = _gla(magnitude, lfc, cfg, phasors)
         assert len(residuals) == 20
         assert np.all(residuals < 1e-6)
         err = np.linalg.norm(out.data - X) / np.linalg.norm(X)
         assert err < 1e-6
 
     def test_zero_iterations_returns_documented_start(self, short_music):
+        # The caller's start is the result, the same array, untouched.
         _, magnitude, lfc = _consistent_inputs(short_music)
-        cfg = GlaConfig(iterations=0)
-        out, residuals = _gla(magnitude, lfc, cfg)
+        start = _start(lfc, magnitude, low_band(np.ones(magnitude.shape), seed=3))
+        expected = start.copy()
+        out, residuals = gla_reconstruct(magnitude, start, GlaConfig(iterations=0), FULL, CFG)
         assert len(residuals) == 0
-        expected = np.empty_like(out.data)
-        expected[:, :186] = lfc
-        expected[:, 186:] = magnitude  # zero phase
+        assert out.data is start
+        assert out.config == CFG
         assert np.array_equal(out.data, expected)
-        # A warm start multiplies the magnitudes by the complex values as given.
-        warm = low_band(np.ones(magnitude.shape), seed=3)
-        out, _ = _gla(magnitude, lfc, cfg, initial_hf=warm)
-        expected[:, 186:] = magnitude * warm
-        assert np.array_equal(out.data, expected)
-        with pytest.raises(ShapeError, match="initial high band"):
-            _gla(magnitude, lfc, cfg, initial_hf=warm[:, 1:])
 
     def test_flip_phasor_warm_start(self, short_music):
-        # A flip start is a warm start: flip phasors on the high band, 1 above.
+        # A flip start is the caller's: flip phasors on the high band, 1 above.
         _, magnitude, lfc = _consistent_inputs(short_music)
         cfg = GlaConfig(iterations=0)
-        out, _ = _gla(magnitude, lfc, cfg, initial_hf=_flip_start(lfc, magnitude))
+        out, _ = _gla(magnitude, lfc, cfg, _flip_start(lfc, magnitude))
         assert np.array_equal(out.data[:, :186], lfc)
         # high band carries the mirrored phase, residual band stays zero phase
         k = 186
@@ -163,6 +171,22 @@ class TestGlaReconstruct:
         cfg = GlaConfig(iterations=5)
         out, _ = _gla(magnitude, lfc, cfg)
         assert np.array_equal(out.data[:, :186], lfc)
+
+    def test_pinned_bins_survive_bit_for_bit(self, short_music):
+        # With the paper's layout, only [186, 372) is re-estimated: the low
+        # band and the residual band keep their start, in the caller's array.
+        X, magnitude, _ = _consistent_inputs(short_music)
+        start = X.copy()
+        start[:, 186:372] = magnitude[:, : 372 - 186]
+        expected = start.copy()
+        out, _ = gla_reconstruct(magnitude[:, : 372 - 186], start, GlaConfig(5), LAYOUT, CFG)
+        assert out.data is start
+        assert np.array_equal(out.data[:, :186], expected[:, :186])
+        assert np.array_equal(out.data[:, 372:], expected[:, 372:])
+        np.testing.assert_allclose(
+            np.abs(out.data[:, 186:372]), magnitude[:, : 372 - 186], rtol=1e-12, atol=0
+        )
+        assert not np.array_equal(out.data[:, 186:372], expected[:, 186:372])
 
     def test_final_magnitudes_match_constraint(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
@@ -187,16 +211,31 @@ class TestGlaReconstruct:
 
     def test_shape_mismatch_rejected(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)
-        for bad_magnitude, bad_lfc in (
-            (magnitude, lfc[:, :100]),  # low band too narrow
-            (np.abs(stft_array(short_music.samples, CFG)), lfc),  # every bin, not k_lo up
-            (magnitude[:-1], lfc),  # frame counts differ
-            (magnitude[0], lfc[0]),  # not 2-D
+        start = _start(lfc, magnitude)
+        for bad_magnitude, bad_start in (
+            (magnitude, start[:, :-1]),  # start narrower than the STFT's bins
+            (np.abs(start), start),  # every bin, not the high band
+            (magnitude[:, : 372 - 186], start),  # the paper's high band, not FULL's
+            (magnitude[:-1], start),  # frame counts differ
+            (magnitude[0], start[0]),  # not 2-D
         ):
             with pytest.raises(ShapeError):
-                _gla(bad_magnitude, bad_lfc, GlaConfig())
+                gla_reconstruct(bad_magnitude, bad_start, GlaConfig(), FULL, CFG)
         with pytest.raises(ShapeError, match="inconsistent"):
-            gla_reconstruct(magnitude, lfc, GlaConfig(), LAYOUT, StftConfig(1024, 256))
+            gla_reconstruct(magnitude, start, GlaConfig(), FULL, StftConfig(1024, 256))
+
+    @pytest.mark.parametrize("kind", ["complex64", "float64", "list"])
+    def test_start_is_not_converted(self, short_music, kind):
+        # A converted copy would be iterated instead of the caller's array.
+        _, magnitude, lfc = _consistent_inputs(short_music)
+        start = _start(lfc, magnitude)
+        bad = {
+            "complex64": start.astype(np.complex64),
+            "float64": np.abs(start),
+            "list": start.tolist(),
+        }[kind]
+        with pytest.raises(ShapeError, match="complex128"):
+            gla_reconstruct(magnitude, bad, GlaConfig(1), FULL, CFG)
 
     @pytest.mark.parametrize(
         "damage, match",
@@ -218,30 +257,44 @@ class TestGlaReconstruct:
         with pytest.raises(DomainError, match=match):
             _gla(magnitude, lfc, GlaConfig(iterations=1))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_residual_band_rejected(self, short_music, value):
+        X, magnitude, _ = _consistent_inputs(short_music)
+        X[2, 500] = value
+        with pytest.raises(DomainError, match="residual band contains non-finite"):
+            gla_reconstruct(magnitude[:, : 372 - 186], X, GlaConfig(1), LAYOUT, CFG)
 
-def _reference_loop(magnitude, lfc, start, iterations):
-    """The loop as first written: project, re-impose A * Y / |Y| on every bin
-    with 0/0 -> 0, then re-pin the low band. Returns the spectrogram and the
-    residual of every iteration."""
-    k_lo = lfc.shape[1]
-    A = np.hstack([np.abs(lfc), magnitude])
+
+def _reference_loop(magnitude, start, layout, iterations):
+    """The loop as first written: project, re-impose A * Y / |Y| on the high
+    band [k_lo, k_hi) with 0/0 -> 0, then re-pin every other bin to ``start``.
+    Returns the spectrogram and the residual of every iteration."""
+    k_lo, k_hi = layout.k_lo, layout.k_hi
     X = start.copy()
     residuals = []
     for _ in range(iterations):
         Y = consistency_project_array(X, CFG)
         residuals.append(np.linalg.norm(X - Y) / max(np.linalg.norm(X), 1e-12))
         absY = np.abs(Y)
-        X = A * np.divide(Y, absY, out=np.zeros_like(Y), where=absY > 0)
-        X[:, :k_lo] = lfc
+        X = magnitude * np.divide(Y, absY, out=np.zeros_like(Y), where=absY > 0)[:, k_lo:k_hi]
+        X = np.hstack([start[:, :k_lo], X, start[:, k_hi:]])
     return X, np.array(residuals)
 
 
 def _flip_start(lfc, magnitude):
-    """Warm-start phasors for every bin from the cutoff up: the mirrored low
+    """Start phasors for every bin from the cutoff up: the mirrored low
     band's on the high band, phase zero above it."""
     start = np.ones(magnitude.shape, dtype=np.complex128)
     start[:, : LAYOUT.hfc_width] = flip_phase(lfc, LAYOUT)
     return start
+
+
+def _assert_matches_reference(out, expected):
+    # A * (Y / |Y|) and Y * (A / |Y|) round differently, and the FFTs spread
+    # that rounding over every bin, so the tolerance is relative to the
+    # spectrogram's scale rather than to each (possibly tiny) entry.
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestGlaKernel:
@@ -251,27 +304,41 @@ class TestGlaKernel:
     @pytest.mark.parametrize("start", ["zero", "flip", "warm"])
     def test_matches_reference_loop(self, short_music, start, record_trace):
         _, magnitude, lfc = _consistent_inputs(short_music)
-        warm = None
+        phasors = None
         if start == "flip":
-            warm = _flip_start(lfc, magnitude)
+            phasors = _flip_start(lfc, magnitude)
         elif start == "warm":
             rng = np.random.default_rng(17)
-            warm = np.exp(1j * rng.uniform(-np.pi, np.pi, size=magnitude.shape))
-        X0, _ = _gla(magnitude, lfc, GlaConfig(iterations=0), initial_hf=warm)
-        expected, expected_residuals = _reference_loop(magnitude, lfc, X0.data, self.ITERATIONS)
+            phasors = np.exp(1j * rng.uniform(-np.pi, np.pi, size=magnitude.shape))
+        X0 = _start(lfc, magnitude, phasors)
+        expected, expected_residuals = _reference_loop(magnitude, X0, FULL, self.ITERATIONS)
 
         cfg = GlaConfig(iterations=self.ITERATIONS)
-        out, residuals = _gla(magnitude, lfc, cfg, initial_hf=warm, record_trace=record_trace)
-        # A * (Y / |Y|) and Y * (A / |Y|) round differently, and the FFTs spread
-        # that rounding over every bin, so the tolerance is relative to the
-        # spectrogram's scale rather than to each (possibly tiny) entry.
-        scale = np.abs(expected).max()
-        np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12 * scale)
+        out, residuals = _gla(magnitude, lfc, cfg, phasors, record_trace=record_trace)
+        _assert_matches_reference(out, expected)
         assert np.array_equal(out.data[:, :186], lfc)
         if record_trace:
             np.testing.assert_allclose(residuals, expected_residuals, rtol=1e-9)
         else:
             assert len(residuals) == 0
+
+    def test_high_band_matches_reference_loop(self, short_music):
+        # The paper's layout: [186, 372) re-estimated, the residual band pinned.
+        X, magnitude, _ = _consistent_inputs(short_music)
+        band = magnitude[:, : 372 - 186]
+        X[:, 186:372] = band
+        expected, expected_residuals = _reference_loop(band, X, LAYOUT, self.ITERATIONS)
+        out, residuals = gla_reconstruct(band, X, GlaConfig(self.ITERATIONS), LAYOUT, CFG)
+        _assert_matches_reference(out, expected)
+        np.testing.assert_allclose(residuals, expected_residuals, rtol=1e-9)
+
+    def test_squared_norm_of_strided_arrays(self):
+        # The residual trace's norms, on a C-ordered block and on strided and
+        # Fortran-ordered views, agree with BLAS's dot product.
+        z = low_band(np.random.default_rng(5).uniform(-3, 3, size=(40, 33)))
+        for view in (z, z[::3, 1:], np.asfortranarray(z)):
+            expected = np.vdot(view, view).real
+            assert bwx.phase._squared_norm(view) == pytest.approx(expected, rel=1e-13)
 
     def test_zero_magnitude_bins_give_zero(self, short_music):
         _, magnitude, lfc = _consistent_inputs(short_music)

@@ -269,6 +269,30 @@ class TestSuperResolve:
             # The kernel's residual, rounded to 9 significant digits.
             assert float(value) == float(f"{kernel[0][i]:.9g}")
 
+    def test_gla_runs_in_place_and_pins_the_residual_band(self, tmp_path, hr_lr_paths, monkeypatch):
+        # The HR file as input has content above hi_hz, which `--residual pass`
+        # keeps: GLA iterates on the block's own spectrogram and leaves those
+        # bins as the input's analysis gave them.
+        hr, _ = hr_lr_paths
+        calls = []
+
+        def recording(magnitude, X, *args, **kwargs):
+            before = X[:, LAYOUT.k_hi :].copy()
+            result = bwx.phase.gla_reconstruct(magnitude, X, *args, **kwargs)
+            calls.append((X, before, result))
+            return result
+
+        monkeypatch.setattr(bwx.pipeline, "gla_reconstruct", recording)
+        super_resolve(_spec(OracleSpec(str(hr)), GlaConfig(iterations=3)), hr, tmp_path / "out.wav")
+        [(X, before, result)] = calls
+        assert result[0].data is X  # no second whole-grid spectrogram
+        analyses = []
+        padded_round_trip(wav_read(hr)[0][0].samples, CFG, analyses.append)
+        residual_band = analyses[0][:, LAYOUT.k_hi :]
+        assert np.any(residual_band != 0)
+        assert np.array_equal(before, residual_band)
+        assert np.array_equal(X[:, LAYOUT.k_hi :], residual_band)
+
     def test_stereo_identity(self, tmp_path, short_music):
         hr = tmp_path / "hr2.wav"
         other = Waveform(short_music.samples[::-1].copy(), SR)
