@@ -23,7 +23,12 @@ Conventions used throughout the package:
   The lead is a multiple of hop, so the grid's frames lead/hop onwards are
   the frames the signal alone analyses into.
 * `stft_array` and `overlap_add` work through at most `BLOCK_FRAMES` frames
-  at a time, so no transform takes a whole-file frame buffer. The
+  at a time, so no transform takes a whole-file frame buffer. Their workspace
+  is one frame buffer per thread (`_frame_scratch`): a block's windowed
+  frames are written into it and transformed straight into the block's rows
+  of the result, and a block's inverse transform is written into it and
+  windowed in place, so no block allocates frames or spectra of its own. The
+  FFTs are numpy's (pocketfft, single-threaded, with ``out=``). The
   consistency projection stft(istft(X)) is streamed (`project_blocks`): each
   block of X is overlap-added into one output-length signal, and a frame is
   analysed as soon as no later block can touch its samples.
@@ -37,7 +42,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import DomainError, LengthError, ShapeError
 
@@ -196,37 +200,33 @@ _scratch = threading.local()
 
 
 def _frame_scratch(n_frames: int, frame_len: int) -> np.ndarray:
-    """A (n_frames, frame_len) float64 array for windowed frames, n_frames at
-    most `BLOCK_FRAMES`, from one buffer per thread reused by every later
-    call: a fresh multi-MB array per block page-faults anew on every block
-    once the allocator has handed the previous block's memory back to the
-    system."""
+    """A (n_frames, frame_len) float64 array for windowed or inverse-transformed
+    frames, n_frames at most `BLOCK_FRAMES`, from one buffer per thread reused
+    by every later call: a fresh multi-MB array per block page-faults anew on
+    every block once the allocator has handed the previous block's memory back
+    to the system."""
     buffer = getattr(_scratch, "frames", None)
     if buffer is None or buffer.shape[1] != frame_len or len(buffer) < n_frames:
         buffer = _scratch.frames = np.empty((n_frames, frame_len))
     return buffer[:n_frames]
 
 
-def _windowed_rfft(windows: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    frames = np.multiply(windows, cfg.window_values(), out=_frame_scratch(len(windows), cfg.frame_len))
-    return scipy.fft.rfft(frames, axis=1, workers=-1)
-
-
 def stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """STFT of a 1-D float array, returning (frames, bins) complex128,
-    analysed `BLOCK_FRAMES` frames at a time. The samples are not scanned
-    for non-finite values: `Waveform` and the WAV reader check them where
-    they enter."""
+    analysed `BLOCK_FRAMES` frames at a time: each block is windowed into the
+    thread's frame buffer and transformed straight into its rows of the
+    result. The samples are not scanned for non-finite values: `Waveform` and
+    the WAV reader check them where they enter."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"signal must be 1-D, got shape {x.shape}")
     n_frames = cfg.frame_count(len(x))
-    windows = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)[:: cfg.hop][:n_frames]
-    if n_frames <= BLOCK_FRAMES:  # one block: rfft's own array, not a copy
-        return _windowed_rfft(windows, cfg)
+    windows = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)[:: cfg.hop]
     X = np.empty((n_frames, cfg.n_bins), dtype=np.complex128)
     for f0, f1, _ in frame_blocks(n_frames, cfg):
-        X[f0:f1] = _windowed_rfft(windows[f0:f1], cfg)
+        frames = _frame_scratch(f1 - f0, cfg.frame_len)
+        np.multiply(windows[f0:f1], cfg.window_values(), out=frames)
+        np.fft.rfft(frames, axis=1, out=X[f0:f1])
     return X
 
 
@@ -273,7 +273,7 @@ def overlap_add(X: np.ndarray, out: np.ndarray, first_frame: int, cfg: StftConfi
 def _overlap_add_block(X_block: np.ndarray, out: np.ndarray, first_frame: int, cfg: StftConfig) -> None:
     frame_len, hop = cfg.frame_len, cfg.hop
     n_frames = X_block.shape[0]
-    frames = scipy.fft.irfft(X_block, n=frame_len, axis=1, workers=-1)
+    frames = np.fft.irfft(X_block, n=frame_len, axis=1, out=_frame_scratch(n_frames, frame_len))
     frames *= cfg.window_values()
     start = first_frame * hop
     if frame_len % hop == 0:
@@ -400,10 +400,11 @@ def resynthesize(
         channels = read_padded(read, n_samples, cfg, span.start, span.stop)
         carries = carries or [np.zeros(0)] * len(channels)
         pieces = []
-        for channel, x in enumerate(channels):
-            X = stft_array(x, cfg)
+        for channel in range(len(channels)):
+            X = stft_array(channels[channel], cfg)
+            channels[channel] = None  # not held through the edit
             edit(channel, X, block)
-            out = np.zeros(len(x))
+            out = np.zeros(span.stop - span.start)
             out[: len(carries[channel])] = carries[channel]
             overlap_add(X, out, 0, cfg)
             carries[channel] = out[done:]

@@ -34,6 +34,7 @@ from .dsp import (
     StftConfig,
     Waveform,
     _ArraySource,
+    frame_blocks,
     padded_grid,
     read_padded,
     resynthesize,
@@ -232,9 +233,22 @@ def _magnitude_step(spec: ReconstructSpec, n_frames: int, inputs, references: _R
         ref_frames = cfg.frame_count(source.n_samples)
         if ref_frames < n_frames:
             raise LengthError(f"reference yields {ref_frames} frames, {n_frames} required")
-        return lambda channel, x, block: predict_oracle(
-            references.stft(source, channel, block[2]), layout
-        )
+
+        def oracle(channel, x, block):
+            # Sub-block by sub-block, so a whole-grid block (Griffin-Lim's)
+            # never holds the reference's complex STFT; a frame-local block is
+            # one sub-block with the block's own span, returned uncopied.
+            f0, f1, span = block
+            parts = [
+                predict_oracle(
+                    references.stft(source, channel, slice(span.start + sub.start, span.start + sub.stop)),
+                    layout,
+                )
+                for _, _, sub in frame_blocks(f1 - f0, cfg)
+            ]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+        return oracle
     if isinstance(predictor, BandReplicationSpec):
         return lambda channel, x, block: predict_band_replication(
             np.abs(x[:, : layout.k_lo]), layout

@@ -5,8 +5,8 @@ resynthesises, matching the band-split semantics of the pipeline exactly.
 FirSinc mode applies a Hamming-windowed-sinc FIR forward and backward (zero
 net group delay), modelling a realistic acquisition chain. The FIR follows
 SciPy's ``filtfilt`` with odd extension, computed here by overlap-save FFT
-convolution so that bwx imports no more of SciPy than ``scipy.fft``. Both modes
-keep the original sample rate and length; an empty signal gives an empty one.
+convolution with numpy's FFT, so bwx needs no SciPy. Both modes keep the
+original sample rate and length; an empty signal gives an empty one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .dsp import StftConfig, Waveform, bin_index, resynthesize
 from .errors import DomainError
@@ -60,24 +59,44 @@ def _lowpass_brickwall(x: np.ndarray, sample_rate: int, cutoff_hz: float, cfg: S
     return np.concatenate([np.zeros(0), *(channels[0] for channels in pieces)])
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer (2^a 3^b 5^c) not below ``n`` >= 1, the
+    lengths pocketfft's real transforms are fastest at: SciPy's
+    ``next_fast_len(n, real=True)``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 doubled up to the first value >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _held_convolution(x: np.ndarray, taps_fft: np.ndarray, n_taps: int, n_fft: int) -> np.ndarray:
     """y[n] = sum_k taps[k] * x[n - k] with x held at x[0] before it starts,
     over len(x) outputs; ``taps_fft`` is rfft(taps, n_fft).
 
     Overlap-save: each FFT of length n_fft yields n_fft - n_taps + 1 outputs
     from the input samples they need, so the temporaries are block-sized
-    whatever the signal's length."""
+    whatever the signal's length, and every block reuses them."""
     history = n_taps - 1
     step = n_fft - history
     y = np.empty(len(x))
     segment = np.empty(n_fft)
+    spectrum = np.empty(len(taps_fft), dtype=np.complex128)
+    block = np.empty(n_fft)
     for start in range(0, len(x), step):
         count = min(step, len(x) - start)
         held = max(history - start, 0)  # step > history: the first block only
         segment[:held] = x[0]
         segment[held : history + count] = x[start + held - history : start + count]
         segment[history + count :] = 0.0
-        block = scipy.fft.irfft(scipy.fft.rfft(segment) * taps_fft, n_fft)
+        np.fft.rfft(segment, out=spectrum)
+        spectrum *= taps_fft
+        np.fft.irfft(spectrum, n_fft, out=block)
         y[start : start + count] = block[history : history + count]
     return y
 
@@ -91,8 +110,8 @@ def _lowpass_fir(x: np.ndarray, sample_rate: int, spec: LowpassSpec) -> np.ndarr
     if len(x) == 0:
         return np.zeros(0)
     taps = design_fir(spec, sample_rate)
-    n_fft = scipy.fft.next_fast_len(8 * spec.taps, real=True)
-    taps_fft = scipy.fft.rfft(taps, n_fft)
+    n_fft = _next_fast_len(8 * spec.taps)
+    taps_fft = np.fft.rfft(taps, n_fft)
     p = min(3 * spec.taps, len(x) - 1)
     extended = np.concatenate([2 * x[0] - x[p:0:-1], x, 2 * x[-1] - x[-2 : -p - 2 : -1]])
     forward = _held_convolution(extended, taps_fft, spec.taps, n_fft)

@@ -8,7 +8,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +34,7 @@ from bwx import (
     lsd,
     make_pair,
     predict_band_replication,
+    predict_oracle,
     reconstruct,
     spec_write,
     super_resolve,
@@ -49,6 +49,7 @@ from bwx.dsp import (
     overlap_add,
     padded_grid,
     project_blocks,
+    read_padded,
     stft_array,
 )
 from bwx.errors import LengthError, PipelineError, ShapeError
@@ -346,7 +347,7 @@ def test_reference_read_once_per_block(monkeypatch, tmp_path, files):
     hr, lr = files["stereo"]
     monkeypatch.chdir(hr.parent)
     reads, analyses = [], []
-    original, original_rfft = bwx.pipeline.wav_read, scipy.fft.rfft
+    original, original_rfft = bwx.pipeline.wav_read, np.fft.rfft
 
     def counting(path, *args):
         reads.append(str(path))
@@ -357,7 +358,7 @@ def test_reference_read_once_per_block(monkeypatch, tmp_path, files):
         return original_rfft(*args, **kwargs)
 
     monkeypatch.setattr(bwx.pipeline, "wav_read", counting)
-    monkeypatch.setattr(scipy.fft, "rfft", counting_rfft)
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
     spec = ReconstructSpec(OracleSpec(hr.name), ReferencePhaseSpec(str(hr)), LAYOUT, stft=CFG)
     super_resolve(spec, lr, tmp_path / "out.wav")
     n = len(wav_read(lr)[0][0])
@@ -365,6 +366,52 @@ def test_reference_read_once_per_block(monkeypatch, tmp_path, files):
     blocks = -(-padded_grid(CFG, n)[1] // 8)
     assert reads == [str(lr), hr.name] * blocks
     assert len(analyses) == 2 * 2 * blocks  # input and reference, two channels
+
+
+@pytest.mark.parametrize("block", [1, 3, 8])
+def test_oracle_sub_blocks_equal_whole_grid_magnitudes(monkeypatch, block):
+    # The oracle step handed Griffin-Lim's whole-grid block analyses the
+    # reference sub-block by sub-block; its magnitudes are predict_oracle of
+    # the reference's whole-grid STFT, bit for bit, on every channel.
+    n = int(0.3 * SR)
+    hr = [Waveform(synth_clip(seed, duration=0.3), SR) for seed in (5, 6)]
+    _, grid_frames = padded_grid(CFG, n)
+    whole = next(frame_blocks(grid_frames, CFG, grid_frames))
+    with mock.patch.object(bwx.dsp, "BLOCK_FRAMES", ONE_BLOCK):
+        expected = [
+            predict_oracle(stft_array(x, CFG), LAYOUT)
+            for x in read_padded(lambda a, b: [w.samples[a:b] for w in hr], n, CFG, 0, whole[2].stop)
+        ]
+    monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", block)
+    spec = ReconstructSpec(OracleSpec("hr.wav"), GlaConfig(), LAYOUT, stft=CFG)
+    inputs = bwx.dsp._ArraySource(hr)
+    step = bwx.pipeline._magnitude_step(
+        spec, CFG.frame_count(n), inputs, bwx.pipeline._References(CFG, {"hr.wav": hr})
+    )
+    for channel, magnitude in enumerate(expected):
+        assert np.array_equal(step(channel, None, whole), magnitude)
+
+
+# With oracle magnitudes, Griffin-Lim's whole-grid block peaked at 2.75x the
+# grid's complex spectrogram of traced heap while the oracle step analysed the
+# whole reference into a second spectrogram beside the block's own. Analysed
+# sub-block by sub-block, only the high band's magnitudes are kept.
+GLA_ORACLE_PEAK_SPECTROGRAMS = 2.25
+
+
+def test_gla_with_oracle_holds_no_second_spectrogram():
+    n = CFG.output_length(4 * bwx.dsp.BLOCK_FRAMES)
+    rng = np.random.default_rng(0)
+    hr, lr = ([Waveform(rng.standard_normal(n), SR)] for _ in range(2))
+    spec = ReconstructSpec(OracleSpec("hr.wav"), GlaConfig(iterations=1), LAYOUT, stft=CFG)
+    grid_bytes = padded_grid(CFG, n)[1] * CFG.n_bins * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        reconstruct(spec, lr, references={"hr.wav": hr})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= GLA_ORACLE_PEAK_SPECTROGRAMS * grid_bytes
 
 
 # A 30 s mono oracle+flip super_resolve peaked at 396 MB of traced heap with

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from bwx import (
 )
 from bwx.dsp import stft_array
 from bwx.errors import DomainError
-from bwx.prep import design_fir
+from bwx.prep import _next_fast_len, design_fir
 
 from conftest import interior_slice
 
@@ -188,9 +189,15 @@ class TestScipyReference:
             np.testing.assert_allclose(written.samples, expected, rtol=0, atol=atol)
 
 
+def test_next_fast_len_matches_scipy():
+    ours = [_next_fast_len(n) for n in range(1, 20001)]
+    assert ours == [scipy.fft.next_fast_len(n, real=True) for n in range(1, 20001)]
+
+
 def test_cli_import_leaves_scipy_signal_out():
-    # A fresh interpreter: this process imported scipy.signal for the references.
-    code = "import sys, bwx.cli; print('scipy.signal' in sys.modules)"
+    # A fresh interpreter: this process imported scipy.signal for the
+    # references. bwx imports no SciPy module at all.
+    code = "import sys, bwx.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     src = str(Path(bwx.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
