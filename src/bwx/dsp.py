@@ -7,11 +7,14 @@ Conventions used throughout the package:
 * Spectrograms are one-sided, shape (L, F) with F = frame_len // 2 + 1.
 * Synthesis is weighted overlap-add with the analysis window applied a
   second time and the result divided by the overlapped squared-window sum
-  (floored at 1e-12 to keep edge samples finite). The whole-length sum
-  depends only on the configuration and the frame count and is cached per
+  (floored at 1e-12 to keep edge samples finite). Numerator and
+  denominator are one overlap-add (`_add_frames`), of the windowed frames
+  and of the squared window, and it takes the same path for every hop,
+  whether or not the hop divides frame_len. The whole-length sum depends
+  only on the configuration and the frame count and is cached per
   (cfg, frames).
-* Every sample of the overlap-add sums its frames in ascending frame order,
-  so adding a spectrogram block by block (`overlap_add` per block of
+* Every sample of both sums takes its frames in ascending frame order, so
+  adding a spectrogram block by block (`overlap_add` per block of
   `frame_blocks`) gives the same bits as adding it whole. Analysis is per
   frame, so a block's STFT equals the matching rows of the whole STFT.
 * Reconstruction and brickwall filtering run on a padded grid
@@ -230,63 +233,52 @@ def stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return X
 
 
+def _add_frames(frames: np.ndarray, out: np.ndarray, start: int, cfg: StftConfig) -> None:
+    """Add row i of ``frames`` (n, frame_len) into the contiguous ``out`` at
+    sample start + i * hop, for any hop.
+
+    One numpy call per hop-long column segment, the last segment first: a
+    sample in hop row r takes segment j of frame r - j, so with j descending
+    it takes its frames in ascending order. A segment's rows never overlap in
+    ``out``; the last one is narrower when hop does not divide frame_len."""
+    hop, item = cfg.hop, out.itemsize
+    for j in reversed(range(0, cfg.frame_len, hop)):
+        width = min(hop, cfg.frame_len - j)
+        # A strided view of out whose bounds numpy checks against the buffer.
+        rows = np.ndarray(
+            (len(frames), width), out.dtype, buffer=out,
+            offset=(start + j) * item, strides=(hop * item, item),
+        )
+        rows += frames[:, j : j + width]
+
+
 @functools.lru_cache(maxsize=4)
 def _synthesis_denominator(cfg: StftConfig, n_frames: int) -> np.ndarray:
     """Overlapped squared-window sum of ``n_frames`` frames over all their
-    samples, floored at WINDOW_SUM_FLOOR. Cached per (cfg, n_frames) and
-    shared by every caller, so it is returned read-only."""
-    denominator = _window_square_sum(cfg, n_frames)
+    samples, added by `_add_frames` like the synthesis it divides and floored
+    at WINDOW_SUM_FLOOR. Cached per (cfg, n_frames) and shared by every
+    caller, so it is returned read-only."""
+    wsq = cfg.window_values() ** 2
+    denominator = np.zeros(cfg.output_length(n_frames))
+    _add_frames(np.broadcast_to(wsq, (n_frames, cfg.frame_len)), denominator, 0, cfg)
+    np.maximum(denominator, WINDOW_SUM_FLOOR, out=denominator)
     denominator.flags.writeable = False
     return denominator
 
 
-def _window_square_sum(cfg: StftConfig, n_frames: int) -> np.ndarray:
-    frame_len, hop = cfg.frame_len, cfg.hop
-    window = cfg.window_values()
-    wsq = window * window
-    if frame_len % hop == 0:
-        # Rows of hop samples; row r takes segment j of frame r - j, j ascending.
-        n_seg = frame_len // hop
-        wline = np.zeros((n_frames - 1 + n_seg, hop))
-        for j, segment in enumerate(wsq.reshape(n_seg, hop)):
-            wline[j : j + n_frames] += segment
-        wsum = wline.reshape(-1)
-    else:
-        wsum = np.zeros(cfg.output_length(n_frames))
-        for i in range(n_frames):
-            wsum[i * hop : i * hop + frame_len] += wsq
-    return np.maximum(wsum, WINDOW_SUM_FLOOR)
-
-
 def overlap_add(X: np.ndarray, out: np.ndarray, first_frame: int, cfg: StftConfig) -> None:
-    """Add the windowed irfft frames of ``X`` into ``out``, frame i at sample
-    (first_frame + i) * hop, without normalising, `BLOCK_FRAMES` frames at a
-    time.
+    """Add the windowed irfft frames of ``X`` into the contiguous ``out``,
+    frame i at sample (first_frame + i) * hop, without normalising,
+    `BLOCK_FRAMES` frames at a time.
 
     Each sample receives its frames in ascending frame order, so calling this
     block after block in frame order sums exactly as one call on the whole
     spectrogram does."""
     for f0, f1, _ in frame_blocks(X.shape[0], cfg):
-        _overlap_add_block(X[f0:f1], out, first_frame + f0, cfg)
-
-
-def _overlap_add_block(X_block: np.ndarray, out: np.ndarray, first_frame: int, cfg: StftConfig) -> None:
-    frame_len, hop = cfg.frame_len, cfg.hop
-    n_frames = X_block.shape[0]
-    frames = np.fft.irfft(X_block, n=frame_len, axis=1, out=_frame_scratch(n_frames, frame_len))
-    frames *= cfg.window_values()
-    start = first_frame * hop
-    if frame_len % hop == 0:
-        # Hop divides the frame: add hop-sized segments, the last segment of
-        # every frame first, so each output row takes its earliest frame first.
-        n_seg = frame_len // hop
-        segments = frames.reshape(n_frames, n_seg, hop)
-        rows = out[start : start + (n_frames - 1 + n_seg) * hop].reshape(-1, hop)
-        for j in reversed(range(n_seg)):
-            rows[j : j + n_frames] += segments[:, j, :]
-    else:
-        for i in range(n_frames):
-            out[start + i * hop : start + i * hop + frame_len] += frames[i]
+        frames = _frame_scratch(f1 - f0, cfg.frame_len)
+        np.fft.irfft(X[f0:f1], n=cfg.frame_len, axis=1, out=frames)
+        frames *= cfg.window_values()
+        _add_frames(frames, out, (first_frame + f0) * cfg.hop, cfg)
 
 
 def _checked_spectrogram(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
@@ -390,7 +382,7 @@ def resynthesize(
     hop-periodic full-coverage window-square sum."""
     lead, n_frames = padded_grid(cfg, n_samples)
     # One hop of that sum, taken from the interior of a whole sum.
-    period = _window_square_sum(cfg, lead // cfg.hop + 1)[lead : lead + cfg.hop]
+    period = _synthesis_denominator(cfg, lead // cfg.hop + 1)[lead : lead + cfg.hop]
     carries = None  # per channel, the overlap-add sums begun past the last piece
     for block in frame_blocks(n_frames, cfg, block_frames):
         f0, f1, span = block

@@ -59,22 +59,6 @@ def _lowpass_brickwall(x: np.ndarray, sample_rate: int, cutoff_hz: float, cfg: S
     return np.concatenate([np.zeros(0), *(channels[0] for channels in pieces)])
 
 
-def _next_fast_len(n: int) -> int:
-    """The smallest 5-smooth integer (2^a 3^b 5^c) not below ``n`` >= 1, the
-    lengths pocketfft's real transforms are fastest at: SciPy's
-    ``next_fast_len(n, real=True)``."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # p35 doubled up to the first value >= n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _held_convolution(x: np.ndarray, taps_fft: np.ndarray, n_taps: int, n_fft: int) -> np.ndarray:
     """y[n] = sum_k taps[k] * x[n - k] with x held at x[0] before it starts,
     over len(x) outputs; ``taps_fft`` is rfft(taps, n_fft).
@@ -110,7 +94,7 @@ def _lowpass_fir(x: np.ndarray, sample_rate: int, spec: LowpassSpec) -> np.ndarr
     if len(x) == 0:
         return np.zeros(0)
     taps = design_fir(spec, sample_rate)
-    n_fft = _next_fast_len(8 * spec.taps)
+    n_fft = 1 << (8 * spec.taps - 1).bit_length()  # a power of two >= 8 * taps
     taps_fft = np.fft.rfft(taps, n_fft)
     p = min(3 * spec.taps, len(x) - 1)
     extended = np.concatenate([2 * x[0] - x[p:0:-1], x, 2 * x[-1] - x[-2 : -p - 2 : -1]])

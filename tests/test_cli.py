@@ -122,11 +122,34 @@ class TestSr:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_mag_spec_is_usage_error(self, tmp_path, lr_path):
+        # A bad --phase spec, or a negative GLA iteration count, is rejected
+        # the same way.
+        out = tmp_path / "o.wav"
+        for spec in (
+            ["--mag", "magic", "--phase", "flip"],
+            ["--mag", "sbr", "--phase", "bogus"],
+            ["--mag", "sbr", "--phase", "gla", "--gla-iters", "-1"],
+        ):
+            code = main(["sr", "--in", str(lr_path), "--out", str(out)] + spec)
+            assert code == 1, spec
+            assert not out.exists(), spec
+
+    def test_import_on_stereo_input_is_usage_error(self, tmp_path, short_music, capsys):
+        from bwx import spec_write
+
+        stereo = tmp_path / "stereo.wav"
+        wav_write(stereo, [short_music, short_music], SampleDepth.FLOAT32)
+        frames = CFG.frame_count(len(short_music.samples))
+        mag_file = tmp_path / "hfc.bwx"
+        spec_write(mag_file, np.zeros((frames, 186)), SpecKind.MAGNITUDE, SR, CFG.frame_len, CFG.hop)
+        out = tmp_path / "o.wav"
         code = main(
-            ["sr", "--in", str(lr_path), "--out", str(tmp_path / "o.wav"),
-             "--mag", "magic", "--phase", "flip"]
+            ["sr", "--in", str(stereo), "--out", str(out),
+             "--mag", f"import:{mag_file}", "--phase", "flip"]
         )
         assert code == 1
+        assert "stage 'magnitude'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_trace_without_gla_is_usage_error(self, tmp_path, hr_path, lr_path):
         code = main(
@@ -240,6 +263,15 @@ class TestEval:
         argv = ["eval", "--truth", str(hr_path), "--est", str(stereo), "--out", str(out)]
         assert main(argv) == 1
         assert "channel counts differ: 1 vs 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_rate_mismatch_is_usage_error(self, tmp_path, hr_path, short_music, capsys):
+        out = tmp_path / "report.csv"
+        est = tmp_path / "est48k.wav"
+        wav_write(est, Waveform(short_music.samples, 48000), SampleDepth.FLOAT32)
+        argv = ["eval", "--truth", str(hr_path), "--est", str(est), "--out", str(out)]
+        assert main(argv) == 1
+        assert "sample rates differ: 44100 vs 48000" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -14,6 +14,7 @@ from bwx import (
     stft_array,
 )
 from bwx.dsp import (
+    _add_frames,
     _synthesis_denominator,
     consistency_project_array,
     hann_window,
@@ -289,20 +290,12 @@ class TestIstftArray:
 
 
 def whole_window_sum(cfg, n_frames):
-    """The floored window-square sum over every sample, summed as bwx always
-    has: with hop dividing the frame, row r of hop samples adds segment j of
-    frame r - j for j ascending; otherwise frames are added in ascending order."""
+    """The floored window-square sum over every sample, with the frames added
+    in ascending order, as the synthesis adds its frames."""
     wsq = hann_window(cfg.frame_len) ** 2
-    if cfg.frame_len % cfg.hop == 0:
-        n_seg = cfg.frame_len // cfg.hop
-        wline = np.zeros((n_frames - 1 + n_seg, cfg.hop))
-        for j in range(n_seg):
-            wline[j : j + n_frames] += wsq.reshape(n_seg, cfg.hop)[j]
-        wsum = wline.reshape(-1)
-    else:
-        wsum = np.zeros(cfg.output_length(n_frames))
-        for i in range(n_frames):
-            wsum[i * cfg.hop : i * cfg.hop + cfg.frame_len] += wsq
+    wsum = np.zeros(cfg.output_length(n_frames))
+    for i in range(n_frames):
+        wsum[i * cfg.hop : i * cfg.hop + cfg.frame_len] += wsq
     return np.maximum(wsum, 1e-12)
 
 
@@ -314,6 +307,34 @@ def whole_window_sum(cfg, n_frames):
 def test_denominator_equals_whole_window_sum(hop, n_frames):
     cfg = StftConfig(frame_len=64, hop=hop)
     assert np.array_equal(_synthesis_denominator(cfg, n_frames), whole_window_sum(cfg, n_frames))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hop=st.one_of(st.sampled_from([4, 8, 16, 32, 64]), st.integers(1, 64)),
+    n_frames=st.integers(1, 30),
+    start=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_add_frames_equals_ascending_per_frame_loop(hop, n_frames, start, seed):
+    # Bit for bit, for any hop: every sample takes its frames first to last,
+    # on top of what out already holds.
+    cfg = StftConfig(frame_len=64, hop=hop)
+    rng = np.random.default_rng(seed)
+    frames = rng.standard_normal((n_frames, cfg.frame_len))
+    out = rng.standard_normal(start + cfg.output_length(n_frames) + 3)
+    expected = out.copy()
+    for i in range(n_frames):
+        expected[start + i * hop : start + i * hop + cfg.frame_len] += frames[i]
+    _add_frames(frames, out, start, cfg)
+    assert np.array_equal(out, expected)
+
+
+def test_add_frames_past_the_end_is_rejected():
+    cfg = StftConfig(frame_len=64, hop=24)
+    out = np.zeros(cfg.output_length(3) - 1)
+    with pytest.raises(ValueError):
+        _add_frames(np.ones((3, cfg.frame_len)), out, 0, cfg)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +27,7 @@ from bwx import (
 )
 from bwx.dsp import stft_array
 from bwx.errors import DomainError
-from bwx.prep import _next_fast_len, design_fir
+from bwx.prep import design_fir
 
 from conftest import interior_slice
 
@@ -187,11 +186,6 @@ class TestScipyReference:
             # Stored as float32: one ulp of the peak covers the rounding.
             atol = FIR_RTOL * np.abs(x).max() + np.spacing(np.float32(np.abs(expected).max()))
             np.testing.assert_allclose(written.samples, expected, rtol=0, atol=atol)
-
-
-def test_next_fast_len_matches_scipy():
-    ours = [_next_fast_len(n) for n in range(1, 20001)]
-    assert ours == [scipy.fft.next_fast_len(n, real=True) for n in range(1, 20001)]
 
 
 def test_cli_import_leaves_scipy_signal_out():

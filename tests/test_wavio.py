@@ -138,6 +138,42 @@ def test_channel_mismatch_rejected(tmp_path):
         )
 
 
+def _extensible(canonical: bytes) -> bytes:
+    """The same file with a 40-byte WAVE_FORMAT_EXTENSIBLE fmt chunk in place
+    of the canonical 44-byte header's 16-byte one: the format tag moves into
+    the SubFormat GUID's first two bytes."""
+    tag, n_channels, rate, byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", canonical, 20)
+    guid_tail = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    fmt = struct.pack(
+        "<HHIIHHHHI", 0xFFFE, n_channels, rate, byte_rate, block_align, bits,
+        22, bits, (1 << n_channels) - 1,
+    ) + struct.pack("<H", tag) + guid_tail
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + canonical[36:]
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize(
+    "n_channels, depth", [(2, SampleDepth.PCM16), (1, SampleDepth.FLOAT32)]
+)
+def test_extensible_header_reads_as_canonical(tmp_path, n_channels, depth):
+    rng = np.random.default_rng(5)
+    channels = [Waveform(rng.uniform(-1, 1, 777), 22050) for _ in range(n_channels)]
+    canonical = tmp_path / "canonical.wav"
+    wav_write(canonical, channels, depth)
+    extensible = tmp_path / "extensible.wav"
+    extensible.write_bytes(_extensible(canonical.read_bytes()))
+
+    assert struct.unpack_from("<H", extensible.read_bytes(), 20) == (0xFFFE,)
+    expected, expected_depth = wav_read(canonical)
+    got, got_depth = wav_read(extensible)
+    assert got_depth == expected_depth
+    assert len(got) == len(expected) == n_channels
+    for a, b in zip(got, expected):
+        assert a.sample_rate == b.sample_rate == 22050
+        assert np.array_equal(a.samples, b.samples)
+    assert wav_header(extensible).frames == wav_header(canonical).frames == 777
+
+
 class TestMalformedFiles:
     # The header-only reader shares the chunk walk with wav_read,
     # so both must reject a malformed file with the same typed error.
