@@ -139,6 +139,17 @@ class Waveform:
         return len(self.samples) / self.sample_rate
 
 
+def _channel_layout(channels: Sequence[Waveform]) -> tuple[int, int]:
+    """The length and sample rate that every one of ``channels`` shares;
+    `ShapeError` for no channels or channels that differ in either."""
+    if not channels:
+        raise ShapeError("need at least one channel")
+    n, rate = len(channels[0]), channels[0].sample_rate
+    if any(len(ch) != n or ch.sample_rate != rate for ch in channels):
+        raise ShapeError("all channels must share length and sample rate")
+    return n, rate
+
+
 @dataclass(frozen=True)
 class BandLayout:
     """Bin boundaries splitting a spectrogram into LFC, HFC and residual bands.
@@ -356,8 +367,7 @@ class _ArraySource:
     def __init__(self, channels: Sequence[Waveform]):
         self.channels = channels
         self.n_channels = len(channels)
-        self.n_samples = len(channels[0])
-        self.sample_rate = channels[0].sample_rate
+        self.n_samples, self.sample_rate = _channel_layout(channels)
 
     def read(self, start: int, stop: int) -> list[np.ndarray]:
         return [ch.samples[start:stop] for ch in self.channels]

@@ -54,19 +54,15 @@ def lsd(truth: np.ndarray, estimate: np.ndarray, bins: tuple[int, int]) -> float
     if truth.shape != estimate.shape:
         raise ShapeError(f"magnitude shapes differ: {truth.shape} vs {estimate.shape}")
     _check_bins(bins, truth.shape[1])
-    return float(np.mean(_lsd_per_frame(truth, estimate, bins)))
+    band = slice(*bins)
+    diff = log_power(truth[:, band]) - log_power(estimate[:, band])
+    return float(np.mean(_rms_per_frame(diff)))
 
 
 def _check_bins(bins: tuple[int, int], n_bins: int) -> None:
     lo, hi = bins
     if not 0 <= lo < hi <= n_bins:
         raise DomainError(f"bin range [{lo}, {hi}) invalid for {n_bins} bins")
-
-
-def _lsd_per_frame(truth: np.ndarray, estimate: np.ndarray, bins: tuple[int, int]) -> np.ndarray:
-    """Per-frame RMS of log-power differences over the bin range ``bins``."""
-    lo, hi = bins
-    return _rms_per_frame(log_power(truth[:, lo:hi]) - log_power(estimate[:, lo:hi]))
 
 
 def _rms_per_frame(diff: np.ndarray) -> np.ndarray:
@@ -158,69 +154,6 @@ class EvalReport:
         )
 
 
-class _Evaluation:
-    """LSD per frame and SNR energy sums of one truth/estimate channel pair,
-    both ``n_samples`` long, fed block by block.
-
-    Every check of the pair is made on construction, before any block. SNR
-    covers the interior samples only, trimming one frame length from each end
-    to exclude overlap-add edge effects.
-    """
-
-    def __init__(
-        self,
-        n_samples: int,
-        sample_rates: tuple[int, int],
-        layout: BandLayout,
-        cfg: StftConfig,
-    ) -> None:
-        if n_samples <= 2 * cfg.frame_len:
-            raise LengthError(
-                f"signals of {n_samples} samples are too short to evaluate "
-                f"with frame_len {cfg.frame_len}"
-            )
-        self.hf_bins = (layout.k_lo, layout.k_hi)
-        self.full_bins = (0, layout.k_hi)
-        _check_bins(self.hf_bins, cfg.n_bins)  # and so the wider full range
-        _check_rates(*sample_rates)
-        self.cfg = cfg
-        self.n_frames = cfg.frame_count(n_samples)
-        self.trim = (cfg.frame_len, n_samples - cfg.frame_len)
-        self.hf = np.empty(self.n_frames)
-        self.full = np.empty(self.n_frames)
-        self.energy = _EnergySums()
-
-    def add(self, block: tuple[int, int, slice], truth: np.ndarray, estimate: np.ndarray) -> None:
-        """Feed one ``frame_blocks`` block (f0, f1, span): ``truth`` and
-        ``estimate`` hold the pair's samples over span."""
-        f0, f1, span = block
-        cfg = self.cfg
-        # Only bins below k_hi, the top of both LSD ranges, are compared; the
-        # log-power difference is taken once over [0, k_hi) and the HF range
-        # sliced from it.
-        top = self.full_bins[1]
-        diff = log_power(np.abs(stft_array(truth, cfg)[:, :top]))
-        diff -= log_power(np.abs(stft_array(estimate, cfg)[:, :top]))
-        self.hf[f0:f1] = _rms_per_frame(diff[:, slice(*self.hf_bins)])
-        self.full[f0:f1] = _rms_per_frame(diff)
-        # SNR takes the block's own stretch: from span.start to where the next
-        # block's span starts (f1 * hop), or to the span's end for the last.
-        own_stop = span.stop if f1 == self.n_frames else f1 * cfg.hop
-        lo, hi = max(span.start, self.trim[0]), min(own_stop, self.trim[1])
-        if lo < hi:
-            piece = slice(lo - span.start, hi - span.start)
-            self.energy.add(truth[piece], estimate[piece])
-
-    def report(self) -> EvalReport:
-        """Mean LSD over every frame fed, and the SNR."""
-        return EvalReport(
-            float(np.mean(self.hf)),
-            float(np.mean(self.full)),
-            self.energy.snr_db(),
-            self.n_frames,
-        )
-
-
 def _mean_report(reports: Sequence[EvalReport]) -> EvalReport:
     return EvalReport(
         lsd_hf=float(np.mean([r.lsd_hf for r in reports])),
@@ -233,23 +166,55 @@ def _mean_report(reports: Sequence[EvalReport]) -> EvalReport:
 def _evaluate_sources(truth, estimate, layout: BandLayout, cfg: StftConfig) -> EvalReport:
     """Score every channel of the source ``estimate`` against the source
     ``truth``, reading both one block span at a time, and average the channel
-    reports. Samples past the shorter source's end are not scored, but each
+    reports (see `evaluate`). Every check of the pair is made before any block
+    is read. Samples past the shorter source's end are not scored, but each
     source is still checked to its end."""
     if truth.n_channels != estimate.n_channels:
         raise ShapeError(
             f"channel counts differ: {truth.n_channels} vs {estimate.n_channels}"
         )
     n = min(truth.n_samples, estimate.n_samples)
-    rates = (truth.sample_rate, estimate.sample_rate)
-    evaluations = [_Evaluation(n, rates, layout, cfg) for _ in range(truth.n_channels)]
-    for block in frame_blocks(evaluations[0].n_frames, cfg):
-        span = block[2]
+    if n <= 2 * cfg.frame_len:
+        raise LengthError(
+            f"signals of {n} samples are too short to evaluate "
+            f"with frame_len {cfg.frame_len}"
+        )
+    _check_bins((layout.k_lo, layout.k_hi), cfg.n_bins)  # and so the wider [0, k_hi)
+    _check_rates(truth.sample_rate, estimate.sample_rate)
+    n_frames = cfg.frame_count(n)
+    hf = np.empty((truth.n_channels, n_frames))
+    full = np.empty((truth.n_channels, n_frames))
+    energies = [_EnergySums() for _ in range(truth.n_channels)]
+    for f0, f1, span in frame_blocks(n_frames, cfg):
+        # SNR takes the block's own stretch, inside the trim: from span.start
+        # to where the next block's span starts (f1 * hop), or to the span's
+        # end for the last.
+        own_stop = span.stop if f1 == n_frames else f1 * cfg.hop
+        lo, hi = max(span.start, cfg.frame_len), min(own_stop, n - cfg.frame_len)
+        piece = slice(lo - span.start, hi - span.start)
         pairs = zip(truth.read(span.start, span.stop), estimate.read(span.start, span.stop))
-        for evaluation, (t, e) in zip(evaluations, pairs):
-            evaluation.add(block, t, e)
+        for c, (t, e) in enumerate(pairs):
+            # Only bins below k_hi, the top of both LSD ranges, are compared;
+            # the log-power difference is taken once over [0, k_hi) and the
+            # HF range sliced from it.
+            diff = log_power(np.abs(stft_array(t, cfg)[:, : layout.k_hi]))
+            diff -= log_power(np.abs(stft_array(e, cfg)[:, : layout.k_hi]))
+            hf[c, f0:f1] = _rms_per_frame(diff[:, layout.k_lo :])
+            full[c, f0:f1] = _rms_per_frame(diff)
+            # Freed before the next block's transforms: kept alive, this
+            # block-sized array stops the allocator reusing their memory, and
+            # each block faults in fresh pages.
+            del diff
+            if lo < hi:
+                energies[c].add(t[piece], e[piece])
     truth.check_unread()
     estimate.check_unread()
-    return _mean_report([evaluation.report() for evaluation in evaluations])
+    return _mean_report(
+        [
+            EvalReport(float(np.mean(h)), float(np.mean(f)), energy.snr_db(), n_frames)
+            for h, f, energy in zip(hf, full, energies)
+        ]
+    )
 
 
 def evaluate(

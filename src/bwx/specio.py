@@ -12,7 +12,7 @@ Little-endian layout, 29 header bytes then the payload:
     25      4     hop (u32)
 
 The payload is row-major frames x bins float32 for magnitude files, or
-interleaved re,im float32 pairs for complex files.
+interleaved re,im float32 pairs, that is complex64, for complex files.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ _U32_MAX = 2**32 - 1
 class SpecKind(enum.IntEnum):
     MAGNITUDE = 0
     COMPLEX = 1
+
+
+# Payload values: float32 magnitudes, or complex64, whose re,im float32 pairs
+# are the interleaved layout.
+_PAYLOAD_DTYPE = {SpecKind.MAGNITUDE: "<f4", SpecKind.COMPLEX: "<c8"}
 
 
 @dataclass(frozen=True)
@@ -91,14 +96,9 @@ def spec_write(
         raise error
 
     kind = SpecKind(kind)
+    # C order: writing a Fortran-ordered array would store it column by column.
     with np.errstate(over="ignore"):
-        if kind is SpecKind.MAGNITUDE:
-            payload = data.astype("<f4")
-        else:
-            as_complex = data.astype(np.complex64)
-            payload = np.empty((data.shape[0], data.shape[1] * 2), dtype="<f4")
-            payload[:, 0::2] = as_complex.real
-            payload[:, 1::2] = as_complex.imag
+        payload = data.astype(_PAYLOAD_DTYPE[kind], order="C")
     if not np.isfinite(payload).all():
         raise PayloadValueError("refusing to write a NaN or infinite payload")
 
@@ -107,7 +107,7 @@ def spec_write(
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def spec_read(path) -> tuple[np.ndarray, SpecFileHeader]:
@@ -137,20 +137,15 @@ def spec_read(path) -> tuple[np.ndarray, SpecFileHeader]:
         raise MalformedHeaderError(f"{path}: {error}")
     header = SpecFileHeader(frames, bins, kind, sample_rate, frame_len, hop)
 
-    per_value = 8 if kind is SpecKind.COMPLEX else 4
-    expected = frames * bins * per_value
+    dtype = np.dtype(_PAYLOAD_DTYPE[kind])
+    expected = frames * bins * dtype.itemsize
     actual = len(raw) - HEADER_SIZE
     if actual != expected:
         raise PayloadMismatchError(
             f"{path}: payload is {actual} bytes, header implies {expected}"
         )
 
-    floats = np.frombuffer(raw, dtype="<f4", offset=HEADER_SIZE)
-    if not np.isfinite(floats).all():
+    data = np.frombuffer(raw, dtype=dtype, offset=HEADER_SIZE)
+    if not np.isfinite(data).all():
         raise PayloadValueError(f"{path}: payload contains NaN or infinite values")
-    if kind is SpecKind.MAGNITUDE:
-        data = floats.reshape(frames, bins).copy()
-    else:
-        pairs = floats.reshape(frames, bins, 2)
-        data = (pairs[..., 0] + 1j * pairs[..., 1]).astype(np.complex64)
-    return data, header
+    return data.reshape(frames, bins).copy(), header

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import Waveform, _channel_layout
 from .errors import (
     DomainError,
     MalformedHeaderError,
-    ShapeError,
     TruncatedDataError,
     UnsupportedCodecError,
 )
@@ -179,13 +178,7 @@ def wav_write(path, x, depth: SampleDepth = SampleDepth.FLOAT32, total_frames: i
     and rounds half away from zero; float32 output preserves values bit-exactly.
     """
     channels = [x] if isinstance(x, Waveform) else list(x)
-    if not channels:
-        raise ShapeError("need at least one channel to write")
-    n = len(channels[0].samples)
-    rate = channels[0].sample_rate
-    for ch in channels[1:]:
-        if len(ch.samples) != n or ch.sample_rate != rate:
-            raise ShapeError("all channels must share length and sample rate")
+    n, rate = _channel_layout(channels)
 
     if depth is SampleDepth.PCM16:
         code, tag, bits = "<i2", _FORMAT_PCM, 16

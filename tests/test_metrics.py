@@ -16,8 +16,9 @@ from bwx import (
     snr,
     stft_array,
 )
-from bwx.errors import DomainError, ShapeError
-from bwx.metrics import LSD_POWER_FLOOR
+from bwx.dsp import _ArraySource
+from bwx.errors import DomainError, LengthError, ShapeError
+from bwx.metrics import LSD_POWER_FLOOR, _evaluate_sources
 
 CFG = StftConfig()
 
@@ -210,3 +211,52 @@ class TestEvalReport:
         assert report.lsd_full == 0.0
         assert report.snr == pytest.approx(120.0, abs=1e-9)
         assert report.frames_compared == CFG.frame_count(len(short_music.samples))
+
+
+class _CountingSource(_ArraySource):
+    """Channels in memory that count how often they are read."""
+
+    def __init__(self, channels):
+        super().__init__(channels)
+        self.reads = 0
+
+    def read(self, start, stop):
+        self.reads += 1
+        return super().read(start, stop)
+
+
+class TestScoringChecks:
+    """Every check of a pair fires before either source is read, in a fixed
+    order: channel count, length, bin range, sample rates. Each case below
+    also breaks every later check, so the first must win."""
+
+    LAYOUT = BandLayout(186, 372, CFG.n_bins)
+    WIDE = BandLayout(186, CFG.n_bins + 1, CFG.n_bins + 1)  # k_hi past cfg.n_bins
+
+    @staticmethod
+    def _channel(n, rate=44100):
+        return Waveform(np.random.default_rng(n).standard_normal(n) * 0.1, rate)
+
+    @pytest.mark.parametrize(
+        "truth_n,est_shape,layout,error,match",
+        [
+            (3 * 2048, (2, 2 * 2048, 48000), "WIDE", ShapeError, "channel counts differ"),
+            (3 * 2048, (1, 2 * 2048, 48000), "WIDE", LengthError, "too short"),
+            (3 * 2048, (1, 3 * 2048, 48000), "WIDE", DomainError, "bin range"),
+            (3 * 2048, (1, 3 * 2048, 48000), "LAYOUT", ShapeError, "sample rates differ"),
+        ],
+        ids=["channels", "length", "bins", "rates"],
+    )
+    def test_check_fails_before_any_read(self, truth_n, est_shape, layout, error, match):
+        n_channels, n, rate = est_shape
+        truth = _CountingSource([self._channel(truth_n)])
+        estimate = _CountingSource([self._channel(n, rate)] * n_channels)
+        with pytest.raises(error, match=match):
+            _evaluate_sources(truth, estimate, getattr(self, layout), CFG)
+        assert (truth.reads, estimate.reads) == (0, 0)
+
+    def test_valid_pair_is_read(self):
+        truth = _CountingSource([self._channel(3 * 2048)])
+        estimate = _CountingSource([self._channel(3 * 2048)])
+        _evaluate_sources(truth, estimate, self.LAYOUT, CFG)
+        assert truth.reads > 0 and estimate.reads > 0

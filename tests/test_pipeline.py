@@ -314,6 +314,32 @@ class TestSuperResolve:
             assert whole < 1e-6
 
 
+class TestInMemoryChannels:
+    """Channels handed over in memory, as input or as a reference, must share
+    length and sample rate, as the channels of a WAV file do."""
+
+    FIRST = Waveform(np.zeros(44_100), SR)
+
+    @pytest.mark.parametrize(
+        "second",
+        [Waveform(np.zeros(40_000), SR), Waveform(np.zeros(44_100), 48_000)],
+        ids=["length", "rate"],
+    )
+    def test_unequal_channels_are_shape_errors(self, second):
+        with pytest.raises(ShapeError, match="share length and sample rate"):
+            reconstruct(_spec(BandReplicationSpec(), FlipPhaseSpec()), [self.FIRST, second])
+        with pytest.raises(ShapeError, match="share length and sample rate"):
+            reconstruct(
+                _spec(OracleSpec("hr.wav"), FlipPhaseSpec()),
+                [self.FIRST, self.FIRST],
+                references={"hr.wav": [self.FIRST, second]},
+            )
+
+    def test_no_channels_is_shape_error(self):
+        with pytest.raises(ShapeError, match="at least one channel"):
+            reconstruct(_spec(BandReplicationSpec(), FlipPhaseSpec()), [])
+
+
 class TestEvaluateBatch:
     def test_truth_vs_itself(self, tmp_path, hr_lr_paths):
         hr, _ = hr_lr_paths

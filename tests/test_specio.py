@@ -38,11 +38,17 @@ def test_complex_round_trip_bit_exact(tmp_path):
     data = (rng.standard_normal((9, 21)) + 1j * rng.standard_normal((9, 21))).astype(
         np.complex64
     )
+    # Zero parts of either sign, which compare equal, so their sign bits are
+    # compared too.
+    data[0, :4] = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
     path = tmp_path / "c.bwx"
     spec_write(path, data, SpecKind.COMPLEX, 44100, 2048, 256)
     back, header = spec_read(path)
     assert header.kind is SpecKind.COMPLEX
+    assert back.dtype == np.complex64
     assert np.array_equal(back, data)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(back)), np.signbit(part(data)))
 
 
 @pytest.mark.parametrize(

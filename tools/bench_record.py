@@ -23,9 +23,9 @@ runs both passed their output check are compared. Per ``BENCHMARK.json``
 end-to-end metric it gives each side's median and quartiles, how many pairs
 the working tree won, lost and tied, and two verdicts:
 
-* ``gain_shown``: the working tree is better in at least nine of every ten
-  pairs, and its median is better than the baseline's by more than the
-  baseline's interquartile range.
+* ``gain_shown``: at least ten pairs were compared, the working tree is
+  better in at least nine of every ten, and its median is better than the
+  baseline's by more than the baseline's interquartile range.
 * ``within_bound``: the working tree's median is not worse than the
   baseline's by more than the metric's ``bound``, read as a fraction of the
   baseline's median.
@@ -58,6 +58,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 CALIBRATION_SHAPE = (1715, 2048)  # a 10 s clip's frames at 2048 / 256
 CALIBRATION_REPEATS = 15
+GAIN_MIN_PAIRS = 10  # fewer compared pairs never show a gain
 
 # Synthesises a seed's inputs into the checkout's .bench_cache/ (the
 # benchmark's own cache), in a process of its own.
@@ -194,7 +195,8 @@ def _compare(pairs: list[dict], metrics: list[dict]) -> dict:
             "change_wins": wins,
             "change_losses": len(base) - wins - ties,
             "ties": ties,
-            "gain_shown": 10 * wins >= 9 * len(base)
+            "gain_shown": len(base) >= GAIN_MIN_PAIRS
+            and 10 * wins >= 9 * len(base)
             and -worse_by > sides["baseline"]["q3"] - sides["baseline"]["q1"],
             "bound": metric["bound"],
             "within_bound": worse_by <= metric["bound"] * abs(b_median),
