@@ -137,14 +137,21 @@ def _cmd_prepare(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sr(args) -> int:
-    cfg = StftConfig(frame_len=args.frame, hop=args.hop)
-    # Past half a frame the full-coverage window-square sum dips towards zero
-    # between frame centres, which magnifies any high-band edit.
+def _stft_config(frame_len: int, hop: int, hop_name: str = "--hop",
+                 frame_name: str = "--frame") -> StftConfig:
+    """``StftConfig(frame_len, hop)``, with a hop past half a frame a usage
+    error: there the full-coverage window-square sum dips towards zero between
+    frame centres, which magnifies any high-band edit."""
+    cfg = StftConfig(frame_len=frame_len, hop=hop)
     if 2 * cfg.hop > cfg.frame_len:
         raise UsageError(
-            f"--hop must be at most --frame / 2 ({cfg.frame_len // 2}), got {cfg.hop}"
+            f"{hop_name} must be at most {frame_name} / 2 ({cfg.frame_len // 2}), got {cfg.hop}"
         )
+    return cfg
+
+
+def _cmd_sr(args) -> int:
+    cfg = _stft_config(args.frame, args.hop)
     sample_rate = wav_header(args.input).sample_rate
     layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
     phase = _parse_phase(args.phase, args.gla_iters)
@@ -187,7 +194,7 @@ def _cmd_phase_study(args) -> int:
 
 def _cmd_spec(args) -> int:
     if args.spec_command == "export":
-        cfg = StftConfig(frame_len=args.frame, hop=args.hop)
+        cfg = _stft_config(args.frame, args.hop)
         channels, _ = wav_read(args.input)
         if len(channels) != 1:
             raise ShapeError(
@@ -209,7 +216,7 @@ def _cmd_spec(args) -> int:
     )
     if header.kind is not SpecKind.COMPLEX:
         raise UsageError("only complex BWXSPEC files can be resynthesised to wav")
-    cfg = StftConfig(frame_len=header.frame_len, hop=header.hop)
+    cfg = _stft_config(header.frame_len, header.hop, f"{args.input}: hop", "frame")
     wave = Waveform(istft_array(data, cfg), header.sample_rate)
     wav_write(args.output, wave, SampleDepth.FLOAT32)
     print(f"wrote {args.output}")

@@ -10,9 +10,11 @@ Conventions used throughout the package:
   (floored at 1e-12 to keep edge samples finite). Numerator and
   denominator are one overlap-add (`_add_frames`), of the windowed frames
   and of the squared window, and it takes the same path for every hop,
-  whether or not the hop divides frame_len. The whole-length sum depends
-  only on the configuration and the frame count and is cached per
-  (cfg, frames).
+  whether or not the hop divides frame_len. No sample lies under more than
+  ceil(frame_len / hop) frames, so every value of a whole-length sum is
+  read, bit for bit, off the sum of a short grid of 2 * ceil(frame_len / hop)
+  + 1 frames (`_normalise`); only those short sums are built and cached, per
+  (cfg, frames), and no denominator as long as the signal is held.
 * Every sample of both sums takes its frames in ascending frame order, so
   adding a spectrogram block by block (`overlap_add` per block of
   `frame_blocks`) gives the same bits as adding it whole. Analysis is per
@@ -33,8 +35,11 @@ Conventions used throughout the package:
   windowed in place, so no block allocates frames or spectra of its own. The
   FFTs are numpy's (pocketfft, single-threaded, with ``out=``). The
   consistency projection stft(istft(X)) is streamed (`project_blocks`): each
-  block of X is overlap-added into one output-length signal, and a frame is
-  analysed as soon as no later block can touch its samples.
+  block of X is overlap-added into one reused buffer of about a block's
+  samples, a frame is analysed as soon as no later block can touch its
+  samples, and only the samples later frames still need are carried to the
+  buffer's front. So every transform's workspace is sized by the block, not
+  by the signal.
 """
 
 from __future__ import annotations
@@ -51,11 +56,22 @@ from .errors import DomainError, LengthError, ShapeError
 WINDOW_SUM_FLOOR = 1e-12
 
 # Frames per block in the frame-local flows (sr without Griffin-Lim, eval,
-# brickwall prepare) and the most frames any transform here works on at once:
-# 256 frames of 2048/256 hold about 4 MB of complex128, so block memory does
-# not grow with the input's length; sr and eval also read and write their WAV
-# files one block at a time.
-BLOCK_FRAMES = 256
+# brickwall prepare) and the most frames any transform here works on at once,
+# Griffin-Lim's projection included: 64 frames of 2048/256 hold about 1 MB of
+# complex128, so block memory does not grow with the input's length; sr and
+# eval also read and write their WAV files one block at a time. Chosen from a
+# sweep of the benchmark's passes (seed 1, warm input cache, one process per
+# pass, peak RSS of that process) on a 2-core x86-64 host:
+#
+#   frames  study peak RSS  long-stereo  prep-batch  long-stereo CPU, 4 runs
+#      256        106.5 MB      78.4 MB     77.0 MB  4.9-5.8 s
+#       64         98.4 MB      62.5 MB     65.7 MB  4.7-6.2 s
+#       32         98.0 MB      61.2 MB     65.2 MB  5.4-6.7 s
+#       16         98.0 MB      60.9 MB     65.2 MB  5.3-7.6 s
+#
+# Below 64 frames peak RSS falls by under 1.5 MB more; the CPU ranges overlap
+# on this noisy host, and each halving doubles the per-block Python calls.
+BLOCK_FRAMES = 64
 
 
 @functools.lru_cache(maxsize=4)
@@ -268,13 +284,48 @@ def _synthesis_denominator(cfg: StftConfig, n_frames: int) -> np.ndarray:
     """Overlapped squared-window sum of ``n_frames`` frames over all their
     samples, added by `_add_frames` like the synthesis it divides and floored
     at WINDOW_SUM_FLOOR. Cached per (cfg, n_frames) and shared by every
-    caller, so it is returned read-only."""
+    caller, so it is returned read-only. `_normalise` asks only for short
+    grids, of at most 2 * ceil(frame_len / hop) + 1 frames, so no cached sum
+    grows with the signal."""
     wsq = cfg.window_values() ** 2
     denominator = np.zeros(cfg.output_length(n_frames))
     _add_frames(np.broadcast_to(wsq, (n_frames, cfg.frame_len)), denominator, 0, cfg)
     np.maximum(denominator, WINDOW_SUM_FLOOR, out=denominator)
     denominator.flags.writeable = False
     return denominator
+
+
+def _normalise(out: np.ndarray, start: int, n_frames: int, cfg: StftConfig) -> None:
+    """Divide ``out``, samples [start, start + len(out)) of an overlap-add of
+    ``n_frames`` frames, by those samples of the frames' floored squared-window
+    sum, bit for bit, without building that whole sum.
+
+    No sample lies under more than c = ceil(frame_len / hop) frames, so the
+    sum of a short grid of 2c + 1 frames holds every value of a longer one:
+    the first c hops are the short sum's first c hops, the last
+    (c - 1) * hop + frame_len samples are its last ones, and every sample in
+    between lies under a full set of frames, added in the same order, so it
+    equals the short sum's sample in hop c with the same offset in its hop.
+    A grid of at most 2c + 1 frames is divided by its own sum."""
+    hop = cfg.hop
+    c = -(-cfg.frame_len // hop)
+    stop = start + len(out)
+    if n_frames <= 2 * c + 1:
+        out /= _synthesis_denominator(cfg, n_frames)[start:stop]
+        return
+    short = _synthesis_denominator(cfg, 2 * c + 1)
+    head, tail = c * hop, (n_frames - c) * hop
+    shift = tail - head - hop  # whole-sum sample s >= tail is short-sum sample s - shift
+    b = min(stop, head)
+    if start < b:
+        out[: b - start] /= short[start:b]
+    a, b = max(start, head), min(stop, tail)
+    if a < b:
+        period = np.roll(short[head : head + hop], -(a % hop))
+        out[a - start : b - start] /= np.resize(period, b - a)
+    a = max(start, tail)
+    if a < stop:
+        out[a - start :] /= short[a - shift : stop - shift]
 
 
 def overlap_add(X: np.ndarray, out: np.ndarray, first_frame: int, cfg: StftConfig) -> None:
@@ -307,14 +358,14 @@ def istft_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Weighted overlap-add inverse of `stft_array`; output has
     (L - 1) * hop + frame_len samples.
 
-    The overlap-added signal is divided by the floored squared-window sum,
-    which is computed once per (cfg, L) and cached. ``X`` must have
-    ``cfg.n_bins`` bins (`ShapeError` otherwise)."""
+    The overlap-added signal is divided by the floored squared-window sum
+    (`_normalise`). ``X`` must have ``cfg.n_bins`` bins (`ShapeError`
+    otherwise)."""
     X = _checked_spectrogram(X, cfg)
     n_frames = X.shape[0]
     out = np.zeros(cfg.output_length(n_frames))
     overlap_add(X, out, 0, cfg)
-    out /= _synthesis_denominator(cfg, n_frames)
+    _normalise(out, 0, n_frames, cfg)
     return out
 
 
@@ -387,12 +438,10 @@ def resynthesize(
     spectrogram ``X`` in place, ``block`` being the `frame_blocks` triple. For
     each block that finishes some of the signal's samples, yields those
     samples of every channel, normalised: the pieces join into exactly
-    ``n_samples`` samples per channel. Each piece starts on a hop boundary of
-    the grid and lies under full sets of frames, so it is divided by the
-    hop-periodic full-coverage window-square sum."""
+    ``n_samples`` samples per channel. Every piece lies under full sets of
+    frames, so it is divided by the hop-periodic full-coverage window-square
+    sum."""
     lead, n_frames = padded_grid(cfg, n_samples)
-    # One hop of that sum, taken from the interior of a whole sum.
-    period = _synthesis_denominator(cfg, lead // cfg.hop + 1)[lead : lead + cfg.hop]
     carries = None  # per channel, the overlap-add sums begun past the last piece
     for block in frame_blocks(n_frames, cfg, block_frames):
         f0, f1, span = block
@@ -411,7 +460,7 @@ def resynthesize(
             overlap_add(X, out, 0, cfg)
             carries[channel] = out[done:]
             piece = out[first:done]
-            piece /= np.resize(period, len(piece))
+            _normalise(piece, span.start + first, n_frames, cfg)
             pieces.append(piece)
         if first < done:
             yield pieces
@@ -422,30 +471,39 @@ def project_blocks(X: np.ndarray, cfg: StftConfig) -> Iterator[tuple[int, int, n
 
     Yields ``(a0, a1, Y_block)``, consecutive from frame 0: ``Y_block`` is
     rows a0..a1-1 of the projection, bit for bit, and has at most
-    `BLOCK_FRAMES` rows. Block by block, X is overlap-added into one
-    output-length signal; the stretch that no later frame reaches is divided
-    by the cached squared-window sum, and every frame whose samples are then
-    final is analysed. When a block is yielded, the rows of ``X`` below a1
-    have been read for the last time, so the caller may overwrite them in
-    place before asking for the next block. ``X`` must have ``cfg.n_bins``
-    bins (`ShapeError` otherwise)."""
+    `BLOCK_FRAMES` rows. Block by block, X is overlap-added into one reused
+    buffer of about a block's samples; the stretch that no later frame
+    reaches is divided by its window-square sum (`_normalise`), every frame
+    whose samples are then final is analysed, and the samples that later
+    frames still need are carried to the front of the buffer. When a block is
+    yielded, the rows of ``X`` below a1 have been read for the last time, so
+    the caller may overwrite them in place before asking for the next block.
+    ``X`` must have ``cfg.n_bins`` bins (`ShapeError` otherwise)."""
     X = _checked_spectrogram(X, cfg)
     frame_len, hop = cfg.frame_len, cfg.hop
     n_frames = X.shape[0]
-    signal = np.zeros(cfg.output_length(n_frames))
-    denominator = _synthesis_denominator(cfg, n_frames)
+    step = min(BLOCK_FRAMES, n_frames)
+    # The first frame not yet analysed starts at most ceil(frame_len / hop) - 1
+    # frames before a block's first frame, so the buffer spans that many more.
+    reach = -(-frame_len // hop)
+    buffer = np.empty(cfg.output_length(min(step + reach - 1, n_frames)))
+    base = held = 0  # buffer[0] is sample `base`; buffer[:held] holds sums begun earlier
     divided = a0 = 0  # samples divided so far; frames yielded so far
-    for f0, f1, _ in frame_blocks(n_frames, cfg):
-        overlap_add(X[f0:f1], signal, f0, cfg)
+    for f0, f1, _ in frame_blocks(n_frames, cfg, step):
+        end = (f1 - 1) * hop + frame_len
+        buffer[held : end - base] = 0.0
+        overlap_add(X[f0:f1], buffer, f0 - base // hop, cfg)
         # No frame from f1 on reaches below f1 * hop; the last block ends the signal.
-        final = len(signal) if f1 == n_frames else f1 * hop
-        signal[divided:final] /= denominator[divided:final]
+        final = end if f1 == n_frames else f1 * hop
+        _normalise(buffer[divided - base : final - base], divided, n_frames, cfg)
         divided = final
         a1 = max(a0, (final - frame_len) // hop + 1)  # frames lying wholly below `final`
-        ready = signal[a0 * hop : (a1 - 1) * hop + frame_len]
-        for g0, g1, span in frame_blocks(a1 - a0, cfg):
+        ready = buffer[a0 * hop - base : (a1 - 1) * hop + frame_len - base]
+        for g0, g1, span in frame_blocks(a1 - a0, cfg, step):
             yield a0 + g0, a0 + g1, stft_array(ready[span], cfg)
-        a0 = a1
+        held = end - a1 * hop
+        buffer[:held] = buffer[a1 * hop - base : end - base]
+        base, a0 = a1 * hop, a1
 
 
 def consistency_project_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:

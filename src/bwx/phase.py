@@ -124,9 +124,8 @@ def gla_reconstruct(
     magnitudes on the high band only, as ``Y * (A / |Y|)`` with zero divided
     by zero defined as zero, writing into ``X``. Every bin outside the high
     band is pinned: never written, it keeps its start value bit for bit.
-    Besides ``X``, an iteration holds one output-length signal and
-    block-sized arrays; each block's NaN check covers only the re-imposed
-    bins.
+    Besides ``X``, an iteration holds only block-sized arrays; each block's
+    NaN check covers only the re-imposed bins.
 
     Returns ``X`` as the result record and the per-iteration consistency
     residuals over every bin, ||X - P_C(X)||_F / max(||X||_F, 1e-12), as a

@@ -124,6 +124,16 @@ def padded_round_trip(x: np.ndarray, cfg: StftConfig, edit=None) -> np.ndarray:
     return istft_array(X, cfg)[lead : lead + len(x)]
 
 
+def whole_window_sum(cfg, n_frames):
+    """The floored window-square sum over every sample, with the frames added
+    in ascending order, as the synthesis adds its frames."""
+    wsq = cfg.window_values() ** 2
+    wsum = np.zeros(cfg.output_length(n_frames))
+    for i in range(n_frames):
+        wsum[i * cfg.hop : i * cfg.hop + cfg.frame_len] += wsq
+    return np.maximum(wsum, 1e-12)
+
+
 def write_pcm24(path, channels, sr=SAMPLE_RATE):
     """Write float channels in [-1, 1) as a 24-bit PCM WAV, which `wav_write`
     does not produce."""

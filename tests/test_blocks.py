@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bwx.dsp
@@ -54,7 +54,7 @@ from bwx.dsp import (
 )
 from bwx.errors import LengthError, PipelineError, ShapeError
 
-from conftest import padded_round_trip, synth_clip
+from conftest import padded_round_trip, synth_clip, whole_window_sum
 
 CFG = StftConfig()
 SR = 44100
@@ -184,6 +184,49 @@ def test_blocks_match_whole_signal_transforms(hop, extra, block, seed):
     assert covered == list(range(n_frames))
     out /= bwx.dsp._synthesis_denominator(cfg, n_frames)
     assert np.array_equal(out, istft_array(Y, cfg))
+
+
+def _whole_projection(Y, cfg):
+    """stft(istft(Y)), with istft divided by a whole-length window-square sum
+    added frame by frame."""
+    signal = np.zeros(cfg.output_length(Y.shape[0]))
+    overlap_add(Y, signal, 0, cfg)
+    signal /= whole_window_sum(cfg, Y.shape[0])
+    return stft_array(signal, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hop=st.one_of(st.sampled_from([1, 16, 24, 40, 63, 64]), st.integers(1, 64)),
+    side=st.sampled_from(["below", "at", "above"]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    block=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(hop=64, side="above", where=0.5, block=1, seed=0)  # hop == frame_len
+@example(hop=24, side="at", where=0.0, block=3, seed=1)
+@example(hop=1, side="above", where=0.0, block=5, seed=2)
+def test_project_blocks_equals_whole_projection(hop, side, where, block, seed):
+    # Any hop, dividing the frame or not, and a frame count below, at or above
+    # the short grid of 2 * ceil(frame_len / hop) + 1 frames whose window-square
+    # sum the projection divides by: its rows are stft(istft(Y)) bit for bit.
+    cfg = StftConfig(frame_len=64, hop=hop)
+    short = 2 * -(-cfg.frame_len // hop) + 1
+    n_frames = {
+        "below": 1 + int(where * (short - 1)),
+        "at": short,
+        "above": short + 1 + int(where * 2 * short),
+    }[side]
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((n_frames, cfg.n_bins)) + 1j * rng.standard_normal(
+        (n_frames, cfg.n_bins)
+    )
+    expected = _whole_projection(Y, cfg)
+    with mock.patch.object(bwx.dsp, "BLOCK_FRAMES", block):
+        blocks = list(project_blocks(Y, cfg))
+    assert [a0 for a0, _, _ in blocks] == [0] + [a1 for _, a1, _ in blocks[:-1]]
+    assert blocks[-1][1] == n_frames
+    assert np.array_equal(np.concatenate([Y_block for _, _, Y_block in blocks]), expected)
 
 
 # Bins of a 64-sample frame: [8, 20) re-imposed, [0, 8) and [20, 33) pinned.
@@ -415,11 +458,10 @@ def test_gla_with_oracle_holds_no_second_spectrogram():
 
 
 # A 30 s mono oracle+flip super_resolve peaked at 396 MB of traced heap with
-# whole-signal spectrograms (complex128 STFTs of input and reference) and at
-# 52 MB in blocks: the input, reference and output signals, the cached
-# window-sum denominator and one block's arrays, all growing far slower
-# with length than the spectrograms did.
-PEAK_BOUND_MB = 100
+# whole-signal spectrograms (complex128 STFTs of input and reference), at
+# 10.2 MB in blocks of 256 frames and at 2.7 MB in blocks of 64 frames: one
+# block's arrays and carries, with nothing that grows with the input's length.
+PEAK_BOUND_MB = 5
 
 
 def test_super_resolve_peak_memory_is_bounded(tmp_path):
@@ -438,15 +480,9 @@ def test_super_resolve_peak_memory_is_bounded(tmp_path):
     assert peak / 2**20 < PEAK_BOUND_MB
 
 
-# Two GLA iterations over four blocks of frames grew the traced heap by 4.66x
-# the complex spectrogram when each iteration projected the whole spectrogram
-# at once (frames, spectra and signal all whole-file), by 1.85x streamed (a
-# second spectrogram, the magnitudes of every bin from the cutoff up, one
-# output-length signal and its window-sum denominator, and one block's
-# arrays), and by 0.77x in place on the caller's spectrogram: under one
-# spectrogram, so GLA holds no copy of it.
-def test_gla_heap_growth_is_bounded():
-    n_frames = 4 * bwx.dsp.BLOCK_FRAMES
+def _gla_growth(n_frames):
+    """Traced heap growth of two GLA iterations on ``n_frames`` frames, beyond
+    the spectrogram and magnitudes handed in."""
     x = np.random.default_rng(0).standard_normal(CFG.output_length(n_frames))
     X = stft_array(x, CFG)
     magnitude = np.abs(X[:, LAYOUT.k_lo : LAYOUT.k_hi])
@@ -455,7 +491,31 @@ def test_gla_heap_growth_is_bounded():
     try:
         start = tracemalloc.get_traced_memory()[0]
         gla_reconstruct(magnitude, X, GlaConfig(iterations=2), LAYOUT, CFG)
-        growth = tracemalloc.get_traced_memory()[1] - start
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert growth <= X.nbytes
+
+
+# Two GLA iterations over four blocks of frames grew the traced heap by 4.66x
+# the complex spectrogram when each iteration projected the whole spectrogram
+# at once (frames, spectra and signal all whole-file), by 1.85x streamed with
+# a second spectrogram, and by 0.77x in place on the caller's spectrogram with
+# blocks of 256 frames (the magnitudes of every bin from the cutoff up, one
+# output-length signal and its window-sum denominator, and one block's
+# arrays). With the projection's workspace sized by the block and blocks of
+# 64 frames it grows by 0.58x: under one spectrogram, so GLA holds no copy of
+# it.
+def test_gla_heap_growth_is_bounded():
+    n_frames = 4 * bwx.dsp.BLOCK_FRAMES
+    assert _gla_growth(n_frames) <= n_frames * CFG.n_bins * np.dtype(np.complex128).itemsize
+
+
+def test_gla_heap_growth_beyond_the_spectrogram_is_flat():
+    # Beside the caller's spectrogram, GLA holds only block-sized arrays, so
+    # four times the frames grows the heap by less than one block of complex
+    # spectrogram more. With an output-length signal and window-sum
+    # denominator in the projection, twelve more blocks of frames grew it by
+    # 12 MB or more at 2048/256, about three blocks' worth.
+    block_bytes = bwx.dsp.BLOCK_FRAMES * CFG.n_bins * np.dtype(np.complex128).itemsize
+    growths = [_gla_growth(blocks * bwx.dsp.BLOCK_FRAMES) for blocks in (4, 16)]
+    assert abs(growths[1] - growths[0]) < block_bytes

@@ -8,7 +8,7 @@ import pytest
 import bwx.cli
 from bwx import GlaConfig, SampleDepth, StftConfig, Waveform, wav_read, wav_write
 from bwx.cli import main
-from bwx.specio import SpecKind, spec_read
+from bwx.specio import SpecKind, spec_read, spec_write
 
 CFG = StftConfig()
 SR = 44100
@@ -339,6 +339,27 @@ class TestSpecFiles:
         err = np.linalg.norm(original[: len(rebuilt)][inner] - rebuilt[inner])
         err /= np.linalg.norm(original[: len(rebuilt)][inner])
         assert err < 1e-3  # float32 storage limits the round trip
+
+    def test_export_hop_over_half_a_frame_is_usage_error(self, tmp_path, capsys):
+        # Checked before any file is read: a missing input would be exit 2.
+        out = tmp_path / "c.bwx"
+        code = main(["spec", "export", "--in", str(tmp_path / "no.wav"), "--out", str(out),
+                     "--kind", "complex", "--frame", "64", "--hop", "40"])
+        assert code == 1
+        assert "--hop must be at most --frame / 2 (32), got 40" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hop, code", [(32, 0), (33, 1), (64, 1)])
+    def test_import_hop_over_half_a_frame_is_usage_error(self, tmp_path, capsys, hop, code):
+        # The hop comes from the file's header.
+        spec, out = tmp_path / "c.bwx", tmp_path / "x.wav"
+        data = np.ones((6, 33), dtype=np.complex64)
+        spec_write(spec, data, SpecKind.COMPLEX, 8000, 64, hop)
+        assert main(["spec", "import", "--in", str(spec), "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            message = f"{spec}: hop must be at most frame / 2 (32), got {hop}"
+            assert message in capsys.readouterr().err
 
     def test_import_magnitude_is_usage_error(self, tmp_path, hr_path):
         spec = tmp_path / "m.bwx"

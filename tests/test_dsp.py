@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bwx.dsp
 from bwx import (
     BandLayout,
     StftConfig,
@@ -15,6 +16,7 @@ from bwx import (
 )
 from bwx.dsp import (
     _add_frames,
+    _normalise,
     _synthesis_denominator,
     consistency_project_array,
     hann_window,
@@ -23,7 +25,7 @@ from bwx.dsp import (
 )
 from bwx.errors import DomainError, LengthError, ShapeError
 
-from conftest import interior_slice, padded_round_trip
+from conftest import interior_slice, padded_round_trip, whole_window_sum
 
 
 def dft_oracle_frames(x, cfg):
@@ -289,16 +291,6 @@ class TestIstftArray:
         assert np.array_equal(istft_array(X, cfg), expected)
 
 
-def whole_window_sum(cfg, n_frames):
-    """The floored window-square sum over every sample, with the frames added
-    in ascending order, as the synthesis adds its frames."""
-    wsq = hann_window(cfg.frame_len) ** 2
-    wsum = np.zeros(cfg.output_length(n_frames))
-    for i in range(n_frames):
-        wsum[i * cfg.hop : i * cfg.hop + cfg.frame_len] += wsq
-    return np.maximum(wsum, 1e-12)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     hop=st.one_of(st.sampled_from([4, 8, 16, 32, 64]), st.integers(1, 64)),
@@ -307,6 +299,38 @@ def whole_window_sum(cfg, n_frames):
 def test_denominator_equals_whole_window_sum(hop, n_frames):
     cfg = StftConfig(frame_len=64, hop=hop)
     assert np.array_equal(_synthesis_denominator(cfg, n_frames), whole_window_sum(cfg, n_frames))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    hop=st.one_of(st.sampled_from([1, 16, 24, 40, 64]), st.integers(1, 64)),
+    n_frames=st.integers(1, 300),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_normalise_divides_by_the_whole_window_sum(hop, n_frames, ends):
+    # Any stretch of any grid, read off short-grid sums, bit for bit.
+    cfg = StftConfig(frame_len=64, hop=hop)
+    wsum = whole_window_sum(cfg, n_frames)
+    start, stop = sorted(int(f * len(wsum)) for f in ends)
+    out = np.ones(stop - start)
+    _normalise(out, start, n_frames, cfg)
+    assert np.array_equal(out, 1.0 / wsum[start:stop])
+
+
+@pytest.mark.parametrize("hop", [1, 24, 64])
+def test_only_short_window_sums_are_built(monkeypatch, hop):
+    # istft_array and the projection of a long grid read their denominators
+    # off sums of at most 2 * ceil(frame_len / hop) + 1 frames.
+    cfg = StftConfig(frame_len=64, hop=hop)
+    frames = []
+    original = bwx.dsp._synthesis_denominator
+    monkeypatch.setattr(
+        bwx.dsp, "_synthesis_denominator", lambda c, n: frames.append(n) or original(c, n)
+    )
+    X = np.ones((400, cfg.n_bins), dtype=np.complex128)
+    istft_array(X, cfg)
+    consistency_project_array(X, cfg)
+    assert frames and max(frames) <= 2 * -(-64 // hop) + 1
 
 
 @settings(max_examples=60, deadline=None)
