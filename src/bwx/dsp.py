@@ -14,7 +14,8 @@ Conventions used throughout the package:
   ceil(frame_len / hop) frames, so every value of a whole-length sum is
   read, bit for bit, off the sum of a short grid of 2 * ceil(frame_len / hop)
   + 1 frames (`_normalise`); only those short sums are built and cached, per
-  (cfg, frames), and no denominator as long as the signal is held.
+  (cfg, frames), with the hop-periodic stretch between their ends tiled over
+  64 hops (`_period_tile`), and no denominator as long as the signal is held.
 * Every sample of both sums takes its frames in ascending frame order, so
   adding a spectrogram block by block (`overlap_add` per block of
   `frame_blocks`) gives the same bits as adding it whole. Analysis is per
@@ -30,16 +31,20 @@ Conventions used throughout the package:
 * `stft_array` and `overlap_add` work through at most `BLOCK_FRAMES` frames
   at a time, so no transform takes a whole-file frame buffer. Their workspace
   is one frame buffer per thread (`_frame_scratch`): a block's windowed
-  frames are written into it and transformed straight into the block's rows
-  of the result, and a block's inverse transform is written into it and
-  windowed in place, so no block allocates frames or spectra of its own. The
-  FFTs are numpy's (pocketfft, single-threaded, with ``out=``). The
-  consistency projection stft(istft(X)) is streamed (`project_blocks`): each
-  block of X is overlap-added into one reused buffer of about a block's
-  samples, a frame is analysed as soon as no later block can touch its
-  samples, and only the samples later frames still need are carried to the
-  buffer's front. So every transform's workspace is sized by the block, not
-  by the signal.
+  frames, read through one strided view of the signal, are written into it
+  and transformed straight into the block's rows of the result, and a
+  block's inverse transform is written into it and windowed in place, so no
+  block allocates frames or spectra of its own. The FFTs are numpy's
+  (pocketfft, single-threaded, with ``out=``). The consistency projection
+  stft(istft(X)) is streamed (`project_blocks`): each block of X is
+  overlap-added into one reused buffer of about a block's samples, a frame
+  is analysed as soon as no later block can touch its samples, and only the
+  samples later frames still need are carried to the buffer's front. So
+  every transform's workspace is sized by the block, not by the signal. The
+  projection is linear, so its core (`_project_rows`) also takes the rows a
+  caller supplies block by block on top of a signal that already holds the
+  overlap-add of frames it never changes: Griffin-Lim in the pipeline keeps
+  only its high band and that signal, not the grid's spectrogram.
 """
 
 from __future__ import annotations
@@ -251,7 +256,11 @@ def stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     if x.ndim != 1:
         raise ShapeError(f"signal must be 1-D, got shape {x.shape}")
     n_frames = cfg.frame_count(len(x))
-    windows = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)[:: cfg.hop]
+    x = np.ascontiguousarray(x)
+    # Frame i is x[i * hop : i * hop + frame_len], as a strided view of x.
+    windows = np.ndarray(
+        (n_frames, cfg.frame_len), x.dtype, buffer=x, strides=(cfg.hop * x.itemsize, x.itemsize)
+    )
     X = np.empty((n_frames, cfg.n_bins), dtype=np.complex128)
     for f0, f1, _ in frame_blocks(n_frames, cfg):
         frames = _frame_scratch(f1 - f0, cfg.frame_len)
@@ -295,6 +304,24 @@ def _synthesis_denominator(cfg: StftConfig, n_frames: int) -> np.ndarray:
     return denominator
 
 
+# Hops of the hop-periodic full-coverage sum that `_period_tile` caches: one
+# default block's worth, whatever `BLOCK_FRAMES` is set to.
+_PERIOD_HOPS = 64
+
+
+@functools.lru_cache(maxsize=4)
+def _period_tile(cfg: StftConfig) -> np.ndarray:
+    """The floored window-square sum under a full set of frames, which
+    repeats every hop, tiled over _PERIOD_HOPS + 1 hops: ``tile[i]`` is its
+    value at offset i mod hop into a hop. Cached per cfg and returned
+    read-only."""
+    c = -(-cfg.frame_len // cfg.hop)
+    period = _synthesis_denominator(cfg, 2 * c + 1)[c * cfg.hop : (c + 1) * cfg.hop]
+    tile = np.tile(period, _PERIOD_HOPS + 1)
+    tile.flags.writeable = False
+    return tile
+
+
 def _normalise(out: np.ndarray, start: int, n_frames: int, cfg: StftConfig) -> None:
     """Divide ``out``, samples [start, start + len(out)) of an overlap-add of
     ``n_frames`` frames, by those samples of the frames' floored squared-window
@@ -306,6 +333,7 @@ def _normalise(out: np.ndarray, start: int, n_frames: int, cfg: StftConfig) -> N
     (c - 1) * hop + frame_len samples are its last ones, and every sample in
     between lies under a full set of frames, added in the same order, so it
     equals the short sum's sample in hop c with the same offset in its hop.
+    That stretch is divided _PERIOD_HOPS hops at a time by `_period_tile`.
     A grid of at most 2c + 1 frames is divided by its own sum."""
     hop = cfg.hop
     c = -(-cfg.frame_len // hop)
@@ -319,10 +347,11 @@ def _normalise(out: np.ndarray, start: int, n_frames: int, cfg: StftConfig) -> N
     b = min(stop, head)
     if start < b:
         out[: b - start] /= short[start:b]
-    a, b = max(start, head), min(stop, tail)
-    if a < b:
-        period = np.roll(short[head : head + hop], -(a % hop))
-        out[a - start : b - start] /= np.resize(period, b - a)
+    tile = _period_tile(cfg)
+    width = _PERIOD_HOPS * hop
+    for a in range(max(start, head), min(stop, tail), width):
+        b = min(a + width, stop, tail)
+        out[a - start : b - start] /= tile[a % hop : a % hop + b - a]
     a = max(start, tail)
     if a < stop:
         out[a - start :] /= short[a - shift : stop - shift]
@@ -427,11 +456,9 @@ class _ArraySource:
         """Nothing to do: `Waveform` checked the samples when it was made."""
 
 
-def resynthesize(
-    read, n_samples: int, cfg: StftConfig, edit, block_frames: int | None = None
-) -> Iterator[list[np.ndarray]]:
+def resynthesize(read, n_samples: int, cfg: StftConfig, edit) -> Iterator[list[np.ndarray]]:
     """Analyse a signal on its padded grid, edit it and resynthesise it, one
-    block of ``block_frames`` (default `BLOCK_FRAMES`) frames at a time.
+    block of `BLOCK_FRAMES` frames at a time.
 
     ``read(a, b)`` returns the signal's samples [a, b) per channel (see
     `read_padded`), and ``edit(channel, X, block)`` changes a channel's block
@@ -443,7 +470,7 @@ def resynthesize(
     sum."""
     lead, n_frames = padded_grid(cfg, n_samples)
     carries = None  # per channel, the overlap-add sums begun past the last piece
-    for block in frame_blocks(n_frames, cfg, block_frames):
+    for block in frame_blocks(n_frames, cfg):
         f0, f1, span = block
         # No later frame reaches below f1 * hop; the signal ends at lead + n_samples.
         done = min(f1 * cfg.hop, lead + n_samples) - span.start
@@ -471,17 +498,31 @@ def project_blocks(X: np.ndarray, cfg: StftConfig) -> Iterator[tuple[int, int, n
 
     Yields ``(a0, a1, Y_block)``, consecutive from frame 0: ``Y_block`` is
     rows a0..a1-1 of the projection, bit for bit, and has at most
-    `BLOCK_FRAMES` rows. Block by block, X is overlap-added into one reused
-    buffer of about a block's samples; the stretch that no later frame
-    reaches is divided by its window-square sum (`_normalise`), every frame
-    whose samples are then final is analysed, and the samples that later
-    frames still need are carried to the front of the buffer. When a block is
-    yielded, the rows of ``X`` below a1 have been read for the last time, so
-    the caller may overwrite them in place before asking for the next block.
-    ``X`` must have ``cfg.n_bins`` bins (`ShapeError` otherwise)."""
+    `BLOCK_FRAMES` rows. When a block is yielded, the rows of ``X`` below a1
+    have been read for the last time, so the caller may overwrite them in
+    place before asking for the next block. ``X`` must have ``cfg.n_bins``
+    bins (`ShapeError` otherwise). See `_project_rows`."""
     X = _checked_spectrogram(X, cfg)
+    return _project_rows(lambda f0, f1: X[f0:f1], X.shape[0], cfg)
+
+
+def _project_rows(
+    rows, n_frames: int, cfg: StftConfig, signal: np.ndarray | None = None
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The streamed projection of `project_blocks`, of the ``n_frames`` frames
+    whose block f0..f1-1 ``rows(f0, f1)`` returns, added onto ``signal``.
+
+    Block by block, the rows are overlap-added into one reused buffer of
+    about a block's samples, which starts each new sample at ``signal``'s
+    value (an unnormalised overlap-add of output_length(n_frames) samples) or
+    at zero; the stretch that no later frame reaches is divided by its
+    window-square sum (`_normalise`), every frame whose samples are then
+    final is analysed, and the samples that later frames still need are
+    carried to the front of the buffer. The projection is linear, so frames
+    whose contribution never changes can be added into ``signal`` once, and
+    ``rows`` supply only the rest. ``rows`` is asked for each block once, in
+    frame order, so no row below a yielded a1 is asked for again."""
     frame_len, hop = cfg.frame_len, cfg.hop
-    n_frames = X.shape[0]
     step = min(BLOCK_FRAMES, n_frames)
     # The first frame not yet analysed starts at most ceil(frame_len / hop) - 1
     # frames before a block's first frame, so the buffer spans that many more.
@@ -491,8 +532,8 @@ def project_blocks(X: np.ndarray, cfg: StftConfig) -> Iterator[tuple[int, int, n
     divided = a0 = 0  # samples divided so far; frames yielded so far
     for f0, f1, _ in frame_blocks(n_frames, cfg, step):
         end = (f1 - 1) * hop + frame_len
-        buffer[held : end - base] = 0.0
-        overlap_add(X[f0:f1], buffer, f0 - base // hop, cfg)
+        buffer[held : end - base] = 0.0 if signal is None else signal[base + held : end]
+        overlap_add(rows(f0, f1), buffer, f0 - base // hop, cfg)
         # No frame from f1 on reaches below f1 * hop; the last block ends the signal.
         final = end if f1 == n_frames else f1 * hop
         _normalise(buffer[divided - base : final - base], divided, n_frames, cfg)

@@ -10,7 +10,9 @@ that already hold the right magnitudes.
   place on the caller's spectrogram: it re-imposes the supplied magnitudes on
   the high band [k_lo, k_hi) only and pins every other bin, the known low
   band and whatever lies above the high band, to its start value; its high
-  band is the complex result itself.
+  band is the complex result itself. ``sr`` and the phase study, which hold
+  only the high band, run the same loop through ``_gla_band``, onto the
+  pinned bins' overlap-add, computed once.
 * ``extract_reference_phase`` reads unit phasors straight off a reference's
   complex STFT, e.g. the original recording's or an external synthesiser's.
 
@@ -31,7 +33,7 @@ from .dsp import (
     ComplexSpectrogram,
     StftConfig,
     _checked_magnitude,
-    project_blocks,
+    _project_rows,
 )
 from .errors import DomainError, NumericalError, ShapeError
 
@@ -148,18 +150,72 @@ def gla_reconstruct(
         if not np.all(np.isfinite(pinned)):
             raise DomainError(f"{name} contains non-finite entries")
 
-    X_band = X[:, k_lo:k_hi]
+    residuals = _reimpose(
+        A, X[:, k_lo:k_hi], lambda f0, f1: X[f0:f1], cfg, layout, stft,
+        trace_rows=(lambda a0, a1: X[a0:a1]) if record_trace else None,
+    )
+    return ComplexSpectrogram(X, stft), residuals
+
+
+def _gla_band(
+    magnitude: np.ndarray,
+    band: np.ndarray,
+    pinned: np.ndarray,
+    cfg: GlaConfig,
+    layout: BandLayout,
+    stft: StftConfig,
+    trace_rows=None,
+) -> np.ndarray:
+    """Griffin-Lim on the high band alone: `gla_reconstruct` for a caller
+    that holds only the band of the spectrogram.
+
+    ``band``, complex128 of shape (frames, k_hi - k_lo), is the high band's
+    start and is overwritten; ``magnitude``, of the same shape, is checked as
+    `gla_reconstruct` checks it. Every bin outside the band is pinned, and
+    ``pinned`` holds their unnormalised overlap-add, output_length(frames)
+    samples, added once (`dsp._project_rows`): each block of the projection
+    overlap-adds the band's rows, in one reused block of zeros outside the
+    band, onto it. Returns the per-iteration consistency residuals over every
+    bin when ``trace_rows(a0, a1)`` gives the whole rows a0..a1-1 of the
+    spectrogram as it stands (empty without)."""
+    A = _checked_magnitude(magnitude)
+    if band.shape != A.shape or A.shape[1] != layout.hfc_width:
+        raise ShapeError(f"band {band.shape} and magnitude {A.shape} do not fit the layout")
+    if not np.all(np.isfinite(pinned)):
+        raise DomainError("pinned bins contain non-finite entries")
+    k_lo, k_hi = layout.k_lo, layout.k_hi
+    scratch = np.zeros((0, layout.n_bins), dtype=np.complex128)
+
+    def rows(f0, f1):
+        nonlocal scratch
+        if len(scratch) < f1 - f0:
+            scratch = np.zeros((f1 - f0, layout.n_bins), dtype=np.complex128)
+        scratch[: f1 - f0, k_lo:k_hi] = band[f0:f1]
+        return scratch[: f1 - f0]
+
+    return _reimpose(A, band, rows, cfg, layout, stft, signal=pinned, trace_rows=trace_rows)
+
+
+def _reimpose(A, band, rows, cfg, layout, stft, *, signal=None, trace_rows=None) -> np.ndarray:
+    """GLA's loop, shared by `gla_reconstruct` and `_gla_band`: each
+    iteration streams the projection of the spectrogram whose blocks
+    ``rows(f0, f1)`` gives, onto ``signal`` (`dsp._project_rows`), and writes
+    ``Y * (A / |Y|)`` over each block's high band into ``band``, its rows of
+    the spectrogram. Returns the residuals when ``trace_rows`` is given."""
+    k_lo, k_hi = layout.k_lo, layout.k_hi
     ratio = np.empty((0, A.shape[1]))  # |Y|, then A / |Y|, for one block
-    residuals = np.empty(cfg.iterations if record_trace else 0)
+    residuals = np.empty(cfg.iterations if trace_rows is not None else 0)
     for m in range(cfg.iterations):
         change = total = 0.0  # squared norms of X - P_C(X) and of X
-        for a0, a1, Y in project_blocks(X, stft):
-            if record_trace:
-                change += _squared_norm(X[a0:a1] - Y)
-                total += _squared_norm(X[a0:a1])
+        for a0, a1, Y in _project_rows(rows, len(A), stft, signal):
+            if trace_rows is not None:
+                X_rows = trace_rows(a0, a1)
+                change += _squared_norm(X_rows - Y)
+                total += _squared_norm(X_rows)
+                del X_rows
             if len(ratio) < a1 - a0:
                 ratio = np.empty((a1 - a0, A.shape[1]))
-            scale, Y_band, X_block = ratio[: a1 - a0], Y[:, k_lo:k_hi], X_band[a0:a1]
+            scale, Y_band, X_block = ratio[: a1 - a0], Y[:, k_lo:k_hi], band[a0:a1]
             np.abs(Y_band, out=scale)
             # A / |Y| where |Y| > 0; the rest of `scale` already holds |Y| = 0.
             np.divide(A[a0:a1], scale, out=scale, where=scale > 0)
@@ -167,10 +223,9 @@ def gla_reconstruct(
             if np.isnan(X_block).any():
                 raise NumericalError(f"NaN appeared at Griffin-Lim iteration {m}")
             del Y, Y_band  # free this block before the next one is computed
-        if record_trace:
+        if trace_rows is not None:
             residuals[m] = np.sqrt(change) / max(np.sqrt(total), RESIDUAL_NORM_FLOOR)
-
-    return ComplexSpectrogram(X, stft), residuals
+    return residuals
 
 
 def extract_reference_phase(reference: np.ndarray, layout: BandLayout) -> np.ndarray:

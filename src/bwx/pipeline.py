@@ -5,12 +5,17 @@ the padded frame grid (``dsp.resynthesize``) it analyses the band-limited
 input channels, predicts high-band magnitudes, estimates high-band phase,
 recombines the bands and resynthesises, reading samples from a source and
 returning the finished output stretch by stretch, exactly as long as the
-input, as a path-free ``ReconstructSpec`` says. ``reconstruct`` runs it on
-arrays (for the phase study and library callers) and ``super_resolve`` on
-WAV files read and written one block at a time. ``run_phase_study`` reruns the
-oracle-magnitude phase comparison over a clip set, decoding each clip once;
-``evaluate_batch`` scores truth/estimate file pairs, streaming them the same
-way. Every CSV goes through ``_write_csv``.
+input, as a path-free ``ReconstructSpec`` says. Griffin-Lim is not
+frame-local, so ``_gla_bands`` runs it first: a pass over the same blocks
+keeps each channel's high-band magnitudes and the overlap-add of every other
+bin, GLA then re-estimates the high band alone, and the output pass puts the
+band's rows back block by block; no grid-sized complex spectrogram is held.
+``reconstruct`` runs the core on arrays (for the phase study and library
+callers) and ``super_resolve`` on WAV files read and written one block at a
+time. ``run_phase_study`` reruns the oracle-magnitude phase comparison over
+a clip set, decoding each clip once; ``evaluate_batch`` scores truth/estimate
+file pairs, streaming them the same way. Every CSV goes through
+``_write_csv``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .dsp import (
     Waveform,
     _ArraySource,
     frame_blocks,
+    overlap_add,
     padded_grid,
     read_padded,
     resynthesize,
@@ -56,9 +62,9 @@ from .phase import (
     GlaConfig,
     PhaseStrategySpec,
     ReferencePhaseSpec,
+    _gla_band,
     extract_reference_phase,
     flip_phase,
-    gla_reconstruct,
 )
 from .prep import LowpassSpec, lowpass
 from .wavio import SampleDepth, wav_header, wav_read, wav_write
@@ -135,24 +141,26 @@ _CHECK_FRAMES = 1 << 16
 
 
 class _WavSource:
-    """A WAV file read by sample range. Its header is read on construction;
-    the last range read is kept, so steps that need the same range of one
-    file in one block read it once. Flows read ranges in ascending, touching
-    or overlapping order, so the samples read so far are one prefix of the
-    file, ``[0, checked)``."""
+    """A WAV file read by sample range. Its header is read on construction
+    and kept, so a range read opens the file, seeks and reads without walking
+    its chunks again; the last range read is kept, so steps that need the
+    same range of one file in one block read it once. Flows read ranges in
+    ascending, touching or overlapping order, from the start again for each
+    pass, so the samples read so far are one prefix of the file,
+    ``[0, checked)``."""
 
     def __init__(self, path):
         self.path = path
-        header = wav_header(path)
-        self.n_channels = header.n_channels
-        self.n_samples = header.frames
-        self.sample_rate = header.sample_rate
+        self.header = wav_header(path)
+        self.n_channels = self.header.n_channels
+        self.n_samples = self.header.frames
+        self.sample_rate = self.header.sample_rate
         self._last: tuple[tuple[int, int], list[np.ndarray]] | None = None
         self.checked = 0
 
     def read(self, start: int, stop: int) -> list[np.ndarray]:
         if self._last is None or self._last[0] != (start, stop):
-            channels, _ = wav_read(self.path, start, stop)
+            channels, _ = wav_read(self.path, start, stop, self.header)
             self._last = ((start, stop), [ch.samples for ch in channels])
             if start <= self.checked:
                 self.checked = max(self.checked, min(stop, self.n_samples))
@@ -163,7 +171,7 @@ class _WavSource:
         non-finite sample anywhere in the file raises `DomainError` as a
         whole read would, though the flow had no use for it."""
         for start in range(self.checked, self.n_samples, _CHECK_FRAMES):
-            wav_read(self.path, start, start + _CHECK_FRAMES)
+            wav_read(self.path, start, start + _CHECK_FRAMES, self.header)
         self.checked = self.n_samples
 
 
@@ -234,21 +242,9 @@ def _magnitude_step(spec: ReconstructSpec, n_frames: int, inputs, references: _R
         if ref_frames < n_frames:
             raise LengthError(f"reference yields {ref_frames} frames, {n_frames} required")
 
-        def oracle(channel, x, block):
-            # Sub-block by sub-block, so a whole-grid block (Griffin-Lim's)
-            # never holds the reference's complex STFT; a frame-local block is
-            # one sub-block with the block's own span, returned uncopied.
-            f0, f1, span = block
-            parts = [
-                predict_oracle(
-                    references.stft(source, channel, slice(span.start + sub.start, span.start + sub.stop)),
-                    layout,
-                )
-                for _, _, sub in frame_blocks(f1 - f0, cfg)
-            ]
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-        return oracle
+        return lambda channel, x, block: predict_oracle(
+            references.stft(source, channel, block[2]), layout
+        )
     if isinstance(predictor, BandReplicationSpec):
         return lambda channel, x, block: predict_band_replication(
             np.abs(x[:, : layout.k_lo]), layout
@@ -267,32 +263,18 @@ def _magnitude_step(spec: ReconstructSpec, n_frames: int, inputs, references: _R
     raise ShapeError(f"unknown predictor spec {predictor!r}")
 
 
-def _phase_step(
-    spec: ReconstructSpec, n_frames: int, inputs, references: _References, traces: list | None
-):
+def _phase_step(spec: ReconstructSpec, n_frames: int, inputs, references: _References):
     """The step mapping a channel's block of padded-grid frames (the channel,
     its analysis ``x``, its high-band magnitudes ``mag`` and its
-    ``frame_blocks`` triple) to the block's complex high band. Given a
-    ``traces`` list, GLA records the first channel's residuals and appends
-    them to it. The reference strategy warns here, once per channel, when the
-    reference's frame count differs from the input's, L = ``n_frames``."""
+    ``frame_blocks`` triple) to the block's complex high band; None for
+    Griffin-Lim, which is not frame-local (see `_gla_bands`). The reference
+    strategy warns here, once per channel, when the reference's frame count
+    differs from the input's, L = ``n_frames``."""
     strategy, cfg, layout = spec.phase, spec.stft, spec.layout
-    k_lo, k_hi = layout.k_lo, layout.k_hi
     if isinstance(strategy, FlipPhaseSpec):
-        return lambda channel, x, mag, block: mag * flip_phase(x[:, :k_lo], layout)
+        return lambda channel, x, mag, block: mag * flip_phase(x[:, : layout.k_lo], layout)
     if isinstance(strategy, GlaConfig):
-
-        def gla(channel, x, mag, block):
-            # GLA runs in place on the block's own spectrogram from a zero-phase
-            # high band; the bins outside it, residual band included, stay pinned.
-            x[:, k_lo:k_hi] = mag
-            record = traces is not None and channel == 0
-            _, residuals = gla_reconstruct(mag, x, strategy, layout, cfg, record_trace=record)
-            if record:
-                traces.append(residuals)
-            return x[:, k_lo:k_hi]
-
-        return gla
+        return None
     if isinstance(strategy, ReferencePhaseSpec):
         source = references.open(strategy.path, inputs, "phase")
         ref_frames = cfg.frame_count(source.n_samples)
@@ -308,6 +290,57 @@ def _phase_step(
     raise ShapeError(f"unknown phase spec {strategy!r}")
 
 
+def _gla_bands(
+    spec: ReconstructSpec, source, analyse, magnitude_step, traces: list | None
+) -> list[np.ndarray]:
+    """Griffin-Lim's complex high band over the padded grid of ``source``,
+    one (grid frames, k_hi - k_lo) array per channel, estimated without
+    holding any channel's whole-grid spectrogram.
+
+    A first pass goes through the grid in `frame_blocks`: ``analyse(span)``
+    yields each channel's block spectrogram, residual-band rule applied, and
+    per channel the pass keeps the block's high-band magnitudes and their
+    zero-phase start, zeroes the band and overlap-adds the other bins,
+    unnormalised, into one pinned signal over the grid. GLA then runs on each
+    channel's band alone, onto its pinned signal (`phase._gla_band`), whose
+    magnitudes and signal are let go before the next channel's. Given a
+    ``traces`` list, the first channel's residuals are appended to it; their
+    pinned bins are analysed again, block by block, at every iteration."""
+    cfg, layout = spec.stft, spec.layout
+    k_lo, k_hi = layout.k_lo, layout.k_hi
+    _, n_frames = padded_grid(cfg, source.n_samples)
+    shape = (n_frames, layout.hfc_width)
+    channels = range(source.n_channels)
+    magnitudes = [np.empty(shape) for _ in channels]
+    bands = [np.empty(shape, dtype=np.complex128) for _ in channels]
+    pinned = [np.zeros(cfg.output_length(n_frames)) for _ in channels]
+    for block in frame_blocks(n_frames, cfg):
+        f0, f1, span = block
+        for channel, x in enumerate(analyse(span)):
+            with _stage("magnitude"):
+                magnitudes[channel][f0:f1] = magnitude_step(channel, x, block)
+            bands[channel][f0:f1] = magnitudes[channel][f0:f1]
+            x[:, k_lo:k_hi] = 0.0
+            overlap_add(x, pinned[channel], f0, cfg)
+
+    def first_channel_rows(a0, a1):
+        x = next(analyse(slice(a0 * cfg.hop, (a1 - 1) * cfg.hop + cfg.frame_len)))
+        x[:, k_lo:k_hi] = bands[0][a0:a1]
+        return x
+
+    with _stage("phase"):
+        for channel in channels:
+            record = traces is not None and channel == 0
+            residuals = _gla_band(
+                magnitudes[channel], bands[channel], pinned[channel], spec.phase, layout, cfg,
+                first_channel_rows if record else None,
+            )
+            magnitudes[channel] = pinned[channel] = None
+            if record:
+                traces.append(residuals)
+    return bands
+
+
 def _reconstruct_blocks(
     spec: ReconstructSpec, source, references: _References, traces: list | None = None
 ) -> Iterator[list[np.ndarray]]:
@@ -320,11 +353,12 @@ def _reconstruct_blocks(
     stretches join into exactly the input's length, and no whole-length
     signal is held unless a source or the caller holds one.
 
+    Griffin-Lim is not frame-local: before the output pass, `_gla_bands`
+    reads the input once more, block by block, and estimates every channel's
+    high band over the whole grid, which the output pass puts back block by
+    block. Given a ``traces`` list, it appends the first channel's residuals.
     After the last block, the generator checks the samples of a reference
     that no block read (past the grid's last frame) for non-finite values.
-    Griffin-Lim is not frame-local, so it runs as one block of every frame.
-    Given a ``traces`` list, the GLA strategy appends the first channel's
-    residuals to it.
     """
     cfg, layout = spec.stft, spec.layout
     with _stage("analyze"):
@@ -332,24 +366,38 @@ def _reconstruct_blocks(
     with _stage("magnitude"):
         magnitude_step = _magnitude_step(spec, n_frames, source, references)
     with _stage("phase"):
-        phase_step = _phase_step(spec, n_frames, source, references, traces)
+        phase_step = _phase_step(spec, n_frames, source, references)
 
     def read(start, stop):
         with _stage("read-input"):
             return source.read(start, stop)
 
-    def edit(channel, x, block):
+    def apply_residual_rule(x):
         if spec.residual_band is ResidualBand.ZERO:
             x[:, layout.k_hi :] = 0.0
-        with _stage("magnitude"):
-            hfc_mag = magnitude_step(channel, x, block)
-        with _stage("phase"):
-            hfc = phase_step(channel, x, hfc_mag, block)
-        x[:, layout.k_lo : layout.k_hi] = hfc
+
+    def analyse(span):
+        for samples in read_padded(read, source.n_samples, cfg, span.start, span.stop):
+            x = stft_array(samples, cfg)
+            apply_residual_rule(x)
+            yield x
 
     def blocks():
-        whole = padded_grid(cfg, source.n_samples)[1] if isinstance(spec.phase, GlaConfig) else None
-        yield from resynthesize(read, source.n_samples, cfg, edit, whole)
+        bands = None
+        if phase_step is None:
+            bands = _gla_bands(spec, source, analyse, magnitude_step, traces)
+
+        def edit(channel, x, block):
+            apply_residual_rule(x)
+            if bands is not None:
+                x[:, layout.k_lo : layout.k_hi] = bands[channel][block[0] : block[1]]
+                return
+            with _stage("magnitude"):
+                hfc_mag = magnitude_step(channel, x, block)
+            with _stage("phase"):
+                x[:, layout.k_lo : layout.k_hi] = phase_step(channel, x, hfc_mag, block)
+
+        yield from resynthesize(read, source.n_samples, cfg, edit)
         references.check_unread()
 
     return blocks()

@@ -120,15 +120,20 @@ def wav_header(path) -> _WavHeader:
         return _read_header(fh, path)
 
 
-def wav_read(path, start: int | None = None, stop: int | None = None) -> tuple[list[Waveform], int]:
+def wav_read(
+    path, start: int | None = None, stop: int | None = None, header: _WavHeader | None = None
+) -> tuple[list[Waveform], int]:
     """Read a WAV file, returning one Waveform per channel and the bit depth.
 
     ``start`` and ``stop`` select a range of frames with the meaning of a
     Python slice, so only that range is read and decoded. The bit depth is
-    16, 24 or 32 (32 meaning IEEE float).
+    16, 24 or 32 (32 meaning IEEE float). Given the file's ``header``, as
+    `wav_header` returned it, the chunks are not walked again; a file that
+    has since lost samples of the range raises `TruncatedDataError`.
     """
     with open(path, "rb") as fh:
-        header = _read_header(fh, path)
+        if header is None:
+            header = _read_header(fh, path)
         first, last, _ = slice(start, stop).indices(header.frames)
         frames = max(last - first, 0)
         block_align = header.bits // 8 * header.n_channels
@@ -137,7 +142,8 @@ def wav_read(path, start: int | None = None, stop: int | None = None) -> tuple[l
         # three bytes of the little-endian int32 that starts one byte earlier.
         pad = 1 if header.bits == 24 else 0
         raw = bytearray(pad + frames * block_align)
-        fh.readinto(memoryview(raw)[pad:])
+        if fh.readinto(memoryview(raw)[pad:]) < frames * block_align:
+            raise TruncatedDataError(f"{path}: data chunk ends before frame {last}")
 
     n_channels, depth = header.n_channels, header.bits
     width = depth // 8

@@ -1,4 +1,4 @@
-"""The gain and bound verdicts of ``tools/bench_record.py``."""
+"""The gain, bound and resolution verdicts of ``tools/bench_record.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -47,3 +47,30 @@ def test_eight_of_ten_pairs_won_show_no_gain():
     verdict = _verdict(baseline, change)
     assert verdict["change_wins"] == 8
     assert verdict["gain_shown"] is False
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    # Baseline median 2.0, bound 0.25: a middle half wider than 0.5 s on
+    # either side cannot tell a 0.25 x 2.0 s change from noise.
+    baseline = [1.0, 1.2, 1.4, 2.0, 2.0, 2.0, 2.0, 2.6, 2.8, 3.0]
+    change = [2.0 + 0.01 * i for i in range(10)]
+    verdict = _verdict(baseline, change)
+    assert verdict["baseline"]["q3"] - verdict["baseline"]["q1"] > 0.25 * 2.0
+    assert verdict["resolved"] is False
+    assert _verdict(change, baseline)["resolved"] is False  # the change's spread counts too
+
+
+def test_wide_spread_is_resolved_when_every_change_run_wins():
+    baseline = [2.0, 3.0, 4.0, 5.0, 6.0]  # middle half 2.0, bound 0.25 x 4.0
+    change = [0.5, 1.0, 1.5, 1.8, 1.9]
+    assert _verdict(baseline, change)["resolved"] is True
+    # One change run that loses to a baseline run leaves it unresolved.
+    assert _verdict(baseline, change[:-1] + [2.1])["resolved"] is False
+
+
+def test_steady_runs_are_resolved():
+    baseline = [2.0 + 0.01 * i for i in range(10)]
+    change = [2.2 + 0.01 * i for i in range(10)]
+    verdict = _verdict(baseline, change)
+    assert verdict["resolved"] is True
+    assert verdict["within_bound"] is True

@@ -388,6 +388,55 @@ class TestGlaKernel:
         assert len(calls) == 2 * per_iteration + 1  # no later block or iteration ran
 
 
+def _band_inputs(wave):
+    """A zero-phase GLA start on LAYOUT's band: the whole start, the band's
+    magnitudes and the unnormalised overlap-add of every other bin."""
+    X = stft_array(wave.samples, CFG)
+    magnitude = np.abs(X[:, 186:372])
+    X[:, 186:372] = magnitude
+    others = X.copy()
+    others[:, 186:372] = 0.0
+    pinned = np.zeros(CFG.output_length(len(X)))
+    bwx.dsp.overlap_add(others, pinned, 0, CFG)
+    return X, magnitude, others, pinned
+
+
+def test_band_entry_equals_whole_spectrogram_gla_to_rounding(short_music):
+    # The projection is linear, so the band's rows added onto the pinned
+    # bins' overlap-add give gla_reconstruct's iterates and residuals, up to
+    # rounding.
+    X, magnitude, others, pinned = _band_inputs(short_music)
+    band = X[:, 186:372].copy()
+
+    def rows(a0, a1):
+        whole = others[a0:a1].copy()
+        whole[:, 186:372] = band[a0:a1]
+        return whole
+
+    residuals = bwx.phase._gla_band(magnitude, band, pinned, GlaConfig(5), LAYOUT, CFG, rows)
+    _, expected = gla_reconstruct(magnitude, X, GlaConfig(5), LAYOUT, CFG)
+    assert np.max(np.abs(band - X[:, 186:372])) <= 1e-9 * np.max(np.abs(X))
+    np.testing.assert_allclose(residuals, expected, rtol=1e-9, atol=0)
+    assert len(bwx.phase._gla_band(magnitude, band, pinned, GlaConfig(2), LAYOUT, CFG)) == 0
+
+
+@pytest.mark.parametrize(
+    "damage, match",
+    [("negative", "negative"), ("nan magnitude", "non-finite"), ("inf pinned", "pinned")],
+)
+def test_band_entry_keeps_the_entry_checks(short_music, damage, match):
+    _, magnitude, _, pinned = _band_inputs(short_music)
+    if damage == "negative":
+        magnitude[3, 5] = -1.0
+    elif damage == "nan magnitude":
+        magnitude[3, 5] = np.nan
+    else:
+        pinned[100] = np.inf
+    band = magnitude.astype(np.complex128)
+    with pytest.raises(DomainError, match=match):
+        bwx.phase._gla_band(magnitude, band, pinned, GlaConfig(1), LAYOUT, CFG)
+
+
 class TestExtractReferencePhase:
     def test_exact_match_on_hr_file(self, short_music):
         X = stft_array(short_music.samples, CFG)

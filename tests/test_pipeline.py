@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bwx.dsp
 import bwx.phase
 import bwx.pipeline
 from bwx import (
@@ -146,13 +147,14 @@ class TestSuperResolve:
         assert rel < 1e-2
 
     def test_residual_zero_bandlimits_output(self, tmp_path, hr_lr_paths):
+        # Griffin-Lim zeroes the bins above the high band in its first pass
+        # and again in the output pass that synthesises its band.
         hr, lr = hr_lr_paths
-        rebuilt = _rebuild(
-            lr, _spec(OracleSpec(str(hr)), ReferencePhaseSpec(str(hr)), ResidualBand.ZERO)
-        )
-        X = stft_array(rebuilt.samples, CFG)
-        ratio = np.linalg.norm(X[:, 372:]) / np.linalg.norm(X)
-        assert ratio < 1e-2
+        for phase in (ReferencePhaseSpec(str(hr)), GlaConfig(iterations=3)):
+            rebuilt = _rebuild(lr, _spec(OracleSpec(str(hr)), phase, ResidualBand.ZERO))
+            X = stft_array(rebuilt.samples, CFG)
+            ratio = np.linalg.norm(X[:, 372:]) / np.linalg.norm(X)
+            assert ratio < 1e-2
 
     def test_deterministic_output_files(self, tmp_path, hr_lr_paths):
         hr, lr = hr_lr_paths
@@ -251,11 +253,11 @@ class TestSuperResolve:
         kernel = []
 
         def recording(*args, **kwargs):
-            result = bwx.phase.gla_reconstruct(*args, **kwargs)
-            kernel.append(result[1])
-            return result
+            residuals = bwx.phase._gla_band(*args, **kwargs)
+            kernel.append(residuals)
+            return residuals
 
-        monkeypatch.setattr(bwx.pipeline, "gla_reconstruct", recording)
+        monkeypatch.setattr(bwx.pipeline, "_gla_band", recording)
         trace = tmp_path / "trace.csv"
         spec = _spec(OracleSpec(str(hr)), GlaConfig(iterations=4))
         super_resolve(spec, lr, tmp_path / "out.wav", trace_path=trace)
@@ -266,32 +268,42 @@ class TestSuperResolve:
             idx, value = line.split(",")
             assert int(idx) == i
             assert "e" not in value.lower()  # decimal notation
-            # The kernel's residual, rounded to 9 significant digits.
+            # The loop's residual, rounded to 9 significant digits.
             assert float(value) == float(f"{kernel[0][i]:.9g}")
 
     def test_gla_runs_in_place_and_pins_the_residual_band(self, tmp_path, hr_lr_paths, monkeypatch):
         # The HR file as input has content above hi_hz, which `--residual pass`
-        # keeps: GLA iterates on the block's own spectrogram and leaves those
-        # bins as the input's analysis gave them.
+        # keeps: GLA iterates in place on the high band alone, and the output
+        # pass synthesises that band between the bins the input's analysis
+        # gave, the residual band among them, bit for bit.
         hr, _ = hr_lr_paths
-        calls = []
+        bands, synthesised = [], []
 
-        def recording(magnitude, X, *args, **kwargs):
-            before = X[:, LAYOUT.k_hi :].copy()
-            result = bwx.phase.gla_reconstruct(magnitude, X, *args, **kwargs)
-            calls.append((X, before, result))
-            return result
+        def recording(magnitude, band, *args, **kwargs):
+            residuals = bwx.phase._gla_band(magnitude, band, *args, **kwargs)
+            bands.append(band)
+            return residuals
 
-        monkeypatch.setattr(bwx.pipeline, "gla_reconstruct", recording)
+        def resynthesize(read, n_samples, cfg, edit):
+            def recording_edit(channel, x, block):
+                edit(channel, x, block)
+                synthesised.append(x.copy())
+
+            return bwx.dsp.resynthesize(read, n_samples, cfg, recording_edit)
+
+        monkeypatch.setattr(bwx.pipeline, "_gla_band", recording)
+        monkeypatch.setattr(bwx.pipeline, "resynthesize", resynthesize)
         super_resolve(_spec(OracleSpec(str(hr)), GlaConfig(iterations=3)), hr, tmp_path / "out.wav")
-        [(X, before, result)] = calls
-        assert result[0].data is X  # no second whole-grid spectrogram
+        [band] = bands
+        X = np.concatenate(synthesised)
         analyses = []
         padded_round_trip(wav_read(hr)[0][0].samples, CFG, analyses.append)
+        assert band.shape == (len(analyses[0]), LAYOUT.hfc_width)  # no whole-grid spectrogram
         residual_band = analyses[0][:, LAYOUT.k_hi :]
         assert np.any(residual_band != 0)
-        assert np.array_equal(before, residual_band)
         assert np.array_equal(X[:, LAYOUT.k_hi :], residual_band)
+        assert np.array_equal(X[:, : LAYOUT.k_lo], analyses[0][:, : LAYOUT.k_lo])
+        assert np.array_equal(X[:, LAYOUT.k_lo : LAYOUT.k_hi], band)
 
     def test_stereo_identity(self, tmp_path, short_music):
         hr = tmp_path / "hr2.wav"

@@ -16,6 +16,7 @@ from bwx import (
     BandLayout,
     BandReplicationSpec,
     FlipPhaseSpec,
+    GlaConfig,
     ImportSpec,
     LowpassSpec,
     OracleSpec,
@@ -95,7 +96,7 @@ def inputs(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("phase", ["flip", "ref"])
+@pytest.mark.parametrize("phase", ["flip", "ref", "gla"])
 @pytest.mark.parametrize("mag", ["oracle", "sbr", "import"])
 @pytest.mark.parametrize("codec", CODECS)
 def test_streamed_flows_equal_whole_array_core(monkeypatch, tmp_path, inputs, codec, mag, phase):
@@ -106,7 +107,11 @@ def test_streamed_flows_equal_whole_array_core(monkeypatch, tmp_path, inputs, co
         "sbr": BandReplicationSpec(),
         "import": ImportSpec(str(inputs[codec, "band"])),
     }[mag]
-    strategy = FlipPhaseSpec() if phase == "flip" else ReferencePhaseSpec(str(hr))
+    strategy = {
+        "flip": FlipPhaseSpec(),
+        "ref": ReferencePhaseSpec(str(hr)),
+        "gla": GlaConfig(iterations=3),
+    }[phase]
 
     spec = ReconstructSpec(predictor, strategy, LAYOUT, stft=CFG)
 

@@ -21,7 +21,7 @@ CPU times and CPU steal (from ``/proc/stat`` deltas over the run), and per
 side how many runs failed or failed their output check. Only pairs whose two
 runs both passed their output check are compared. Per ``BENCHMARK.json``
 end-to-end metric it gives each side's median and quartiles, how many pairs
-the working tree won, lost and tied, and two verdicts:
+the working tree won, lost and tied, and three verdicts:
 
 * ``gain_shown``: at least ten pairs were compared, the working tree is
   better in at least nine of every ten, and its median is better than the
@@ -29,6 +29,10 @@ the working tree won, lost and tied, and two verdicts:
 * ``within_bound``: the working tree's median is not worse than the
   baseline's by more than the metric's ``bound``, read as a fraction of the
   baseline's median.
+* ``resolved``: the runs are steady enough to tell the sides apart at that
+  bound: neither side's interquartile range exceeds ``bound`` times the
+  baseline's median, or else every working-tree run beats every baseline
+  run. When it is false, neither verdict above says anything.
 
 It also records both revisions, nproc, the library versions, the load
 average, the session's total steal and a calibration taken in the same
@@ -168,7 +172,8 @@ def _compare(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per side, the runs that failed or failed their output check; per
     end-to-end metric, over the pairs whose two runs both passed: each side's
     median and quartiles, the working tree's wins, losses and ties against
-    the baseline, and the gain and bound verdicts (see the module docstring)."""
+    the baseline, and the gain, bound and resolution verdicts (see the module
+    docstring)."""
     out = {
         side: {
             "failed": sum("error" in p[side] for p in pairs),
@@ -189,6 +194,8 @@ def _compare(pairs: list[dict], metrics: list[dict]) -> dict:
         sides = {"baseline": _quartiles(base), "change": _quartiles(change)}
         b_median, c_median = sides["baseline"]["median"], sides["change"]["median"]
         worse_by = (c_median - b_median) if lower else (b_median - c_median)
+        spread = metric["bound"] * abs(b_median)
+        apart = max(change) < min(base) if lower else min(change) > max(base)
         out[name] = sides | {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -199,7 +206,8 @@ def _compare(pairs: list[dict], metrics: list[dict]) -> dict:
             and 10 * wins >= 9 * len(base)
             and -worse_by > sides["baseline"]["q3"] - sides["baseline"]["q1"],
             "bound": metric["bound"],
-            "within_bound": worse_by <= metric["bound"] * abs(b_median),
+            "within_bound": worse_by <= spread,
+            "resolved": apart or all(q["q3"] - q["q1"] <= spread for q in sides.values()),
         }
     return out
 
