@@ -10,12 +10,15 @@ frame-local, so ``_gla_bands`` runs it first: a pass over the same blocks
 keeps each channel's high-band magnitudes and the overlap-add of every other
 bin, GLA then re-estimates the high band alone, and the output pass puts the
 band's rows back block by block; no grid-sized complex spectrogram is held.
-``reconstruct`` runs the core on arrays (for the phase study and library
-callers) and ``super_resolve`` on WAV files read and written one block at a
-time. ``run_phase_study`` reruns the oracle-magnitude phase comparison over
-a clip set, decoding each clip once; ``evaluate_batch`` scores truth/estimate
-file pairs, streaming them the same way. Every CSV goes through
-``_write_csv``.
+``reconstruct`` runs the core on arrays (for library callers) and
+``super_resolve`` on WAV files read and written one block at a time.
+``run_phase_study`` reruns the oracle-magnitude phase comparison over a clip
+set through the files the CLI flows write: ``make_pair`` writes each clip's
+LR, every method reconstructs from the LR file with the clip file as its
+reference, and ``evaluate_batch``'s scoring walk reads both files block by
+block, so beside Griffin-Lim's band state a clip's run holds one output,
+which it writes whole. ``evaluate_batch`` scores truth/estimate file pairs,
+streaming them the same way. Every CSV goes through ``_write_csv``.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from .phase import (
     extract_reference_phase,
     flip_phase,
 )
-from .prep import LowpassSpec, lowpass
+from .prep import LowpassSpec, make_pair
 from .wavio import SampleDepth, wav_header, wav_read, wav_write
 
 logger = logging.getLogger("bwx")
@@ -415,11 +418,26 @@ def reconstruct(
     reference phase's) to that file's channels, already in memory; a named
     path that is not there is read from its file one block span at a time.
     """
-    blocks = _reconstruct_blocks(
-        spec, _ArraySource(channels), _References(spec.stft, references or {})
+    source = _ArraySource(channels)
+    return _whole_channels(
+        _reconstruct_blocks(spec, source, _References(spec.stft, references or {})), source
     )
-    rate = channels[0].sample_rate
-    return [Waveform(np.concatenate(parts), rate) for parts in zip(*blocks)]
+
+
+def _whole_channels(blocks: Iterator[list[np.ndarray]], source) -> list[Waveform]:
+    """The stretches that ``blocks`` (a `_reconstruct_blocks` generator) yields
+    joined into whole output channels, each as long as ``source``'s. The
+    output is allocated at the first stretch, so it is not held through
+    Griffin-Lim, which runs before the first stretch is yielded."""
+    out = None
+    at = 0
+    for pieces in blocks:
+        if out is None:
+            out = np.empty((len(pieces), source.n_samples))
+        for row, piece in zip(out, pieces):
+            row[at : at + len(piece)] = piece
+        at += len(pieces[0])
+    return [Waveform(row, source.sample_rate) for row in out]
 
 
 def super_resolve(spec: ReconstructSpec, input_path, output_path, trace_path=None) -> None:
@@ -474,12 +492,6 @@ class PhaseStudyResult:
     skipped: list[str] = field(default_factory=list)
 
 
-def _write_float32(path, channels: list[Waveform]) -> list[Waveform]:
-    """Write ``channels`` as a float32 WAV and return the samples it holds."""
-    wav_write(path, channels, SampleDepth.FLOAT32)
-    return [Waveform(ch.samples.astype(np.float32), ch.sample_rate) for ch in channels]
-
-
 def _study_one_clip(
     clip_path: str,
     workdir: Path,
@@ -488,36 +500,41 @@ def _study_one_clip(
     hi_hz: float,
     gla_iterations: int,
 ) -> dict[str, EvalReport]:
-    """Score one clip under every study method. The clip is decoded once, and
-    each method scores the float32 samples it writes, exactly what
-    ``prepare``, ``sr`` and ``eval`` would read back from those files."""
+    """Score one clip under every study method, through the files the CLI
+    flows would write and read: ``make_pair`` writes the LR (the clip is
+    decoded whole only inside that call), each method reconstructs from the
+    LR file with the oracle magnitudes and reference phase read from the clip
+    file, and every row scores the clip file against the estimate file, as
+    ``evaluate_batch`` does. Beside Griffin-Lim's band state, only block spans
+    of these files and, once GLA is done, one method's output are held.
+
+    Each output is written whole by one ``wav_write`` call, not appended block
+    by block as ``super_resolve`` does: the study deletes its files, so the
+    benchmark's study check (``perfbench``) sees an output only in that call
+    and reads its length and peak from it."""
     workdir.mkdir(parents=True, exist_ok=True)
     stem = Path(clip_path).stem
-    truth, _ = wav_read(clip_path)
-    layout = BandLayout.from_frequencies(lo_hz, hi_hz, truth[0].sample_rate, cfg)
+    layout = BandLayout.from_frequencies(lo_hz, hi_hz, wav_header(clip_path).sample_rate, cfg)
     lr_path = workdir / f"{stem}_lr.wav"
-    lr = _write_float32(lr_path, [lowpass(ch, LowpassSpec(cutoff_hz=lo_hz), cfg) for ch in truth])
+    make_pair(clip_path, lr_path, LowpassSpec(cutoff_hz=lo_hz), cfg)
 
     phase_specs: dict[str, PhaseStrategySpec] = {
         "flip": FlipPhaseSpec(),
         "gla": GlaConfig(iterations=gla_iterations),
         "reference": ReferencePhaseSpec(str(clip_path)),
     }
-    # The oracle predictor and the reference phase read the clip itself.
-    references = {clip_path: truth}
-    clip = _ArraySource(truth)
 
-    reports = {"lr": _evaluate_sources(clip, _ArraySource(lr), layout, cfg)}
+    def score(path) -> EvalReport:
+        return _evaluate_sources(_WavSource(clip_path), _WavSource(path), layout, cfg)
+
+    reports = {"lr": score(lr_path)}
     for method, phase_spec in phase_specs.items():
         est_path = workdir / f"{stem}_{method}.wav"
         spec = ReconstructSpec(OracleSpec(str(clip_path)), phase_spec, layout, cfg)
-        # Not bound to a name, so each output is freed before the next method.
-        reports[method] = _evaluate_sources(
-            clip,
-            _ArraySource(_write_float32(est_path, reconstruct(spec, lr, references))),
-            layout,
-            cfg,
-        )
+        lr = _WavSource(lr_path)
+        blocks = _reconstruct_blocks(spec, lr, _References(cfg, {}))
+        wav_write(est_path, _whole_channels(blocks, lr), SampleDepth.FLOAT32)
+        reports[method] = score(est_path)
     return reports
 
 
@@ -532,16 +549,24 @@ def run_phase_study(
 ) -> PhaseStudyResult:
     """Compare phase strategies with oracle magnitudes over a clip set.
 
-    Each clip is decoded once, band-limited with a brickwall lowpass,
-    reconstructed under the flip, Griffin-Lim and reference-phase strategies
-    (plus the zero-filled LR baseline) and scored against the original. Writes
-    per-clip and mean rows to ``out``; unreadable clips are skipped with a
-    warning.
+    Each clip is band-limited with a brickwall lowpass into an LR file,
+    reconstructed from it under the flip, Griffin-Lim and reference-phase
+    strategies (plus the zero-filled LR baseline) and scored against the
+    original, all through files in a temporary directory (see
+    `_study_one_clip`): the clip is decoded whole only while its LR is made,
+    and beside Griffin-Lim's band state a clip's run holds block spans of its
+    files and one whole output at a time. Writes per-clip and mean rows to
+    ``out``; unreadable clips are skipped with a warning. A band that is not
+    0 < ``lo_hz`` < ``hi_hz`` and a negative ``gla_iterations`` raise
+    `DomainError` before any clip is read.
     """
     if not clips:
         raise BwxError("phase study needs at least one clip")
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
+    if not 0 < lo_hz < hi_hz:
+        raise DomainError(f"band needs 0 < lo_hz < hi_hz, got {lo_hz} and {hi_hz} Hz")
+    GlaConfig(iterations=gla_iterations)  # rejects a negative count
 
     clips = [str(clip) for clip in clips]
     with tempfile.TemporaryDirectory(prefix="bwx-study-") as tmp:

@@ -1,5 +1,8 @@
 """End-to-end reconstruction pipeline and batch drivers."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,9 +32,10 @@ from bwx import (
     wav_read,
     wav_write,
 )
-from bwx.dsp import istft_array, stft_array
+from bwx.dsp import istft_array, padded_grid, stft_array
 from bwx.errors import DomainError, PipelineError, ShapeError
 from bwx.metrics import EVAL_CSV_HEADER
+from bwx.pipeline import PHASE_STUDY_METHODS
 
 from conftest import interior_slice, padded_round_trip
 
@@ -474,20 +478,72 @@ class TestRunPhaseStudy:
             expected = np.mean([reports[method] for reports in per_clip], axis=0)
             assert [report.lsd_hf, report.lsd_full, report.snr] == expected.tolist()
 
-    def test_each_clip_decoded_once(self, tmp_path, monkeypatch, two_clips):
+    def test_reads_block_spans_and_writes_outputs_whole(self, tmp_path, monkeypatch, two_clips):
+        # The clip is decoded whole once, by make_pair, to write the LR; every
+        # other read is one block span of a file. A pass over a file's blocks
+        # reads it about 1.11 times over, as 64-frame spans overlap by
+        # frame_len - hop: 7.7x for the clip (the oracle of three
+        # reconstructions, four scorings) and 5.5x for the LR (two GLA passes,
+        # flip, reference, its own scoring). A read per GLA iteration would
+        # break the bounds. Each of the four outputs is written by one call,
+        # whole, as float32.
         import bwx.prep
 
-        decoded = []
-        original = bwx.pipeline.wav_read
+        whole, decoded, largest, writes = [], {}, [], []
+        block_read, prep_read, write = bwx.pipeline.wav_read, bwx.prep.wav_read, bwx.wavio.wav_write
 
         def counting(path, *args, **kwargs):
-            decoded.append(str(path))
-            return original(path, *args, **kwargs)
+            channels, depth = block_read(path, *args, **kwargs)
+            decoded[str(path)] = decoded.get(str(path), 0) + len(channels[0])
+            largest.append(len(channels[0]))
+            return channels, depth
+
+        def making_lr(path, *args, **kwargs):
+            whole.append((str(path), args, kwargs))
+            return prep_read(path, *args, **kwargs)
+
+        def recording(path, channels, *args, **kwargs):
+            writes.append((Path(path).name, len(channels), {len(ch) for ch in channels}, args))
+            return write(path, channels, *args, **kwargs)
 
         monkeypatch.setattr(bwx.pipeline, "wav_read", counting)
-        monkeypatch.setattr(bwx.prep, "wav_read", counting)
-        run_phase_study(two_clips, tmp_path / "study.csv", gla_iterations=2)
-        assert decoded == two_clips
+        monkeypatch.setattr(bwx.prep, "wav_read", making_lr)
+        monkeypatch.setattr(bwx.pipeline, "wav_write", recording)
+        monkeypatch.setattr(bwx.prep, "wav_write", recording)
+        run_phase_study(two_clips, tmp_path / "study.csv", gla_iterations=4)
+        assert whole == [(clip, (), {}) for clip in two_clips]
+        assert max(largest) <= CFG.output_length(bwx.dsp.BLOCK_FRAMES)
+        expected_writes = []
+        for clip in two_clips:
+            channels = wav_read(clip)[0]
+            n = len(channels[0])
+            lr = [path for path in decoded if path.endswith(f"{Path(clip).stem}_lr.wav")]
+            assert decoded[clip] <= 8 * n
+            assert len(lr) == 1 and decoded[lr[0]] <= 6 * n
+            expected_writes += [
+                (f"{Path(clip).stem}_{method}.wav", len(channels), {n}, (SampleDepth.FLOAT32,))
+                for method in PHASE_STUDY_METHODS
+            ]
+        assert writes == expected_writes
+
+    def test_clip_peak_memory_is_gla_band_state(self, tmp_path, clip_paths):
+        # Beside Griffin-Lim's band state (its magnitudes, complex band and
+        # pinned signal over the padded grid) a study clip holds block
+        # buffers and one output. Holding the decoded 10 s clip and its LR as
+        # well, 7 MB of float64, broke this bound by over 4 MB.
+        clip = clip_paths[0]
+        channels = wav_read(clip)[0]
+        layout = BandLayout.from_frequencies(4000.0, 8000.0, channels[0].sample_rate, CFG)
+        _, grid_frames = padded_grid(CFG, len(channels[0]))
+        band_state = grid_frames * layout.hfc_width * (8 + 16) + 8 * CFG.output_length(grid_frames)
+        block_margin = 5 * bwx.dsp.BLOCK_FRAMES * CFG.n_bins * 16
+        tracemalloc.start()
+        try:
+            bwx.pipeline._study_one_clip(clip, tmp_path, CFG, 4000.0, 8000.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= band_state + block_margin
 
     def test_all_skipped_raises(self, tmp_path):
         from bwx.errors import BwxError
@@ -503,3 +559,26 @@ class TestRunPhaseStudy:
         monkeypatch.setattr(bwx.pipeline.tempfile, "TemporaryDirectory", no_tempdir)
         with pytest.raises(DomainError, match="jobs must be >= 1"):
             run_phase_study(["clip.wav"], tmp_path / "s.csv", jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "band, iterations, message",
+        [
+            ((8000.0, 4000.0), 100, "band needs 0 < lo_hz < hi_hz"),
+            ((0.0, 8000.0), 100, "band needs 0 < lo_hz < hi_hz"),
+            ((4000.0, 4000.0), 100, "band needs 0 < lo_hz < hi_hz"),
+            ((4000.0, 8000.0), -1, "iterations must be >= 0"),
+        ],
+        ids=["reversed", "zero", "empty", "negative-iterations"],
+    )
+    def test_bad_band_or_iterations_rejected_before_any_clip(
+        self, tmp_path, monkeypatch, band, iterations, message
+    ):
+        def no_tempdir(*args, **kwargs):
+            raise AssertionError("temporary directory created")
+
+        monkeypatch.setattr(bwx.pipeline.tempfile, "TemporaryDirectory", no_tempdir)
+        with pytest.raises(DomainError, match=message):
+            run_phase_study(
+                ["clip.wav"], tmp_path / "s.csv", lo_hz=band[0], hi_hz=band[1],
+                gla_iterations=iterations,
+            )
