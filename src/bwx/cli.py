@@ -74,8 +74,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score an estimate against ground truth")
     p.add_argument("--truth", required=True)
     p.add_argument("--est", required=True)
-    p.add_argument("--frame", type=int, default=2048)
-    p.add_argument("--hop", type=int, default=256)
     p.add_argument("--lo-hz", type=float, default=4000.0)
     p.add_argument("--hi-hz", type=float, default=8000.0)
     p.add_argument("--out", dest="output", required=True)
@@ -84,9 +82,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--clips", required=True, help="directory of wav files or comma-separated list")
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--lo-hz", type=float, default=4000.0)
-    p.add_argument("--hi-hz", type=float, default=8000.0)
-    p.add_argument("--gla-iters", type=int, default=100)
 
     p = sub.add_parser("spec", help="BWXSPEC spectrogram files")
     spec_sub = p.add_subparsers(dest="spec_command", required=True, parser_class=_Parser)
@@ -175,7 +170,7 @@ def _cmd_sr(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _stft_config(args.frame, args.hop)
+    cfg = StftConfig()
     sample_rate = wav_header(args.truth).sample_rate
     layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
     rows = evaluate_batch([(args.truth, args.est)], layout, args.output, cfg)
@@ -186,10 +181,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_phase_study(args) -> int:
     clips = _collect_clips(args.clips)
-    result = run_phase_study(
-        clips, args.output, lo_hz=args.lo_hz, hi_hz=args.hi_hz,
-        gla_iterations=args.gla_iters, jobs=args.jobs,
-    )
+    result = run_phase_study(clips, args.output, jobs=args.jobs)
     for method, report in result.means.items():
         print(
             f"mean {method}: lsd_hf={report.lsd_hf:.4f} dB "

@@ -556,17 +556,12 @@ def run_phase_study(
     `_study_one_clip`): the clip is decoded whole only while its LR is made,
     and beside Griffin-Lim's band state a clip's run holds block spans of its
     files and one whole output at a time. Writes per-clip and mean rows to
-    ``out``; unreadable clips are skipped with a warning. A band that is not
-    0 < ``lo_hz`` < ``hi_hz`` and a negative ``gla_iterations`` raise
-    `DomainError` before any clip is read.
+    ``out``; unreadable clips are skipped with a warning.
     """
     if not clips:
         raise BwxError("phase study needs at least one clip")
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
-    if not 0 < lo_hz < hi_hz:
-        raise DomainError(f"band needs 0 < lo_hz < hi_hz, got {lo_hz} and {hi_hz} Hz")
-    GlaConfig(iterations=gla_iterations)  # rejects a negative count
 
     clips = [str(clip) for clip in clips]
     with tempfile.TemporaryDirectory(prefix="bwx-study-") as tmp:

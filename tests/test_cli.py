@@ -6,17 +6,7 @@ import numpy as np
 import pytest
 
 import bwx.cli
-import bwx.pipeline
-from bwx import (
-    BandLayout,
-    GlaConfig,
-    SampleDepth,
-    StftConfig,
-    Waveform,
-    evaluate_batch,
-    wav_read,
-    wav_write,
-)
+from bwx import GlaConfig, SampleDepth, StftConfig, Waveform, wav_read, wav_write
 from bwx.cli import main
 from bwx.specio import SpecKind, spec_read, spec_write
 
@@ -285,27 +275,6 @@ class TestEval:
         assert not out.exists()
 
 
-    def test_frame_and_hop_reach_the_scoring(self, tmp_path, hr_path, lr_path):
-        out, expected = tmp_path / "report.csv", tmp_path / "expected.csv"
-        argv = ["eval", "--truth", str(hr_path), "--est", str(lr_path), "--out", str(out),
-                "--frame", "1024", "--hop", "256"]
-        assert main(argv) == 0
-        cfg = StftConfig(1024, 256)
-        layout = BandLayout.from_frequencies(4000.0, 8000.0, SR, cfg)
-        evaluate_batch([(str(hr_path), str(lr_path))], layout, expected, cfg)
-        assert out.read_text() == expected.read_text()
-
-    def test_hop_over_half_a_frame_is_usage_error(self, tmp_path, capsys):
-        # Checked before any file is read: a missing input would be exit 2.
-        out = tmp_path / "report.csv"
-        missing = str(tmp_path / "no.wav")
-        argv = ["eval", "--truth", missing, "--est", missing, "--out", str(out),
-                "--frame", "64", "--hop", "40"]
-        assert main(argv) == 1
-        assert "--hop must be at most --frame / 2" in capsys.readouterr().err
-        assert not out.exists()
-
-
 class TestPhaseStudy:
     def test_directory_input(self, tmp_path, short_music, capsys):
         clips = tmp_path / "clips"
@@ -339,46 +308,6 @@ class TestPhaseStudy:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["phase-study", "--clips", str(empty), "--out", str(tmp_path / "s.csv")]) == 1
-
-    def test_band_and_iterations_reach_the_study(self, tmp_path, hr_path, monkeypatch):
-        calls = []
-
-        def study(*args, **kwargs):
-            calls.append((args, kwargs))
-            return bwx.pipeline.PhaseStudyResult(rows=[], means={}, snr_anomaly=False)
-
-        monkeypatch.setattr(bwx.cli, "run_phase_study", study)
-        out = str(tmp_path / "s.csv")
-        argv = ["phase-study", "--clips", str(hr_path), "--out", out]
-        assert main(argv + ["--lo-hz", "3000", "--hi-hz", "6000", "--gla-iters", "7"]) == 0
-        assert main(argv) == 0
-        clips = ([str(hr_path)], out)
-        assert calls == [
-            (clips, dict(lo_hz=3000.0, hi_hz=6000.0, gla_iterations=7, jobs=1)),
-            (clips, dict(lo_hz=4000.0, hi_hz=8000.0, gla_iterations=100, jobs=1)),
-        ]
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--lo-hz", "8000", "--hi-hz", "4000"], "band needs 0 < lo_hz < hi_hz"),
-            (["--lo-hz", "-1"], "band needs 0 < lo_hz < hi_hz"),
-            (["--gla-iters", "-1"], "iterations must be >= 0, got -1"),
-        ],
-        ids=["reversed", "negative", "negative-iterations"],
-    )
-    def test_bad_band_or_iterations_is_usage_error(
-        self, tmp_path, hr_path, monkeypatch, flags, message, capsys
-    ):
-        def no_clip(*args, **kwargs):
-            raise AssertionError("a clip was studied")
-
-        monkeypatch.setattr(bwx.pipeline, "_study_one_clip", no_clip)
-        out = tmp_path / "s.csv"
-        argv = ["phase-study", "--clips", str(hr_path), "--out", str(out), *flags]
-        assert main(argv) == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestSpecFiles:
