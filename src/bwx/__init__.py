@@ -3,7 +3,6 @@ audio by recombining predicted magnitudes with estimated phase."""
 
 from .dsp import (
     BandLayout,
-    ComplexSpectrogram,
     StftConfig,
     Waveform,
     bin_index,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BandLayout",
     "BandReplicationSpec",
-    "ComplexSpectrogram",
     "EvalReport",
     "FlipPhaseSpec",
     "GlaConfig",

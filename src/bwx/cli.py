@@ -17,7 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import BandLayout, StftConfig, Waveform, istft_array, stft_array
+from .dsp import (
+    BandLayout,
+    StftConfig,
+    Waveform,
+    _checked_spectrogram,
+    _normalise,
+    overlap_add,
+    padded_grid,
+    stft_array,
+)
 from .errors import BwxError, FileFormatError, NumericalError, PipelineError, ShapeError
 from .magnitude import BandReplicationSpec, ImportSpec, OracleSpec
 from .phase import FlipPhaseSpec, GlaConfig, ReferencePhaseSpec
@@ -217,8 +226,16 @@ def _cmd_spec(args) -> int:
     if header.kind is not SpecKind.COMPLEX:
         raise UsageError("only complex BWXSPEC files can be resynthesised to wav")
     cfg = _stft_config(header.frame_len, header.hop, f"{args.input}: hop", "frame")
-    wave = Waveform(istft_array(data, cfg), header.sample_rate)
-    wav_write(args.output, wave, SampleDepth.FLOAT32)
+    data = _checked_spectrogram(data, cfg)
+    # Frames that no signal has can add up to anything where few frames
+    # overlap, so every sample is divided by the full-coverage window-square
+    # sum, as if the frames lay on their own output's padded grid: the first
+    # and last frame_len - hop samples fade instead of being magnified.
+    out = np.zeros(cfg.output_length(len(data)))
+    overlap_add(data, out, 0, cfg)
+    lead, n_frames = padded_grid(cfg, len(out))
+    _normalise(out, lead, n_frames, cfg)
+    wav_write(args.output, Waveform(out, header.sample_rate), SampleDepth.FLOAT32)
     print(f"wrote {args.output}")
     return EXIT_OK
 

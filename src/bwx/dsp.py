@@ -27,7 +27,8 @@ Conventions used throughout the package:
   samples. Each of those is divided by the hop-periodic full-coverage sum, so
   the output has the input's length and no edge sample sits on the floor.
   The lead is a multiple of hop, so the grid's frames lead/hop onwards are
-  the frames the signal alone analyses into.
+  the frames the signal alone analyses into. A caller that needs the output
+  whole fills one array with the stretches as they come (`_whole_channels`).
 * `stft_array` and `overlap_add` work through at most `BLOCK_FRAMES` frames
   at a time, so no transform takes a whole-file frame buffer. Their workspace
   is one frame buffer per thread (`_frame_scratch`): a block's windowed
@@ -36,15 +37,15 @@ Conventions used throughout the package:
   block's inverse transform is written into it and windowed in place, so no
   block allocates frames or spectra of its own. The FFTs are numpy's
   (pocketfft, single-threaded, with ``out=``). The consistency projection
-  stft(istft(X)) is streamed (`project_blocks`): each block of X is
+  stft(istft(X)) is streamed (`_project_rows`): each block of X is
   overlap-added into one reused buffer of about a block's samples, a frame
   is analysed as soon as no later block can touch its samples, and only the
   samples later frames still need are carried to the buffer's front. So
   every transform's workspace is sized by the block, not by the signal. The
-  projection is linear, so its core (`_project_rows`) also takes the rows a
-  caller supplies block by block on top of a signal that already holds the
-  overlap-add of frames it never changes: Griffin-Lim in the pipeline keeps
-  only its high band and that signal, not the grid's spectrogram.
+  rows come block by block from the caller, and the projection is linear, so
+  they may be added onto a signal that already holds the overlap-add of
+  frames that never change: Griffin-Lim in the pipeline keeps only its high
+  band and that signal, not the grid's spectrogram.
 """
 
 from __future__ import annotations
@@ -220,15 +221,6 @@ def _checked_magnitude(m: np.ndarray) -> np.ndarray:
     if np.any(m < 0):
         raise DomainError("magnitude spectrogram contains negative entries")
     return m
-
-
-@dataclass(frozen=True)
-class ComplexSpectrogram:
-    """Griffin-Lim's result: complex STFT values, shape (frames, bins), and
-    the configuration they were analysed with."""
-
-    data: np.ndarray
-    config: StftConfig
 
 
 _scratch = threading.local()
@@ -485,6 +477,7 @@ def resynthesize(read, n_samples: int, cfg: StftConfig, edit) -> Iterator[list[n
             out = np.zeros(span.stop - span.start)
             out[: len(carries[channel])] = carries[channel]
             overlap_add(X, out, 0, cfg)
+            del X  # not held while the next block is analysed
             carries[channel] = out[done:]
             piece = out[first:done]
             _normalise(piece, span.start + first, n_frames, cfg)
@@ -493,24 +486,32 @@ def resynthesize(read, n_samples: int, cfg: StftConfig, edit) -> Iterator[list[n
             yield pieces
 
 
-def project_blocks(X: np.ndarray, cfg: StftConfig) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Stream the consistency projection stft(istft(X)) in frame blocks.
-
-    Yields ``(a0, a1, Y_block)``, consecutive from frame 0: ``Y_block`` is
-    rows a0..a1-1 of the projection, bit for bit, and has at most
-    `BLOCK_FRAMES` rows. When a block is yielded, the rows of ``X`` below a1
-    have been read for the last time, so the caller may overwrite them in
-    place before asking for the next block. ``X`` must have ``cfg.n_bins``
-    bins (`ShapeError` otherwise). See `_project_rows`."""
-    X = _checked_spectrogram(X, cfg)
-    return _project_rows(lambda f0, f1: X[f0:f1], X.shape[0], cfg)
+def _whole_channels(
+    stretches: Iterator[list[np.ndarray]], n_channels: int, n_samples: int
+) -> np.ndarray:
+    """The per-channel stretches that `resynthesize` (or a generator like it)
+    yields, joined into one (n_channels, n_samples) array. The array is
+    allocated at the first stretch, so it is not held through whatever runs
+    before that (Griffin-Lim, in the pipeline); an empty signal yields none
+    and gives (n_channels, 0)."""
+    out, at = np.empty((n_channels, 0)), 0
+    for pieces in stretches:
+        if at == 0:
+            out = np.empty((n_channels, n_samples))
+        for row, piece in zip(out, pieces):
+            row[at : at + len(piece)] = piece
+        at += len(pieces[0])
+    return out
 
 
 def _project_rows(
     rows, n_frames: int, cfg: StftConfig, signal: np.ndarray | None = None
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The streamed projection of `project_blocks`, of the ``n_frames`` frames
-    whose block f0..f1-1 ``rows(f0, f1)`` returns, added onto ``signal``.
+    """Stream the consistency projection stft(istft(X)) of the ``n_frames``
+    frames of X whose block f0..f1-1 ``rows(f0, f1)`` returns, added onto
+    ``signal``. Yields ``(a0, a1, Y_block)``, consecutive from frame 0:
+    ``Y_block`` is rows a0..a1-1 of the projection, bit for bit, with at most
+    `BLOCK_FRAMES` rows.
 
     Block by block, the rows are overlap-added into one reused buffer of
     about a block's samples, which starts each new sample at ``signal``'s
@@ -521,7 +522,8 @@ def _project_rows(
     carried to the front of the buffer. The projection is linear, so frames
     whose contribution never changes can be added into ``signal`` once, and
     ``rows`` supply only the rest. ``rows`` is asked for each block once, in
-    frame order, so no row below a yielded a1 is asked for again."""
+    frame order, so no row below a yielded a1 is asked for again: the caller
+    may overwrite those rows in place before asking for the next block."""
     frame_len, hop = cfg.frame_len, cfg.hop
     step = min(BLOCK_FRAMES, n_frames)
     # The first frame not yet analysed starts at most ceil(frame_len / hop) - 1
@@ -551,10 +553,10 @@ def consistency_project_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Project onto the set of consistent spectrograms: stft(istft(X)), a
     fixed point (up to rounding) exactly when X is the STFT of some signal.
     An L-frame spectrogram resynthesises to output_length(L) samples, which
-    analyse back into exactly L frames. Filled block by block from
-    `project_blocks`."""
+    analyse back into exactly L frames. ``X`` must have ``cfg.n_bins`` bins
+    (`ShapeError` otherwise). Filled block by block from `_project_rows`."""
     X = _checked_spectrogram(X, cfg)
     Y = np.empty_like(X)
-    for a0, a1, Y_block in project_blocks(X, cfg):
+    for a0, a1, Y_block in _project_rows(lambda f0, f1: X[f0:f1], X.shape[0], cfg):
         Y[a0:a1] = Y_block
     return Y

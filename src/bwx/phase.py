@@ -9,8 +9,9 @@ that already hold the right magnitudes.
 * ``gla_reconstruct`` runs an alternating-projection loop (Griffin-Lim) in
   place on the caller's spectrogram: it re-imposes the supplied magnitudes on
   the high band [k_lo, k_hi) only and pins every other bin, the known low
-  band and whatever lies above the high band, to its start value; its high
-  band is the complex result itself. ``sr`` and the phase study, which hold
+  band and whatever lies above the high band, to its start value. The
+  caller's array is the result, so it returns only each iteration's
+  consistency residual. ``sr`` and the phase study, which hold
   only the high band, run the same loop through ``_gla_band``, onto the
   pinned bins' overlap-add, computed once.
 * ``extract_reference_phase`` reads unit phasors straight off a reference's
@@ -28,13 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .dsp import (
-    BandLayout,
-    ComplexSpectrogram,
-    StftConfig,
-    _checked_magnitude,
-    _project_rows,
-)
+from .dsp import BandLayout, StftConfig, _checked_magnitude, _project_rows
 from .errors import DomainError, NumericalError, ShapeError
 
 RESIDUAL_NORM_FLOOR = 1e-12
@@ -109,30 +104,28 @@ def gla_reconstruct(
     cfg: GlaConfig,
     layout: BandLayout,
     stft: StftConfig,
-    *,
-    record_trace: bool = True,
-) -> tuple[ComplexSpectrogram, np.ndarray]:
+) -> np.ndarray:
     """Griffin-Lim on the high band [k_lo, k_hi) of ``layout``, in place.
 
     ``X``, complex128 of shape (frames, n_bins), is the start and is
-    overwritten; ``magnitude``, shape (frames, k_hi - k_lo), holds the
-    magnitudes re-imposed on the high band. Both are checked once, on entry:
-    ``X``'s dtype and shape and ``magnitude``'s shape (`ShapeError`; ``X`` is
-    not converted, since a copy would not be written in place), finite
-    magnitudes and pinned bins, and non-negative magnitudes (`DomainError`).
+    overwritten with the result; ``magnitude``, shape (frames, k_hi - k_lo),
+    holds the magnitudes re-imposed on the high band. Both are checked once,
+    on entry: ``X``'s dtype and shape and ``magnitude``'s shape (`ShapeError`;
+    ``X`` is not converted, since a copy would not be written in place),
+    finite magnitudes and pinned bins, and non-negative magnitudes
+    (`DomainError`).
 
     Each iteration streams the projection onto consistent spectrograms under
-    ``stft`` (`project_blocks`) and, block by block, re-imposes the
+    ``stft`` (`dsp._project_rows`) and, block by block, re-imposes the
     magnitudes on the high band only, as ``Y * (A / |Y|)`` with zero divided
     by zero defined as zero, writing into ``X``. Every bin outside the high
     band is pinned: never written, it keeps its start value bit for bit.
     Besides ``X``, an iteration holds only block-sized arrays; each block's
     NaN check covers only the re-imposed bins.
 
-    Returns ``X`` as the result record and the per-iteration consistency
-    residuals over every bin, ||X - P_C(X)||_F / max(||X||_F, 1e-12), as a
-    float array (empty when ``record_trace`` is off). ``iterations == 0``
-    returns the start unchanged.
+    Returns the per-iteration consistency residuals over every bin,
+    ||X - P_C(X)||_F / max(||X||_F, 1e-12), as a float array.
+    ``iterations == 0`` leaves the start unchanged.
     """
     A = _checked_magnitude(magnitude)
     k_lo, k_hi = layout.k_lo, layout.k_hi
@@ -150,11 +143,8 @@ def gla_reconstruct(
         if not np.all(np.isfinite(pinned)):
             raise DomainError(f"{name} contains non-finite entries")
 
-    residuals = _reimpose(
-        A, X[:, k_lo:k_hi], lambda f0, f1: X[f0:f1], cfg, layout, stft,
-        trace_rows=(lambda a0, a1: X[a0:a1]) if record_trace else None,
-    )
-    return ComplexSpectrogram(X, stft), residuals
+    rows = lambda f0, f1: X[f0:f1]
+    return _reimpose(A, X[:, k_lo:k_hi], rows, cfg, layout, stft, trace_rows=rows)
 
 
 def _gla_band(

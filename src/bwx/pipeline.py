@@ -42,6 +42,7 @@ from .dsp import (
     StftConfig,
     Waveform,
     _ArraySource,
+    _whole_channels,
     frame_blocks,
     overlap_add,
     padded_grid,
@@ -419,24 +420,8 @@ def reconstruct(
     path that is not there is read from its file one block span at a time.
     """
     source = _ArraySource(channels)
-    return _whole_channels(
-        _reconstruct_blocks(spec, source, _References(spec.stft, references or {})), source
-    )
-
-
-def _whole_channels(blocks: Iterator[list[np.ndarray]], source) -> list[Waveform]:
-    """The stretches that ``blocks`` (a `_reconstruct_blocks` generator) yields
-    joined into whole output channels, each as long as ``source``'s. The
-    output is allocated at the first stretch, so it is not held through
-    Griffin-Lim, which runs before the first stretch is yielded."""
-    out = None
-    at = 0
-    for pieces in blocks:
-        if out is None:
-            out = np.empty((len(pieces), source.n_samples))
-        for row, piece in zip(out, pieces):
-            row[at : at + len(piece)] = piece
-        at += len(pieces[0])
+    blocks = _reconstruct_blocks(spec, source, _References(spec.stft, references or {}))
+    out = _whole_channels(blocks, source.n_channels, source.n_samples)
     return [Waveform(row, source.sample_rate) for row in out]
 
 
@@ -533,7 +518,9 @@ def _study_one_clip(
         spec = ReconstructSpec(OracleSpec(str(clip_path)), phase_spec, layout, cfg)
         lr = _WavSource(lr_path)
         blocks = _reconstruct_blocks(spec, lr, _References(cfg, {}))
-        wav_write(est_path, _whole_channels(blocks, lr), SampleDepth.FLOAT32)
+        out = _whole_channels(blocks, lr.n_channels, lr.n_samples)
+        wav_write(est_path, [Waveform(row, lr.sample_rate) for row in out], SampleDepth.FLOAT32)
+        del out  # not held through the next method's Griffin-Lim
         reports[method] = score(est_path)
     return reports
 

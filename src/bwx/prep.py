@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import StftConfig, Waveform, bin_index, resynthesize
+from .dsp import StftConfig, Waveform, _whole_channels, bin_index, resynthesize
 from .errors import DomainError
 from .wavio import SampleDepth, wav_read, wav_write
 
@@ -55,8 +55,7 @@ def _lowpass_brickwall(x: np.ndarray, sample_rate: int, cutoff_hz: float, cfg: S
         X[:, cutoff_bin:] = 0.0
 
     pieces = resynthesize(lambda a, b: [x[a:b]], len(x), cfg, zero_high_band)
-    # An empty signal yields no piece.
-    return np.concatenate([np.zeros(0), *(channels[0] for channels in pieces)])
+    return _whole_channels(pieces, 1, len(x))[0]
 
 
 def _held_convolution(x: np.ndarray, taps_fft: np.ndarray, n_taps: int, n_fft: int) -> np.ndarray:

@@ -73,7 +73,7 @@ def gla_runs(clip_paths):
         magnitude = np.abs(X[:, LAYOUT.k_lo :])
         X[:, LAYOUT.k_lo :] = magnitude  # zero phase
         started = time.process_time()
-        _, residuals = gla_reconstruct(magnitude, X, GlaConfig(iterations=100), GLA_LAYOUT, CFG)
+        residuals = gla_reconstruct(magnitude, X, GlaConfig(iterations=100), GLA_LAYOUT, CFG)
         elapsed = time.process_time() - started
         runs.append((str(path), residuals, elapsed, wave.duration))
     return runs
@@ -115,7 +115,7 @@ def test_criterion_02_gla_fixed_point(clip_paths):
     magnitude = np.abs(X[:, LAYOUT.k_lo :])
     # Start from the true phasors, 1 at a zero bin.
     X[:, LAYOUT.k_lo :] = magnitude * _unit_phasors(X[:, LAYOUT.k_lo :])
-    _, residuals = gla_reconstruct(magnitude, X, GlaConfig(iterations=100), GLA_LAYOUT, CFG)
+    residuals = gla_reconstruct(magnitude, X, GlaConfig(iterations=100), GLA_LAYOUT, CFG)
     assert len(residuals) == 100
     assert np.all(residuals < 1e-6)
     _ok(2, f"fixed point held for 100 iterations, max residual {residuals.max():.2e}")

@@ -1,12 +1,16 @@
 """Command-line interface: subcommands and exit codes."""
 
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bwx.cli
-from bwx import GlaConfig, SampleDepth, StftConfig, Waveform, wav_read, wav_write
+from bwx import GlaConfig, SampleDepth, StftConfig, Waveform, istft_array, wav_read, wav_write
 from bwx.cli import main
 from bwx.specio import SpecKind, spec_read, spec_write
 
@@ -379,6 +383,46 @@ class TestSpecFiles:
         capsys.readouterr()
         assert main(["spec", "import", "--in", str(spec), "--out", str(tmp_path / "x.wav")]) == 2
         assert f"{spec}: sample rate" in capsys.readouterr().err
+
+
+def _coverage_extremes(cfg):
+    """The largest window sum and the smallest squared-window sum over the
+    offsets into a hop, under a full set of frames."""
+    w = cfg.window_values()
+    sums = [(w[r :: cfg.hop].sum(), (w[r :: cfg.hop] ** 2).sum()) for r in range(cfg.hop)]
+    return max(s for s, _ in sums), min(s2 for _, s2 in sums)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_frames=st.integers(1, 40),
+    hop=st.integers(1, 32),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spec_import_bounds_every_sample(n_frames, hop, scale, seed):
+    # Frames no signal has, edges included: every sample is at most the
+    # largest inverse-transformed frame value times the largest window sum
+    # over the smallest squared-window sum. Where the file's frames cover a
+    # sample fully, it is istft_array's, bit for bit.
+    cfg = StftConfig(frame_len=64, hop=hop)
+    rng = np.random.default_rng(seed)
+    shape = (n_frames, cfg.n_bins)
+    data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = Path(tmp) / "c.bwx", Path(tmp) / "out.wav"
+        spec_write(spec, data, SpecKind.COMPLEX, 8000, cfg.frame_len, hop)
+        stored = spec_read(spec)[0].astype(np.complex128)
+        assert main(["spec", "import", "--in", str(spec), "--out", str(out)]) == 0
+        y = wav_read(out)[0][0].samples
+    assert len(y) == cfg.output_length(n_frames)
+    window_sum, square_sum = _coverage_extremes(cfg)
+    frame_peak = np.abs(np.fft.irfft(stored, n=cfg.frame_len, axis=1)).max()
+    # The WAV holds float32, so allow its rounding.
+    assert np.abs(y).max() <= frame_peak * window_sum / square_sum * (1 + 1e-6)
+    interior = slice(cfg.frame_len - hop, n_frames * hop)
+    expected = istft_array(stored, cfg).astype(np.float32)
+    assert np.array_equal(y[interior], expected[interior])
 
 
 def test_exit_code_classification():

@@ -30,6 +30,7 @@ def test_library_tour_runs_as_written(tmp_path, monkeypatch):
 
     written = wav_read(tmp_path / "reconstructed.wav")[0]
     assert len((tmp_path / "gla_trace.csv").read_text().splitlines()) == 1 + 100
+    assert namespace["residuals"].shape == (20,)
     # The in-memory call, given the reference decoded, writes what the file
     # call wrote.
     assert [ch.samples.astype(np.float32).tobytes() for ch in namespace["channels"]] == [
