@@ -45,7 +45,13 @@ Conventions used throughout the package:
   rows come block by block from the caller, and the projection is linear, so
   they may be added onto a signal that already holds the overlap-add of
   frames that never change: Griffin-Lim in the pipeline keeps only its high
-  band and that signal, not the grid's spectrogram.
+  band and that signal, not the grid's spectrogram. Its projection
+  (`_project_band`) runs the same stream with band-only block transforms: a
+  real frame is read as half as many complex samples, so its band's bins
+  synthesise through one half-length complex `ifft` of a block zero outside
+  the band and its mirror, and analyse back through one half-length `fft`,
+  with the split-radix twiddles applied to the band's bins alone; no row
+  widens to all the bins.
 """
 
 from __future__ import annotations
@@ -248,17 +254,21 @@ def stft_array(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     if x.ndim != 1:
         raise ShapeError(f"signal must be 1-D, got shape {x.shape}")
     n_frames = cfg.frame_count(len(x))
-    x = np.ascontiguousarray(x)
-    # Frame i is x[i * hop : i * hop + frame_len], as a strided view of x.
-    windows = np.ndarray(
-        (n_frames, cfg.frame_len), x.dtype, buffer=x, strides=(cfg.hop * x.itemsize, x.itemsize)
-    )
+    windows = _frame_view(np.ascontiguousarray(x), n_frames, cfg)
     X = np.empty((n_frames, cfg.n_bins), dtype=np.complex128)
     for f0, f1, _ in frame_blocks(n_frames, cfg):
         frames = _frame_scratch(f1 - f0, cfg.frame_len)
         np.multiply(windows[f0:f1], cfg.window_values(), out=frames)
         np.fft.rfft(frames, axis=1, out=X[f0:f1])
     return X
+
+
+def _frame_view(x: np.ndarray, n_frames: int, cfg: StftConfig) -> np.ndarray:
+    """Frames 0..n_frames-1 of the contiguous 1-D ``x`` as one strided view:
+    row i is x[i * hop : i * hop + frame_len]."""
+    return np.ndarray(
+        (n_frames, cfg.frame_len), x.dtype, buffer=x, strides=(cfg.hop * x.itemsize, x.itemsize)
+    )
 
 
 def _add_frames(frames: np.ndarray, out: np.ndarray, start: int, cfg: StftConfig) -> None:
@@ -505,7 +515,8 @@ def _whole_channels(
 
 
 def _project_rows(
-    rows, n_frames: int, cfg: StftConfig, signal: np.ndarray | None = None
+    rows, n_frames: int, cfg: StftConfig, signal: np.ndarray | None = None,
+    synthesise=None, analyse=None,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Stream the consistency projection stft(istft(X)) of the ``n_frames``
     frames of X whose block f0..f1-1 ``rows(f0, f1)`` returns, added onto
@@ -523,7 +534,14 @@ def _project_rows(
     whose contribution never changes can be added into ``signal`` once, and
     ``rows`` supply only the rest. ``rows`` is asked for each block once, in
     frame order, so no row below a yielded a1 is asked for again: the caller
-    may overwrite those rows in place before asking for the next block."""
+    may overwrite those rows in place before asking for the next block.
+
+    ``synthesise(rows, out, first_frame, cfg)`` and ``analyse(x, cfg)``
+    stand in for `overlap_add` and `stft_array`, the defaults, as the block
+    transforms; the third item of each yield is what ``analyse`` returns.
+    `_project_band` passes its band-only kernels."""
+    synthesise = synthesise or overlap_add
+    analyse = analyse or stft_array
     frame_len, hop = cfg.frame_len, cfg.hop
     step = min(BLOCK_FRAMES, n_frames)
     # The first frame not yet analysed starts at most ceil(frame_len / hop) - 1
@@ -535,7 +553,7 @@ def _project_rows(
     for f0, f1, _ in frame_blocks(n_frames, cfg, step):
         end = (f1 - 1) * hop + frame_len
         buffer[held : end - base] = 0.0 if signal is None else signal[base + held : end]
-        overlap_add(rows(f0, f1), buffer, f0 - base // hop, cfg)
+        synthesise(rows(f0, f1), buffer, f0 - base // hop, cfg)
         # No frame from f1 on reaches below f1 * hop; the last block ends the signal.
         final = end if f1 == n_frames else f1 * hop
         _normalise(buffer[divided - base : final - base], divided, n_frames, cfg)
@@ -543,10 +561,95 @@ def _project_rows(
         a1 = max(a0, (final - frame_len) // hop + 1)  # frames lying wholly below `final`
         ready = buffer[a0 * hop - base : (a1 - 1) * hop + frame_len - base]
         for g0, g1, span in frame_blocks(a1 - a0, cfg, step):
-            yield a0 + g0, a0 + g1, stft_array(ready[span], cfg)
+            yield a0 + g0, a0 + g1, analyse(ready[span], cfg)
         held = end - a1 * hop
         buffer[:held] = buffer[a1 * hop - base : end - base]
         base, a0 = a1 * hop, a1
+
+
+def _project_band(
+    band: np.ndarray, k_lo: int, cfg: StftConfig, signal: np.ndarray, whole: bool = False
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray | None]]:
+    """`_project_rows` for a spectrogram that is zero outside the band
+    [k_lo, k_hi) (0 < k_lo < k_hi <= n_bins) but for what ``signal`` already
+    holds: ``band`` gives the band's columns, (frames, k_hi - k_lo), and each
+    yield ``(a0, a1, Y_band, Y)`` gives the band's columns of projection rows
+    a0..a1-1, plus their whole rows when ``whole`` is set (else None). Both
+    are views of buffers that the next block overwrites.
+
+    The band never widens to n_bins columns. A real frame x of N = frame_len
+    samples, read as M = N / 2 complex samples z = x[0::2] + i x[1::2], has
+    the half-length spectrum Z = fft(z), and with w = exp(-2 pi i k / N) its
+    one-sided spectrum is X[k] = (1 - i w) Z[k] / 2 + (1 + i w) conj(Z[M - k]) / 2,
+    Z[M] being Z[0] (Sorensen et al., IEEE TASSP 35(6), 1987). Synthesis
+    inverts that: band bin k puts (1 + i conj(w)) X[k] / 2 into Z[k] and
+    (1 + i w) conj(X[k]) / 2 into Z[M - k], and a band that meets its mirror
+    adds both into the bins they share; the Nyquist bin k = M has no Z[M], so
+    it puts only (1 - i) Re X[M] / 2 into Z[0], reading its real part as
+    `irfft` does. Those go into one (block, M) buffer that
+    is zero elsewhere, which `np.fft.ifft` turns straight into the thread's
+    frame buffer, viewed as complex: that view is the real frame, windowed
+    and added by `_add_frames`. Analysis windows frames into the frame buffer
+    and transforms its complex view in place with `np.fft.fft`; with
+    ``whole``, `np.fft.rfft` of the same windowed frames comes first, so the
+    band's values are the same with it and without."""
+    n_frames, width = band.shape
+    k_hi = k_lo + width
+    frame_len, half = cfg.frame_len, cfg.frame_len // 2
+    direct = slice(k_lo, min(k_hi, half))  # Z's bins that band bins below M map onto
+    n_direct = direct.stop - direct.start
+    nyquist = k_hi == half + 1  # the last band bin is bin M
+    mirror = slice(half - k_hi + 1, half - k_lo + 1)  # Z[M - k], in reverse band order
+    shared = max(mirror.start, direct.start) < min(mirror.stop, direct.stop)
+    w = np.exp(-2j * np.pi * np.arange(k_lo, k_hi) / frame_len)
+    from_bin = 0.5 * (1 - 1j * w)  # Z[k]'s weight in X[k]
+    to_bin = 0.5 * (1 + 1j * w[:n_direct].conj())  # X[k]'s weight in Z[k]
+    mirror_term = 0.5 * (1 + 1j * w)  # conj(Z[M - k])'s in X[k], conj(X[k])'s in Z[M - k]
+    step = min(BLOCK_FRAMES, n_frames)
+    spectrum = np.zeros((step, half), dtype=np.complex128)
+    Y = np.empty((step, width), dtype=np.complex128)
+    Y_whole = np.empty((step, cfg.n_bins), dtype=np.complex128) if whole else None
+
+    def synthesise(X, out, first_frame, cfg):
+        n = len(X)
+        Z, frames = spectrum[:n], _frame_scratch(n, frame_len)
+        # The mirror terms, in the frame buffer until the transform fills it.
+        T = frames.view(np.complex128)[:, :width]
+        np.multiply(np.conjugate(X, out=T), mirror_term, out=T)
+        if nyquist:  # Z[0] takes bin M once, and only its real part
+            np.multiply(X[:, -1].real, mirror_term[-1], out=T[:, -1])
+        to_mirror = Z[:, mirror][:, ::-1]
+        if shared:  # the bins the band shares with its mirror take both terms
+            to_mirror[...] = 0.0
+        np.multiply(X[:, :n_direct], to_bin, out=Z[:, direct])
+        if shared:
+            to_mirror += T
+        else:
+            to_mirror[...] = T
+        np.fft.ifft(Z, axis=1, out=frames.view(np.complex128))
+        frames *= cfg.window_values()
+        _add_frames(frames, out, first_frame * cfg.hop, cfg)
+
+    def analyse(x, cfg):
+        n = cfg.frame_count(len(x))
+        frames = _frame_scratch(n, frame_len)
+        np.multiply(_frame_view(x, n, cfg), cfg.window_values(), out=frames)
+        if whole:
+            np.fft.rfft(frames, axis=1, out=Y_whole[:n])
+        Z = frames.view(np.complex128)
+        np.fft.fft(Z, axis=1, out=Z)
+        Y_band = Y[:n]
+        np.multiply(Z[:, direct], from_bin[:n_direct], out=Y_band[:, :n_direct])
+        if nyquist:
+            np.multiply(Z[:, 0], from_bin[-1], out=Y_band[:, -1])
+        # Z's direct bins are read, so its mirror bins may be weighted in place.
+        mirrored = np.conjugate(Z[:, mirror][:, ::-1], out=Z[:, mirror][:, ::-1])
+        Y_band += np.multiply(mirrored, mirror_term, out=mirrored)
+        return Y_band, Y_whole[:n] if whole else None
+
+    rows = lambda f0, f1: band[f0:f1]
+    for a0, a1, (Y_band, Y_rows) in _project_rows(rows, n_frames, cfg, signal, synthesise, analyse):
+        yield a0, a1, Y_band, Y_rows
 
 
 def consistency_project_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:

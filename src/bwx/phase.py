@@ -13,7 +13,9 @@ that already hold the right magnitudes.
   caller's array is the result, so it returns only each iteration's
   consistency residual. ``sr`` and the phase study, which hold
   only the high band, run the same loop through ``_gla_band``, onto the
-  pinned bins' overlap-add, computed once.
+  pinned bins' overlap-add, computed once, with a projection that takes the
+  band's rows in and gives the band's rows out through half-length complex
+  FFTs (``dsp._project_band``).
 * ``extract_reference_phase`` reads unit phasors straight off a reference's
   complex STFT, e.g. the original recording's or an external synthesiser's.
 
@@ -29,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .dsp import BandLayout, StftConfig, _checked_magnitude, _project_rows
+from .dsp import BandLayout, StftConfig, _checked_magnitude, _project_band, _project_rows
 from .errors import DomainError, NumericalError, ShapeError
 
 RESIDUAL_NORM_FLOOR = 1e-12
@@ -144,7 +146,13 @@ def gla_reconstruct(
             raise DomainError(f"{name} contains non-finite entries")
 
     rows = lambda f0, f1: X[f0:f1]
-    return _reimpose(A, X[:, k_lo:k_hi], rows, cfg, layout, stft, trace_rows=rows)
+
+    def project():
+        for a0, a1, Y in _project_rows(rows, len(A), stft):
+            yield a0, a1, Y[:, k_lo:k_hi], Y
+            del Y  # not held while the next block is computed
+
+    return _reimpose(A, X[:, k_lo:k_hi], project, cfg, trace_rows=rows)
 
 
 def _gla_band(
@@ -163,41 +171,34 @@ def _gla_band(
     start and is overwritten; ``magnitude``, of the same shape, is checked as
     `gla_reconstruct` checks it. Every bin outside the band is pinned, and
     ``pinned`` holds their unnormalised overlap-add, output_length(frames)
-    samples, added once (`dsp._project_rows`): each block of the projection
-    overlap-adds the band's rows, in one reused block of zeros outside the
-    band, onto it. Returns the per-iteration consistency residuals over every
-    bin when ``trace_rows(a0, a1)`` gives the whole rows a0..a1-1 of the
-    spectrogram as it stands (empty without)."""
+    samples, added once: each block of the projection synthesises the band's
+    rows onto it and analyses only the band's bins back, through half-length
+    complex FFTs (`dsp._project_band`), so no row widens to n_bins bins.
+    Returns the per-iteration consistency residuals over every bin when
+    ``trace_rows(a0, a1)`` gives the whole rows a0..a1-1 of the spectrogram
+    as it stands (empty without); the projection's whole rows, which the
+    residual needs, are then analysed too, but the band's values are the
+    same bits either way."""
     A = _checked_magnitude(magnitude)
     if band.shape != A.shape or A.shape[1] != layout.hfc_width:
         raise ShapeError(f"band {band.shape} and magnitude {A.shape} do not fit the layout")
     if not np.all(np.isfinite(pinned)):
         raise DomainError("pinned bins contain non-finite entries")
-    k_lo, k_hi = layout.k_lo, layout.k_hi
-    scratch = np.zeros((0, layout.n_bins), dtype=np.complex128)
-
-    def rows(f0, f1):
-        nonlocal scratch
-        if len(scratch) < f1 - f0:
-            scratch = np.zeros((f1 - f0, layout.n_bins), dtype=np.complex128)
-        scratch[: f1 - f0, k_lo:k_hi] = band[f0:f1]
-        return scratch[: f1 - f0]
-
-    return _reimpose(A, band, rows, cfg, layout, stft, signal=pinned, trace_rows=trace_rows)
+    project = lambda: _project_band(band, layout.k_lo, stft, pinned, trace_rows is not None)
+    return _reimpose(A, band, project, cfg, trace_rows=trace_rows)
 
 
-def _reimpose(A, band, rows, cfg, layout, stft, *, signal=None, trace_rows=None) -> np.ndarray:
+def _reimpose(A, band, project, cfg, *, trace_rows=None) -> np.ndarray:
     """GLA's loop, shared by `gla_reconstruct` and `_gla_band`: each
-    iteration streams the projection of the spectrogram whose blocks
-    ``rows(f0, f1)`` gives, onto ``signal`` (`dsp._project_rows`), and writes
-    ``Y * (A / |Y|)`` over each block's high band into ``band``, its rows of
-    the spectrogram. Returns the residuals when ``trace_rows`` is given."""
-    k_lo, k_hi = layout.k_lo, layout.k_hi
+    iteration runs the projection stream ``project()``, whose yields
+    ``(a0, a1, Y_band, Y)`` give the high band and the whole rows a0..a1-1
+    of the projection, and writes ``Y_band * (A / |Y_band|)`` into ``band``'s
+    rows a0..a1-1. Returns the residuals when ``trace_rows`` is given."""
     ratio = np.empty((0, A.shape[1]))  # |Y|, then A / |Y|, for one block
     residuals = np.empty(cfg.iterations if trace_rows is not None else 0)
     for m in range(cfg.iterations):
         change = total = 0.0  # squared norms of X - P_C(X) and of X
-        for a0, a1, Y in _project_rows(rows, len(A), stft, signal):
+        for a0, a1, Y_band, Y in project():
             if trace_rows is not None:
                 X_rows = trace_rows(a0, a1)
                 change += _squared_norm(X_rows - Y)
@@ -205,7 +206,7 @@ def _reimpose(A, band, rows, cfg, layout, stft, *, signal=None, trace_rows=None)
                 del X_rows
             if len(ratio) < a1 - a0:
                 ratio = np.empty((a1 - a0, A.shape[1]))
-            scale, Y_band, X_block = ratio[: a1 - a0], Y[:, k_lo:k_hi], band[a0:a1]
+            scale, X_block = ratio[: a1 - a0], band[a0:a1]
             np.abs(Y_band, out=scale)
             # A / |Y| where |Y| > 0; the rest of `scale` already holds |Y| = 0.
             np.divide(A[a0:a1], scale, out=scale, where=scale > 0)

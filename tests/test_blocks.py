@@ -44,6 +44,7 @@ from bwx import (
 )
 from bwx.cli import main
 from bwx.dsp import (
+    _project_band,
     _project_rows,
     consistency_project_array,
     frame_blocks,
@@ -54,6 +55,7 @@ from bwx.dsp import (
     stft_array,
 )
 from bwx.errors import LengthError, PipelineError, ShapeError
+from bwx.phase import _gla_band
 
 from conftest import padded_round_trip, synth_clip, whole_window_sum
 
@@ -230,6 +232,54 @@ def test_project_rows_equals_whole_projection(hop, side, where, block, seed):
     assert np.array_equal(np.concatenate([Y_block for _, _, Y_block in blocks]), expected)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    hop=st.one_of(st.sampled_from([16, 24, 40, 64]), st.integers(1, 64)),
+    bins=st.lists(st.integers(1, 33), min_size=2, max_size=2, unique=True).map(sorted),
+    n_frames=st.integers(1, 40),
+    block=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(hop=16, bins=[10, 20], n_frames=9, block=4, seed=0)  # meets its mirror at bin 16
+@example(hop=24, bins=[20, 33], n_frames=9, block=4, seed=1)  # reaches Nyquist
+@example(hop=40, bins=[5, 33], n_frames=20, block=3, seed=2)  # both
+@example(hop=64, bins=[32, 33], n_frames=3, block=1, seed=3)  # Nyquist alone
+def test_band_projection_equals_the_full_projections_band(hop, bins, n_frames, block, seed):
+    # The band kernel's rows are the band columns of the full path's
+    # projection of the same spectrogram, zero outside the band, on the same
+    # signal, to rounding; with the whole rows asked for too, the band's are
+    # the same bits and the whole rows are the full path's, to rounding. The
+    # band's Nyquist bin has an imaginary part, which irfft does not read.
+    k_lo, k_hi = bins
+    cfg = StftConfig(frame_len=64, hop=hop)
+    rng = np.random.default_rng(seed)
+    band = rng.standard_normal((n_frames, k_hi - k_lo)) + 1j * rng.standard_normal(
+        (n_frames, k_hi - k_lo)
+    )
+    signal = rng.standard_normal(cfg.output_length(n_frames))
+    X = np.zeros((n_frames, cfg.n_bins), dtype=np.complex128)
+    X[:, k_lo:k_hi] = band
+    with mock.patch.object(bwx.dsp, "BLOCK_FRAMES", block):
+        full = [Y for _, _, Y in _project_rows(lambda f0, f1: X[f0:f1], n_frames, cfg, signal)]
+        runs = [
+            [(a0, a1, Y_band.copy(), Y if Y is None else Y.copy())
+             for a0, a1, Y_band, Y in _project_band(band, k_lo, cfg, signal, whole)]
+            for whole in (False, True)
+        ]
+    Y = np.concatenate(full)
+    tolerance = 1e-12 * np.max(np.abs(Y))
+    for run, whole in zip(runs, (False, True)):
+        assert [a0 for a0, _, _, _ in run] == [0] + [a1 for _, a1, _, _ in run[:-1]]
+        assert run[-1][1] == n_frames
+        Y_band = np.concatenate([b for _, _, b, _ in run])
+        assert np.max(np.abs(Y_band - Y[:, k_lo:k_hi])) <= tolerance
+        if whole:
+            assert np.max(np.abs(np.concatenate([w for _, _, _, w in run]) - Y)) <= tolerance
+        else:
+            assert all(w is None for _, _, _, w in run)
+    assert all(np.array_equal(a[2], b[2]) for a, b in zip(*runs))
+
+
 # Bins of a 64-sample frame: [8, 20) re-imposed, [0, 8) and [20, 33) pinned.
 SMALL_LAYOUT = BandLayout(8, 20, 33)
 
@@ -242,8 +292,8 @@ SMALL_LAYOUT = BandLayout(8, 20, 33)
 )
 def test_transforms_and_gla_block_size_invariant(hop, n_frames, seed):
     # Whatever BLOCK_FRAMES is, every transform, the streamed projection and
-    # a 3-iteration GLA from zero phase and from a warm start give the same
-    # bits as one block.
+    # a 3-iteration GLA from zero phase and from a warm start, on the whole
+    # spectrogram and on the band alone, give the same bits as one block.
     cfg = StftConfig(frame_len=64, hop=hop)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(cfg.output_length(n_frames) + int(rng.integers(hop)))
@@ -258,12 +308,17 @@ def test_transforms_and_gla_block_size_invariant(hop, n_frames, seed):
         return X0
 
     def run():
-        glas = []
+        glas, bands = [], []
         for band in (magnitude, magnitude * warm):
             X0 = start(band)
             glas.append((X0, gla_reconstruct(magnitude, X0, GlaConfig(3), SMALL_LAYOUT, cfg)))
+            others = start(0.0)
+            pinned = np.zeros(cfg.output_length(n_frames))
+            overlap_add(others, pinned, 0, cfg)
+            bands.append(band.astype(np.complex128))
+            _gla_band(magnitude, bands[-1], pinned, GlaConfig(3), SMALL_LAYOUT, cfg)
         arrays = [stft_array(x, cfg), istft_array(Y, cfg), consistency_project_array(Y, cfg)]
-        return arrays + [X0 for X0, _ in glas], [residuals for _, residuals in glas]
+        return arrays + [X0 for X0, _ in glas] + bands, [residuals for _, residuals in glas]
 
     with mock.patch.object(bwx.dsp, "BLOCK_FRAMES", ONE_BLOCK):
         whole, whole_residuals = run()

@@ -6,16 +6,22 @@ import pytest
 from bwx import (
     BandLayout,
     GlaConfig,
+    OracleSpec,
+    ReconstructSpec,
     StftConfig,
+    Waveform,
     extract_reference_phase,
     flip_phase,
     gla_reconstruct,
+    reconstruct,
     stft_array,
 )
 import bwx.dsp
 import bwx.phase
 from bwx.dsp import consistency_project_array
 from bwx.errors import DomainError, NumericalError, ShapeError
+
+from conftest import padded_round_trip, synth_clip
 
 CFG = StftConfig()
 LAYOUT = BandLayout(186, 372, CFG.n_bins)
@@ -379,14 +385,15 @@ class TestGlaKernel:
         assert len(calls) == 2 * per_iteration + 1  # no later block or iteration ran
 
 
-def _band_inputs(wave):
-    """A zero-phase GLA start on LAYOUT's band: the whole start, the band's
-    magnitudes and the unnormalised overlap-add of every other bin."""
+def _band_inputs(wave, layout=LAYOUT):
+    """A zero-phase GLA start on ``layout``'s band: the whole start, the
+    band's magnitudes and the unnormalised overlap-add of every other bin."""
     X = stft_array(wave.samples, CFG)
-    magnitude = np.abs(X[:, 186:372])
-    X[:, 186:372] = magnitude
+    band = slice(layout.k_lo, layout.k_hi)
+    magnitude = np.abs(X[:, band])
+    X[:, band] = magnitude
     others = X.copy()
-    others[:, 186:372] = 0.0
+    others[:, band] = 0.0
     pinned = np.zeros(CFG.output_length(len(X)))
     bwx.dsp.overlap_add(others, pinned, 0, CFG)
     return X, magnitude, others, pinned
@@ -409,6 +416,57 @@ def test_band_entry_equals_whole_spectrogram_gla_to_rounding(short_music):
     assert np.max(np.abs(band - X[:, 186:372])) <= 1e-9 * np.max(np.abs(X))
     np.testing.assert_allclose(residuals, expected, rtol=1e-9, atol=0)
     assert len(bwx.phase._gla_band(magnitude, band, pinned, GlaConfig(2), LAYOUT, CFG)) == 0
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [LAYOUT, BandLayout(512, 1024, CFG.n_bins), BandLayout(186, 1025, CFG.n_bins)],
+    ids=["4-8kHz", "meets-mirror", "to-nyquist"],
+)
+def test_band_entry_traced_and_untraced_bands_are_bit_identical(short_music, layout):
+    # The trace analyses whole rows beside the band kernel, whose values it
+    # does not touch: the float64 bands are the same bits with it and without.
+    X, magnitude, others, pinned = _band_inputs(short_music, layout)
+    band = slice(layout.k_lo, layout.k_hi)
+    traced, untraced = X[:, band].copy(), X[:, band].copy()
+
+    def rows(a0, a1):
+        whole = others[a0:a1].copy()
+        whole[:, band] = traced[a0:a1]
+        return whole
+
+    residuals = bwx.phase._gla_band(magnitude, traced, pinned, GlaConfig(4), layout, CFG, rows)
+    bwx.phase._gla_band(magnitude, untraced, pinned, GlaConfig(4), layout, CFG)
+    assert len(residuals) == 4
+    assert np.array_equal(traced.view(np.float64), untraced.view(np.float64))
+
+
+@pytest.mark.parametrize(
+    "rate, layout",
+    [(16000, BandLayout(512, 1024, CFG.n_bins)), (44100, BandLayout(186, 1025, CFG.n_bins))],
+    ids=["16kHz-meets-mirror", "to-nyquist"],
+)
+def test_gla_reconstruct_through_the_band_kernel_matches_gla_reconstruct(rate, layout):
+    # `reconstruct` with oracle magnitudes and GLA, as `sr` runs it, on a
+    # band that meets its mirror (4-8 kHz at 16 kHz: bins [512, 1024), bin
+    # 512 being its own mirror) and on one reaching Nyquist, against
+    # `gla_reconstruct` on the whole padded grid's spectrogram.
+    if rate == 16000:
+        assert BandLayout.from_frequencies(4000.0, 8000.0, rate, CFG) == layout
+    hr = synth_clip(3, duration=0.5, sr=rate)
+    lr = synth_clip(4, duration=0.5, sr=rate)
+    spec = ReconstructSpec(OracleSpec("hr.wav"), GlaConfig(5), layout, stft=CFG)
+    [out] = reconstruct(spec, [Waveform(lr, rate)], references={"hr.wav": [Waveform(hr, rate)]})
+    band = slice(layout.k_lo, layout.k_hi)
+    oracle = []
+    padded_round_trip(hr, CFG, lambda X: oracle.append(np.abs(X[:, band])))
+
+    def edit(X):
+        X[:, band] = oracle[0]
+        gla_reconstruct(oracle[0], X, GlaConfig(5), layout, CFG)
+
+    expected = padded_round_trip(lr, CFG, edit)
+    assert np.max(np.abs(out.samples - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize(
