@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--mag", required=True, help="oracle:<path> | sbr | import:<path>")
     p.add_argument("--phase", required=True, help="flip | gla | ref:<path>")
-    p.add_argument("--gla-iters", type=int, default=100)
+    p.add_argument("--gla-iters", type=int, default=None, help="GLA iterations (default 100)")
     p.add_argument("--frame", type=int, default=2048)
     p.add_argument("--hop", type=int, default=256)
     p.add_argument("--lo-hz", type=float, default=4000.0)
@@ -118,11 +118,11 @@ def _parse_mag(text: str):
     raise UsageError(f"--mag must be oracle:<path>, sbr or import:<path>, got {text!r}")
 
 
-def _parse_phase(text: str, iters: int):
+def _parse_phase(text: str, iters: int | None):
     if text == "flip":
         return FlipPhaseSpec()
     if text == "gla":
-        return GlaConfig(iterations=iters)
+        return GlaConfig() if iters is None else GlaConfig(iterations=iters)
     if text.startswith("ref:") and len(text) > 4:
         return ReferencePhaseSpec(text[4:])
     raise UsageError(f"--phase must be flip, gla or ref:<path>, got {text!r}")
@@ -164,8 +164,9 @@ def _cmd_sr(args) -> int:
     sample_rate = wav_header(args.input).sample_rate
     layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
     phase = _parse_phase(args.phase, args.gla_iters)
-    if args.trace is not None and not isinstance(phase, GlaConfig):
-        raise UsageError("--trace is only meaningful with --phase gla")
+    for flag, value in (("--gla-iters", args.gla_iters), ("--trace", args.trace)):
+        if value is not None and not isinstance(phase, GlaConfig):
+            raise UsageError(f"{flag} is only meaningful with --phase gla")
     spec = ReconstructSpec(
         predictor=_parse_mag(args.mag),
         phase=phase,

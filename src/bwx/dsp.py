@@ -50,8 +50,7 @@ Conventions used throughout the package:
   real frame is read as half as many complex samples, so its band's bins
   synthesise through one half-length complex `ifft` of a block zero outside
   the band and its mirror, and analyse back through one half-length `fft`,
-  with the split-radix twiddles applied to the band's bins alone; no row
-  widens to all the bins.
+  with the split-radix twiddles applied to the band's bins alone.
 """
 
 from __future__ import annotations
@@ -568,17 +567,24 @@ def _project_rows(
 
 
 def _project_band(
-    band: np.ndarray, k_lo: int, cfg: StftConfig, signal: np.ndarray, whole: bool = False
+    band: np.ndarray, k_lo: int, cfg: StftConfig, pinned: np.ndarray, trace: bool = False
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray | None]]:
-    """`_project_rows` for a spectrogram that is zero outside the band
-    [k_lo, k_hi) (0 < k_lo < k_hi <= n_bins) but for what ``signal`` already
-    holds: ``band`` gives the band's columns, (frames, k_hi - k_lo), and each
-    yield ``(a0, a1, Y_band, Y)`` gives the band's columns of projection rows
-    a0..a1-1, plus their whole rows when ``whole`` is set (else None). Both
-    are views of buffers that the next block overwrites.
+    """`_project_rows` for a spectrogram whose band [k_lo, k_hi)
+    (0 < k_lo < k_hi <= n_bins) ``band`` gives, (frames, k_hi - k_lo), and
+    whose other bins ``pinned`` gives. Each yield ``(a0, a1, Y_band, sums)``
+    gives the band's columns of projection rows a0..a1-1 and, with ``trace``
+    (else None), an (a1 - a0, 3) array of each row's sum((w x_t)^2) over its
+    windowed frame and its bins 0 and N / 2, that frame's sum and alternating
+    sum. Both are views of buffers that the next block overwrites; the band's
+    values are the same bits with ``trace`` and without.
 
-    The band never widens to n_bins columns. A real frame x of N = frame_len
-    samples, read as M = N / 2 complex samples z = x[0::2] + i x[1::2], has
+    ``pinned`` 2-D is the whole spectrogram, ``band`` a view of it, whose rows
+    are projected whole by `overlap_add` and `np.fft.rfft`, as `_project_rows`
+    projects them, so no signal-length array is held. ``pinned`` 1-D is the
+    unnormalised overlap-add of the other bins, onto which the band's rows
+    alone are synthesised, and the band never widens to n_bins columns.
+    A real frame x of N = frame_len samples, read as M = N / 2 complex
+    samples z = x[0::2] + i x[1::2], has
     the half-length spectrum Z = fft(z), and with w = exp(-2 pi i k / N) its
     one-sided spectrum is X[k] = (1 - i w) Z[k] / 2 + (1 + i w) conj(Z[M - k]) / 2,
     Z[M] being Z[0] (Sorensen et al., IEEE TASSP 35(6), 1987). Synthesis
@@ -590,9 +596,7 @@ def _project_band(
     is zero elsewhere, which `np.fft.ifft` turns straight into the thread's
     frame buffer, viewed as complex: that view is the real frame, windowed
     and added by `_add_frames`. Analysis windows frames into the frame buffer
-    and transforms its complex view in place with `np.fft.fft`; with
-    ``whole``, `np.fft.rfft` of the same windowed frames comes first, so the
-    band's values are the same with it and without."""
+    and transforms its complex view in place with `np.fft.fft`."""
     n_frames, width = band.shape
     k_hi = k_lo + width
     frame_len, half = cfg.frame_len, cfg.frame_len // 2
@@ -606,9 +610,10 @@ def _project_band(
     to_bin = 0.5 * (1 + 1j * w[:n_direct].conj())  # X[k]'s weight in Z[k]
     mirror_term = 0.5 * (1 + 1j * w)  # conj(Z[M - k])'s in X[k], conj(X[k])'s in Z[M - k]
     step = min(BLOCK_FRAMES, n_frames)
-    spectrum = np.zeros((step, half), dtype=np.complex128)
-    Y = np.empty((step, width), dtype=np.complex128)
-    Y_whole = np.empty((step, cfg.n_bins), dtype=np.complex128) if whole else None
+    whole_rows = pinned.ndim == 2
+    spectrum = np.zeros((0 if whole_rows else step, half), dtype=np.complex128)
+    Y = np.empty((step, cfg.n_bins if whole_rows else width), dtype=np.complex128)
+    sums = np.empty((step, 3))  # the trace's, for the block last analysed
 
     def synthesise(X, out, first_frame, cfg):
         n = len(X)
@@ -634,8 +639,12 @@ def _project_band(
         n = cfg.frame_count(len(x))
         frames = _frame_scratch(n, frame_len)
         np.multiply(_frame_view(x, n, cfg), cfg.window_values(), out=frames)
-        if whole:
-            np.fft.rfft(frames, axis=1, out=Y_whole[:n])
+        if trace:
+            np.einsum("ij,ij->i", frames, frames, out=sums[:n, 0])
+            z0 = frames.view(np.complex128).sum(axis=1)  # Z[0]; bins 0 and N / 2 are Re +- Im
+            sums[:n, 1:] = z0.real[:, None] + z0.imag[:, None] * [1.0, -1.0]
+        if whole_rows:
+            return np.fft.rfft(frames, axis=1, out=Y[:n])[:, k_lo:k_hi]
         Z = frames.view(np.complex128)
         np.fft.fft(Z, axis=1, out=Z)
         Y_band = Y[:n]
@@ -645,11 +654,13 @@ def _project_band(
         # Z's direct bins are read, so its mirror bins may be weighted in place.
         mirrored = np.conjugate(Z[:, mirror][:, ::-1], out=Z[:, mirror][:, ::-1])
         Y_band += np.multiply(mirrored, mirror_term, out=mirrored)
-        return Y_band, Y_whole[:n] if whole else None
+        return Y_band
 
-    rows = lambda f0, f1: band[f0:f1]
-    for a0, a1, (Y_band, Y_rows) in _project_rows(rows, n_frames, cfg, signal, synthesise, analyse):
-        yield a0, a1, Y_band, Y_rows
+    rows, signal = (lambda f0, f1: band[f0:f1]), pinned
+    if whole_rows:
+        rows, signal, synthesise = (lambda f0, f1: pinned[f0:f1]), None, overlap_add
+    for a0, a1, Y_band in _project_rows(rows, n_frames, cfg, signal, synthesise, analyse):
+        yield a0, a1, Y_band, sums[: a1 - a0] if trace else None
 
 
 def consistency_project_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:

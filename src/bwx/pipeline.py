@@ -67,6 +67,7 @@ from .phase import (
     PhaseStrategySpec,
     ReferencePhaseSpec,
     _gla_band,
+    _pinned_sums,
     extract_reference_phase,
     flip_phase,
 )
@@ -308,8 +309,8 @@ def _gla_bands(
     unnormalised, into one pinned signal over the grid. GLA then runs on each
     channel's band alone, onto its pinned signal (`phase._gla_band`), whose
     magnitudes and signal are let go before the next channel's. Given a
-    ``traces`` list, the first channel's residuals are appended to it; their
-    pinned bins are analysed again, block by block, at every iteration."""
+    ``traces`` list, the pass keeps the first channel's `phase._pinned_sums`
+    too, and that channel's residuals are appended to it."""
     cfg, layout = spec.stft, spec.layout
     k_lo, k_hi = layout.k_lo, layout.k_hi
     _, n_frames = padded_grid(cfg, source.n_samples)
@@ -318,29 +319,26 @@ def _gla_bands(
     magnitudes = [np.empty(shape) for _ in channels]
     bands = [np.empty(shape, dtype=np.complex128) for _ in channels]
     pinned = [np.zeros(cfg.output_length(n_frames)) for _ in channels]
+    sums = None if traces is None else np.empty((n_frames, 3))
     for block in frame_blocks(n_frames, cfg):
         f0, f1, span = block
         for channel, x in enumerate(analyse(span)):
             with _stage("magnitude"):
                 magnitudes[channel][f0:f1] = magnitude_step(channel, x, block)
             bands[channel][f0:f1] = magnitudes[channel][f0:f1]
+            if channel == 0 and sums is not None:
+                sums[f0:f1] = _pinned_sums(x, layout)
             x[:, k_lo:k_hi] = 0.0
             overlap_add(x, pinned[channel], f0, cfg)
 
-    def first_channel_rows(a0, a1):
-        x = next(analyse(slice(a0 * cfg.hop, (a1 - 1) * cfg.hop + cfg.frame_len)))
-        x[:, k_lo:k_hi] = bands[0][a0:a1]
-        return x
-
     with _stage("phase"):
         for channel in channels:
-            record = traces is not None and channel == 0
             residuals = _gla_band(
                 magnitudes[channel], bands[channel], pinned[channel], spec.phase, layout, cfg,
-                first_channel_rows if record else None,
+                sums if channel == 0 else None,
             )
             magnitudes[channel] = pinned[channel] = None
-            if record:
+            if sums is not None and channel == 0:
                 traces.append(residuals)
     return bands
 

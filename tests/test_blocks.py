@@ -247,9 +247,13 @@ def test_project_rows_equals_whole_projection(hop, side, where, block, seed):
 def test_band_projection_equals_the_full_projections_band(hop, bins, n_frames, block, seed):
     # The band kernel's rows are the band columns of the full path's
     # projection of the same spectrogram, zero outside the band, on the same
-    # signal, to rounding; with the whole rows asked for too, the band's are
-    # the same bits and the whole rows are the full path's, to rounding. The
-    # band's Nyquist bin has an imaginary part, which irfft does not read.
+    # signal, to rounding; with the trace's sums asked for too, the band's
+    # are the same bits and the sums are the full path's frames': N times
+    # the windowed frame's squared norm is its two-sided spectrum's energy
+    # (Parseval), beside its bins 0 and N / 2. Given the whole spectrogram
+    # instead of a signal, it projects whole rows as the full path does, bit
+    # for bit. The band's Nyquist bin has an imaginary part, which irfft
+    # does not read.
     k_lo, k_hi = bins
     cfg = StftConfig(frame_len=64, hop=hop)
     rng = np.random.default_rng(seed)
@@ -262,22 +266,28 @@ def test_band_projection_equals_the_full_projections_band(hop, bins, n_frames, b
     with mock.patch.object(bwx.dsp, "BLOCK_FRAMES", block):
         full = [Y for _, _, Y in _project_rows(lambda f0, f1: X[f0:f1], n_frames, cfg, signal)]
         runs = [
-            [(a0, a1, Y_band.copy(), Y if Y is None else Y.copy())
-             for a0, a1, Y_band, Y in _project_band(band, k_lo, cfg, signal, whole)]
-            for whole in (False, True)
+            [(a0, a1, Y_band.copy(), sums if sums is None else sums.copy())
+             for a0, a1, Y_band, sums in _project_band(band, k_lo, cfg, signal, trace)]
+            for trace in (False, True)
         ]
+        plain = [Y for _, _, Y in _project_rows(lambda f0, f1: X[f0:f1], n_frames, cfg)]
+        rows = [Y_band.copy() for _, _, Y_band, _ in _project_band(X[:, k_lo:k_hi], k_lo, cfg, X)]
     Y = np.concatenate(full)
     tolerance = 1e-12 * np.max(np.abs(Y))
-    for run, whole in zip(runs, (False, True)):
+    for run, trace in zip(runs, (False, True)):
         assert [a0 for a0, _, _, _ in run] == [0] + [a1 for _, a1, _, _ in run[:-1]]
         assert run[-1][1] == n_frames
         Y_band = np.concatenate([b for _, _, b, _ in run])
         assert np.max(np.abs(Y_band - Y[:, k_lo:k_hi])) <= tolerance
-        if whole:
-            assert np.max(np.abs(np.concatenate([w for _, _, _, w in run]) - Y)) <= tolerance
+        if trace:
+            sums = np.concatenate([s for _, _, _, s in run])
+            energy = 2 * np.sum(np.abs(Y) ** 2, axis=1) - Y[:, 0].real ** 2 - Y[:, -1].real ** 2
+            np.testing.assert_allclose(cfg.frame_len * sums[:, 0], energy, rtol=1e-12)
+            assert np.max(np.abs(sums[:, 1:] - Y[:, [0, -1]].real)) <= tolerance
         else:
-            assert all(w is None for _, _, _, w in run)
+            assert all(s is None for _, _, _, s in run)
     assert all(np.array_equal(a[2], b[2]) for a, b in zip(*runs))
+    assert np.array_equal(np.concatenate(rows), np.concatenate(plain)[:, k_lo:k_hi])
 
 
 # Bins of a 64-sample frame: [8, 20) re-imposed, [0, 8) and [20, 33) pinned.

@@ -162,6 +162,47 @@ class TestSr:
         )
         assert code == 1
 
+    def test_gla_iters_without_gla_is_usage_error(self, tmp_path, hr_path, lr_path):
+        # As with --trace, an iteration count means nothing to another
+        # strategy, not even one that GlaConfig would reject.
+        out = tmp_path / "o.wav"
+        for phase in ("flip", f"ref:{hr_path}"):
+            for iters in ("5", "-1"):
+                code = main(
+                    ["sr", "--in", str(lr_path), "--out", str(out),
+                     "--mag", f"oracle:{hr_path}", "--phase", phase, "--gla-iters", iters]
+                )
+                assert code == 1, (phase, iters)
+        assert not out.exists()
+
+    def test_trace_reads_the_files_as_often_as_an_untraced_run(
+        self, tmp_path, short_music, monkeypatch
+    ):
+        # The residuals are summed from the projection's own frames, so a
+        # traced GLA reads no file again, at any iteration count.
+        n = 3 * 64 * 256
+        hr, lr = tmp_path / "hr.wav", tmp_path / "lr.wav"
+        wav_write(hr, Waveform(short_music.samples[:n], SR), SampleDepth.FLOAT32)
+        assert main(["prepare", "--in", str(hr), "--out", str(lr)]) == 0
+        reads = []
+        original = bwx.pipeline.wav_read
+        monkeypatch.setattr(
+            bwx.pipeline, "wav_read", lambda *args: reads.append(1) or original(*args)
+        )
+
+        def count(iters, *trace):
+            reads.clear()
+            assert main(
+                ["sr", "--in", str(lr), "--out", str(tmp_path / "o.wav"), "--mag",
+                 f"oracle:{hr}", "--phase", "gla", "--gla-iters", iters, *trace]
+            ) == 0
+            return len(reads)
+
+        untraced = count("2")
+        trace = ["--trace", str(tmp_path / "t.csv")]
+        assert count("2", *trace) == untraced
+        assert count("6", *trace) == untraced
+
     def test_hop_over_half_a_frame_is_usage_error(self, tmp_path, capsys):
         # Checked before any file is read: a missing input would be exit 2.
         out = tmp_path / "o.wav"

@@ -31,7 +31,7 @@ def test_sr_on_input_shorter_than_a_frame_fails_in_analyze(tmp_path, short_wav, 
     out = tmp_path / "out.wav"
     phase_arg = f"ref:{short_wav}" if phase == "ref" else phase
     argv = ["sr", "--in", str(short_wav), "--out", str(out), "--mag", "sbr",
-            "--phase", phase_arg, "--gla-iters", "3"]
+            "--phase", phase_arg, *(["--gla-iters", "3"] if phase == "gla" else [])]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "stage 'analyze'" in err
@@ -46,7 +46,7 @@ def test_sr_on_silence_writes_finite_output(tmp_path, silent_wav, mag, phase):
     mag_arg = f"oracle:{silent_wav}" if mag == "oracle" else mag
     phase_arg = f"ref:{silent_wav}" if phase == "ref" else phase
     argv = ["sr", "--in", str(silent_wav), "--out", str(out), "--mag", mag_arg,
-            "--phase", phase_arg, "--gla-iters", "3"]
+            "--phase", phase_arg, *(["--gla-iters", "3"] if phase == "gla" else [])]
     assert main(argv) == 0
     channels, _ = wav_read(out)
     assert len(channels) == 1

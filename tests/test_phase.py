@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bwx import (
     BandLayout,
@@ -10,6 +11,7 @@ from bwx import (
     ReconstructSpec,
     StftConfig,
     Waveform,
+    consistency_residual,
     extract_reference_phase,
     flip_phase,
     gla_reconstruct,
@@ -357,29 +359,30 @@ class TestGlaKernel:
         assert np.all(np.isfinite(residuals))
 
     def test_nan_names_its_iteration(self, short_music, monkeypatch):
-        # The NaN enters through the streamed projection's analysis, in the
-        # first block of iteration 2; the loop stops at that block.
+        # The NaN enters through the projection's analysis FFT, as `bwx.dsp`
+        # calls it, in the first block of iteration 2; the loop stops at that
+        # block. `gla_reconstruct` analyses whole rows, through `rfft`.
         _, magnitude, lfc = _consistent_inputs(short_music)
         calls = []
-        original = bwx.dsp.stft_array
+        original = np.fft.rfft
 
-        def counting(x, cfg):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return original(x, cfg)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(bwx.dsp, "stft_array", counting)
+        monkeypatch.setattr(bwx.dsp.np.fft, "rfft", counting)
         _gla(magnitude, lfc, GlaConfig(iterations=1))
         per_iteration = len(calls)
         assert per_iteration > 1  # 337 frames take two blocks
         calls.clear()
 
-        def poisoned(x, cfg):
-            Y = counting(x, cfg)
+        def poisoned(*args, **kwargs):
+            Y = counting(*args, **kwargs)
             if len(calls) == 2 * per_iteration + 1:
                 Y[3, 500] = np.nan
             return Y
 
-        monkeypatch.setattr(bwx.dsp, "stft_array", poisoned)
+        monkeypatch.setattr(bwx.dsp.np.fft, "rfft", poisoned)
         with pytest.raises(NumericalError, match="iteration 2"):
             _gla(magnitude, lfc, GlaConfig(iterations=5))
         assert len(calls) == 2 * per_iteration + 1  # no later block or iteration ran
@@ -387,7 +390,10 @@ class TestGlaKernel:
 
 def _band_inputs(wave, layout=LAYOUT):
     """A zero-phase GLA start on ``layout``'s band: the whole start, the
-    band's magnitudes and the unnormalised overlap-add of every other bin."""
+    band's magnitudes, the unnormalised overlap-add of every other bin and
+    the pinned constants `_gla_band`'s residual reads: per frame, the squared
+    norm of every other bin and the real parts of bins 0 and N / 2 (0 when
+    the band holds it)."""
     X = stft_array(wave.samples, CFG)
     band = slice(layout.k_lo, layout.k_hi)
     magnitude = np.abs(X[:, band])
@@ -396,22 +402,19 @@ def _band_inputs(wave, layout=LAYOUT):
     others[:, band] = 0.0
     pinned = np.zeros(CFG.output_length(len(X)))
     bwx.dsp.overlap_add(others, pinned, 0, CFG)
-    return X, magnitude, others, pinned
+    sums = np.stack(
+        [np.sum(np.abs(others) ** 2, axis=1), others[:, 0].real, others[:, -1].real], axis=1
+    )
+    return X, magnitude, sums, pinned
 
 
 def test_band_entry_equals_whole_spectrogram_gla_to_rounding(short_music):
     # The projection is linear, so the band's rows added onto the pinned
     # bins' overlap-add give gla_reconstruct's iterates and residuals, up to
     # rounding.
-    X, magnitude, others, pinned = _band_inputs(short_music)
+    X, magnitude, sums, pinned = _band_inputs(short_music)
     band = X[:, 186:372].copy()
-
-    def rows(a0, a1):
-        whole = others[a0:a1].copy()
-        whole[:, 186:372] = band[a0:a1]
-        return whole
-
-    residuals = bwx.phase._gla_band(magnitude, band, pinned, GlaConfig(5), LAYOUT, CFG, rows)
+    residuals = bwx.phase._gla_band(magnitude, band, pinned, GlaConfig(5), LAYOUT, CFG, sums)
     expected = gla_reconstruct(magnitude, X, GlaConfig(5), LAYOUT, CFG)
     assert np.max(np.abs(band - X[:, 186:372])) <= 1e-9 * np.max(np.abs(X))
     np.testing.assert_allclose(residuals, expected, rtol=1e-9, atol=0)
@@ -424,21 +427,43 @@ def test_band_entry_equals_whole_spectrogram_gla_to_rounding(short_music):
     ids=["4-8kHz", "meets-mirror", "to-nyquist"],
 )
 def test_band_entry_traced_and_untraced_bands_are_bit_identical(short_music, layout):
-    # The trace analyses whole rows beside the band kernel, whose values it
-    # does not touch: the float64 bands are the same bits with it and without.
-    X, magnitude, others, pinned = _band_inputs(short_music, layout)
+    # The trace sums the projection's windowed frames beside the band
+    # kernel, whose values it does not touch: the float64 bands are the same
+    # bits with it and without.
+    X, magnitude, sums, pinned = _band_inputs(short_music, layout)
     band = slice(layout.k_lo, layout.k_hi)
     traced, untraced = X[:, band].copy(), X[:, band].copy()
-
-    def rows(a0, a1):
-        whole = others[a0:a1].copy()
-        whole[:, band] = traced[a0:a1]
-        return whole
-
-    residuals = bwx.phase._gla_band(magnitude, traced, pinned, GlaConfig(4), layout, CFG, rows)
+    residuals = bwx.phase._gla_band(magnitude, traced, pinned, GlaConfig(4), layout, CFG, sums)
     bwx.phase._gla_band(magnitude, untraced, pinned, GlaConfig(4), layout, CFG)
     assert len(residuals) == 4
     assert np.array_equal(traced.view(np.float64), untraced.view(np.float64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    layout=st.sampled_from(
+        [LAYOUT, BandLayout(512, 1024, CFG.n_bins), BandLayout(186, 1025, CFG.n_bins)]
+    ),
+    n_frames=st.integers(1, 12),
+    log_scale=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_first_residual_is_the_starts_consistency_residual(layout, n_frames, log_scale, seed):
+    # The loop sums its residual from the projection's frames (Pythagoras),
+    # not from X - P_C(X): on a random complex start, whose pinned bins 0 and
+    # N / 2 have imaginary parts that irfft does not read, the first one is
+    # still the start's consistency residual. The sum cancels, so its
+    # relative error grows about as 2e-16 / residual^2 (measured 5e-10 at
+    # 1e-3, 3e-8 at 1e-4); random starts sit near 0.7.
+    rng = np.random.default_rng(seed)
+    shape = (n_frames, CFG.n_bins)
+    X = 10.0**log_scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert np.all(X[:, 0].imag != 0) and np.all(X[:, -1].imag != 0)
+    expected = consistency_residual(X, CFG)
+    magnitude = rng.uniform(0.0, 2.0, (n_frames, layout.hfc_width))
+    [residual] = gla_reconstruct(magnitude, X, GlaConfig(1), layout, CFG)
+    if expected >= 1e-3:
+        assert residual == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize(
