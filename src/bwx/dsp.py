@@ -14,8 +14,9 @@ Conventions used throughout the package:
   ceil(frame_len / hop) frames, so every value of a whole-length sum is
   read, bit for bit, off the sum of a short grid of 2 * ceil(frame_len / hop)
   + 1 frames (`_normalise`); only those short sums are built and cached, per
-  (cfg, frames), with the hop-periodic stretch between their ends tiled over
-  64 hops (`_period_tile`), and no denominator as long as the signal is held.
+  (cfg, frames), the hop-periodic stretch between their ends is divided hop
+  by hop by one hop of the short sum, and no denominator as long as the
+  signal is held.
 * Every sample of both sums takes its frames in ascending frame order, so
   adding a spectrogram block by block (`overlap_add` per block of
   `frame_blocks`) gives the same bits as adding it whole. Analysis is per
@@ -305,28 +306,11 @@ def _synthesis_denominator(cfg: StftConfig, n_frames: int) -> np.ndarray:
     return denominator
 
 
-# Hops of the hop-periodic full-coverage sum that `_period_tile` caches: one
-# default block's worth, whatever `BLOCK_FRAMES` is set to.
-_PERIOD_HOPS = 64
-
-
-@functools.lru_cache(maxsize=4)
-def _period_tile(cfg: StftConfig) -> np.ndarray:
-    """The floored window-square sum under a full set of frames, which
-    repeats every hop, tiled over _PERIOD_HOPS + 1 hops: ``tile[i]`` is its
-    value at offset i mod hop into a hop. Cached per cfg and returned
-    read-only."""
-    c = -(-cfg.frame_len // cfg.hop)
-    period = _synthesis_denominator(cfg, 2 * c + 1)[c * cfg.hop : (c + 1) * cfg.hop]
-    tile = np.tile(period, _PERIOD_HOPS + 1)
-    tile.flags.writeable = False
-    return tile
-
-
 def _normalise(out: np.ndarray, start: int, n_frames: int, cfg: StftConfig) -> None:
-    """Divide ``out``, samples [start, start + len(out)) of an overlap-add of
-    ``n_frames`` frames, by those samples of the frames' floored squared-window
-    sum, bit for bit, without building that whole sum.
+    """Divide the contiguous ``out``, samples [start, start + len(out)) of an
+    overlap-add of ``n_frames`` frames, in place by those samples of the
+    frames' floored squared-window sum, bit for bit, without building that
+    whole sum.
 
     No sample lies under more than c = ceil(frame_len / hop) frames, so the
     sum of a short grid of 2c + 1 frames holds every value of a longer one:
@@ -334,8 +318,10 @@ def _normalise(out: np.ndarray, start: int, n_frames: int, cfg: StftConfig) -> N
     (c - 1) * hop + frame_len samples are its last ones, and every sample in
     between lies under a full set of frames, added in the same order, so it
     equals the short sum's sample in hop c with the same offset in its hop.
-    That stretch is divided _PERIOD_HOPS hops at a time by `_period_tile`.
-    A grid of at most 2c + 1 frames is divided by its own sum."""
+    That stretch's whole hops are divided through a (hops, hop) view of
+    ``out`` by that one hop of the short sum, and its partial first and last
+    hops by their slices of it. A grid of at most 2c + 1 frames is divided by
+    its own sum."""
     hop = cfg.hop
     c = -(-cfg.frame_len // hop)
     stop = start + len(out)
@@ -348,11 +334,17 @@ def _normalise(out: np.ndarray, start: int, n_frames: int, cfg: StftConfig) -> N
     b = min(stop, head)
     if start < b:
         out[: b - start] /= short[start:b]
-    tile = _period_tile(cfg)
-    width = _PERIOD_HOPS * hop
-    for a in range(max(start, head), min(stop, tail), width):
-        b = min(a + width, stop, tail)
-        out[a - start : b - start] /= tile[a % hop : a % hop + b - a]
+    period = short[head : head + hop]  # sample s of [head, tail) is period[s % hop]
+    a, b = max(start, head), min(stop, tail)
+    if a < b:
+        a_hop = min(-(-a // hop) * hop, b)  # the whole hops are [a_hop, b_hop)
+        b_hop = max(b // hop * hop, a_hop)
+        if a < a_hop:
+            out[a - start : a_hop - start] /= period[a % hop : a % hop + a_hop - a]
+        hops = out[a_hop - start : b_hop - start].reshape(-1, hop, copy=False)
+        hops /= period
+        if b_hop < b:
+            out[b_hop - start : b - start] /= period[: b - b_hop]
     a = max(start, tail)
     if a < stop:
         out[a - start :] /= short[a - shift : stop - shift]

@@ -8,8 +8,9 @@ returning the finished output stretch by stretch, exactly as long as the
 input, as a path-free ``ReconstructSpec`` says. Griffin-Lim is not
 frame-local, so ``_gla_bands`` runs it first: a pass over the same blocks
 keeps each channel's high-band magnitudes and the overlap-add of every other
-bin, GLA then re-estimates the high band alone, and the output pass puts the
-band's rows back block by block; no grid-sized complex spectrogram is held.
+bin, GLA then re-estimates each channel's high band alone, from a zero-phase
+start made only when that channel's GLA begins, and the output pass puts the
+bands' rows back block by block; no grid-sized complex spectrogram is held.
 ``reconstruct`` runs the core on arrays (for library callers) and
 ``super_resolve`` on WAV files read and written one block at a time.
 ``run_phase_study`` reruns the oracle-magnitude phase comparison over a clip
@@ -304,20 +305,21 @@ def _gla_bands(
 
     A first pass goes through the grid in `frame_blocks`: ``analyse(span)``
     yields each channel's block spectrogram, residual-band rule applied, and
-    per channel the pass keeps the block's high-band magnitudes and their
-    zero-phase start, zeroes the band and overlap-adds the other bins,
-    unnormalised, into one pinned signal over the grid. GLA then runs on each
-    channel's band alone, onto its pinned signal (`phase._gla_band`), whose
-    magnitudes and signal are let go before the next channel's. Given a
-    ``traces`` list, the pass keeps the first channel's `phase._pinned_sums`
-    too, and that channel's residuals are appended to it."""
+    per channel the pass keeps the block's high-band magnitudes, zeroes the
+    band and overlap-adds the other bins, unnormalised, into one pinned
+    signal over the grid. GLA then runs on each channel's band alone, onto
+    its pinned signal (`phase._gla_band`), from a zero-phase start made from
+    its magnitudes just before it begins; the magnitudes and signal are let
+    go before the next channel's, so no channel's band waits through another
+    channel's GLA. Given a ``traces`` list, the pass keeps the first
+    channel's `phase._pinned_sums` too, and that channel's residuals are
+    appended to it."""
     cfg, layout = spec.stft, spec.layout
     k_lo, k_hi = layout.k_lo, layout.k_hi
     _, n_frames = padded_grid(cfg, source.n_samples)
     shape = (n_frames, layout.hfc_width)
     channels = range(source.n_channels)
     magnitudes = [np.empty(shape) for _ in channels]
-    bands = [np.empty(shape, dtype=np.complex128) for _ in channels]
     pinned = [np.zeros(cfg.output_length(n_frames)) for _ in channels]
     sums = None if traces is None else np.empty((n_frames, 3))
     for block in frame_blocks(n_frames, cfg):
@@ -325,14 +327,15 @@ def _gla_bands(
         for channel, x in enumerate(analyse(span)):
             with _stage("magnitude"):
                 magnitudes[channel][f0:f1] = magnitude_step(channel, x, block)
-            bands[channel][f0:f1] = magnitudes[channel][f0:f1]
             if channel == 0 and sums is not None:
                 sums[f0:f1] = _pinned_sums(x, layout)
             x[:, k_lo:k_hi] = 0.0
             overlap_add(x, pinned[channel], f0, cfg)
 
+    bands = []
     with _stage("phase"):
         for channel in channels:
+            bands.append(magnitudes[channel].astype(np.complex128))
             residuals = _gla_band(
                 magnitudes[channel], bands[channel], pinned[channel], spec.phase, layout, cfg,
                 sums if channel == 0 else None,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bwx.dsp
@@ -301,12 +301,32 @@ def test_denominator_equals_whole_window_sum(hop, n_frames):
     assert np.array_equal(_synthesis_denominator(cfg, n_frames), whole_window_sum(cfg, n_frames))
 
 
+def _full_coverage_stretches(test):
+    """`example`s of 300-frame grids at frame 64 whose stretch ends at or
+    between hop boundaries of the full-coverage region [c * hop, (300 - c) *
+    hop), c = ceil(64 / hop): the whole region, from or to its ends, inside
+    one hop, one sample into or short of a hop, and across more than 64
+    hops."""
+    for hop in (1, 24, 64):
+        c = -(-64 // hop)
+        head, tail, length = c * hop, (300 - c) * hop, 299 * hop + 64
+        mid, third = hop // 2, hop // 3
+        for start, stop in (
+            (head, tail), (head, head + 70 * hop + 1), (head + hop - 1, tail),
+            (head + mid, tail - third), (head + 2 * hop + third, head + 2 * hop + mid + 1),
+        ):
+            ends = ((start + 0.5) / length, (stop + 0.5) / length)  # int(f * length) = start, stop
+            test = example(hop=hop, n_frames=300, ends=ends)(test)
+    return test
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     hop=st.one_of(st.sampled_from([1, 16, 24, 40, 64]), st.integers(1, 64)),
     n_frames=st.integers(1, 300),
     ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
 )
+@_full_coverage_stretches
 def test_normalise_divides_by_the_whole_window_sum(hop, n_frames, ends):
     # Any stretch of any grid, read off short-grid sums, bit for bit.
     cfg = StftConfig(frame_len=64, hop=hop)

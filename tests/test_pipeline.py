@@ -330,6 +330,28 @@ class TestSuperResolve:
             assert whole < 1e-6
 
 
+def test_stereo_gla_equals_each_channel_alone(monkeypatch):
+    # Griffin-Lim estimates each channel's band on its own: run together, the
+    # channels of an odd-length input give the bits they give one at a time,
+    # and the first channel's residuals are its mono residuals.
+    traces = []
+    core = bwx.pipeline._reconstruct_blocks
+    monkeypatch.setattr(
+        bwx.pipeline, "_reconstruct_blocks",
+        lambda spec, source, references: core(spec, source, references, traces),
+    )
+    rng = np.random.default_rng(7)
+    hr, lr = ([Waveform(rng.standard_normal(40_001), SR) for _ in range(2)] for _ in range(2))
+    spec = _spec(OracleSpec("hr.wav"), GlaConfig(iterations=3))
+    both = reconstruct(spec, lr, references={"hr.wav": hr})
+    alone = [reconstruct(spec, [x], references={"hr.wav": [ref]})[0] for x, ref in zip(lr, hr)]
+    for channel, mono in zip(both, alone):
+        assert len(channel.samples) == 40_001
+        assert np.array_equal(channel.samples, mono.samples)
+    assert len(traces[0]) == 3
+    assert np.array_equal(traces[0], traces[1])
+
+
 class TestInMemoryChannels:
     """Channels handed over in memory, as input or as a reference, must share
     length and sample rate, as the channels of a WAV file do."""
