@@ -6,11 +6,11 @@ input channels, predicts high-band magnitudes, estimates high-band phase,
 recombines the bands and resynthesises, reading samples from a source and
 returning the finished output stretch by stretch, exactly as long as the
 input, as a path-free ``ReconstructSpec`` says. Griffin-Lim is not
-frame-local, so ``_gla_bands`` runs it first: a pass over the same blocks
+frame-local, so ``_gla_channels`` runs it instead: one pass over the blocks
 keeps each channel's high-band magnitudes and the overlap-add of every other
-bin, GLA then re-estimates each channel's high band alone, from a zero-phase
-start made only when that channel's GLA begins, and the output pass puts the
-bands' rows back block by block; no grid-sized complex spectrogram is held.
+bin, and GLA re-estimates each channel's high band alone, from a zero-phase
+start made only when that channel's GLA begins, then overlap-adds the band
+onto that signal and normalises it; no grid-sized complex spectrogram is held.
 ``reconstruct`` runs the core on arrays (for library callers) and
 ``super_resolve`` on WAV files read and written one block at a time.
 ``run_phase_study`` reruns the oracle-magnitude phase comparison over a clip
@@ -43,6 +43,7 @@ from .dsp import (
     StftConfig,
     Waveform,
     _ArraySource,
+    _normalise,
     _whole_channels,
     frame_blocks,
     overlap_add,
@@ -149,11 +150,9 @@ _CHECK_FRAMES = 1 << 16
 class _WavSource:
     """A WAV file read by sample range. Its header is read on construction
     and kept, so a range read opens the file, seeks and reads without walking
-    its chunks again; the last range read is kept, so steps that need the
-    same range of one file in one block read it once. Flows read ranges in
-    ascending, touching or overlapping order, from the start again for each
-    pass, so the samples read so far are one prefix of the file,
-    ``[0, checked)``."""
+    its chunks again. A pass reads its block spans once each, in ascending,
+    touching or overlapping order, and each pass starts again from sample 0,
+    so the samples read so far are one prefix of the file, ``[0, checked)``."""
 
     def __init__(self, path):
         self.path = path
@@ -161,16 +160,13 @@ class _WavSource:
         self.n_channels = self.header.n_channels
         self.n_samples = self.header.frames
         self.sample_rate = self.header.sample_rate
-        self._last: tuple[tuple[int, int], list[np.ndarray]] | None = None
         self.checked = 0
 
     def read(self, start: int, stop: int) -> list[np.ndarray]:
-        if self._last is None or self._last[0] != (start, stop):
-            channels, _ = wav_read(self.path, start, stop, self.header)
-            self._last = ((start, stop), [ch.samples for ch in channels])
-            if start <= self.checked:
-                self.checked = max(self.checked, min(stop, self.n_samples))
-        return self._last[1]
+        channels, _ = wav_read(self.path, start, stop, self.header)
+        if start <= self.checked:
+            self.checked = max(self.checked, min(stop, self.n_samples))
+        return [ch.samples for ch in channels]
 
     def check_unread(self) -> None:
         """Decode the samples past ``checked`` a chunk at a time, so a
@@ -183,17 +179,17 @@ class _WavSource:
 
 class _References:
     """The reference files a job reads, keyed by resolved path so each is
-    opened once. For a file that two steps read (oracle magnitudes and
-    reference phase), the STFT of a block span is kept from the first step's
-    read to the second's, so each block and channel of it is analysed once.
-    Nothing else is kept, so a whole-file analysis is not held through
-    Griffin-Lim and no block's outlives its use."""
+    opened once. A source's block span is read once, at the first request
+    for it, and each of its channels analysed once; the last analysis is
+    kept for the other step that reads the file (oracle magnitudes and
+    reference phase) and freed before the source's next one is made. No
+    whole-file analysis is held through Griffin-Lim."""
 
     def __init__(self, cfg: StftConfig, arrays: dict):
         self.cfg = cfg
         self.sources = {Path(path).resolve(): _ArraySource(chs) for path, chs in arrays.items()}
-        self._stages: dict = {}  # source -> stages of the steps that opened it
-        self._last: tuple[tuple, np.ndarray] | None = None
+        self._stages: dict = {}  # source -> the stage of the first step that opened it
+        self._blocks: dict = {}  # source -> (span, its samples, {channel: analysis})
 
     def open(self, path, inputs, stage: str):
         """The source of reference ``path``, for the step of ``stage``: the
@@ -211,28 +207,27 @@ class _References:
             raise ShapeError(
                 f"{path}: sample rate {source.sample_rate} Hz, input has {inputs.sample_rate} Hz"
             )
-        self._stages.setdefault(source, []).append(stage)
+        self._stages.setdefault(source, stage)
         return source
 
     def check_unread(self) -> None:
         """Check every opened source to its end, in its first opener's stage."""
-        for source, stages in self._stages.items():
-            with _stage(stages[0]):
+        for source, stage in self._stages.items():
+            with _stage(stage):
                 source.check_unread()
 
     def stft(self, source, channel: int, span: slice) -> np.ndarray:
         """STFT of one channel of ``source`` over a block's span of the
         padded grid, which reads zeros outside the source's samples."""
-        key = (source, channel, span.start, span.stop)
-        if self._last is not None and self._last[0] == key:
-            X, self._last = self._last[1], None  # the second step's read is the last
-            return X
-        self._last = None  # freed before the next analysis is allocated
-        samples = read_padded(source.read, source.n_samples, self.cfg, span.start, span.stop)
-        X = stft_array(samples[channel], self.cfg)
-        if len(self._stages[source]) > 1:
-            self._last = (key, X)
-        return X
+        key = (span.start, span.stop)
+        if self._blocks.get(source, (None,))[0] != key:
+            samples = read_padded(source.read, source.n_samples, self.cfg, *key)
+            self._blocks[source] = (key, samples, {})  # frees the last span's
+        _, samples, analyses = self._blocks[source]
+        if channel not in analyses:
+            analyses.clear()  # freed before the next analysis is made
+            analyses[channel] = stft_array(samples[channel], self.cfg)
+        return analyses[channel]
 
 
 def _magnitude_step(spec: ReconstructSpec, n_frames: int, inputs, references: _References):
@@ -273,7 +268,7 @@ def _phase_step(spec: ReconstructSpec, n_frames: int, inputs, references: _Refer
     """The step mapping a channel's block of padded-grid frames (the channel,
     its analysis ``x``, its high-band magnitudes ``mag`` and its
     ``frame_blocks`` triple) to the block's complex high band; None for
-    Griffin-Lim, which is not frame-local (see `_gla_bands`). The reference
+    Griffin-Lim, which is not frame-local (see `_gla_channels`). The reference
     strategy warns here, once per channel, when the reference's frame count
     differs from the input's, L = ``n_frames``."""
     strategy, cfg, layout = spec.phase, spec.stft, spec.layout
@@ -296,27 +291,26 @@ def _phase_step(spec: ReconstructSpec, n_frames: int, inputs, references: _Refer
     raise ShapeError(f"unknown phase spec {strategy!r}")
 
 
-def _gla_bands(
+def _gla_channels(
     spec: ReconstructSpec, source, analyse, magnitude_step, traces: list | None
 ) -> list[np.ndarray]:
-    """Griffin-Lim's complex high band over the padded grid of ``source``,
-    one (grid frames, k_hi - k_lo) array per channel, estimated without
-    holding any channel's whole-grid spectrogram.
+    """Griffin-Lim's output: each channel of ``source``, finished in float64
+    over the input's samples, without any whole-grid spectrogram held.
 
-    A first pass goes through the grid in `frame_blocks`: ``analyse(span)``
-    yields each channel's block spectrogram, residual-band rule applied, and
-    per channel the pass keeps the block's high-band magnitudes, zeroes the
-    band and overlap-adds the other bins, unnormalised, into one pinned
-    signal over the grid. GLA then runs on each channel's band alone, onto
-    its pinned signal (`phase._gla_band`), from a zero-phase start made from
-    its magnitudes just before it begins; the magnitudes and signal are let
-    go before the next channel's, so no channel's band waits through another
-    channel's GLA. Given a ``traces`` list, the pass keeps the first
-    channel's `phase._pinned_sums` too, and that channel's residuals are
-    appended to it."""
+    One pass over the padded grid's `frame_blocks` takes each channel's
+    block spectrogram from ``analyse(span)``, residual-band rule applied,
+    keeps its high-band magnitudes, zeroes the band and overlap-adds the
+    other bins, unnormalised, into one pinned signal over the grid. GLA then
+    runs on each channel's band alone, onto its pinned signal
+    (`phase._gla_band`), from a zero-phase start made just before it
+    begins; the band's rows, zero elsewhere, are overlap-added onto that
+    signal and let go before the next channel's start is made, and the
+    signal's stretch under the input, normalised in place, is the channel's
+    output. Given a ``traces`` list, the first channel's residuals are
+    appended to it (the pass keeps its `phase._pinned_sums` for them)."""
     cfg, layout = spec.stft, spec.layout
     k_lo, k_hi = layout.k_lo, layout.k_hi
-    _, n_frames = padded_grid(cfg, source.n_samples)
+    lead, n_frames = padded_grid(cfg, source.n_samples)
     shape = (n_frames, layout.hfc_width)
     channels = range(source.n_channels)
     magnitudes = [np.empty(shape) for _ in channels]
@@ -332,18 +326,26 @@ def _gla_bands(
             x[:, k_lo:k_hi] = 0.0
             overlap_add(x, pinned[channel], f0, cfg)
 
-    bands = []
+    finished, longest = [], next(frame_blocks(n_frames, cfg))[1]  # the first block's length
     with _stage("phase"):
         for channel in channels:
-            bands.append(magnitudes[channel].astype(np.complex128))
+            band = magnitudes[channel].astype(np.complex128)
             residuals = _gla_band(
-                magnitudes[channel], bands[channel], pinned[channel], spec.phase, layout, cfg,
+                magnitudes[channel], band, pinned[channel], spec.phase, layout, cfg,
                 sums if channel == 0 else None,
             )
-            magnitudes[channel] = pinned[channel] = None
+            magnitudes[channel] = None
             if sums is not None and channel == 0:
                 traces.append(residuals)
-    return bands
+            rows = np.zeros((longest, cfg.n_bins), dtype=np.complex128)
+            for f0, f1, _ in frame_blocks(n_frames, cfg):
+                rows[: f1 - f0, k_lo:k_hi] = band[f0:f1]
+                overlap_add(rows[: f1 - f0], pinned[channel], f0, cfg)
+            del band, rows  # not held while the next channel's start is made
+            signal, pinned[channel] = pinned[channel][lead : lead + source.n_samples], None
+            _normalise(signal, lead, n_frames, cfg)
+            finished.append(signal)
+    return finished
 
 
 def _reconstruct_blocks(
@@ -353,17 +355,17 @@ def _reconstruct_blocks(
     when it is called; it returns a generator that reads the band-limited
     input from ``source`` one block span of the padded grid at a time and,
     per channel, analyses, predicts, estimates, recombines and overlap-adds
-    the block's frames. For each stretch of output that no later frame
-    touches it yields the normalised float64 stretch of every channel; the
-    stretches join into exactly the input's length, and no whole-length
-    signal is held unless a source or the caller holds one.
+    the block's frames (`dsp.resynthesize`). For each stretch of output that
+    no later frame touches it yields the normalised float64 stretch of every
+    channel; the stretches join into exactly the input's length, and no
+    whole-length signal is held unless a source or the caller holds one.
 
-    Griffin-Lim is not frame-local: before the output pass, `_gla_bands`
-    reads the input once more, block by block, and estimates every channel's
-    high band over the whole grid, which the output pass puts back block by
-    block. Given a ``traces`` list, it appends the first channel's residuals.
-    After the last block, the generator checks the samples of a reference
-    that no block read (past the grid's last frame) for non-finite values.
+    Griffin-Lim is not frame-local: `_gla_channels` reads the input once,
+    block by block, and finishes every channel, which the generator yields
+    as one stretch; given a ``traces`` list, it appends the first channel's
+    residuals. After the last stretch, the generator checks the samples of a
+    reference that no block read (past the grid's last frame) for non-finite
+    values.
     """
     cfg, layout = spec.stft, spec.layout
     with _stage("analyze"):
@@ -387,22 +389,18 @@ def _reconstruct_blocks(
             apply_residual_rule(x)
             yield x
 
+    def edit(channel, x, block):
+        apply_residual_rule(x)
+        with _stage("magnitude"):
+            hfc_mag = magnitude_step(channel, x, block)
+        with _stage("phase"):
+            x[:, layout.k_lo : layout.k_hi] = phase_step(channel, x, hfc_mag, block)
+
     def blocks():
-        bands = None
         if phase_step is None:
-            bands = _gla_bands(spec, source, analyse, magnitude_step, traces)
-
-        def edit(channel, x, block):
-            apply_residual_rule(x)
-            if bands is not None:
-                x[:, layout.k_lo : layout.k_hi] = bands[channel][block[0] : block[1]]
-                return
-            with _stage("magnitude"):
-                hfc_mag = magnitude_step(channel, x, block)
-            with _stage("phase"):
-                x[:, layout.k_lo : layout.k_hi] = phase_step(channel, x, hfc_mag, block)
-
-        yield from resynthesize(read, source.n_samples, cfg, edit)
+            yield _gla_channels(spec, source, analyse, magnitude_step, traces)
+        else:
+            yield from resynthesize(read, source.n_samples, cfg, edit)
         references.check_unread()
 
     return blocks()

@@ -447,14 +447,9 @@ def test_reference_channel_mismatch_is_shape_error(tmp_path, files, which):
     assert "has 1 channels, input has 2" in str(info.value.cause)
 
 
-def test_reference_read_once_per_block(monkeypatch, tmp_path, files):
-    # Oracle magnitudes and reference phase from one file, spelled two ways:
-    # each block reads its span of the input and of the reference once and
-    # analyses each once per channel. The padded grid's blocks read all of a
-    # reference as long as the input, so no tail is left to check after.
-    monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", 8)
-    hr, lr = files["stereo"]
-    monkeypatch.chdir(hr.parent)
+def _count_reads_and_analyses(monkeypatch):
+    """Lists that record each path `pipeline.wav_read` is called with and
+    each `np.fft.rfft` call, one per block analysis in 8-frame blocks."""
     reads, analyses = [], []
     original, original_rfft = bwx.pipeline.wav_read, np.fft.rfft
 
@@ -468,13 +463,46 @@ def test_reference_read_once_per_block(monkeypatch, tmp_path, files):
 
     monkeypatch.setattr(bwx.pipeline, "wav_read", counting)
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-    spec = ReconstructSpec(OracleSpec(hr.name), ReferencePhaseSpec(str(hr)), LAYOUT, stft=CFG)
-    super_resolve(spec, lr, tmp_path / "out.wav")
+    return reads, analyses
+
+
+def test_reference_read_once_per_block(monkeypatch, tmp_path, files):
+    # Oracle magnitudes and reference phase from one file, spelled two ways,
+    # and then from two files: each block reads its span of the input and of
+    # each reference once and analyses each once per channel. The padded
+    # grid's blocks read all of a reference as long as the input, so no tail
+    # is left to check after.
+    monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", 8)
+    hr, lr = files["stereo"]
+    other = tmp_path / "other.wav"
+    wav_write(other, wav_read(hr)[0][::-1], SampleDepth.FLOAT32)
+    monkeypatch.chdir(hr.parent)
     n = len(wav_read(lr)[0][0])
     assert len(wav_read(hr)[0][0]) == n
     blocks = -(-padded_grid(CFG, n)[1] // 8)
-    assert reads == [str(lr), hr.name] * blocks
-    assert len(analyses) == 2 * 2 * blocks  # input and reference, two channels
+    for phase_path, files_read in (
+        (str(hr), [str(lr), hr.name]),
+        (str(other), [str(lr), hr.name, str(other)]),
+    ):
+        reads, analyses = _count_reads_and_analyses(monkeypatch)
+        phase = ReferencePhaseSpec(phase_path)
+        spec = ReconstructSpec(OracleSpec(hr.name), phase, LAYOUT, stft=CFG)
+        super_resolve(spec, lr, tmp_path / "out.wav")
+        assert reads == files_read * blocks
+        assert len(analyses) == len(files_read) * 2 * blocks  # each file, two channels
+
+
+def test_gla_reads_its_input_once_per_block(monkeypatch, tmp_path, files):
+    # Griffin-Lim finishes each channel on the signal its one pass over the
+    # input overlap-added, so the input is read once, block by block, as its
+    # oracle reference is, and never again for the output.
+    monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", 8)
+    hr, lr = files["stereo"]
+    reads, _ = _count_reads_and_analyses(monkeypatch)
+    spec = ReconstructSpec(OracleSpec(str(hr)), GlaConfig(iterations=1), LAYOUT, stft=CFG)
+    super_resolve(spec, lr, tmp_path / "out.wav")
+    blocks = -(-padded_grid(CFG, len(wav_read(lr)[0][0]))[1] // 8)
+    assert reads == [str(lr), str(hr)] * blocks
 
 
 @pytest.mark.parametrize("block", [1, 3, 8])
@@ -569,7 +597,7 @@ def test_stereo_gla_makes_each_start_when_its_channel_begins(tmp_path):
 
 
 def test_super_resolve_walks_each_file_once(monkeypatch, tmp_path, files):
-    # Griffin-Lim reads its input twice and its oracle reference once, block
+    # Griffin-Lim reads its input and its oracle reference once each, block
     # by block; every read reuses the header parsed when the file was opened.
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", 8)
     hr, lr = files["stereo"]

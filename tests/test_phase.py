@@ -467,30 +467,38 @@ def test_first_residual_is_the_starts_consistency_residual(layout, n_frames, log
 
 
 @pytest.mark.parametrize(
-    "rate, layout",
-    [(16000, BandLayout(512, 1024, CFG.n_bins)), (44100, BandLayout(186, 1025, CFG.n_bins))],
-    ids=["16kHz-meets-mirror", "to-nyquist"],
+    "rate, layout, stft",
+    [
+        (16000, BandLayout(512, 1024, CFG.n_bins), CFG),
+        (44100, BandLayout(186, 1025, CFG.n_bins), CFG),
+        (44100, LAYOUT, CFG),
+        (44100, LAYOUT, StftConfig(2048, 300)),
+    ],
+    ids=["16kHz-meets-mirror", "to-nyquist", "paper-layout", "hop-300"],
 )
-def test_gla_reconstruct_through_the_band_kernel_matches_gla_reconstruct(rate, layout):
+def test_gla_reconstruct_through_the_band_kernel_matches_gla_reconstruct(rate, layout, stft):
     # `reconstruct` with oracle magnitudes and GLA, as `sr` runs it, on a
     # band that meets its mirror (4-8 kHz at 16 kHz: bins [512, 1024), bin
-    # 512 being its own mirror) and on one reaching Nyquist, against
-    # `gla_reconstruct` on the whole padded grid's spectrogram.
+    # 512 being its own mirror), on one reaching Nyquist, on the paper's
+    # 4-8 kHz at 44.1 kHz and on a hop of 300 that does not divide the
+    # frame, against `gla_reconstruct` on the whole padded grid's
+    # spectrogram. The pipeline finishes each channel by overlap-adding the
+    # band onto the other bins' overlap-add, not by one synthesis of both.
     if rate == 16000:
         assert BandLayout.from_frequencies(4000.0, 8000.0, rate, CFG) == layout
     hr = synth_clip(3, duration=0.5, sr=rate)
     lr = synth_clip(4, duration=0.5, sr=rate)
-    spec = ReconstructSpec(OracleSpec("hr.wav"), GlaConfig(5), layout, stft=CFG)
+    spec = ReconstructSpec(OracleSpec("hr.wav"), GlaConfig(5), layout, stft=stft)
     [out] = reconstruct(spec, [Waveform(lr, rate)], references={"hr.wav": [Waveform(hr, rate)]})
     band = slice(layout.k_lo, layout.k_hi)
     oracle = []
-    padded_round_trip(hr, CFG, lambda X: oracle.append(np.abs(X[:, band])))
+    padded_round_trip(hr, stft, lambda X: oracle.append(np.abs(X[:, band])))
 
     def edit(X):
         X[:, band] = oracle[0]
-        gla_reconstruct(oracle[0], X, GlaConfig(5), layout, CFG)
+        gla_reconstruct(oracle[0], X, GlaConfig(5), layout, stft)
 
-    expected = padded_round_trip(lr, CFG, edit)
+    expected = padded_round_trip(lr, stft, edit)
     assert np.max(np.abs(out.samples - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
