@@ -138,7 +138,23 @@ def _collect_clips(arg: str) -> list[str]:
     return [part for part in arg.split(",") if part]
 
 
+def _check_writes(reads, writes) -> None:
+    """Usage error when a command would write over a file it reads or writes
+    twice. ``reads`` and ``writes`` are (option, path) pairs, compared by
+    resolved path before any file is opened; a None path is not written."""
+    seen = [(flag, Path(path).resolve()) for flag, path in reads]
+    for flag, path in writes:
+        if path is None:
+            continue
+        resolved = Path(path).resolve()
+        for other, known in seen:
+            if resolved == known:
+                raise UsageError(f"{flag} and {other} name the same file {path}")
+        seen.append((flag, resolved))
+
+
 def _cmd_prepare(args) -> int:
+    _check_writes([("--in", args.input)], [("--out", args.output)])
     mode = LowpassMode.BRICKWALL if args.filter == "brickwall" else LowpassMode.FIR_SINC
     spec = LowpassSpec(mode=mode, cutoff_hz=args.cutoff_hz, taps=args.taps)
     make_pair(args.input, args.output, spec)
@@ -161,14 +177,20 @@ def _stft_config(frame_len: int, hop: int, hop_name: str = "--hop",
 
 def _cmd_sr(args) -> int:
     cfg = _stft_config(args.frame, args.hop)
-    sample_rate = wav_header(args.input).sample_rate
-    layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
-    phase = _parse_phase(args.phase, args.gla_iters)
+    predictor, phase = _parse_mag(args.mag), _parse_phase(args.phase, args.gla_iters)
     for flag, value in (("--gla-iters", args.gla_iters), ("--trace", args.trace)):
         if value is not None and not isinstance(phase, GlaConfig):
             raise UsageError(f"{flag} is only meaningful with --phase gla")
+    reads = [("--in", args.input)]
+    for flag, text in (("--mag", args.mag), ("--phase", args.phase)):
+        kind, _, path = text.partition(":")
+        if path:  # oracle:, import: or ref:
+            reads.append((f"{flag} {kind}:", path))
+    _check_writes(reads, [("--out", args.output), ("--trace", args.trace)])
+    sample_rate = wav_header(args.input).sample_rate
+    layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
     spec = ReconstructSpec(
-        predictor=_parse_mag(args.mag),
+        predictor=predictor,
         phase=phase,
         layout=layout,
         stft=cfg,
@@ -180,6 +202,7 @@ def _cmd_sr(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_writes([("--truth", args.truth), ("--est", args.est)], [("--out", args.output)])
     cfg = StftConfig()
     sample_rate = wav_header(args.truth).sample_rate
     layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
@@ -191,6 +214,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_phase_study(args) -> int:
     clips = _collect_clips(args.clips)
+    _check_writes([("--clips", clip) for clip in clips], [("--out", args.output)])
     result = run_phase_study(clips, args.output, jobs=args.jobs)
     for method, report in result.means.items():
         print(
@@ -203,6 +227,7 @@ def _cmd_phase_study(args) -> int:
 
 
 def _cmd_spec(args) -> int:
+    _check_writes([("--in", args.input)], [("--out", args.output)])
     if args.spec_command == "export":
         cfg = _stft_config(args.frame, args.hop)
         channels, _ = wav_read(args.input)

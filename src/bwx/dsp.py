@@ -99,16 +99,16 @@ def hann_window(frame_len: int) -> np.ndarray:
 def bin_index(freq_hz: float, sample_rate: int, frame_len: int) -> int:
     """Map a frequency in Hz to the nearest one-sided spectrogram bin.
 
-    Rounds half up and clamps to [0, frame_len // 2 + 1]. Frequencies outside
-    [0, Nyquist] are rejected.
+    Rounds half up. Frequencies outside [0, Nyquist] are rejected, so for an
+    even ``frame_len``, as `StftConfig` requires, the bin is in
+    [0, frame_len // 2].
     """
     nyquist = sample_rate / 2.0
     if not 0.0 <= freq_hz <= nyquist:
         raise DomainError(
             f"frequency {freq_hz} Hz outside [0, {nyquist}] for sample rate {sample_rate}"
         )
-    k = int(np.floor(freq_hz * frame_len / sample_rate + 0.5))
-    return min(max(k, 0), frame_len // 2 + 1)
+    return int(np.floor(freq_hz * frame_len / sample_rate + 0.5))
 
 
 @dataclass(frozen=True)

@@ -202,7 +202,6 @@ def _gla_band(
             np.multiply(Y_band, scale, out=X_block)
             if np.isnan(X_block).any():
                 raise NumericalError(f"NaN appeared at Griffin-Lim iteration {m}")
-            del Y_band, sums  # free this block before the next one is computed
         if trace:
             change, norm = np.sqrt(max(total + gap / 2, 0.0)), np.sqrt(total)
             residuals[m] = change / max(norm, RESIDUAL_NORM_FLOOR)

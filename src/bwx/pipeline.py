@@ -19,7 +19,9 @@ LR, every method reconstructs from the LR file with the clip file as its
 reference, and ``evaluate_batch``'s scoring walk reads both files block by
 block, so beside Griffin-Lim's band state a clip's run holds one output,
 which it writes whole. ``evaluate_batch`` scores truth/estimate file pairs,
-streaming them the same way. Every CSV goes through ``_write_csv``.
+streaming them the same way. Every CSV goes through ``_write_csv``, and every
+file, WAV or CSV, through ``wavio._atomic_output``, so it appears whole or
+not at all.
 """
 
 from __future__ import annotations
@@ -27,10 +29,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import logging
-import os
-import shutil
 import tempfile
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,7 +73,7 @@ from .phase import (
     flip_phase,
 )
 from .prep import LowpassSpec, make_pair
-from .wavio import SampleDepth, wav_header, wav_read, wav_write
+from .wavio import SampleDepth, _atomic_output, wav_header, wav_read, wav_write
 
 logger = logging.getLogger("bwx")
 
@@ -116,27 +115,6 @@ def _stage(name: str):
         raise
     except Exception as exc:
         raise PipelineError(name, exc) from exc
-
-
-@contextlib.contextmanager
-def _atomic_output(path):
-    """Open a new temporary binary file beside ``path`` and move it over
-    ``path`` once the block completes. A symlink at ``path`` is followed, so
-    its target is replaced, and an existing file's permission bits carry over
-    (its owner and other hard links do not). On an error the temporary file
-    is removed, so no partial file appears and an existing ``path`` is
-    untouched."""
-    path = Path(path).resolve()
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            yield fh
-        if path.exists():
-            shutil.copymode(path, tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 # Sources give a flow its samples by range: arrays (`dsp._ArraySource`) for
@@ -429,9 +407,10 @@ def super_resolve(spec: ReconstructSpec, input_path, output_path, trace_path=Non
 
     Channels are processed independently and written together as float32.
     The input and every reference are read one block span at a time, and
-    each finished stretch of output is appended to a temporary file beside
-    the output, which replaces the output path only after the last block; a
-    failure leaves no partial file. With ``trace_path`` set and a GLA phase
+    each finished stretch of output is appended through `_atomic_output`: to
+    a temporary file beside the output, which replaces the output path only
+    after the last block, so a failure leaves no partial file (a FIFO or a
+    device is written in place). With ``trace_path`` set and a GLA phase
     strategy, the first channel's residuals are recorded and written there as
     ``iteration,residual`` CSV rows, each residual in decimal notation with at
     least 9 significant digits.
@@ -458,9 +437,11 @@ def super_resolve(spec: ReconstructSpec, input_path, output_path, trace_path=Non
 
 
 def _write_csv(path, lines) -> None:
-    """Write ``lines``, the header first, each ended by a newline, as UTF-8."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
+    """Write ``lines``, the header first, each ended by a newline, as UTF-8,
+    through `_atomic_output`."""
+    with _atomic_output(path) as fh:
+        for line in lines:
+            fh.write(f"{line}\n".encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .errors import (
     ShapeError,
     TruncatedDataError,
 )
+from .wavio import _atomic_output
 
 MAGIC = b"BWXSPEC1"
 _HEADER_STRUCT = struct.Struct("<8sIIBIII")
@@ -87,7 +88,8 @@ def spec_write(
     """Write a spectrogram payload with its header. Magnitude data is stored
     as float32, complex data as interleaved float32 re,im pairs. A payload
     holding NaN or infinity, also one that overflows float32, is refused, and
-    so is a header that `spec_read` would refuse."""
+    so is a header that `spec_read` would refuse. The file is written through
+    `wavio._atomic_output`, so it appears whole or not at all."""
     data = np.asarray(data)
     if data.ndim != 2:
         raise ShapeError(f"spectrogram data must be 2-D, got shape {data.shape}")
@@ -105,7 +107,7 @@ def spec_write(
     header = _HEADER_STRUCT.pack(
         MAGIC, data.shape[0], data.shape[1], int(kind), sample_rate, frame_len, hop
     )
-    with open(path, "wb") as fh:
+    with _atomic_output(path) as fh:
         fh.write(header)
         fh.write(payload)
 

@@ -8,6 +8,9 @@ Unknown chunks are skipped on read.
 Both ends stream: ``wav_read(path, start, stop)`` decodes only a range of
 frames, and ``wav_write`` can write the header for a known total and then
 append the frames block by block to an open file.
+
+``_atomic_output`` is the one place bwx opens a file for writing: every WAV,
+BWXSPEC and CSV it writes appears whole or not at all.
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ from __future__ import annotations
 import contextlib
 import enum
 import os
+import shutil
 import struct
+import uuid
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -167,6 +173,35 @@ def wav_read(
     return channels, depth
 
 
+@contextlib.contextmanager
+def _atomic_output(path):
+    """Open a new temporary binary file beside ``path`` and move it over
+    ``path`` once the block completes. A symlink at ``path`` is followed, so
+    its target is replaced, and an existing file's permission bits carry over
+    (its owner and other hard links do not). On an error the temporary file
+    is removed, so no partial file appears and an existing ``path`` is
+    untouched. A ``path`` that exists and is not a regular file (a FIFO or a
+    device) cannot be replaced, so it is opened and written in place; that is
+    decided on ``path`` as given, since a resolved ``/dev/stdout`` may name
+    no file."""
+    given = Path(path)
+    if given.exists() and not given.is_file():
+        with open(given, "wb") as fh:
+            yield fh
+        return
+    path = given.resolve()
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        if path.exists():
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _quantize_pcm16(samples: np.ndarray) -> np.ndarray:
     clamped = np.clip(samples, -1.0, 1.0)
     scaled = clamped * 32768.0
@@ -180,8 +215,10 @@ def wav_write(path, x, depth: SampleDepth = SampleDepth.FLOAT32, total_frames: i
     ``path`` is a file name, or a binary file open for writing to stream a
     file in blocks: with ``total_frames`` the header for that many frames is
     written first, without it the frames are appended to what the file holds.
-    A file name gets a header for ``x`` alone. PCM16 output clamps to [-1, 1]
-    and rounds half away from zero; float32 output preserves values bit-exactly.
+    A file name gets a header for ``x`` alone and is written through
+    `_atomic_output`, so it appears whole or not at all. PCM16 output clamps
+    to [-1, 1] and rounds half away from zero; float32 output preserves
+    values bit-exactly.
     """
     channels = [x] if isinstance(x, Waveform) else list(x)
     n, rate = _channel_layout(channels)
@@ -219,6 +256,6 @@ def wav_write(path, x, depth: SampleDepth = SampleDepth.FLOAT32, total_frames: i
             b"data",
             data_size,
         )
-    with contextlib.nullcontext(path) if streaming else open(path, "wb") as fh:
+    with contextlib.nullcontext(path) if streaming else _atomic_output(path) as fh:
         fh.write(header)
         fh.write(payload)

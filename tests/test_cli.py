@@ -1,6 +1,8 @@
 """Command-line interface: subcommands and exit codes."""
 
+import errno
 import logging
+import os
 import tempfile
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bwx.cli
+import bwx.wavio
 from bwx import GlaConfig, SampleDepth, StftConfig, Waveform, istft_array, wav_read, wav_write
 from bwx.cli import main
 from bwx.specio import SpecKind, spec_read, spec_write
@@ -550,3 +553,119 @@ def test_non_finite_import_is_io_error(tmp_path, lr_path, capsys, bad):
     assert code == 2
     assert str(mag_file) in capsys.readouterr().err
     assert not out.exists()
+
+
+# Every command compares the files it reads with the files it writes, by
+# resolved path, before it opens any: a clash is a usage error naming both.
+_CLASHES = {
+    "sr-out-is-in": (
+        "sr --in lr.wav --out ./lr.wav --mag sbr --phase flip", ("--out", "--in")),
+    "sr-out-is-oracle": (
+        "sr --in lr.wav --out hr.wav --mag oracle:hr.wav --phase flip",
+        ("--out", "--mag oracle:")),
+    "sr-out-is-reference": (
+        "sr --in lr.wav --out sub/../hr.wav --mag sbr --phase ref:hr.wav",
+        ("--out", "--phase ref:")),
+    "sr-out-is-import": (
+        "sr --in lr.wav --out m.bwx --mag import:m.bwx --phase flip",
+        ("--out", "--mag import:")),
+    "sr-trace-is-in": (
+        "sr --in lr.wav --out out.wav --mag sbr --phase gla --trace lr.wav",
+        ("--trace", "--in")),
+    "sr-trace-is-out": (
+        "sr --in lr.wav --out out.wav --mag sbr --phase gla --trace ./out.wav",
+        ("--trace", "--out")),
+    "prepare": ("prepare --in hr.wav --out hr.wav", ("--out", "--in")),
+    "prepare-through-a-symlink": ("prepare --in hr.wav --out link.wav", ("--out", "--in")),
+    "eval-out-is-truth": (
+        "eval --truth hr.wav --est lr.wav --out hr.wav", ("--out", "--truth")),
+    "eval-out-is-estimate": (
+        "eval --truth hr.wav --est lr.wav --out ./lr.wav", ("--out", "--est")),
+    "spec-export": ("spec export --in hr.wav --out hr.wav", ("--out", "--in")),
+    "spec-import": ("spec import --in m.bwx --out m.bwx", ("--out", "--in")),
+    "phase-study-list": (
+        "phase-study --clips hr.wav,lr.wav --out lr.wav", ("--out", "--clips")),
+    "phase-study-directory": (
+        "phase-study --clips clips --out clips/c.wav", ("--out", "--clips")),
+}
+
+
+def _snapshot(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("case", _CLASHES)
+def test_no_command_writes_over_a_file_it_reads(tmp_path, hr_path, lr_path, monkeypatch,
+                                                 capsys, case):
+    argv, flags = _CLASHES[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "clips").mkdir()
+    (tmp_path / "clips" / "c.wav").write_bytes(hr_path.read_bytes())
+    (tmp_path / "link.wav").symlink_to(hr_path)
+    (tmp_path / "m.bwx").write_bytes(b"BWXSPEC1 stands in for a spectrogram")
+    before = _snapshot(tmp_path)
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and all(flag in err for flag in flags), err
+    assert _snapshot(tmp_path) == before
+
+
+class _FullDisk:
+    """A file open for writing whose second ``write`` fails as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh, self._writes = fh, 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        pytest.param("prepare --in hr.wav --out {target}", "lr2.wav", id="prepare"),
+        pytest.param("spec export --in hr.wav --out {target} --kind complex", "m.bwx",
+                     id="spec-export"),
+        pytest.param("spec import --in c.bwx --out {target}", "back.wav", id="spec-import"),
+        pytest.param("eval --truth hr.wav --est lr.wav --out {target}", "report.csv", id="eval"),
+        pytest.param("phase-study --clips short.wav --out {target}", "study.csv",
+                     id="phase-study"),
+        pytest.param("sr --in lr.wav --out out.wav --mag oracle:hr.wav --phase gla "
+                     "--gla-iters 2 --trace {target}", "trace.csv", id="sr-trace"),
+    ],
+)
+def test_a_failed_write_keeps_the_old_file(tmp_path, hr_path, lr_path, monkeypatch, capsys,
+                                            command, target):
+    from conftest import synth_clip
+
+    monkeypatch.chdir(tmp_path)
+    wav_write("short.wav", Waveform(synth_clip(7, duration=0.5), SR), SampleDepth.FLOAT32)
+    assert main(["spec", "export", "--in", "hr.wav", "--out", "c.bwx", "--kind", "complex"]) == 0
+    old = tmp_path / target
+    old.write_bytes(b"old content")
+    real_open = open
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        writing = "w" in mode or "x" in mode
+        return _FullDisk(fh) if writing and target in Path(file).name else fh
+
+    # `bwx.wavio` holds the one writer every file bwx writes goes through.
+    monkeypatch.setattr(bwx.wavio, "open", full_disk_open, raising=False)
+    assert main(command.format(target=target).split()) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert old.read_bytes() == b"old content"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]

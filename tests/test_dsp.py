@@ -80,6 +80,21 @@ class TestBinIndex:
         with pytest.raises(DomainError):
             bin_index(-1, 44100, 2048)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sample_rate=st.integers(1, 10**6),
+        half_frame=st.integers(1, 1 << 16),
+        data=st.data(),
+    )
+    def test_every_valid_frequency_maps_into_the_one_sided_bins(
+        self, sample_rate, half_frame, data
+    ):
+        # Every frequency in [0, Nyquist] lands on a bin of an even frame.
+        frame_len = 2 * half_frame
+        freq = data.draw(st.floats(0.0, sample_rate / 2.0), label="freq_hz")
+        assert 0 <= bin_index(freq, sample_rate, frame_len) <= frame_len // 2
+        assert bin_index(sample_rate / 2.0, sample_rate, frame_len) == frame_len // 2
+
 
 class TestStftConfig:
     def test_defaults(self):

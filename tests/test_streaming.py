@@ -3,6 +3,7 @@ block span at a time and append their output as they go. Whatever the block
 size, they write what the whole-array core writes, their memory does not grow
 with the input's length, and a failure leaves no partial output."""
 
+import os
 import stat
 import struct
 import tracemalloc
@@ -38,7 +39,8 @@ from bwx import (
 from bwx.cli import main
 from bwx.dsp import stft_array
 from bwx.errors import DomainError, PipelineError
-from bwx.pipeline import _atomic_output, _mean_report
+from bwx.pipeline import _mean_report
+from bwx.wavio import _atomic_output
 
 from conftest import synth_clip, write_pcm24
 
@@ -232,6 +234,70 @@ def test_atomic_output_writes_through_a_symlink_and_keeps_the_mode(tmp_path):
     assert target.read_bytes() == b"new"
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.wav", "real.wav"]
+    # `wav_write` given a file name writes through the same helper.
+    wave = Waveform(np.linspace(-0.5, 0.5, 64), SR)
+    wav_write(link, wave, SampleDepth.FLOAT32)
+    assert link.is_symlink()
+    assert np.array_equal(wav_read(target)[0][0].samples, wave.samples.astype(np.float32))
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.wav", "real.wav"]
+
+
+def _fifo_with_reader(path):
+    """Make a FIFO at ``path`` and open its read end without blocking, so a
+    writer's open returns at once; the pipe buffer (64 KiB on Linux) holds
+    what is written until `_drain` reads it."""
+    os.mkfifo(path)
+    return os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+
+
+def _drain(fd) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    os.close(fd)
+    return b"".join(chunks)
+
+
+def test_atomic_output_writes_a_fifo_in_place(tmp_path):
+    fifo = tmp_path / "out.fifo"
+    reader = _fifo_with_reader(fifo)
+    link = tmp_path / "link"
+    link.symlink_to(fifo)
+    with _atomic_output(link) as fh:
+        fh.write(b"whole")
+    with _atomic_output(fifo) as fh:
+        fh.write(b" file")
+    assert _drain(reader) == b"whole file"
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and link.is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "out.fifo"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_atomic_output_writes_a_pipe_named_by_a_descriptor_path(tmp_path):
+    # As /dev/stdout does when stdout is piped, the path names a pipe that
+    # resolves to no file ("pipe:[...]"), so it is written where it is.
+    read_end, write_end = os.pipe()
+    with _atomic_output(f"/proc/self/fd/{write_end}") as fh:
+        fh.write(b"piped")
+    os.close(write_end)
+    assert os.read(read_end, 16) == b"piped"
+    os.close(read_end)
+
+
+def test_sr_delivers_the_whole_file_to_a_fifo(tmp_path):
+    # 0.25 s of float32 mono: the WAV fits the FIFO's buffer.
+    lr = tmp_path / "lr.wav"
+    wav_write(lr, lowpass(Waveform(synth_clip(3, duration=0.25), SR), LowpassSpec(4000.0)))
+    regular = tmp_path / "regular.wav"
+    argv = ["sr", "--in", str(lr), "--mag", "sbr", "--phase", "flip", "--out"]
+    assert main([*argv, str(regular)]) == 0
+    fifo = tmp_path / "out.fifo"
+    reader = _fifo_with_reader(fifo)
+    assert main([*argv, str(fifo)]) == 0
+    assert _drain(reader) == regular.read_bytes()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lr.wav", "out.fifo", "regular.wav"]
 
 
 def _noise_wav(path, seconds, seed):
