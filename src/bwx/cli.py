@@ -6,6 +6,9 @@ the reconstruction pipeline), ``eval`` (score a truth/estimate pair),
 ``spec export``/``spec import`` for BWXSPEC spectrogram files.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numerical error.
+Status lines (``wrote <path>``, a BWXSPEC header) go to stderr, so an
+``--out /dev/stdout`` stream holds the file alone; ``eval``'s rows and
+``phase-study``'s means are results and go to stdout.
 """
 
 from __future__ import annotations
@@ -158,7 +161,7 @@ def _cmd_prepare(args) -> int:
     mode = LowpassMode.BRICKWALL if args.filter == "brickwall" else LowpassMode.FIR_SINC
     spec = LowpassSpec(mode=mode, cutoff_hz=args.cutoff_hz, taps=args.taps)
     make_pair(args.input, args.output, spec)
-    print(f"wrote {args.output}")
+    print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -197,7 +200,7 @@ def _cmd_sr(args) -> int:
         residual_band=ResidualBand.PASSTHROUGH if args.residual == "pass" else ResidualBand.ZERO,
     )
     super_resolve(spec, args.input, args.output, trace_path=args.trace)
-    print(f"wrote {args.output}")
+    print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -241,13 +244,14 @@ def _cmd_spec(args) -> int:
         else:
             data, kind = spectrogram, SpecKind.COMPLEX
         spec_write(args.output, data, kind, channels[0].sample_rate, cfg.frame_len, cfg.hop)
-        print(f"wrote {args.output}")
+        print(f"wrote {args.output}", file=sys.stderr)
         return EXIT_OK
 
     data, header = spec_read(args.input)
     print(
         f"{args.input}: {header.frames}x{header.bins} {header.kind.name.lower()} "
-        f"@ {header.sample_rate} Hz, frame {header.frame_len}, hop {header.hop}"
+        f"@ {header.sample_rate} Hz, frame {header.frame_len}, hop {header.hop}",
+        file=sys.stderr,
     )
     if header.kind is not SpecKind.COMPLEX:
         raise UsageError("only complex BWXSPEC files can be resynthesised to wav")
@@ -262,7 +266,7 @@ def _cmd_spec(args) -> int:
     lead, n_frames = padded_grid(cfg, len(out))
     _normalise(out, lead, n_frames, cfg)
     wav_write(args.output, Waveform(out, header.sample_rate), SampleDepth.FLOAT32)
-    print(f"wrote {args.output}")
+    print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -38,20 +38,20 @@ Conventions used throughout the package:
   block's inverse transform is written into it and windowed in place, so no
   block allocates frames or spectra of its own. The FFTs are numpy's
   (pocketfft, single-threaded, with ``out=``). The consistency projection
-  stft(istft(X)) is streamed (`_project_rows`): each block of X is
-  overlap-added into one reused buffer of about a block's samples, a frame
-  is analysed as soon as no later block can touch its samples, and only the
-  samples later frames still need are carried to the buffer's front. So
-  every transform's workspace is sized by the block, not by the signal. The
-  rows come block by block from the caller, and the projection is linear, so
-  they may be added onto a signal that already holds the overlap-add of
-  frames that never change: Griffin-Lim in the pipeline keeps only its high
-  band and that signal, not the grid's spectrogram. Its projection
-  (`_project_band`) runs the same stream with band-only block transforms: a
-  real frame is read as half as many complex samples, so its band's bins
-  synthesise through one half-length complex `ifft` of a block zero outside
-  the band and its mirror, and analyse back through one half-length `fft`,
-  with the split-radix twiddles applied to the band's bins alone.
+  stft(istft(X)) of a whole spectrogram is those two transforms
+  (`consistency_project_array`). Griffin-Lim streams it (`_project_band`):
+  each block of X is overlap-added into one reused buffer of about a block's
+  samples, a frame is analysed as soon as no later block can touch its
+  samples, and only the samples later frames still need are carried to the
+  buffer's front, so no signal-length array is held. The projection is
+  linear, so the rows may be added onto a signal that already holds the
+  overlap-add of frames that never change: Griffin-Lim in the pipeline
+  keeps only its high band and that signal, not the grid's spectrogram, and
+  transforms only the band: a real frame is read as half as many complex
+  samples, so its band's bins synthesise through one half-length complex
+  `ifft` of a block zero outside the band and its mirror, and analyse back
+  through one half-length `fft`, with the split-radix twiddles applied to
+  the band's bins alone.
 """
 
 from __future__ import annotations
@@ -505,76 +505,36 @@ def _whole_channels(
     return out
 
 
-def _project_rows(
-    rows, n_frames: int, cfg: StftConfig, signal: np.ndarray | None = None,
-    synthesise=None, analyse=None,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Stream the consistency projection stft(istft(X)) of the ``n_frames``
-    frames of X whose block f0..f1-1 ``rows(f0, f1)`` returns, added onto
-    ``signal``. Yields ``(a0, a1, Y_block)``, consecutive from frame 0:
-    ``Y_block`` is rows a0..a1-1 of the projection, bit for bit, with at most
-    `BLOCK_FRAMES` rows.
-
-    Block by block, the rows are overlap-added into one reused buffer of
-    about a block's samples, which starts each new sample at ``signal``'s
-    value (an unnormalised overlap-add of output_length(n_frames) samples) or
-    at zero; the stretch that no later frame reaches is divided by its
-    window-square sum (`_normalise`), every frame whose samples are then
-    final is analysed, and the samples that later frames still need are
-    carried to the front of the buffer. The projection is linear, so frames
-    whose contribution never changes can be added into ``signal`` once, and
-    ``rows`` supply only the rest. ``rows`` is asked for each block once, in
-    frame order, so no row below a yielded a1 is asked for again: the caller
-    may overwrite those rows in place before asking for the next block.
-
-    ``synthesise(rows, out, first_frame, cfg)`` and ``analyse(x, cfg)``
-    stand in for `overlap_add` and `stft_array`, the defaults, as the block
-    transforms; the third item of each yield is what ``analyse`` returns.
-    `_project_band` passes its band-only kernels."""
-    synthesise = synthesise or overlap_add
-    analyse = analyse or stft_array
-    frame_len, hop = cfg.frame_len, cfg.hop
-    step = min(BLOCK_FRAMES, n_frames)
-    # The first frame not yet analysed starts at most ceil(frame_len / hop) - 1
-    # frames before a block's first frame, so the buffer spans that many more.
-    reach = -(-frame_len // hop)
-    buffer = np.empty(cfg.output_length(min(step + reach - 1, n_frames)))
-    base = held = 0  # buffer[0] is sample `base`; buffer[:held] holds sums begun earlier
-    divided = a0 = 0  # samples divided so far; frames yielded so far
-    for f0, f1, _ in frame_blocks(n_frames, cfg, step):
-        end = (f1 - 1) * hop + frame_len
-        buffer[held : end - base] = 0.0 if signal is None else signal[base + held : end]
-        synthesise(rows(f0, f1), buffer, f0 - base // hop, cfg)
-        # No frame from f1 on reaches below f1 * hop; the last block ends the signal.
-        final = end if f1 == n_frames else f1 * hop
-        _normalise(buffer[divided - base : final - base], divided, n_frames, cfg)
-        divided = final
-        a1 = max(a0, (final - frame_len) // hop + 1)  # frames lying wholly below `final`
-        ready = buffer[a0 * hop - base : (a1 - 1) * hop + frame_len - base]
-        for g0, g1, span in frame_blocks(a1 - a0, cfg, step):
-            yield a0 + g0, a0 + g1, analyse(ready[span], cfg)
-        held = end - a1 * hop
-        buffer[:held] = buffer[a1 * hop - base : end - base]
-        base, a0 = a1 * hop, a1
-
-
 def _project_band(
     band: np.ndarray, k_lo: int, cfg: StftConfig, pinned: np.ndarray, trace: bool = False
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray | None]]:
-    """`_project_rows` for a spectrogram whose band [k_lo, k_hi)
-    (0 < k_lo < k_hi <= n_bins) ``band`` gives, (frames, k_hi - k_lo), and
-    whose other bins ``pinned`` gives. Each yield ``(a0, a1, Y_band, sums)``
-    gives the band's columns of projection rows a0..a1-1 and, with ``trace``
-    (else None), an (a1 - a0, 3) array of each row's sum((w x_t)^2) over its
-    windowed frame and its bins 0 and N / 2, that frame's sum and alternating
-    sum. Both are views of buffers that the next block overwrites; the band's
-    values are the same bits with ``trace`` and without.
+    """Stream Griffin-Lim's consistency projection stft(istft(X)) of the
+    spectrogram X whose band [k_lo, k_hi) (0 < k_lo < k_hi <= n_bins)
+    ``band`` gives, (frames, k_hi - k_lo), and whose other bins ``pinned``
+    gives. Yields ``(a0, a1, Y_band, sums)``, consecutive from frame 0: the
+    band's columns of projection rows a0..a1-1, at most `BLOCK_FRAMES` of
+    them, and, with ``trace`` (else None), an (a1 - a0, 3) array of each
+    row's sum((w x_t)^2) over its windowed frame and its bins 0 and N / 2,
+    that frame's sum and alternating sum. Both are views of buffers that the
+    next block overwrites; the band's values are the same bits with
+    ``trace`` and without.
 
-    ``pinned`` 2-D is the whole spectrogram, ``band`` a view of it, whose rows
-    are projected whole by `overlap_add` and `np.fft.rfft`, as `_project_rows`
-    projects them, so no signal-length array is held. ``pinned`` 1-D is the
-    unnormalised overlap-add of the other bins, onto which the band's rows
-    alone are synthesised, and the band never widens to n_bins columns.
+    Block by block, X's rows are overlap-added into one reused buffer of
+    about a block's samples; the stretch that no later frame reaches is
+    divided by its window-square sum (`_normalise`, at its absolute sample
+    positions), every frame whose samples are then final is analysed, and
+    the samples that later frames still need are carried to the front of the
+    buffer. Each block of rows is read once, in frame order, so the caller
+    may overwrite the rows below a yielded a1 before asking for the next.
+
+    ``pinned`` 2-D is the whole spectrogram, ``band`` a view of it, whose
+    rows are synthesised whole by `overlap_add` and analysed by
+    `np.fft.rfft`: the same bits as those columns of
+    `consistency_project_array`, without its signal-length array. ``pinned``
+    1-D is the unnormalised overlap-add, output_length(frames) samples, of
+    the other bins, which starts each new sample of the buffer; the
+    projection is linear, so the band's rows alone are synthesised onto it,
+    and the band never widens to n_bins columns.
     A real frame x of N = frame_len samples, read as M = N / 2 complex
     samples z = x[0::2] + i x[1::2], has
     the half-length spectrum Z = fft(z), and with w = exp(-2 pi i k / N) its
@@ -591,7 +551,7 @@ def _project_band(
     and transforms its complex view in place with `np.fft.fft`."""
     n_frames, width = band.shape
     k_hi = k_lo + width
-    frame_len, half = cfg.frame_len, cfg.frame_len // 2
+    frame_len, half, hop = cfg.frame_len, cfg.frame_len // 2, cfg.hop
     direct = slice(k_lo, min(k_hi, half))  # Z's bins that band bins below M map onto
     n_direct = direct.stop - direct.start
     nyquist = k_hi == half + 1  # the last band bin is bin M
@@ -607,7 +567,7 @@ def _project_band(
     Y = np.empty((step, cfg.n_bins if whole_rows else width), dtype=np.complex128)
     sums = np.empty((step, 3))  # the trace's, for the block last analysed
 
-    def synthesise(X, out, first_frame, cfg):
+    def synthesise(X, out, first_frame):
         n = len(X)
         Z, frames = spectrum[:n], _frame_scratch(n, frame_len)
         # The mirror terms, in the frame buffer until the transform fills it.
@@ -625,9 +585,9 @@ def _project_band(
             to_mirror[...] = T
         np.fft.ifft(Z, axis=1, out=frames.view(np.complex128))
         frames *= cfg.window_values()
-        _add_frames(frames, out, first_frame * cfg.hop, cfg)
+        _add_frames(frames, out, first_frame * hop, cfg)
 
-    def analyse(x, cfg):
+    def analyse(x):
         n = cfg.frame_count(len(x))
         frames = _frame_scratch(n, frame_len)
         np.multiply(_frame_view(x, n, cfg), cfg.window_values(), out=frames)
@@ -648,11 +608,31 @@ def _project_band(
         Y_band += np.multiply(mirrored, mirror_term, out=mirrored)
         return Y_band
 
-    rows, signal = (lambda f0, f1: band[f0:f1]), pinned
-    if whole_rows:
-        rows, signal, synthesise = (lambda f0, f1: pinned[f0:f1]), None, overlap_add
-    for a0, a1, Y_band in _project_rows(rows, n_frames, cfg, signal, synthesise, analyse):
-        yield a0, a1, Y_band, sums[: a1 - a0] if trace else None
+    # The first frame not yet analysed starts at most ceil(frame_len / hop) - 1
+    # frames before a block's first frame, so the buffer spans that many more.
+    reach = -(-frame_len // hop)
+    buffer = np.empty(cfg.output_length(min(step + reach - 1, n_frames)))
+    base = held = 0  # buffer[0] is sample `base`; buffer[:held] holds sums begun earlier
+    divided = a0 = 0  # samples divided so far; frames yielded so far
+    for f0, f1, _ in frame_blocks(n_frames, cfg, step):
+        end = (f1 - 1) * hop + frame_len
+        if whole_rows:
+            buffer[held : end - base] = 0.0
+            overlap_add(pinned[f0:f1], buffer, f0 - base // hop, cfg)
+        else:
+            buffer[held : end - base] = pinned[base + held : end]
+            synthesise(band[f0:f1], buffer, f0 - base // hop)
+        # No frame from f1 on reaches below f1 * hop; the last block ends the signal.
+        final = end if f1 == n_frames else f1 * hop
+        _normalise(buffer[divided - base : final - base], divided, n_frames, cfg)
+        divided = final
+        a1 = max(a0, (final - frame_len) // hop + 1)  # frames lying wholly below `final`
+        ready = buffer[a0 * hop - base : (a1 - 1) * hop + frame_len - base]
+        for g0, g1, span in frame_blocks(a1 - a0, cfg, step):
+            yield a0 + g0, a0 + g1, analyse(ready[span]), sums[: g1 - g0] if trace else None
+        held = end - a1 * hop
+        buffer[:held] = buffer[a1 * hop - base : end - base]
+        base, a0 = a1 * hop, a1
 
 
 def consistency_project_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
@@ -660,9 +640,7 @@ def consistency_project_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
     fixed point (up to rounding) exactly when X is the STFT of some signal.
     An L-frame spectrogram resynthesises to output_length(L) samples, which
     analyse back into exactly L frames. ``X`` must have ``cfg.n_bins`` bins
-    (`ShapeError` otherwise). Filled block by block from `_project_rows`."""
-    X = _checked_spectrogram(X, cfg)
-    Y = np.empty_like(X)
-    for a0, a1, Y_block in _project_rows(lambda f0, f1: X[f0:f1], X.shape[0], cfg):
-        Y[a0:a1] = Y_block
-    return Y
+    (`ShapeError` otherwise). Besides its complex output it holds that one
+    float64 signal, about hop / frame_len of the output's size (1/8 at
+    2048/256); Griffin-Lim streams the projection instead (`_project_band`)."""
+    return stft_array(istft_array(X, cfg), cfg)

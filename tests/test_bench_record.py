@@ -74,3 +74,43 @@ def test_steady_runs_are_resolved():
     verdict = _verdict(baseline, change)
     assert verdict["resolved"] is True
     assert verdict["within_bound"] is True
+
+
+def _tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+HARNESS_FILES = {"perfbench/run.py": "run", "perfbench/worker.py": "work", "BENCHMARK.json": "{}"}
+
+
+def test_same_harness_files_hash_alike(tmp_path, capsys):
+    tool = _tool()
+    names = sorted(HARNESS_FILES)
+    sides = {side: tool._harness(_tree(tmp_path / side, HARNESS_FILES), names)
+             for side in ("baseline", "change")}
+    assert sides["baseline"]["BENCHMARK.json"] == (
+        "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"  # sha256 of "{}"
+    )
+    record = {side: {"harness": hashes} for side, hashes in sides.items()}
+    tool._check_harness(record)
+    assert record["same_harness"] is True
+    assert capsys.readouterr().err == ""
+
+
+def test_a_changed_or_missing_harness_file_is_flagged(tmp_path, capsys):
+    tool = _tool()
+    names = sorted(HARNESS_FILES)
+    base = tool._harness(_tree(tmp_path / "baseline", HARNESS_FILES), names)
+    changed = tool._harness(_tree(tmp_path / "change", HARNESS_FILES | {"perfbench/run.py": "run!"}),
+                            names + ["perfbench/gone.py"])
+    assert changed["perfbench/gone.py"] is None
+    record = {"baseline": {"harness": base}, "change": {"harness": changed}}
+    tool._check_harness(record)
+    assert record["same_harness"] is False
+    warning = capsys.readouterr().err
+    assert "warning" in warning and "perfbench/gone.py, perfbench/run.py differ" in warning
+    assert "worker.py" not in warning

@@ -45,7 +45,6 @@ from bwx import (
 from bwx.cli import main
 from bwx.dsp import (
     _project_band,
-    _project_rows,
     consistency_project_array,
     frame_blocks,
     istft_array,
@@ -189,13 +188,14 @@ def test_blocks_match_whole_signal_transforms(hop, extra, block, seed):
     assert np.array_equal(out, istft_array(Y, cfg))
 
 
-def _whole_projection(Y, cfg):
+def _whole_projection(Y, cfg, signal=None):
     """stft(istft(Y)), with istft divided by a whole-length window-square sum
-    added frame by frame."""
-    signal = np.zeros(cfg.output_length(Y.shape[0]))
-    overlap_add(Y, signal, 0, cfg)
-    signal /= whole_window_sum(cfg, Y.shape[0])
-    return stft_array(signal, cfg)
+    added frame by frame; given ``signal``, an unnormalised overlap-add of
+    output_length(frames) samples, Y's frames are added onto it."""
+    out = np.zeros(cfg.output_length(Y.shape[0])) if signal is None else signal.copy()
+    overlap_add(Y, out, 0, cfg)
+    out /= whole_window_sum(cfg, Y.shape[0])
+    return stft_array(out, cfg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,10 +209,12 @@ def _whole_projection(Y, cfg):
 @example(hop=64, side="above", where=0.5, block=1, seed=0)  # hop == frame_len
 @example(hop=24, side="at", where=0.0, block=3, seed=1)
 @example(hop=1, side="above", where=0.0, block=5, seed=2)
-def test_project_rows_equals_whole_projection(hop, side, where, block, seed):
+def test_projections_equal_whole_projection(hop, side, where, block, seed):
     # Any hop, dividing the frame or not, and a frame count below, at or above
     # the short grid of 2 * ceil(frame_len / hop) + 1 frames whose window-square
-    # sum the projection divides by: its rows are stft(istft(Y)) bit for bit.
+    # sum the projection divides by: consistency_project_array is
+    # stft(istft(Y)) bit for bit, and so are the band columns that Griffin-Lim's
+    # stream yields from whole rows, block by block from frame 0.
     cfg = StftConfig(frame_len=64, hop=hop)
     short = 2 * -(-cfg.frame_len // hop) + 1
     n_frames = {
@@ -224,12 +226,16 @@ def test_project_rows_equals_whole_projection(hop, side, where, block, seed):
     Y = rng.standard_normal((n_frames, cfg.n_bins)) + 1j * rng.standard_normal(
         (n_frames, cfg.n_bins)
     )
+    k_lo = int(rng.integers(1, cfg.n_bins))
+    k_hi = int(rng.integers(k_lo + 1, cfg.n_bins + 1))
     expected = _whole_projection(Y, cfg)
     with mock.patch.object(bwx.dsp, "BLOCK_FRAMES", block):
-        blocks = list(_project_rows(lambda f0, f1: Y[f0:f1], n_frames, cfg))
+        assert np.array_equal(consistency_project_array(Y, cfg), expected)
+        blocks = [(a0, a1, Y_band.copy()) for a0, a1, Y_band, _ in
+                  _project_band(Y[:, k_lo:k_hi], k_lo, cfg, Y)]
     assert [a0 for a0, _, _ in blocks] == [0] + [a1 for _, a1, _ in blocks[:-1]]
     assert blocks[-1][1] == n_frames
-    assert np.array_equal(np.concatenate([Y_block for _, _, Y_block in blocks]), expected)
+    assert np.array_equal(np.concatenate([b for _, _, b in blocks]), expected[:, k_lo:k_hi])
 
 
 @settings(max_examples=80, deadline=None)
@@ -245,15 +251,15 @@ def test_project_rows_equals_whole_projection(hop, side, where, block, seed):
 @example(hop=40, bins=[5, 33], n_frames=20, block=3, seed=2)  # both
 @example(hop=64, bins=[32, 33], n_frames=3, block=1, seed=3)  # Nyquist alone
 def test_band_projection_equals_the_full_projections_band(hop, bins, n_frames, block, seed):
-    # The band kernel's rows are the band columns of the full path's
-    # projection of the same spectrogram, zero outside the band, on the same
-    # signal, to rounding; with the trace's sums asked for too, the band's
-    # are the same bits and the sums are the full path's frames': N times
-    # the windowed frame's squared norm is its two-sided spectrum's energy
-    # (Parseval), beside its bins 0 and N / 2. Given the whole spectrogram
-    # instead of a signal, it projects whole rows as the full path does, bit
-    # for bit. The band's Nyquist bin has an imaginary part, which irfft
-    # does not read.
+    # The band kernel's rows are the band columns of the whole-array
+    # projection of the same spectrogram, zero outside the band, added onto
+    # the same signal, to rounding; with the trace's sums asked for too, the
+    # band's are the same bits and the sums are the whole projection's
+    # frames': N times the windowed frame's squared norm is its two-sided
+    # spectrum's energy (Parseval), beside its bins 0 and N / 2. Given the
+    # whole spectrogram instead of a signal, it projects whole rows as
+    # consistency_project_array does, bit for bit. The band's Nyquist bin has
+    # an imaginary part, which irfft does not read.
     k_lo, k_hi = bins
     cfg = StftConfig(frame_len=64, hop=hop)
     rng = np.random.default_rng(seed)
@@ -264,15 +270,14 @@ def test_band_projection_equals_the_full_projections_band(hop, bins, n_frames, b
     X = np.zeros((n_frames, cfg.n_bins), dtype=np.complex128)
     X[:, k_lo:k_hi] = band
     with mock.patch.object(bwx.dsp, "BLOCK_FRAMES", block):
-        full = [Y for _, _, Y in _project_rows(lambda f0, f1: X[f0:f1], n_frames, cfg, signal)]
         runs = [
             [(a0, a1, Y_band.copy(), sums if sums is None else sums.copy())
              for a0, a1, Y_band, sums in _project_band(band, k_lo, cfg, signal, trace)]
             for trace in (False, True)
         ]
-        plain = [Y for _, _, Y in _project_rows(lambda f0, f1: X[f0:f1], n_frames, cfg)]
+        plain = consistency_project_array(X, cfg)
         rows = [Y_band.copy() for _, _, Y_band, _ in _project_band(X[:, k_lo:k_hi], k_lo, cfg, X)]
-    Y = np.concatenate(full)
+    Y = _whole_projection(X, cfg, signal)
     tolerance = 1e-12 * np.max(np.abs(Y))
     for run, trace in zip(runs, (False, True)):
         assert [a0 for a0, _, _, _ in run] == [0] + [a1 for _, a1, _, _ in run[:-1]]
@@ -287,7 +292,7 @@ def test_band_projection_equals_the_full_projections_band(hop, bins, n_frames, b
         else:
             assert all(s is None for _, _, _, s in run)
     assert all(np.array_equal(a[2], b[2]) for a, b in zip(*runs))
-    assert np.array_equal(np.concatenate(rows), np.concatenate(plain)[:, k_lo:k_hi])
+    assert np.array_equal(np.concatenate(rows), plain[:, k_lo:k_hi])
 
 
 # Bins of a 64-sample frame: [8, 20) re-imposed, [0, 8) and [20, 33) pinned.
@@ -301,9 +306,10 @@ SMALL_LAYOUT = BandLayout(8, 20, 33)
     seed=st.integers(0, 2**32 - 1),
 )
 def test_transforms_and_gla_block_size_invariant(hop, n_frames, seed):
-    # Whatever BLOCK_FRAMES is, every transform, the streamed projection and
-    # a 3-iteration GLA from zero phase and from a warm start, on the whole
-    # spectrogram and on the band alone, give the same bits as one block.
+    # Whatever BLOCK_FRAMES is, every transform, the streamed projection in
+    # both modes and a 3-iteration GLA from zero phase and from a warm start,
+    # on the whole spectrogram and on the band alone, give the same bits as
+    # one block.
     cfg = StftConfig(frame_len=64, hop=hop)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(cfg.output_length(n_frames) + int(rng.integers(hop)))
@@ -311,13 +317,31 @@ def test_transforms_and_gla_block_size_invariant(hop, n_frames, seed):
     Y = X * np.exp(1j * rng.uniform(-np.pi, np.pi, X.shape))
     magnitude = np.abs(X[:, 8:20])
     warm = np.exp(1j * rng.uniform(-np.pi, np.pi, magnitude.shape))
+    Y_others = Y.copy()
+    Y_others[:, 8:20] = 0.0
+    Y_pinned = np.zeros(cfg.output_length(n_frames))
+    overlap_add(Y_others, Y_pinned, 0, cfg)
 
     def start(band):
         X0 = X.copy()
         X0[:, 8:20] = band
         return X0
 
-    def run():
+    def spoiled_projection(whole_rows, block):
+        # The rows below a1 are never read again: spoiling them after each
+        # block leaves every later block unchanged.
+        Z = Y.copy()
+        band, pinned = (Z[:, 8:20], Z) if whole_rows else (Z[:, 8:20].copy(), Y_pinned)
+        got, rows = [], []
+        for a0, a1, Y_band, _ in _project_band(band, 8, cfg, pinned):
+            assert 0 < a1 - a0 <= block
+            got.append(Y_band.copy())
+            (pinned if whole_rows else band)[a0:a1] = np.nan
+            rows.extend(range(a0, a1))
+        assert rows == list(range(n_frames))
+        return np.concatenate(got)
+
+    def run(block):
         glas, bands = [], []
         for band in (magnitude, magnitude * warm):
             X0 = start(band)
@@ -328,22 +352,15 @@ def test_transforms_and_gla_block_size_invariant(hop, n_frames, seed):
             bands.append(band.astype(np.complex128))
             _gla_band(magnitude, bands[-1], pinned, GlaConfig(3), SMALL_LAYOUT, cfg)
         arrays = [stft_array(x, cfg), istft_array(Y, cfg), consistency_project_array(Y, cfg)]
+        arrays += [spoiled_projection(whole_rows, block) for whole_rows in (True, False)]
         return arrays + [X0 for X0, _ in glas] + bands, [residuals for _, residuals in glas]
 
     with mock.patch.object(bwx.dsp, "BLOCK_FRAMES", ONE_BLOCK):
-        whole, whole_residuals = run()
+        whole, whole_residuals = run(ONE_BLOCK)
+    assert np.array_equal(whole[3], whole[2][:, 8:20])
     for block in (1, 7, 8):
         with mock.patch.object(bwx.dsp, "BLOCK_FRAMES", block):
-            arrays, residuals = run()
-            # The rows below a1 are never read again: spoiling them after each
-            # block leaves every later block unchanged.
-            Z, rows = Y.copy(), []
-            for a0, a1, Y_block in _project_rows(lambda f0, f1: Z[f0:f1], n_frames, cfg):
-                assert 0 < a1 - a0 <= block
-                assert np.array_equal(Y_block, whole[2][a0:a1])
-                Z[a0:a1] = np.nan
-                rows.extend(range(a0, a1))
-        assert rows == list(range(n_frames))
+            arrays, residuals = run(block)
         for got, expected in zip(arrays, whole):
             assert np.array_equal(got, expected)
         # Residual norms are summed per block, so only their rounding moves.

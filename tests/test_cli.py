@@ -3,6 +3,8 @@
 import errno
 import logging
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -669,3 +671,52 @@ def test_a_failed_write_keeps_the_old_file(tmp_path, hr_path, lr_path, monkeypat
     assert "No space left on device" in capsys.readouterr().err
     assert old.read_bytes() == b"old content"
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def _bwx(args, **kwargs):
+    """The CLI run in a fresh interpreter, with stdout and stderr piped."""
+    src = str(Path(bwx.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from bwx.cli import main; sys.exit(main())"
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=env,
+                          **kwargs)
+
+
+PIPED_COMMANDS = [
+    pytest.param(["prepare"], id="prepare"),
+    pytest.param(["sr", "--mag", "sbr", "--phase", "flip"], id="sr"),
+]
+
+
+@pytest.fixture()
+def quarter_second(tmp_path):
+    from conftest import synth_clip
+
+    path = tmp_path / "in.wav"
+    wav_write(path, Waveform(synth_clip(3, duration=0.25), SR), SampleDepth.FLOAT32)
+    return path
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("command", PIPED_COMMANDS)
+def test_out_to_piped_stdout_is_the_file_alone(tmp_path, quarter_second, command):
+    # The status line goes to stderr, so the pipe gets the bytes that a run
+    # to a regular file writes, and nothing after them.
+    regular = tmp_path / "out.wav"
+    assert _bwx([*command, "--in", str(quarter_second), "--out", str(regular)]).returncode == 0
+    piped = _bwx([*command, "--in", str(quarter_second), "--out", "/dev/stdout"])
+    assert piped.returncode == 0
+    assert piped.stdout == regular.read_bytes()
+    assert b"wrote /dev/stdout" in piped.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("command", PIPED_COMMANDS)
+def test_piped_input_is_an_io_error(tmp_path, quarter_second, command):
+    # WAV input is read by seeking, so a pipe is refused before anything is written.
+    out = tmp_path / "out.wav"
+    done = _bwx([*command, "--in", "/dev/stdin", "--out", str(out)],
+                input=quarter_second.read_bytes())
+    assert done.returncode == 2
+    assert b"not seekable" in done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav"]

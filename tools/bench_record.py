@@ -34,7 +34,11 @@ the working tree won, lost and tied, and three verdicts:
   baseline's median, or else every working-tree run beats every baseline
   run. When it is false, neither verdict above says anything.
 
-It also records both revisions, nproc, the library versions, the load
+It also records which benchmark each side ran: the sha256 of every
+git-tracked file under ``perfbench/`` and of ``BENCHMARK.json``, per side,
+and ``same_harness``, whether the two sets match. When they do not, it
+prints a warning, since the pairs then compare the harnesses as well as
+bwx. It records both revisions, nproc, the library versions, the load
 average, the session's total steal and a calibration taken in the same
 session: the median time of ``numpy.fft.rfft`` over a 1715 x 2048 float64
 array, at the start and at the end. The file is rewritten after every pair,
@@ -44,6 +48,7 @@ so a session that stops early leaves the pairs it finished.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -63,6 +68,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CALIBRATION_SHAPE = (1715, 2048)  # a 10 s clip's frames at 2048 / 256
 CALIBRATION_REPEATS = 15
 GAIN_MIN_PAIRS = 10  # fewer compared pairs never show a gain
+HARNESS = ("perfbench", "BENCHMARK.json")  # the benchmark's own files, hashed per side
 
 # Synthesises a seed's inputs into the checkout's .bench_cache/ (the
 # benchmark's own cache), in a process of its own.
@@ -102,6 +108,27 @@ def _export(rev: str, directory: Path) -> None:
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(directory, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+
+
+def _harness(root: Path, names: list[str]) -> dict:
+    """sha256 of each file that ``names`` lists, relative to ``root``; None
+    for one that is not there."""
+    return {
+        name: hashlib.sha256((root / name).read_bytes()).hexdigest() if (root / name).is_file() else None
+        for name in names
+    }
+
+
+def _check_harness(record: dict) -> None:
+    """Set ``record["same_harness"]`` from the two sides' harness hashes, and
+    warn on stderr, naming the files that differ, when they do not match."""
+    base, change = record["baseline"]["harness"], record["change"]["harness"]
+    record["same_harness"] = base == change
+    if not record["same_harness"]:
+        shared = base.keys() & change.keys()
+        differ = sorted((base.keys() ^ change.keys()) | {n for n in shared if base[n] != change[n]})
+        print(f"warning: the two sides run different benchmarks ({', '.join(differ)} differ), "
+              "so their pairs compare the harnesses as well as bwx", file=sys.stderr)
 
 
 def _cpu_times() -> list[int]:
@@ -254,6 +281,10 @@ def main(argv=None) -> int:
     try:
         baseline_root = tmp / "baseline"
         _export(baseline_rev, baseline_root)
+        tracked = _git("ls-tree", "-r", "--name-only", baseline_rev, "--", *HARNESS).splitlines()
+        record["baseline"]["harness"] = _harness(baseline_root, tracked)
+        record["change"]["harness"] = _harness(ROOT, _git("ls-files", "--", *HARNESS).splitlines())
+        _check_harness(record)
         sides = {"baseline": baseline_root, "change": ROOT}
         for workload, seeds in args.plan:
             pairs = []
