@@ -21,6 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import (
+    BAND_HI_HZ,
+    BAND_LO_HZ,
     BandLayout,
     StftConfig,
     Waveform,
@@ -66,7 +68,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("prepare", help="write a low-passed companion file")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--cutoff-hz", type=float, default=4000.0)
+    p.add_argument("--cutoff-hz", type=float, default=BAND_LO_HZ)
     p.add_argument("--filter", choices=["brickwall", "fir"], default="brickwall")
     p.add_argument("--taps", type=int, default=511)
 
@@ -78,16 +80,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--gla-iters", type=int, default=None, help="GLA iterations (default 100)")
     p.add_argument("--frame", type=int, default=2048)
     p.add_argument("--hop", type=int, default=256)
-    p.add_argument("--lo-hz", type=float, default=4000.0)
-    p.add_argument("--hi-hz", type=float, default=8000.0)
+    p.add_argument("--lo-hz", type=float, default=BAND_LO_HZ)
+    p.add_argument("--hi-hz", type=float, default=BAND_HI_HZ)
     p.add_argument("--residual", choices=["pass", "zero"], default="pass")
     p.add_argument("--trace", default=None, help="write the GLA residual trace CSV here")
 
     p = sub.add_parser("eval", help="score an estimate against ground truth")
     p.add_argument("--truth", required=True)
     p.add_argument("--est", required=True)
-    p.add_argument("--lo-hz", type=float, default=4000.0)
-    p.add_argument("--hi-hz", type=float, default=8000.0)
+    p.add_argument("--lo-hz", type=float, default=BAND_LO_HZ)
+    p.add_argument("--hi-hz", type=float, default=BAND_HI_HZ)
     p.add_argument("--out", dest="output", required=True)
 
     p = sub.add_parser("phase-study", help="compare phase strategies with oracle magnitudes")
@@ -206,10 +208,9 @@ def _cmd_sr(args) -> int:
 
 def _cmd_eval(args) -> int:
     _check_writes([("--truth", args.truth), ("--est", args.est)], [("--out", args.output)])
-    cfg = StftConfig()
     sample_rate = wav_header(args.truth).sample_rate
-    layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
-    rows = evaluate_batch([(args.truth, args.est)], layout, args.output, cfg)
+    layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, StftConfig())
+    rows = evaluate_batch([(args.truth, args.est)], layout, args.output)
     for row in rows:
         print(row)
     return EXIT_OK

@@ -143,6 +143,11 @@ class StftConfig:
         return (n_frames - 1) * self.hop + self.frame_len
 
 
+# The paper's task: the input is band-limited at BAND_LO_HZ and [BAND_LO_HZ,
+# BAND_HI_HZ) rebuilt. The phase study runs there and scores at StftConfig().
+BAND_LO_HZ, BAND_HI_HZ = 4000.0, 8000.0
+
+
 @dataclass
 class Waveform:
     """Mono sample sequence plus its sample rate."""
@@ -366,11 +371,13 @@ def overlap_add(X: np.ndarray, out: np.ndarray, first_frame: int, cfg: StftConfi
 
 
 def _checked_spectrogram(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """``X`` as complex128, checked to be 2-D with ``cfg.n_bins`` bins
-    (`ShapeError` otherwise)."""
+    """``X`` as complex128, checked to be 2-D with at least one frame and
+    ``cfg.n_bins`` bins (`ShapeError` otherwise)."""
     X = np.asarray(X, dtype=np.complex128)
     if X.ndim != 2:
         raise ShapeError(f"spectrogram data must be 2-D (frames x bins), got {X.shape}")
+    if X.shape[0] == 0:
+        raise ShapeError("spectrogram has no frames")
     if X.shape[1] != cfg.n_bins:
         raise ShapeError(f"spectrogram has {X.shape[1]} bins, config demands {cfg.n_bins}")
     return X
@@ -381,8 +388,8 @@ def istft_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
     (L - 1) * hop + frame_len samples.
 
     The overlap-added signal is divided by the floored squared-window sum
-    (`_normalise`). ``X`` must have ``cfg.n_bins`` bins (`ShapeError`
-    otherwise)."""
+    (`_normalise`). ``X`` must have at least one frame and ``cfg.n_bins``
+    bins (`ShapeError` otherwise)."""
     X = _checked_spectrogram(X, cfg)
     n_frames = X.shape[0]
     out = np.zeros(cfg.output_length(n_frames))
@@ -391,18 +398,15 @@ def istft_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return out
 
 
-def frame_blocks(
-    n_frames: int, cfg: StftConfig, block_frames: int | None = None
-) -> Iterator[tuple[int, int, slice]]:
-    """Split frames 0..n_frames-1 into consecutive blocks of ``block_frames``
-    (default `BLOCK_FRAMES`) frames.
+def frame_blocks(n_frames: int, cfg: StftConfig) -> Iterator[tuple[int, int, slice]]:
+    """Split frames 0..n_frames-1 into consecutive blocks of `BLOCK_FRAMES`
+    frames, the last one shorter.
 
     Yields ``(f0, f1, samples)``: the block covers frames f0..f1-1 and
     ``stft_array(x[samples], cfg)`` is exactly those frames of
     ``stft_array(x, cfg)``."""
-    step = block_frames or BLOCK_FRAMES
-    for f0 in range(0, n_frames, step):
-        f1 = min(f0 + step, n_frames)
+    for f0 in range(0, n_frames, BLOCK_FRAMES):
+        f1 = min(f0 + BLOCK_FRAMES, n_frames)
         yield f0, f1, slice(f0 * cfg.hop, (f1 - 1) * cfg.hop + cfg.frame_len)
 
 
@@ -614,7 +618,7 @@ def _project_band(
     buffer = np.empty(cfg.output_length(min(step + reach - 1, n_frames)))
     base = held = 0  # buffer[0] is sample `base`; buffer[:held] holds sums begun earlier
     divided = a0 = 0  # samples divided so far; frames yielded so far
-    for f0, f1, _ in frame_blocks(n_frames, cfg, step):
+    for f0, f1, _ in frame_blocks(n_frames, cfg):
         end = (f1 - 1) * hop + frame_len
         if whole_rows:
             buffer[held : end - base] = 0.0
@@ -628,7 +632,7 @@ def _project_band(
         divided = final
         a1 = max(a0, (final - frame_len) // hop + 1)  # frames lying wholly below `final`
         ready = buffer[a0 * hop - base : (a1 - 1) * hop + frame_len - base]
-        for g0, g1, span in frame_blocks(a1 - a0, cfg, step):
+        for g0, g1, span in frame_blocks(a1 - a0, cfg):
             yield a0 + g0, a0 + g1, analyse(ready[span]), sums[: g1 - g0] if trace else None
         held = end - a1 * hop
         buffer[:held] = buffer[a1 * hop - base : end - base]
@@ -640,7 +644,7 @@ def consistency_project_array(X: np.ndarray, cfg: StftConfig) -> np.ndarray:
     fixed point (up to rounding) exactly when X is the STFT of some signal.
     An L-frame spectrogram resynthesises to output_length(L) samples, which
     analyse back into exactly L frames. ``X`` must have ``cfg.n_bins`` bins
-    (`ShapeError` otherwise). Besides its complex output it holds that one
-    float64 signal, about hop / frame_len of the output's size (1/8 at
-    2048/256); Griffin-Lim streams the projection instead (`_project_band`)."""
+    and L >= 1 (`ShapeError` otherwise). Besides its complex output it holds
+    that one float64 signal, about hop / frame_len of the output's size (1/8
+    at 2048/256); Griffin-Lim streams the projection (`_project_band`)."""
     return stft_array(istft_array(X, cfg), cfg)

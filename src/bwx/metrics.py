@@ -1,5 +1,6 @@
 """Objective evaluation: log-spectral distance, time-domain SNR and
-spectrogram consistency residuals.
+spectrogram consistency residuals. `evaluate`, ``eval`` and the phase study
+score at the paper's STFT, ``StftConfig()`` (2048/256), only.
 
 Log power is 10*log10(m^2 + 1e-10); the floor keeps silent bins bounded and
 is recorded here as a constant so results stay comparable across runs.
@@ -127,7 +128,7 @@ def snr(truth: Waveform, estimate: Waveform) -> float:
 def consistency_residual(X: np.ndarray, cfg: StftConfig) -> float:
     """||X - P_C(X)||_F / max(||X||_F, 1e-12) for a complex spectrogram
     ``X`` analysed under ``cfg``; zero exactly for consistent X. ``X`` must
-    have ``cfg.n_bins`` bins (`ShapeError` otherwise)."""
+    have a frame or more and ``cfg.n_bins`` bins (`ShapeError` otherwise)."""
     num = np.linalg.norm(X - consistency_project_array(X, cfg))
     return float(num / max(np.linalg.norm(X), RESIDUAL_NORM_FLOOR))
 
@@ -163,12 +164,13 @@ def _mean_report(reports: Sequence[EvalReport]) -> EvalReport:
     )
 
 
-def _evaluate_sources(truth, estimate, layout: BandLayout, cfg: StftConfig) -> EvalReport:
+def _evaluate_sources(truth, estimate, layout: BandLayout) -> EvalReport:
     """Score every channel of the source ``estimate`` against the source
     ``truth``, reading both one block span at a time, and average the channel
     reports (see `evaluate`). Every check of the pair is made before any block
     is read. Samples past the shorter source's end are not scored, but each
     source is still checked to its end."""
+    cfg = StftConfig()
     if truth.n_channels != estimate.n_channels:
         raise ShapeError(
             f"channel counts differ: {truth.n_channels} vs {estimate.n_channels}"
@@ -180,6 +182,8 @@ def _evaluate_sources(truth, estimate, layout: BandLayout, cfg: StftConfig) -> E
             f"with frame_len {cfg.frame_len}"
         )
     _check_bins((layout.k_lo, layout.k_hi), cfg.n_bins)  # and so the wider [0, k_hi)
+    if layout.n_bins != cfg.n_bins:
+        raise ShapeError(f"layout covers {layout.n_bins} bins, scoring's STFT has {cfg.n_bins}")
     _check_rates(truth.sample_rate, estimate.sample_rate)
     n_frames = cfg.frame_count(n)
     hf = np.empty((truth.n_channels, n_frames))
@@ -217,18 +221,15 @@ def _evaluate_sources(truth, estimate, layout: BandLayout, cfg: StftConfig) -> E
     )
 
 
-def evaluate(
-    truth: Waveform,
-    estimate: Waveform,
-    layout: BandLayout,
-    cfg: StftConfig,
-) -> EvalReport:
+def evaluate(truth: Waveform, estimate: Waveform, layout: BandLayout) -> EvalReport:
     """Build an EvalReport for a waveform pair, one block of frames at a time,
-    by the same walk as ``eval`` and the phase study.
+    by the same walk as ``eval`` and the phase study, at the paper's STFT,
+    ``StftConfig()`` (2048/256). ``layout`` must be made for that STFT, with
+    its 1025 bins (`ShapeError` otherwise).
 
     LSD-HF covers [k_lo, k_hi) and LSD-Full [0, k_hi). Both are means of
     per-frame values over every frame. SNR is computed on interior samples
     only, trimming one frame length from each end to exclude overlap-add edge
     effects.
     """
-    return _evaluate_sources(_ArraySource([truth]), _ArraySource([estimate]), layout, cfg)
+    return _evaluate_sources(_ArraySource([truth]), _ArraySource([estimate]), layout)

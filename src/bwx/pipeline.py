@@ -14,14 +14,14 @@ onto that signal and normalises it; no grid-sized complex spectrogram is held.
 ``reconstruct`` runs the core on arrays (for library callers) and
 ``super_resolve`` on WAV files read and written one block at a time.
 ``run_phase_study`` reruns the oracle-magnitude phase comparison over a clip
-set through the files the CLI flows write: ``make_pair`` writes each clip's
-LR, every method reconstructs from the LR file with the clip file as its
-reference, and ``evaluate_batch``'s scoring walk reads both files block by
-block, so beside Griffin-Lim's band state a clip's run holds one output,
-which it writes whole. ``evaluate_batch`` scores truth/estimate file pairs,
-streaming them the same way. Every CSV goes through ``_write_csv``, and every
-file, WAV or CSV, through ``wavio._atomic_output``, so it appears whole or
-not at all.
+set, at the paper's 4-8 kHz band and 2048/256 STFT, through the files the CLI
+flows write: ``make_pair`` writes each clip's LR, every method reconstructs
+from the LR file with the clip file as its reference, and ``evaluate_batch``'s
+scoring walk reads both files block by block, so beside Griffin-Lim's band
+state a clip's run holds one output, which it writes whole. ``evaluate_batch``
+scores truth/estimate file pairs at that STFT, streaming them the same way.
+Every CSV goes through ``_write_csv``, and every file, WAV or CSV, through
+``wavio._atomic_output``, so it appears whole or not at all.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dsp import (
+    BAND_HI_HZ,
+    BAND_LO_HZ,
     BandLayout,
     StftConfig,
     Waveform,
@@ -72,7 +74,7 @@ from .phase import (
     extract_reference_phase,
     flip_phase,
 )
-from .prep import LowpassSpec, make_pair
+from .prep import make_pair
 from .wavio import SampleDepth, _atomic_output, wav_header, wav_read, wav_write
 
 logger = logging.getLogger("bwx")
@@ -457,14 +459,7 @@ class PhaseStudyResult:
     skipped: list[str] = field(default_factory=list)
 
 
-def _study_one_clip(
-    clip_path: str,
-    workdir: Path,
-    cfg: StftConfig,
-    lo_hz: float,
-    hi_hz: float,
-    gla_iterations: int,
-) -> dict[str, EvalReport]:
+def _study_one_clip(clip_path: str, workdir: Path, gla_iterations: int) -> dict[str, EvalReport]:
     """Score one clip under every study method, through the files the CLI
     flows would write and read: ``make_pair`` writes the LR (the clip is
     decoded whole only inside that call), each method reconstructs from the
@@ -479,9 +474,10 @@ def _study_one_clip(
     and reads its length and peak from it."""
     workdir.mkdir(parents=True, exist_ok=True)
     stem = Path(clip_path).stem
-    layout = BandLayout.from_frequencies(lo_hz, hi_hz, wav_header(clip_path).sample_rate, cfg)
+    rate = wav_header(clip_path).sample_rate
+    layout = BandLayout.from_frequencies(BAND_LO_HZ, BAND_HI_HZ, rate, StftConfig())
     lr_path = workdir / f"{stem}_lr.wav"
-    make_pair(clip_path, lr_path, LowpassSpec(cutoff_hz=lo_hz), cfg)
+    make_pair(clip_path, lr_path)
 
     phase_specs: dict[str, PhaseStrategySpec] = {
         "flip": FlipPhaseSpec(),
@@ -490,14 +486,14 @@ def _study_one_clip(
     }
 
     def score(path) -> EvalReport:
-        return _evaluate_sources(_WavSource(clip_path), _WavSource(path), layout, cfg)
+        return _evaluate_sources(_WavSource(clip_path), _WavSource(path), layout)
 
     reports = {"lr": score(lr_path)}
     for method, phase_spec in phase_specs.items():
         est_path = workdir / f"{stem}_{method}.wav"
-        spec = ReconstructSpec(OracleSpec(str(clip_path)), phase_spec, layout, cfg)
+        spec = ReconstructSpec(OracleSpec(str(clip_path)), phase_spec, layout)
         lr = _WavSource(lr_path)
-        blocks = _reconstruct_blocks(spec, lr, _References(cfg, {}))
+        blocks = _reconstruct_blocks(spec, lr, _References(spec.stft, {}))
         out = _whole_channels(blocks, lr.n_channels, lr.n_samples)
         wav_write(est_path, [Waveform(row, lr.sample_rate) for row in out], SampleDepth.FLOAT32)
         del out  # not held through the next method's Griffin-Lim
@@ -506,17 +502,11 @@ def _study_one_clip(
 
 
 def run_phase_study(
-    clips: Sequence[str],
-    out,
-    cfg: StftConfig = StftConfig(),
-    lo_hz: float = 4000.0,
-    hi_hz: float = 8000.0,
-    gla_iterations: int = 100,
-    jobs: int = 1,
+    clips: Sequence[str], out, gla_iterations: int = 100, jobs: int = 1
 ) -> PhaseStudyResult:
     """Compare phase strategies with oracle magnitudes over a clip set.
 
-    Each clip is band-limited with a brickwall lowpass into an LR file,
+    Each clip is band-limited at 4 kHz by the brickwall into an LR file,
     reconstructed from it under the flip, Griffin-Lim and reference-phase
     strategies (plus the zero-filled LR baseline) and scored against the
     original, all through files in a temporary directory (see
@@ -536,9 +526,7 @@ def run_phase_study(
         def _run(index: int, clip: str) -> dict[str, EvalReport] | None:
             try:
                 # One sub-directory per clip so parallel runs cannot collide.
-                return _study_one_clip(
-                    clip, Path(tmp) / str(index), cfg, lo_hz, hi_hz, gla_iterations
-                )
+                return _study_one_clip(clip, Path(tmp) / str(index), gla_iterations)
             except Exception as exc:
                 logger.warning("skipping clip %s: %s", clip, exc)
                 return None
@@ -582,13 +570,9 @@ def run_phase_study(
     return PhaseStudyResult(rows=rows, means=means, snr_anomaly=anomaly, skipped=skipped)
 
 
-def evaluate_batch(
-    pairs: Sequence[tuple[str, str]],
-    layout: BandLayout,
-    out,
-    cfg: StftConfig = StftConfig(),
-) -> list[str]:
-    """Score (truth, estimate) file pairs; one CSV row per pair plus a mean row.
+def evaluate_batch(pairs: Sequence[tuple[str, str]], layout: BandLayout, out) -> list[str]:
+    """Score (truth, estimate) file pairs at the paper's STFT, as `evaluate`
+    does; one CSV row per pair plus a mean row.
 
     Failing pairs are logged and reported as rows with empty metric fields;
     the mean covers the successes. Rows keep the input order. When every pair
@@ -600,9 +584,7 @@ def evaluate_batch(
     failures: list[tuple[str, str, Exception]] = []
     for truth_path, estimate_path in pairs:
         try:
-            report = _evaluate_sources(
-                _WavSource(truth_path), _WavSource(estimate_path), layout, cfg
-            )
+            report = _evaluate_sources(_WavSource(truth_path), _WavSource(estimate_path), layout)
         except Exception as exc:
             failures.append((truth_path, estimate_path, exc))
             rows.append(f"{estimate_path},error,,,,")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import StftConfig, Waveform, _whole_channels, bin_index, resynthesize
+from .dsp import BAND_LO_HZ, StftConfig, Waveform, _whole_channels, bin_index, resynthesize
 from .errors import DomainError
 from .wavio import SampleDepth, wav_read, wav_write
 
@@ -29,7 +29,7 @@ class LowpassMode(enum.Enum):
 @dataclass(frozen=True)
 class LowpassSpec:
     mode: LowpassMode = LowpassMode.BRICKWALL
-    cutoff_hz: float = 4000.0
+    cutoff_hz: float = BAND_LO_HZ
     taps: int = 511
 
     def __post_init__(self) -> None:
@@ -114,12 +114,13 @@ def lowpass(x: Waveform, spec: LowpassSpec, cfg: StftConfig = StftConfig()) -> W
     return Waveform(out, x.sample_rate)
 
 
-def make_pair(hr_path, out_lr_path, spec: LowpassSpec = LowpassSpec(), cfg: StftConfig = StftConfig()) -> None:
+def make_pair(hr_path, out_lr_path, spec: LowpassSpec = LowpassSpec()) -> None:
     """Write the low-passed companion of a high-resolution file.
 
-    Channels are processed independently; the output keeps the input's sample
-    rate and length and is stored as float32.
+    Channels are processed independently, the brickwall on the paper's
+    2048/256 grid; the output keeps the input's sample rate and length and is
+    stored as float32.
     """
     channels, _depth = wav_read(hr_path)
-    filtered = [lowpass(ch, spec, cfg) for ch in channels]
+    filtered = [lowpass(ch, spec) for ch in channels]
     wav_write(out_lr_path, filtered, SampleDepth.FLOAT32)

@@ -1,4 +1,5 @@
-"""The gain, bound and resolution verdicts of ``tools/bench_record.py``."""
+"""The gain, bound and resolution verdicts of ``tools/bench_record.py``, and the
+harness hashes and source sizes it records per side."""
 
 import importlib.util
 from pathlib import Path
@@ -114,3 +115,20 @@ def test_a_changed_or_missing_harness_file_is_flagged(tmp_path, capsys):
     warning = capsys.readouterr().err
     assert "warning" in warning and "perfbench/gone.py, perfbench/run.py differ" in warning
     assert "worker.py" not in warning
+
+
+def test_source_size_counts_lines_and_public_names(tmp_path):
+    root = _tree(tmp_path, {
+        "src/bwx/__init__.py": '"""Doc."""\n\nfrom .a import f\n\n__all__ = [\n    "f",\n    "g",\n]\n',
+        "src/bwx/a.py": "def f():\n    return 1\n",
+        "src/bwx/b.py": "X = 1",  # no final newline: wc -l does not count that line
+        "src/bwx/sub/c.py": "Y = 2\n",  # not in the package's top level
+        "src/other.py": "Z = 3\n",
+    })
+    assert _tool()._source_size(root) == {"source_lines": 10, "public_names": 2}
+
+
+def test_public_names_of_this_tree_are_bwx_all():
+    import bwx
+
+    assert _tool()._source_size(TOOL.parent.parent)["public_names"] == len(bwx.__all__)

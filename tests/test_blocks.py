@@ -126,7 +126,7 @@ def test_evaluate_blocked_equals_one_block(monkeypatch, files):
     hr, lr = files["mono"]
     truth, estimate = wav_read(hr)[0][0], wav_read(lr)[0][0]
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", ONE_BLOCK)
-    whole = evaluate(truth, estimate, LAYOUT, CFG)
+    whole = evaluate(truth, estimate, LAYOUT)
     mt, me = (np.abs(stft_array(w.samples, CFG)) for w in (truth, estimate))
     np.testing.assert_allclose(
         [whole.lsd_hf, whole.lsd_full],
@@ -136,7 +136,7 @@ def test_evaluate_blocked_equals_one_block(monkeypatch, files):
     )
     for block in BLOCK_SIZES:
         monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", block)
-        report = evaluate(truth, estimate, LAYOUT, CFG)
+        report = evaluate(truth, estimate, LAYOUT)
         np.testing.assert_allclose(
             [report.lsd_hf, report.lsd_full], [whole.lsd_hf, whole.lsd_full], rtol=1e-12, atol=0
         )
@@ -179,10 +179,11 @@ def test_blocks_match_whole_signal_transforms(hop, extra, block, seed):
 
     out = np.zeros(cfg.output_length(n_frames))
     covered = []
-    for f0, f1, span in frame_blocks(n_frames, cfg, block):
-        assert np.array_equal(stft_array(x[span], cfg), X[f0:f1])
-        overlap_add(Y[f0:f1], out, f0, cfg)
-        covered.extend(range(f0, f1))
+    with mock.patch.object(bwx.dsp, "BLOCK_FRAMES", block):
+        for f0, f1, span in frame_blocks(n_frames, cfg):
+            assert np.array_equal(stft_array(x[span], cfg), X[f0:f1])
+            overlap_add(Y[f0:f1], out, f0, cfg)
+            covered.extend(range(f0, f1))
     assert covered == list(range(n_frames))
     out /= bwx.dsp._synthesis_denominator(cfg, n_frames)
     assert np.array_equal(out, istft_array(Y, cfg))
@@ -530,8 +531,8 @@ def test_oracle_sub_blocks_equal_whole_grid_magnitudes(monkeypatch, block):
     n = int(0.3 * SR)
     hr = [Waveform(synth_clip(seed, duration=0.3), SR) for seed in (5, 6)]
     _, grid_frames = padded_grid(CFG, n)
-    whole = next(frame_blocks(grid_frames, CFG, grid_frames))
     with mock.patch.object(bwx.dsp, "BLOCK_FRAMES", ONE_BLOCK):
+        whole = next(frame_blocks(grid_frames, CFG))
         expected = [
             predict_oracle(stft_array(x, CFG), LAYOUT)
             for x in read_padded(lambda a, b: [w.samples[a:b] for w in hr], n, CFG, 0, whole[2].stop)

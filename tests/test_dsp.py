@@ -11,6 +11,7 @@ from bwx import (
     StftConfig,
     Waveform,
     bin_index,
+    consistency_residual,
     istft_array,
     stft_array,
 )
@@ -259,6 +260,19 @@ class TestIstft:
         sel = interior_slice(n, cfg)
         err = np.linalg.norm(x[:n][sel] - y[sel]) / np.linalg.norm(x[:n][sel])
         assert err < 1e-6
+
+
+@pytest.mark.parametrize(
+    "inverse",
+    [istft_array, consistency_project_array, consistency_residual],
+    ids=lambda f: f.__name__,
+)
+def test_spectrogram_with_no_frames_rejected(inverse):
+    # No frame makes no signal: not frame_len - hop zeros, and no LengthError
+    # about a signal the caller never passed.
+    cfg = StftConfig()
+    with pytest.raises(ShapeError, match="spectrogram has no frames"):
+        inverse(np.zeros((0, cfg.n_bins), dtype=np.complex128), cfg)
 
 
 def overlap_add_oracle(X, cfg):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwx import (
     BandLayout,
@@ -18,7 +20,7 @@ from bwx import (
 )
 from bwx.dsp import _ArraySource
 from bwx.errors import DomainError, LengthError, ShapeError
-from bwx.metrics import LSD_POWER_FLOOR, _evaluate_sources
+from bwx.metrics import LSD_POWER_FLOOR, SNR_CHUNK, _EnergySums, _evaluate_sources
 
 CFG = StftConfig()
 
@@ -156,6 +158,36 @@ class TestSnr:
             snr(Waveform(np.zeros(10), 44100), Waveform(np.ones(10), 44100))
 
 
+# Cuts on and beside the chunk boundaries, where a piece fills a chunk
+# exactly, stops one short or spills one over.
+_CHUNK_EDGES = [k * SNR_CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 3 * SNR_CHUNK + 100),
+    cuts=st.lists(
+        st.one_of(st.integers(0, 3 * SNR_CHUNK + 100), st.sampled_from(_CHUNK_EDGES)),
+        max_size=12,
+    ),
+    noise=st.sampled_from([0.0, 1e-3, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_snr_does_not_depend_on_the_cuts(n, cuts, noise, seed):
+    # A pair fed in any pieces, empty ones included, gives the bits of the
+    # pair fed whole.
+    rng = np.random.default_rng(seed)
+    truth = rng.standard_normal(n)
+    estimate = truth + noise * rng.standard_normal(n)
+    whole = _EnergySums()
+    whole.add(truth, estimate)
+    pieces = _EnergySums()
+    bounds = [0, *sorted(min(c, n) for c in cuts), n]
+    for a, b in zip(bounds, bounds[1:]):
+        pieces.add(truth[a:b], estimate[a:b])
+    assert pieces.snr_db() == whole.snr_db()
+
+
 class TestConsistencyResidual:
     def test_stft_output_is_consistent(self, short_music):
         X = stft_array(short_music.samples, CFG)
@@ -204,7 +236,7 @@ class TestEvalReport:
 
     def test_evaluate_identical_waveforms(self, short_music):
         layout = BandLayout(186, 372, CFG.n_bins)
-        report = evaluate(short_music, short_music, layout, CFG)
+        report = evaluate(short_music, short_music, layout)
         assert report.lsd_hf == 0.0
         assert report.lsd_full == 0.0
         assert report.snr == pytest.approx(120.0, abs=1e-9)
@@ -225,11 +257,12 @@ class _CountingSource(_ArraySource):
 
 class TestScoringChecks:
     """Every check of a pair fires before either source is read, in a fixed
-    order: channel count, length, bin range, sample rates. Each case below
-    also breaks every later check, so the first must win."""
+    order: channel count, length, bin range, the layout's STFT, sample rates.
+    Each case below also breaks every later check, so the first must win."""
 
     LAYOUT = BandLayout(186, 372, CFG.n_bins)
     WIDE = BandLayout(186, CFG.n_bins + 1, CFG.n_bins + 1)  # k_hi past cfg.n_bins
+    SMALL = BandLayout(8, 16, 33)  # bins in range, but made for a 64-sample frame
 
     @staticmethod
     def _channel(n, rate=44100):
@@ -241,20 +274,21 @@ class TestScoringChecks:
             (3 * 2048, (2, 2 * 2048, 48000), "WIDE", ShapeError, "channel counts differ"),
             (3 * 2048, (1, 2 * 2048, 48000), "WIDE", LengthError, "too short"),
             (3 * 2048, (1, 3 * 2048, 48000), "WIDE", DomainError, "bin range"),
+            (3 * 2048, (1, 3 * 2048, 48000), "SMALL", ShapeError, "layout covers 33 bins"),
             (3 * 2048, (1, 3 * 2048, 48000), "LAYOUT", ShapeError, "sample rates differ"),
         ],
-        ids=["channels", "length", "bins", "rates"],
+        ids=["channels", "length", "bins", "layout", "rates"],
     )
     def test_check_fails_before_any_read(self, truth_n, est_shape, layout, error, match):
         n_channels, n, rate = est_shape
         truth = _CountingSource([self._channel(truth_n)])
         estimate = _CountingSource([self._channel(n, rate)] * n_channels)
         with pytest.raises(error, match=match):
-            _evaluate_sources(truth, estimate, getattr(self, layout), CFG)
+            _evaluate_sources(truth, estimate, getattr(self, layout))
         assert (truth.reads, estimate.reads) == (0, 0)
 
     def test_valid_pair_is_read(self):
         truth = _CountingSource([self._channel(3 * 2048)])
         estimate = _CountingSource([self._channel(3 * 2048)])
-        _evaluate_sources(truth, estimate, self.LAYOUT, CFG)
+        _evaluate_sources(truth, estimate, self.LAYOUT)
         assert truth.reads > 0 and estimate.reads > 0

@@ -90,7 +90,7 @@ class TestSuperResolve:
         hr, lr = hr_lr_paths
         rebuilt = _rebuild(lr, _spec(OracleSpec(str(hr)), ReferencePhaseSpec(str(hr))))
         truth = wav_read(hr)[0][0]
-        report = evaluate(truth, rebuilt, LAYOUT, CFG)
+        report = evaluate(truth, rebuilt, LAYOUT)
         assert report.lsd_hf < 0.5
 
     def test_zero_magnitude_import_gives_lfc_only(self, tmp_path, hr_lr_paths):
@@ -129,7 +129,7 @@ class TestSuperResolve:
             ("gla", GlaConfig(iterations=30)),
         ):
             rebuilt = _rebuild(lr, _spec(OracleSpec(str(hr)), phase))
-            results[name] = evaluate(truth, rebuilt, LAYOUT, CFG)
+            results[name] = evaluate(truth, rebuilt, LAYOUT)
         assert results["gla"].lsd_hf < results["flip"].lsd_hf
 
     def test_lfc_band_is_passed_through_unaltered(self, tmp_path, hr_lr_paths):
@@ -386,7 +386,7 @@ class TestEvaluateBatch:
     def test_truth_vs_itself(self, tmp_path, hr_lr_paths):
         hr, _ = hr_lr_paths
         out = tmp_path / "report.csv"
-        rows = evaluate_batch([(str(hr), str(hr))], LAYOUT, out, CFG)
+        rows = evaluate_batch([(str(hr), str(hr))], LAYOUT, out)
         assert len(rows) == 2  # pair row + mean row
         fields = rows[0].split(",")
         assert float(fields[2]) == 0.0
@@ -402,7 +402,6 @@ class TestEvaluateBatch:
             [(str(hr), str(tmp_path / "missing.wav")), (str(hr), str(lr))],
             LAYOUT,
             out,
-            CFG,
         )
         assert len(rows) == 3
         assert ",error," in rows[0]
@@ -411,9 +410,7 @@ class TestEvaluateBatch:
     def test_rows_keep_input_order(self, tmp_path, hr_lr_paths):
         hr, lr = hr_lr_paths
         out = tmp_path / "report.csv"
-        rows = evaluate_batch(
-            [(str(hr), str(lr)), (str(hr), str(hr))], LAYOUT, out, CFG
-        )
+        rows = evaluate_batch([(str(hr), str(lr)), (str(hr), str(hr))], LAYOUT, out)
         assert rows[0].startswith(str(lr))
         assert rows[1].startswith(str(hr))
 
@@ -474,7 +471,7 @@ class TestRunPhaseStudy:
         for clip in two_clips:
             layout = BandLayout.from_frequencies(4000.0, 8000.0, SR, CFG)
             lr = tmp_path / "chain_lr.wav"
-            make_pair(clip, lr, LowpassSpec(cutoff_hz=4000.0), CFG)
+            make_pair(clip, lr, LowpassSpec(cutoff_hz=4000.0))
             estimates = {"lr": lr}
             phases = {
                 "flip": FlipPhaseSpec(),
@@ -488,7 +485,7 @@ class TestRunPhaseStudy:
             reports = {}
             for method, path in estimates.items():
                 pairs = zip(wav_read(clip)[0], wav_read(path)[0])
-                channel_reports = [evaluate(t, e, layout, CFG) for t, e in pairs]
+                channel_reports = [evaluate(t, e, layout) for t, e in pairs]
                 reports[method] = [
                     float(np.mean([getattr(r, name) for r in channel_reports]))
                     for name in ("lsd_hf", "lsd_full", "snr")
@@ -565,7 +562,7 @@ class TestRunPhaseStudy:
         block_margin = 5 * bwx.dsp.BLOCK_FRAMES * CFG.n_bins * 16
         tracemalloc.start()
         try:
-            bwx.pipeline._study_one_clip(clip, tmp_path, CFG, 4000.0, 8000.0, 1)
+            bwx.pipeline._study_one_clip(clip, tmp_path, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

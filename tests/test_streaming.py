@@ -124,7 +124,7 @@ def test_streamed_flows_equal_whole_array_core(monkeypatch, tmp_path, inputs, co
     expected = tmp_path / "whole.wav"
     wav_write(expected, whole, SampleDepth.FLOAT32)
     expected_report = _mean_report(
-        [evaluate(t, e, LAYOUT, CFG) for t, e in zip(truth, wav_read(expected)[0])]
+        [evaluate(t, e, LAYOUT) for t, e in zip(truth, wav_read(expected)[0])]
     )
 
     for block in (1, 3, ONE_BLOCK):
@@ -133,7 +133,7 @@ def test_streamed_flows_equal_whole_array_core(monkeypatch, tmp_path, inputs, co
         super_resolve(spec, lr, out)
         assert out.read_bytes() == expected.read_bytes()
         csv = tmp_path / f"eval_{block}.csv"
-        rows = evaluate_batch([(str(hr), str(expected))], LAYOUT, csv, CFG)
+        rows = evaluate_batch([(str(hr), str(expected))], LAYOUT, csv)
         assert rows[0] == expected_report.csv_row(str(expected), "eval")
         if block != 1:
             assert csv.read_text() == (tmp_path / "eval_1.csv").read_text()
@@ -198,13 +198,13 @@ def test_non_finite_sample_past_the_shorter_file_fails_the_pair(tmp_path, inputs
     _longer_copy(longer, hr, 3000)
     csv = tmp_path / "eval.csv"
     failing = [(str(longer), str(lr)), (str(lr), str(longer))]
-    rows = evaluate_batch([*failing, (str(hr), str(hr))], LAYOUT, csv, CFG)
+    rows = evaluate_batch([*failing, (str(hr), str(hr))], LAYOUT, csv)
     assert rows[:2] == [f"{lr},error,,,,", f"{longer},error,,,,"]
     assert rows[2].startswith(f"{hr},eval,")
     # With no pair left to score, the first failure is raised and no CSV written.
     csv.unlink()
     with pytest.raises(DomainError):
-        evaluate_batch(failing, LAYOUT, csv, CFG)
+        evaluate_batch(failing, LAYOUT, csv)
     assert not csv.exists()
 
 
@@ -337,7 +337,7 @@ def test_streamed_memory_does_not_grow_with_length(tmp_path):
         peaks["sr", seconds] = _traced_peak(lambda: super_resolve(spec, lr, out))
         pairs = [(str(hr), str(out))]
         csv = tmp_path / f"eval{seconds}.csv"
-        peaks["eval", seconds] = _traced_peak(lambda: evaluate_batch(pairs, LAYOUT, csv, CFG))
+        peaks["eval", seconds] = _traced_peak(lambda: evaluate_batch(pairs, LAYOUT, csv))
         for path in (hr, lr, out):
             path.unlink()
     for flow in ("sr", "eval"):

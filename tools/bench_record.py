@@ -38,7 +38,12 @@ It also records which benchmark each side ran: the sha256 of every
 git-tracked file under ``perfbench/`` and of ``BENCHMARK.json``, per side,
 and ``same_harness``, whether the two sets match. When they do not, it
 prints a warning, since the pairs then compare the harnesses as well as
-bwx. It records both revisions, nproc, the library versions, the load
+bwx. Per side it records the source's size, the two numbers the
+simplicity work is measured by: ``source_lines``, the newlines in
+``src/bwx/*.py`` (what ``cat src/bwx/*.py | wc -l`` prints), and
+``public_names``, the length of ``bwx.__all__``, read from
+``src/bwx/__init__.py`` with ``ast`` so nothing is imported from either
+tree. It records both revisions, nproc, the library versions, the load
 average, the session's total steal and a calibration taken in the same
 session: the median time of ``numpy.fft.rfft`` over a 1715 x 2048 float64
 array, at the start and at the end. The file is rewritten after every pair,
@@ -48,6 +53,7 @@ so a session that stops early leaves the pairs it finished.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -117,6 +123,20 @@ def _harness(root: Path, names: list[str]) -> dict:
         name: hashlib.sha256((root / name).read_bytes()).hexdigest() if (root / name).is_file() else None
         for name in names
     }
+
+
+def _source_size(root: Path) -> dict:
+    """The newlines in ``root``'s ``src/bwx/*.py``, as ``wc -l`` counts them,
+    and the number of names in the ``__all__`` list of its
+    ``src/bwx/__init__.py``, parsed, not imported."""
+    package = root / "src" / "bwx"
+    lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+    names = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse((package / "__init__.py").read_text()).body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    )
+    return {"source_lines": lines, "public_names": len(names)}
 
 
 def _check_harness(record: dict) -> None:
@@ -284,6 +304,8 @@ def main(argv=None) -> int:
         tracked = _git("ls-tree", "-r", "--name-only", baseline_rev, "--", *HARNESS).splitlines()
         record["baseline"]["harness"] = _harness(baseline_root, tracked)
         record["change"]["harness"] = _harness(ROOT, _git("ls-files", "--", *HARNESS).splitlines())
+        for side, root in (("baseline", baseline_root), ("change", ROOT)):
+            record[side] |= _source_size(root)
         _check_harness(record)
         sides = {"baseline": baseline_root, "change": ROOT}
         for workload, seeds in args.plan:
