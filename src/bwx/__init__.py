@@ -28,7 +28,6 @@ from .phase import (
 )
 from .pipeline import (
     ReconstructSpec,
-    ResidualBand,
     evaluate_batch,
     reconstruct,
     run_phase_study,
@@ -52,7 +51,6 @@ __all__ = [
     "OracleSpec",
     "ReconstructSpec",
     "ReferencePhaseSpec",
-    "ResidualBand",
     "SampleDepth",
     "SpecFileHeader",
     "SpecKind",

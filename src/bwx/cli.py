@@ -37,7 +37,6 @@ from .magnitude import BandReplicationSpec, ImportSpec, OracleSpec
 from .phase import FlipPhaseSpec, GlaConfig, ReferencePhaseSpec
 from .pipeline import (
     ReconstructSpec,
-    ResidualBand,
     evaluate_batch,
     run_phase_study,
     super_resolve,
@@ -78,11 +77,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mag", required=True, help="oracle:<path> | sbr | import:<path>")
     p.add_argument("--phase", required=True, help="flip | gla | ref:<path>")
     p.add_argument("--gla-iters", type=int, default=None, help="GLA iterations (default 100)")
-    p.add_argument("--frame", type=int, default=2048)
-    p.add_argument("--hop", type=int, default=256)
     p.add_argument("--lo-hz", type=float, default=BAND_LO_HZ)
     p.add_argument("--hi-hz", type=float, default=BAND_HI_HZ)
-    p.add_argument("--residual", choices=["pass", "zero"], default="pass")
     p.add_argument("--trace", default=None, help="write the GLA residual trace CSV here")
 
     p = sub.add_parser("eval", help="score an estimate against ground truth")
@@ -104,8 +100,6 @@ def _build_parser() -> _Parser:
     pe.add_argument("--in", dest="input", required=True)
     pe.add_argument("--out", dest="output", required=True)
     pe.add_argument("--kind", choices=["magnitude", "complex"], default="magnitude")
-    pe.add_argument("--frame", type=int, default=2048)
-    pe.add_argument("--hop", type=int, default=256)
 
     pi = spec_sub.add_parser("import", help="resynthesise a complex BWXSPEC file as wav")
     pi.add_argument("--in", dest="input", required=True)
@@ -167,21 +161,7 @@ def _cmd_prepare(args) -> int:
     return EXIT_OK
 
 
-def _stft_config(frame_len: int, hop: int, hop_name: str = "--hop",
-                 frame_name: str = "--frame") -> StftConfig:
-    """``StftConfig(frame_len, hop)``, with a hop past half a frame a usage
-    error: there the full-coverage window-square sum dips towards zero between
-    frame centres, which magnifies any high-band edit."""
-    cfg = StftConfig(frame_len=frame_len, hop=hop)
-    if 2 * cfg.hop > cfg.frame_len:
-        raise UsageError(
-            f"{hop_name} must be at most {frame_name} / 2 ({cfg.frame_len // 2}), got {cfg.hop}"
-        )
-    return cfg
-
-
 def _cmd_sr(args) -> int:
-    cfg = _stft_config(args.frame, args.hop)
     predictor, phase = _parse_mag(args.mag), _parse_phase(args.phase, args.gla_iters)
     for flag, value in (("--gla-iters", args.gla_iters), ("--trace", args.trace)):
         if value is not None and not isinstance(phase, GlaConfig):
@@ -193,14 +173,8 @@ def _cmd_sr(args) -> int:
             reads.append((f"{flag} {kind}:", path))
     _check_writes(reads, [("--out", args.output), ("--trace", args.trace)])
     sample_rate = wav_header(args.input).sample_rate
-    layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, cfg)
-    spec = ReconstructSpec(
-        predictor=predictor,
-        phase=phase,
-        layout=layout,
-        stft=cfg,
-        residual_band=ResidualBand.PASSTHROUGH if args.residual == "pass" else ResidualBand.ZERO,
-    )
+    layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, StftConfig())
+    spec = ReconstructSpec(predictor, phase, layout)
     super_resolve(spec, args.input, args.output, trace_path=args.trace)
     print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
@@ -233,7 +207,7 @@ def _cmd_phase_study(args) -> int:
 def _cmd_spec(args) -> int:
     _check_writes([("--in", args.input)], [("--out", args.output)])
     if args.spec_command == "export":
-        cfg = _stft_config(args.frame, args.hop)
+        cfg = StftConfig()
         channels, _ = wav_read(args.input)
         if len(channels) != 1:
             raise ShapeError(
@@ -256,7 +230,13 @@ def _cmd_spec(args) -> int:
     )
     if header.kind is not SpecKind.COMPLEX:
         raise UsageError("only complex BWXSPEC files can be resynthesised to wav")
-    cfg = _stft_config(header.frame_len, header.hop, f"{args.input}: hop", "frame")
+    cfg = StftConfig(frame_len=header.frame_len, hop=header.hop)
+    if 2 * cfg.hop > cfg.frame_len:
+        # Past half a frame the full-coverage window-square sum dips towards
+        # zero between frame centres, which would magnify the file's frames.
+        raise UsageError(
+            f"{args.input}: hop must be at most frame / 2 ({cfg.frame_len // 2}), got {cfg.hop}"
+        )
     data = _checked_spectrogram(data, cfg)
     # Frames that no signal has can add up to anything where few frames
     # overlap, so every sample is divided by the full-coverage window-square

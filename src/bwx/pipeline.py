@@ -5,12 +5,14 @@ the padded frame grid (``dsp.resynthesize``) it analyses the band-limited
 input channels, predicts high-band magnitudes, estimates high-band phase,
 recombines the bands and resynthesises, reading samples from a source and
 returning the finished output stretch by stretch, exactly as long as the
-input, as a path-free ``ReconstructSpec`` says. Griffin-Lim is not
-frame-local, so ``_gla_channels`` runs it instead: one pass over the blocks
-keeps each channel's high-band magnitudes and the overlap-add of every other
-bin, and GLA re-estimates each channel's high band alone, from a zero-phase
-start made only when that channel's GLA begins, then overlap-adds the band
-onto that signal and normalises it; no grid-sized complex spectrogram is held.
+input, as a path-free ``ReconstructSpec`` says. Only the high band is
+rebuilt: the low band and the bins above it keep the input's analysis.
+Griffin-Lim is not frame-local, so ``_gla_channels`` runs it instead: one
+pass over the blocks keeps each channel's high-band magnitudes and the
+overlap-add of every other bin, as analysed, and GLA re-estimates each
+channel's high band alone, from a zero-phase start made only when that
+channel's GLA begins, then overlap-adds the band onto that signal and
+normalises it; no grid-sized complex spectrogram is held.
 ``reconstruct`` runs the core on arrays (for library callers) and
 ``super_resolve`` on WAV files read and written one block at a time.
 ``run_phase_study`` reruns the oracle-magnitude phase comparison over a clip
@@ -27,7 +29,6 @@ Every CSV goes through ``_write_csv``, and every file, WAV or CSV, through
 from __future__ import annotations
 
 import contextlib
-import enum
 import logging
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -82,25 +83,17 @@ logger = logging.getLogger("bwx")
 PHASE_STUDY_METHODS = ("lr", "flip", "gla", "reference")
 
 
-class ResidualBand(enum.Enum):
-    """What to do with bins above the high band: keep the input's or zero them."""
-
-    PASSTHROUGH = "pass"
-    ZERO = "zero"
-
-
 @dataclass(frozen=True)
 class ReconstructSpec:
     """How to reconstruct: the high-band magnitude predictor and phase
-    strategy, the band layout, the STFT and what happens to bins above the
-    high band. The input and output are the caller's; only the predictor and
-    the phase strategy may name (reference) files."""
+    strategy, the band layout and the STFT. The bins above the high band keep
+    the input's analysis. The input and output are the caller's; only the
+    predictor and the phase strategy may name (reference) files."""
 
     predictor: MagnitudePredictorSpec
     phase: PhaseStrategySpec
     layout: BandLayout
     stft: StftConfig = StftConfig()
-    residual_band: ResidualBand = ResidualBand.PASSTHROUGH
 
     def __post_init__(self) -> None:
         if self.layout.n_bins != self.stft.n_bins:
@@ -278,13 +271,13 @@ def _gla_channels(
     over the input's samples, without any whole-grid spectrogram held.
 
     One pass over the padded grid's `frame_blocks` takes each channel's
-    block spectrogram from ``analyse(span)``, residual-band rule applied,
-    keeps its high-band magnitudes, zeroes the band and overlap-adds the
-    other bins, unnormalised, into one pinned signal over the grid. GLA then
-    runs on each channel's band alone, onto its pinned signal
-    (`phase._gla_band`), from a zero-phase start made just before it
-    begins; the band's rows, zero elsewhere, are overlap-added onto that
-    signal and let go before the next channel's start is made, and the
+    block spectrogram from ``analyse(span)``, keeps its high-band magnitudes,
+    zeroes the band and overlap-adds the other bins as analysed, the low band
+    and the bins above the band alike, unnormalised, into one pinned signal
+    over the grid. GLA then runs on each channel's band alone, onto its
+    pinned signal (`phase._gla_band`), from a zero-phase start made just
+    before it begins; the band's rows, zero elsewhere, are overlap-added onto
+    that signal and let go before the next channel's start is made, and the
     signal's stretch under the input, normalised in place, is the channel's
     output. Given a ``traces`` list, the first channel's residuals are
     appended to it (the pass keeps its `phase._pinned_sums` for them)."""
@@ -359,18 +352,11 @@ def _reconstruct_blocks(
         with _stage("read-input"):
             return source.read(start, stop)
 
-    def apply_residual_rule(x):
-        if spec.residual_band is ResidualBand.ZERO:
-            x[:, layout.k_hi :] = 0.0
-
     def analyse(span):
         for samples in read_padded(read, source.n_samples, cfg, span.start, span.stop):
-            x = stft_array(samples, cfg)
-            apply_residual_rule(x)
-            yield x
+            yield stft_array(samples, cfg)
 
     def edit(channel, x, block):
-        apply_residual_rule(x)
         with _stage("magnitude"):
             hfc_mag = magnitude_step(channel, x, block)
         with _stage("phase"):

@@ -168,7 +168,9 @@ def wav_read(
             values = (stored >> 8).astype(np.float64)
             values /= float(1 << 23)
         else:
-            values = stored.astype(np.float64)
+            # A signalling NaN warns in the cast; `Waveform` raises for it.
+            with np.errstate(invalid="ignore"):
+                values = stored.astype(np.float64)
         channels.append(Waveform(values, header.sample_rate))
     return channels, depth
 

@@ -122,10 +122,17 @@ def test_source_size_counts_lines_and_public_names(tmp_path):
         "src/bwx/__init__.py": '"""Doc."""\n\nfrom .a import f\n\n__all__ = [\n    "f",\n    "g",\n]\n',
         "src/bwx/a.py": "def f():\n    return 1\n",
         "src/bwx/b.py": "X = 1",  # no final newline: wc -l does not count that line
+        "src/bwx/cli.py": (
+            'p.add_argument("--in", dest="input")\n'
+            'p.add_argument("--taps", type=int)\n'
+            'p.add_argument("paths", nargs="*")\n'  # positional: not an option
+            'p.add_argument("-v")\n'  # short only: not counted
+            'p.add_subparsers(dest="command")\n'
+        ),
         "src/bwx/sub/c.py": "Y = 2\n",  # not in the package's top level
         "src/other.py": "Z = 3\n",
     })
-    assert _tool()._source_size(root) == {"source_lines": 10, "public_names": 2}
+    assert _tool()._source_size(root) == {"source_lines": 15, "public_names": 2, "cli_options": 2}
 
 
 def test_public_names_of_this_tree_are_bwx_all():

@@ -24,7 +24,6 @@ from bwx import (
     OracleSpec,
     ReferencePhaseSpec,
     ReconstructSpec,
-    ResidualBand,
     SampleDepth,
     SpecKind,
     StftConfig,
@@ -94,15 +93,14 @@ def _predictor(name, hr, band):
     }[name]
 
 
-def _sr(monkeypatch, tmp_path, block, lr, predictor, phase, residual):
+def _sr(monkeypatch, tmp_path, block, lr, predictor, phase):
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", block)
     out = tmp_path / f"out_{block}.wav"
-    spec = ReconstructSpec(predictor, phase, LAYOUT, stft=CFG, residual_band=residual)
+    spec = ReconstructSpec(predictor, phase, LAYOUT, stft=CFG)
     super_resolve(spec, lr, out)
     return reconstruct(spec, wav_read(lr)[0])[0].samples, out.read_bytes()
 
 
-@pytest.mark.parametrize("residual", list(ResidualBand))
 @pytest.mark.parametrize("phase", ["flip", "ref"])
 @pytest.mark.parametrize(
     "channels, mag",
@@ -110,14 +108,14 @@ def _sr(monkeypatch, tmp_path, block, lr, predictor, phase, residual):
      ("stereo", "oracle"), ("stereo", "sbr")],
 )
 def test_super_resolve_blocked_equals_one_block(
-    monkeypatch, tmp_path, files, channels, mag, phase, residual
+    monkeypatch, tmp_path, files, channels, mag, phase
 ):
     hr, lr = files[channels]
     predictor = _predictor(mag, hr, files["band"])
     strategy = FlipPhaseSpec() if phase == "flip" else ReferencePhaseSpec(str(hr))
-    whole, whole_bytes = _sr(monkeypatch, tmp_path, ONE_BLOCK, lr, predictor, strategy, residual)
+    whole, whole_bytes = _sr(monkeypatch, tmp_path, ONE_BLOCK, lr, predictor, strategy)
     for block in BLOCK_SIZES:
-        samples, written = _sr(monkeypatch, tmp_path, block, lr, predictor, strategy, residual)
+        samples, written = _sr(monkeypatch, tmp_path, block, lr, predictor, strategy)
         assert written == whole_bytes
         np.testing.assert_allclose(samples, whole, rtol=1e-12, atol=0)
 

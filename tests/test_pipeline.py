@@ -18,7 +18,6 @@ from bwx import (
     OracleSpec,
     ReconstructSpec,
     ReferencePhaseSpec,
-    ResidualBand,
     SampleDepth,
     SpecKind,
     StftConfig,
@@ -55,8 +54,8 @@ def hr_lr_paths(tmp_path, short_music):
     return hr, lr
 
 
-def _spec(predictor, phase, residual=ResidualBand.PASSTHROUGH):
-    return ReconstructSpec(predictor, phase, LAYOUT, stft=CFG, residual_band=residual)
+def _spec(predictor, phase):
+    return ReconstructSpec(predictor, phase, LAYOUT, stft=CFG)
 
 
 def _rebuild(lr, spec):
@@ -149,16 +148,6 @@ class TestSuperResolve:
             reference[:frames]
         )
         assert rel < 1e-2
-
-    def test_residual_zero_bandlimits_output(self, tmp_path, hr_lr_paths):
-        # Griffin-Lim zeroes the bins above the high band in the pass that
-        # overlap-adds its pinned bins, and adds back only the band's.
-        hr, lr = hr_lr_paths
-        for phase in (ReferencePhaseSpec(str(hr)), GlaConfig(iterations=3)):
-            rebuilt = _rebuild(lr, _spec(OracleSpec(str(hr)), phase, ResidualBand.ZERO))
-            X = stft_array(rebuilt.samples, CFG)
-            ratio = np.linalg.norm(X[:, 372:]) / np.linalg.norm(X)
-            assert ratio < 1e-2
 
     def test_deterministic_output_files(self, tmp_path, hr_lr_paths):
         hr, lr = hr_lr_paths
@@ -276,7 +265,7 @@ class TestSuperResolve:
             assert float(value) == float(f"{kernel[0][i]:.9g}")
 
     def test_gla_runs_in_place_and_pins_the_residual_band(self, tmp_path, hr_lr_paths, monkeypatch):
-        # The HR file as input has content above hi_hz, which `--residual pass`
+        # The HR file as input has content above hi_hz, which reconstruction
         # keeps: GLA iterates in place on the high band alone, onto the
         # overlap-add of every other bin the input's analysis gave, the
         # residual band among them, bit for bit; the output is that signal

@@ -38,16 +38,17 @@ It also records which benchmark each side ran: the sha256 of every
 git-tracked file under ``perfbench/`` and of ``BENCHMARK.json``, per side,
 and ``same_harness``, whether the two sets match. When they do not, it
 prints a warning, since the pairs then compare the harnesses as well as
-bwx. Per side it records the source's size, the two numbers the
+bwx. Per side it records the source's size, the three numbers the
 simplicity work is measured by: ``source_lines``, the newlines in
-``src/bwx/*.py`` (what ``cat src/bwx/*.py | wc -l`` prints), and
-``public_names``, the length of ``bwx.__all__``, read from
-``src/bwx/__init__.py`` with ``ast`` so nothing is imported from either
-tree. It records both revisions, nproc, the library versions, the load
-average, the session's total steal and a calibration taken in the same
-session: the median time of ``numpy.fft.rfft`` over a 1715 x 2048 float64
-array, at the start and at the end. The file is rewritten after every pair,
-so a session that stops early leaves the pairs it finished.
+``src/bwx/*.py`` (what ``cat src/bwx/*.py | wc -l`` prints),
+``public_names``, the length of ``bwx.__all__``, and ``cli_options``, the
+``add_argument`` calls in ``src/bwx/cli.py`` whose first argument starts
+with ``--``; the last two are read with ``ast``, so nothing is imported
+from either tree. It records both revisions, nproc, the library versions,
+the load average, the session's total steal and a calibration taken in the
+same session: the median time of ``numpy.fft.rfft`` over a 1715 x 2048
+float64 array, at the start and at the end. The file is rewritten after
+every pair, so a session that stops early leaves the pairs it finished.
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ def _harness(root: Path, names: list[str]) -> dict:
 
 def _source_size(root: Path) -> dict:
     """The newlines in ``root``'s ``src/bwx/*.py``, as ``wc -l`` counts them,
-    and the number of names in the ``__all__`` list of its
-    ``src/bwx/__init__.py``, parsed, not imported."""
+    the number of names in the ``__all__`` list of its
+    ``src/bwx/__init__.py`` and the number of ``add_argument("--...")`` calls
+    in its ``src/bwx/cli.py``, parsed, not imported."""
     package = root / "src" / "bwx"
     lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
     names = next(
@@ -136,7 +138,15 @@ def _source_size(root: Path) -> dict:
         for node in ast.parse((package / "__init__.py").read_text()).body
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
     )
-    return {"source_lines": lines, "public_names": len(names)}
+    options = sum(
+        isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add_argument"
+        and bool(node.args)
+        and isinstance(node.args[0], ast.Constant)
+        and str(node.args[0].value).startswith("--")
+        for node in ast.walk(ast.parse((package / "cli.py").read_text()))
+    )
+    return {"source_lines": lines, "public_names": len(names), "cli_options": options}
 
 
 def _check_harness(record: dict) -> None:
