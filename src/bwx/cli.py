@@ -34,16 +34,12 @@ from .dsp import (
 )
 from .errors import BwxError, FileFormatError, NumericalError, PipelineError, ShapeError
 from .magnitude import BandReplicationSpec, ImportSpec, OracleSpec
+from .metrics import _evaluate_sources
 from .phase import FlipPhaseSpec, GlaConfig, ReferencePhaseSpec
-from .pipeline import (
-    ReconstructSpec,
-    evaluate_batch,
-    run_phase_study,
-    super_resolve,
-)
+from .pipeline import ReconstructSpec, _score_pairs, _super_resolve, run_phase_study
 from .prep import LowpassMode, LowpassSpec, make_pair
 from .specio import SpecKind, spec_read, spec_write
-from .wavio import SampleDepth, wav_header, wav_read, wav_write
+from .wavio import SampleDepth, _WavSource, wav_read, wav_write
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,6 +124,8 @@ def _parse_phase(text: str, iters: int | None):
 
 
 def _collect_clips(arg: str) -> list[str]:
+    if not arg:
+        raise UsageError("--clips is empty")
     path = Path(arg)
     if path.is_dir():
         clips = sorted(str(p) for p in path.glob("*.wav"))
@@ -172,19 +170,20 @@ def _cmd_sr(args) -> int:
         if path:  # oracle:, import: or ref:
             reads.append((f"{flag} {kind}:", path))
     _check_writes(reads, [("--out", args.output), ("--trace", args.trace)])
-    sample_rate = wav_header(args.input).sample_rate
-    layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, StftConfig())
-    spec = ReconstructSpec(predictor, phase, layout)
-    super_resolve(spec, args.input, args.output, trace_path=args.trace)
+    with _WavSource(args.input) as source:
+        layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, source.sample_rate, StftConfig())
+        _super_resolve(ReconstructSpec(predictor, phase, layout), source, args.output, args.trace)
     print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
     _check_writes([("--truth", args.truth), ("--est", args.est)], [("--out", args.output)])
-    sample_rate = wav_header(args.truth).sample_rate
-    layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, sample_rate, StftConfig())
-    rows = evaluate_batch([(args.truth, args.est)], layout, args.output)
+    with _WavSource(args.truth) as truth, _WavSource(args.est) as estimate:
+        layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, truth.sample_rate, StftConfig())
+        rows = _score_pairs(
+            [(args.truth, args.est)], lambda *_: _evaluate_sources(truth, estimate, layout), args.output
+        )
     for row in rows:
         print(row)
     return EXIT_OK

@@ -3,27 +3,24 @@
 ``_reconstruct_blocks`` is the one reconstruction core: block by block of
 the padded frame grid (``dsp.resynthesize``) it analyses the band-limited
 input channels, predicts high-band magnitudes, estimates high-band phase,
-recombines the bands and resynthesises, reading samples from a source and
-returning the finished output stretch by stretch, exactly as long as the
-input, as a path-free ``ReconstructSpec`` says. Only the high band is
-rebuilt: the low band and the bins above it keep the input's analysis.
-Griffin-Lim is not frame-local, so ``_gla_channels`` runs it instead: one
-pass over the blocks keeps each channel's high-band magnitudes and the
-overlap-add of every other bin, as analysed, and GLA re-estimates each
-channel's high band alone, from a zero-phase start made only when that
-channel's GLA begins, then overlap-adds the band onto that signal and
-normalises it; no grid-sized complex spectrogram is held.
-``reconstruct`` runs the core on arrays (for library callers) and
-``super_resolve`` on WAV files read and written one block at a time.
-``run_phase_study`` reruns the oracle-magnitude phase comparison over a clip
-set, at the paper's 4-8 kHz band and 2048/256 STFT, through the files the CLI
-flows write: ``make_pair`` writes each clip's LR, every method reconstructs
-from the LR file with the clip file as its reference, and ``evaluate_batch``'s
-scoring walk reads both files block by block, so beside Griffin-Lim's band
-state a clip's run holds one output, which it writes whole. ``evaluate_batch``
-scores truth/estimate file pairs at that STFT, streaming them the same way.
-Every CSV goes through ``_write_csv``, and every file, WAV or CSV, through
-``wavio._atomic_output``, so it appears whole or not at all.
+recombines the bands and resynthesises, as a path-free ``ReconstructSpec``
+says, and returns the finished output stretch by stretch, exactly as long as
+the input. Only the high band is rebuilt: the low band and the bins above it
+keep the input's analysis. Griffin-Lim is not frame-local, so
+``_gla_channels`` runs it instead: one pass over the blocks keeps each
+channel's high-band magnitudes and the overlap-add of every other bin, and
+GLA re-estimates each channel's band alone onto that signal, from a
+zero-phase start made only when that channel's GLA begins, so no grid-sized
+complex spectrogram is held.
+
+The core and the scoring walk read each source in one forward pass of block
+spans: arrays (``dsp._ArraySource``) for ``reconstruct``, WAV files
+(``wavio._WavSource``) for ``super_resolve``, ``evaluate_batch`` and
+``run_phase_study``, which reruns the oracle-magnitude phase comparison over
+a clip set, at the paper's 4-8 kHz band and 2048/256 STFT, through the files
+the CLI flows write. Every CSV goes through ``_write_csv``, and every file,
+WAV or CSV, through ``wavio._atomic_output``, so it appears whole or not at
+all.
 """
 
 from __future__ import annotations
@@ -76,7 +73,7 @@ from .phase import (
     flip_phase,
 )
 from .prep import make_pair
-from .wavio import SampleDepth, _atomic_output, wav_header, wav_read, wav_write
+from .wavio import SampleDepth, _atomic_output, _WavSource, wav_write
 
 logger = logging.getLogger("bwx")
 
@@ -112,53 +109,16 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-# Sources give a flow its samples by range: arrays (`dsp._ArraySource`) for
-# the in-memory callers, WAV files for the CLI and batch.
-
-
-# Frames decoded per read when `_WavSource.check_unread` walks a file's tail.
-_CHECK_FRAMES = 1 << 16
-
-
-class _WavSource:
-    """A WAV file read by sample range. Its header is read on construction
-    and kept, so a range read opens the file, seeks and reads without walking
-    its chunks again. A pass reads its block spans once each, in ascending,
-    touching or overlapping order, and each pass starts again from sample 0,
-    so the samples read so far are one prefix of the file, ``[0, checked)``."""
-
-    def __init__(self, path):
-        self.path = path
-        self.header = wav_header(path)
-        self.n_channels = self.header.n_channels
-        self.n_samples = self.header.frames
-        self.sample_rate = self.header.sample_rate
-        self.checked = 0
-
-    def read(self, start: int, stop: int) -> list[np.ndarray]:
-        channels, _ = wav_read(self.path, start, stop, self.header)
-        if start <= self.checked:
-            self.checked = max(self.checked, min(stop, self.n_samples))
-        return [ch.samples for ch in channels]
-
-    def check_unread(self) -> None:
-        """Decode the samples past ``checked`` a chunk at a time, so a
-        non-finite sample anywhere in the file raises `DomainError` as a
-        whole read would, though the flow had no use for it."""
-        for start in range(self.checked, self.n_samples, _CHECK_FRAMES):
-            wav_read(self.path, start, start + _CHECK_FRAMES, self.header)
-        self.checked = self.n_samples
-
-
-class _References:
+class _References(contextlib.ExitStack):
     """The reference files a job reads, keyed by resolved path so each is
-    opened once. A source's block span is read once, at the first request
-    for it, and each of its channels analysed once; the last analysis is
+    opened once, and closed with the context. A block span of a source is
+    read once and each of its channels analysed once; the last analysis is
     kept for the other step that reads the file (oracle magnitudes and
-    reference phase) and freed before the source's next one is made. No
-    whole-file analysis is held through Griffin-Lim."""
+    reference phase) and freed before the next is made, so no whole-file
+    analysis is held through Griffin-Lim."""
 
     def __init__(self, cfg: StftConfig, arrays: dict):
+        super().__init__()
         self.cfg = cfg
         self.sources = {Path(path).resolve(): _ArraySource(chs) for path, chs in arrays.items()}
         self._stages: dict = {}  # source -> the stage of the first step that opened it
@@ -170,7 +130,7 @@ class _References:
         channel count and sample rate must be those of the input source."""
         key = Path(path).resolve()
         if key not in self.sources:
-            self.sources[key] = _WavSource(path)
+            self.sources[key] = self.enter_context(_WavSource(path))
         source = self.sources[key]
         if source.n_channels != inputs.n_channels:
             raise ShapeError(
@@ -336,9 +296,8 @@ def _reconstruct_blocks(
     Griffin-Lim is not frame-local: `_gla_channels` reads the input once,
     block by block, and finishes every channel, which the generator yields
     as one stretch; given a ``traces`` list, it appends the first channel's
-    residuals. After the last stretch, the generator checks the samples of a
-    reference that no block read (past the grid's last frame) for non-finite
-    values.
+    residuals. After the last stretch, the generator checks the rest of each
+    reference (`_References.check_unread`).
     """
     cfg, layout = spec.stft, spec.layout
     with _stage("analyze"):
@@ -385,36 +344,41 @@ def reconstruct(
     path that is not there is read from its file one block span at a time.
     """
     source = _ArraySource(channels)
-    blocks = _reconstruct_blocks(spec, source, _References(spec.stft, references or {}))
-    out = _whole_channels(blocks, source.n_channels, source.n_samples)
+    with _References(spec.stft, references or {}) as files:
+        blocks = _reconstruct_blocks(spec, source, files)
+        out = _whole_channels(blocks, source.n_channels, source.n_samples)
     return [Waveform(row, source.sample_rate) for row in out]
 
 
 def super_resolve(spec: ReconstructSpec, input_path, output_path, trace_path=None) -> None:
-    """Reconstruct the WAV file ``input_path`` into ``output_path``.
-
-    Channels are processed independently and written together as float32.
-    The input and every reference are read one block span at a time, and
-    each finished stretch of output is appended through `_atomic_output`: to
-    a temporary file beside the output, which replaces the output path only
-    after the last block, so a failure leaves no partial file (a FIFO or a
-    device is written in place). With ``trace_path`` set and a GLA phase
-    strategy, the first channel's residuals are recorded and written there as
-    ``iteration,residual`` CSV rows, each residual in decimal notation with at
-    least 9 significant digits.
-    """
+    """Reconstruct the WAV file ``input_path`` into ``output_path``, every
+    channel, as float32. The input and every reference are read in one
+    forward pass of block spans, and each finished stretch of output is
+    appended through `_atomic_output`, so a failure leaves no partial file (a
+    FIFO or a device is written in place). With ``trace_path`` set and a GLA
+    phase strategy, the first channel's residuals are written there as
+    ``iteration,residual`` CSV rows, each residual in decimal notation with
+    at least 9 significant digits."""
     if Path(input_path).resolve() == Path(output_path).resolve():
         raise ShapeError("input and output paths must be distinct")
     with _stage("read-input"):
         source = _WavSource(input_path)
+    with source:
+        _super_resolve(spec, source, output_path, trace_path)
+
+
+def _super_resolve(spec: ReconstructSpec, source, output_path, trace_path) -> None:
+    """`super_resolve` of the open input ``source``, which the CLI opens
+    itself to take the band layout's sample rate from it."""
     traces = [] if trace_path is not None else None
-    blocks = _reconstruct_blocks(spec, source, _References(spec.stft, {}), traces)
     total = source.n_samples  # the output's length is the input's
-    with _stage("write-output"), _atomic_output(output_path) as fh:
-        for pieces in blocks:
-            channels = [Waveform(piece, source.sample_rate) for piece in pieces]
-            wav_write(fh, channels, SampleDepth.FLOAT32, total_frames=total)
-            total = None  # only the first write puts the header in front
+    with _References(spec.stft, {}) as files:
+        blocks = _reconstruct_blocks(spec, source, files, traces)
+        with _stage("write-output"), _atomic_output(output_path) as fh:
+            for pieces in blocks:
+                channels = [Waveform(piece, source.sample_rate) for piece in pieces]
+                wav_write(fh, channels, SampleDepth.FLOAT32, total_frames=total)
+                total = None  # only the first write puts the header in front
     if traces:
         rows = (
             f"{i},{np.format_float_positional(r, precision=9, unique=False, fractional=False)}"
@@ -460,8 +424,8 @@ def _study_one_clip(clip_path: str, workdir: Path, gla_iterations: int) -> dict[
     and reads its length and peak from it."""
     workdir.mkdir(parents=True, exist_ok=True)
     stem = Path(clip_path).stem
-    rate = wav_header(clip_path).sample_rate
-    layout = BandLayout.from_frequencies(BAND_LO_HZ, BAND_HI_HZ, rate, StftConfig())
+    with _WavSource(clip_path) as clip:
+        layout = BandLayout.from_frequencies(BAND_LO_HZ, BAND_HI_HZ, clip.sample_rate, StftConfig())
     lr_path = workdir / f"{stem}_lr.wav"
     make_pair(clip_path, lr_path)
 
@@ -472,15 +436,16 @@ def _study_one_clip(clip_path: str, workdir: Path, gla_iterations: int) -> dict[
     }
 
     def score(path) -> EvalReport:
-        return _evaluate_sources(_WavSource(clip_path), _WavSource(path), layout)
+        with _WavSource(clip_path) as truth, _WavSource(path) as estimate:
+            return _evaluate_sources(truth, estimate, layout)
 
     reports = {"lr": score(lr_path)}
     for method, phase_spec in phase_specs.items():
         est_path = workdir / f"{stem}_{method}.wav"
         spec = ReconstructSpec(OracleSpec(str(clip_path)), phase_spec, layout)
-        lr = _WavSource(lr_path)
-        blocks = _reconstruct_blocks(spec, lr, _References(spec.stft, {}))
-        out = _whole_channels(blocks, lr.n_channels, lr.n_samples)
+        with _WavSource(lr_path) as lr, _References(spec.stft, {}) as files:
+            blocks = _reconstruct_blocks(spec, lr, files)
+            out = _whole_channels(blocks, lr.n_channels, lr.n_samples)
         wav_write(est_path, [Waveform(row, lr.sample_rate) for row in out], SampleDepth.FLOAT32)
         del out  # not held through the next method's Griffin-Lim
         reports[method] = score(est_path)
@@ -496,10 +461,8 @@ def run_phase_study(
     reconstructed from it under the flip, Griffin-Lim and reference-phase
     strategies (plus the zero-filled LR baseline) and scored against the
     original, all through files in a temporary directory (see
-    `_study_one_clip`): the clip is decoded whole only while its LR is made,
-    and beside Griffin-Lim's band state a clip's run holds block spans of its
-    files and one whole output at a time. Writes per-clip and mean rows to
-    ``out``; unreadable clips are skipped with a warning.
+    `_study_one_clip`). Writes per-clip and mean rows to ``out``;
+    unreadable clips are skipped with a warning.
     """
     if not clips:
         raise BwxError("phase study needs at least one clip")
@@ -565,12 +528,23 @@ def evaluate_batch(pairs: Sequence[tuple[str, str]], layout: BandLayout, out) ->
     fails, the first failure's exception is raised (and not logged, since the
     caller reports it), the others are logged, and no CSV is written.
     """
+
+    def score(truth_path, estimate_path) -> EvalReport:
+        with _WavSource(truth_path) as truth, _WavSource(estimate_path) as estimate:
+            return _evaluate_sources(truth, estimate, layout)
+
+    return _score_pairs(pairs, score, out)
+
+
+def _score_pairs(pairs, score, out) -> list[str]:
+    """`evaluate_batch`'s rows and CSV, each pair scored by ``score(truth,
+    estimate)``; the CLI scores its one pair from sources it opened."""
     rows: list[str] = []
     successes: list[EvalReport] = []
     failures: list[tuple[str, str, Exception]] = []
     for truth_path, estimate_path in pairs:
         try:
-            report = _evaluate_sources(_WavSource(truth_path), _WavSource(estimate_path), layout)
+            report = score(truth_path, estimate_path)
         except Exception as exc:
             failures.append((truth_path, estimate_path, exc))
             rows.append(f"{estimate_path},error,,,,")

@@ -3,11 +3,12 @@
 Reads PCM 16-bit, PCM 24-bit and IEEE float 32-bit files; integer samples are
 normalised to [-1, 1) by dividing by 2^(depth-1). Writes PCM 16-bit (clamped,
 rounded half away from zero) or float 32-bit with a canonical 44-byte header.
-Unknown chunks are skipped on read.
 
-Both ends stream: ``wav_read(path, start, stop)`` decodes only a range of
-frames, and ``wav_write`` can write the header for a known total and then
-append the frames block by block to an open file.
+Both ends stream, front to back, so a pipe works as a file does.
+`_WavSource` is the one reader: one open file, its chunks walked without
+seeking, then the ascending sample spans of a pass, each frame decoded
+once; ``wav_read`` is one whole pass. ``wav_write`` can write the header for
+a known total and then append the frames block by block to an open file.
 
 ``_atomic_output`` is the one place bwx opens a file for writing: every WAV,
 BWXSPEC and CSV it writes appears whole or not at all.
@@ -19,9 +20,9 @@ import contextlib
 import enum
 import os
 import shutil
+import stat
 import struct
 import uuid
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,9 @@ _FORMAT_PCM = 1
 _FORMAT_IEEE_FLOAT = 3
 _FORMAT_EXTENSIBLE = 0xFFFE
 _SUPPORTED = {(_FORMAT_PCM, 16), (_FORMAT_PCM, 24), (_FORMAT_IEEE_FLOAT, 32)}
+# The most bytes read at once, so a forged chunk size allocates only what
+# the file holds; `_WavSource.check_unread` reads as many bytes of frames.
+_PIECE_BYTES = 1 << 20
 
 
 class SampleDepth(enum.Enum):
@@ -45,28 +49,22 @@ class SampleDepth(enum.Enum):
     FLOAT32 = "float32"
 
 
-@dataclass(frozen=True)
-class _WavHeader:
-    n_channels: int
-    sample_rate: int
-    bits: int
-    data_offset: int
-    data_size: int
-
-    @property
-    def frames(self) -> int:
-        return self.data_size // (self.bits // 8 * self.n_channels)
+def _pieces(fh, size: int):
+    """The next ``size`` bytes of ``fh`` (fewer where it ends), in pieces."""
+    while size > 0:
+        piece = fh.read(min(size, _PIECE_BYTES))
+        if not piece:
+            return
+        size -= len(piece)
+        yield piece
 
 
-def _read_header(fh, path) -> _WavHeader:
-    """Walk the RIFF chunks of an open, seekable WAV file.
-
-    Reads only chunk headers and the fmt body; the data chunk is located,
-    checked against the file size and skipped. Raises the typed format errors
-    for a malformed, truncated or unsupported file.
-    """
-    size = fh.seek(0, os.SEEK_END)
-    fh.seek(0)
+def _read_header(fh, path) -> tuple[int, int, int, int]:
+    """Channel count, sample rate, bit depth and frame count of an open WAV
+    file, its chunks walked front to back to its first sample: ``fmt ``
+    before ``data``, any other chunk read past. A regular file must hold the
+    data size; a stream must not give a placeholder (0 or 0xFFFFFFFF) for it.
+    Raises the typed format errors for a malformed, truncated or unsupported file."""
     head = fh.read(12)
     if len(head) < 12:
         raise MalformedHeaderError(f"{path}: file too small to hold a RIFF header")
@@ -76,34 +74,36 @@ def _read_header(fh, path) -> _WavHeader:
         raise MalformedHeaderError(f"{path}: missing WAVE tag")
 
     fmt = None
-    data = None
-    pos = 12
-    while pos + 8 <= size:
-        fh.seek(pos)
-        chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
-        body_start = pos + 8
+    while len(chunk := fh.read(8)) == 8:
+        chunk_id, size = struct.unpack("<4sI", chunk)
+        if chunk_id == b"data":
+            break
+        body = fh.read(min(size, 40)) if chunk_id == b"fmt " else b""
+        if len(body) + sum(map(len, _pieces(fh, size - len(body)))) < size:
+            name = chunk_id.decode("latin-1").strip()
+            raise MalformedHeaderError(f"{path}: {name} chunk truncated")
+        fh.read(size & 1)  # the pad byte
         if chunk_id == b"fmt ":
-            if chunk_size < 16 or body_start + chunk_size > size:
+            if size < 16:
                 raise MalformedHeaderError(f"{path}: fmt chunk truncated")
-            body = fh.read(min(chunk_size, 40))
             fmt = struct.unpack_from("<HHIIHH", body)
-            if fmt[0] == _FORMAT_EXTENSIBLE and chunk_size >= 40:
+            if fmt[0] == _FORMAT_EXTENSIBLE and size >= 40:
                 # Resolve WAVE_FORMAT_EXTENSIBLE via the SubFormat GUID prefix.
                 (sub_tag,) = struct.unpack_from("<H", body, 24)
                 fmt = (sub_tag,) + fmt[1:]
-        elif chunk_id == b"data":
-            available = size - body_start
-            if chunk_size > available:
-                raise TruncatedDataError(
-                    f"{path}: data chunk declares {chunk_size} bytes, only {available} present"
-                )
-            data = (body_start, chunk_size)
-        pos = body_start + chunk_size + (chunk_size & 1)
-
+    else:
+        raise MalformedHeaderError(f"{path}: no {'data' if fmt else 'fmt'} chunk")
     if fmt is None:
-        raise MalformedHeaderError(f"{path}: no fmt chunk")
-    if data is None:
-        raise MalformedHeaderError(f"{path}: no data chunk")
+        raise MalformedHeaderError(f"{path}: data chunk before the fmt chunk")
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode):
+        available = info.st_size - fh.tell()
+        if size > available:
+            raise TruncatedDataError(
+                f"{path}: data chunk declares {size} bytes, only {available} present"
+            )
+    elif size in (0, 0xFFFFFFFF):
+        raise TruncatedDataError(f"{path}: data size {size:#x} is a placeholder, not a length")
 
     tag, n_channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if n_channels < 1:
@@ -115,64 +115,88 @@ def _read_header(fh, path) -> _WavHeader:
             f"{path}: format tag {tag} with {bits} bits is not supported "
             "(PCM16, PCM24 or float32 only)"
         )
-    return _WavHeader(n_channels, sample_rate, bits, *data)
+    return n_channels, sample_rate, bits, size // (bits // 8 * n_channels)
 
 
-def wav_header(path) -> _WavHeader:
-    """Channel count, sample rate, bit depth and frame count of a WAV file,
-    read from its header without decoding the samples. Raises the same format
-    errors as `wav_read`."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
+class _WavSource(contextlib.AbstractContextManager):
+    """A WAV file read by one forward pass, as a context manager that closes
+    it. The header is read on opening; the pass then asks for ascending
+    sample spans, touching or overlapping, and the last span's samples are
+    kept, so each frame is decoded once (a gap's on the way)."""
 
+    def __init__(self, path):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            self.n_channels, self.sample_rate, self.bits, self.n_samples = _read_header(self._fh, path)
+        except BaseException:
+            self._fh.close()
+            raise
+        self._start = 0  # the kept samples are those from here on
+        self._kept = [np.zeros(0)] * self.n_channels
 
-def wav_read(
-    path, start: int | None = None, stop: int | None = None, header: _WavHeader | None = None
-) -> tuple[list[Waveform], int]:
-    """Read a WAV file, returning one Waveform per channel and the bit depth.
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
 
-    ``start`` and ``stop`` select a range of frames with the meaning of a
-    Python slice, so only that range is read and decoded. The bit depth is
-    16, 24 or 32 (32 meaning IEEE float). Given the file's ``header``, as
-    `wav_header` returned it, the chunks are not walked again; a file that
-    has since lost samples of the range raises `TruncatedDataError`.
-    """
-    with open(path, "rb") as fh:
-        if header is None:
-            header = _read_header(fh, path)
-        first, last, _ = slice(start, stop).indices(header.frames)
-        frames = max(last - first, 0)
-        block_align = header.bits // 8 * header.n_channels
-        fh.seek(header.data_offset + first * block_align)
+    def read(self, start: int, stop: int) -> list[np.ndarray]:
+        """Samples [start, stop) of every channel, clipped to the file; a
+        span that starts below the kept samples raises `DomainError`."""
+        stop = min(stop, self.n_samples)
+        start = min(start, stop)
+        if start < self._start:
+            raise DomainError(f"{self.path}: read from sample {start} after {self._start}")
+        end = self._start + len(self._kept[0])
+        first = min(start, end)
+        keep = [kept[first - self._start :] for kept in self._kept]
+        if stop > end:
+            keep = self._decode(keep, stop - end)
+        self._start, self._kept = first, keep
+        return [kept[start - first : stop - first] for kept in keep]
+
+    def _decode(self, keep: list[np.ndarray], frames: int) -> list[np.ndarray]:
+        """Each channel's ``keep`` and then the file's next ``frames`` frames."""
+        depth, n_channels = self.bits, self.n_channels
+        width = depth // 8
         # PCM24 keeps one spare byte in front: each sample is then the top
         # three bytes of the little-endian int32 that starts one byte earlier.
-        pad = 1 if header.bits == 24 else 0
-        raw = bytearray(pad + frames * block_align)
-        if fh.readinto(memoryview(raw)[pad:]) < frames * block_align:
-            raise TruncatedDataError(f"{path}: data chunk ends before frame {last}")
-
-    n_channels, depth = header.n_channels, header.bits
-    width = depth // 8
-    code = {16: "<i2", 24: "<i4", 32: "<f4"}[depth]
-    # Every channel read straight out of the interleaved bytes.
-    interleaved = np.ndarray(
-        (frames, n_channels), dtype=code, buffer=raw, strides=(n_channels * width, width)
-    )
-    channels = []
-    for c in range(n_channels):
-        stored = interleaved[:, c]
-        if depth == 16:
-            values = stored.astype(np.float64)
-            values /= 32768.0
-        elif depth == 24:
-            values = (stored >> 8).astype(np.float64)
-            values /= float(1 << 23)
-        else:
-            # A signalling NaN warns in the cast; `Waveform` raises for it.
+        pad = b"\0" if depth == 24 else b""
+        raw = b"".join([pad, *_pieces(self._fh, frames * width * n_channels)])
+        if len(raw) - len(pad) < frames * width * n_channels:
+            raise TruncatedDataError(f"{self.path}: data chunk ends before its {self.n_samples} frames")
+        code = {16: "<i2", 24: "<i4", 32: "<f4"}[depth]
+        # Every channel read straight out of the interleaved bytes.
+        interleaved = np.ndarray(
+            (frames, n_channels), dtype=code, buffer=raw, strides=(n_channels * width, width)
+        )
+        channels = []
+        for c, kept in enumerate(keep):
+            values = np.empty(len(kept) + frames)
+            values[: len(kept)] = kept
+            fresh = values[len(kept) :]
+            # A signalling NaN warns in the cast; the check below raises for it.
             with np.errstate(invalid="ignore"):
-                values = stored.astype(np.float64)
-        channels.append(Waveform(values, header.sample_rate))
-    return channels, depth
+                fresh[:] = interleaved[:, c] >> 8 if depth == 24 else interleaved[:, c]
+            if depth < 32:
+                fresh /= float(1 << (depth - 1))
+            elif not np.all(np.isfinite(fresh)):
+                raise DomainError(f"{self.path}: waveform contains non-finite samples")
+            channels.append(values)
+        return channels
+
+    def check_unread(self) -> None:
+        """Decode the samples past the last span, so a non-finite sample
+        anywhere in the file raises `DomainError` as a whole read would."""
+        step = max(_PIECE_BYTES // (self.bits // 8 * self.n_channels), 1)
+        while (end := self._start + len(self._kept[0])) < self.n_samples:
+            self.read(end, end + step)
+
+
+def wav_read(path) -> tuple[list[Waveform], int]:
+    """Read a WAV file whole, by one pass of `_WavSource`: one Waveform per
+    channel and the bit depth, 16, 24 or 32 (32 meaning IEEE float)."""
+    with _WavSource(path) as source:
+        channels = source.read(0, source.n_samples)
+        return [Waveform(ch, source.sample_rate) for ch in channels], source.bits
 
 
 @contextlib.contextmanager

@@ -464,20 +464,20 @@ def test_reference_channel_mismatch_is_shape_error(tmp_path, files, which):
 
 
 def _count_reads_and_analyses(monkeypatch):
-    """Lists that record each path `pipeline.wav_read` is called with and
+    """Lists that record the path of each span read from a WAV source and
     each `np.fft.rfft` call, one per block analysis in 8-frame blocks."""
     reads, analyses = [], []
-    original, original_rfft = bwx.pipeline.wav_read, np.fft.rfft
+    original, original_rfft = bwx.wavio._WavSource.read, np.fft.rfft
 
-    def counting(path, *args):
-        reads.append(str(path))
-        return original(path, *args)
+    def counting(source, *args):
+        reads.append(str(source.path))
+        return original(source, *args)
 
     def counting_rfft(*args, **kwargs):
         analyses.append(1)
         return original_rfft(*args, **kwargs)
 
-    monkeypatch.setattr(bwx.pipeline, "wav_read", counting)
+    monkeypatch.setattr(bwx.wavio._WavSource, "read", counting)
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)
     return reads, analyses
 
@@ -514,10 +514,10 @@ def test_gla_reads_its_input_once_per_block(monkeypatch, tmp_path, files):
     # oracle reference is, and never again for the output.
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", 8)
     hr, lr = files["stereo"]
+    blocks = -(-padded_grid(CFG, len(wav_read(lr)[0][0]))[1] // 8)
     reads, _ = _count_reads_and_analyses(monkeypatch)
     spec = ReconstructSpec(OracleSpec(str(hr)), GlaConfig(iterations=1), LAYOUT, stft=CFG)
     super_resolve(spec, lr, tmp_path / "out.wav")
-    blocks = -(-padded_grid(CFG, len(wav_read(lr)[0][0]))[1] // 8)
     assert reads == [str(lr), str(hr)] * blocks
 
 
@@ -614,17 +614,19 @@ def test_stereo_gla_makes_each_start_when_its_channel_begins(tmp_path):
 
 def test_super_resolve_walks_each_file_once(monkeypatch, tmp_path, files):
     # Griffin-Lim reads its input and its oracle reference once each, block
-    # by block; every read reuses the header parsed when the file was opened.
+    # by block, through the one file it opened for each.
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", 8)
     hr, lr = files["stereo"]
-    walked = []
-    original = bwx.wavio._read_header
-    monkeypatch.setattr(
-        bwx.wavio, "_read_header", lambda fh, path: walked.append(str(path)) or original(fh, path)
-    )
+    opened = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        opened.append((str(file), mode))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(bwx.wavio, "open", counting_open, raising=False)
     spec = ReconstructSpec(OracleSpec(str(hr)), GlaConfig(iterations=1), LAYOUT, stft=CFG)
     super_resolve(spec, lr, tmp_path / "out.wav")
-    assert sorted(walked) == sorted([str(hr), str(lr)])
+    assert sorted(file for file, mode in opened if mode == "rb") == sorted([str(hr), str(lr)])
 
 
 # A 30 s mono oracle+flip super_resolve peaked at 396 MB of traced heap with

@@ -98,8 +98,8 @@ class TestSr:
         calls = []
         monkeypatch.setattr(
             bwx.cli,
-            "super_resolve",
-            lambda spec, *paths, trace_path: calls.append((spec.phase, trace_path)),
+            "_super_resolve",
+            lambda spec, source, output, trace_path: calls.append((spec.phase, trace_path)),
         )
         trace = str(tmp_path / "trace.csv")
         argv = ["sr", "--in", str(lr_path), "--out", str(tmp_path / "sr.wav"),
@@ -184,9 +184,9 @@ class TestSr:
         wav_write(hr, Waveform(short_music.samples[:n], SR), SampleDepth.FLOAT32)
         assert main(["prepare", "--in", str(hr), "--out", str(lr)]) == 0
         reads = []
-        original = bwx.pipeline.wav_read
+        original = bwx.wavio._WavSource.read
         monkeypatch.setattr(
-            bwx.pipeline, "wav_read", lambda *args: reads.append(1) or original(*args)
+            bwx.wavio._WavSource, "read", lambda *args: reads.append(1) or original(*args)
         )
 
         def count(iters, *trace):
@@ -348,6 +348,14 @@ class TestPhaseStudy:
         assert main(argv) == 1
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_clips_is_usage_error(self, tmp_path, hr_path, monkeypatch, capsys):
+        # "" is no list of clips, and not the current directory, which holds a WAV.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(bwx.cli, "run_phase_study", None)  # a call would fail
+        assert main(["phase-study", "--clips", "", "--out", "s.csv"]) == 1
+        assert "usage error: --clips is empty" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_empty_directory_is_usage_error(self, tmp_path):
         empty = tmp_path / "empty"
@@ -704,15 +712,86 @@ def test_out_to_piped_stdout_is_the_file_alone(tmp_path, quarter_second, command
     assert b"wrote /dev/stdout" in piped.stderr
 
 
+def _piped(*commands):
+    """``commands`` run as a shell pipeline, the last command's result. Each
+    is an argv list: ``cat`` and its file, or the CLI's arguments."""
+    src = str(Path(bwx.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from bwx.cli import main; sys.exit(main())"
+    stdin, runs = None, []
+    for i, args in enumerate(commands):
+        argv = args if args[0] == "cat" else [sys.executable, "-c", code, *args]
+        stderr = subprocess.PIPE if i == len(commands) - 1 else None
+        runs.append(subprocess.Popen(argv, stdin=stdin, stdout=subprocess.PIPE, stderr=stderr,
+                                     env=env))
+        if stdin is not None:
+            stdin.close()  # the command just started owns the pipe now
+        stdin = runs[-1].stdout
+    out, err = runs[-1].communicate()
+    for run in runs[:-1]:
+        run.wait()
+    return subprocess.CompletedProcess(runs[-1].args, runs[-1].returncode, out, err)
+
+
+PIPED_RUNS = [
+    pytest.param(["prepare"], "hr.wav", id="prepare"),
+    pytest.param(["spec", "export", "--kind", "complex"], "hr.wav", id="spec-export"),
+    pytest.param(["sr", "--mag", "oracle:hr.wav", "--phase", "flip"], "lr.wav", id="sr-flip"),
+    pytest.param(["sr", "--mag", "oracle:hr.wav", "--phase", "gla", "--gla-iters", "5",
+                  "--trace", "{run}.csv"], "lr.wav", id="sr-gla-trace"),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("command, given", PIPED_RUNS)
+def test_piped_input_writes_what_a_file_input_does(tmp_path, hr_path, lr_path, monkeypatch,
+                                                   command, given):
+    # Each input is read front to back, so a pipe reads as its file does:
+    # the outputs, and the GLA trace, are the same bytes.
+    monkeypatch.chdir(tmp_path)
+    for run, feed, source in (("file", [], given), ("pipe", [["cat", given]], "/dev/stdin")):
+        args = [part.format(run=run) for part in command]
+        done = _piped(*feed, [*args, "--in", source, "--out", f"{run}.out"])
+        assert done.returncode == 0, done.stderr
+    assert Path("pipe.out").read_bytes() == Path("file.out").read_bytes()
+    if "--trace" in command:
+        assert Path("pipe.csv").read_bytes() == Path("file.csv").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_commands_chained_by_pipes_equal_their_file_runs(tmp_path, hr_path, lr_path, monkeypatch):
+    # prepare | sr equals sr of the prepared file, and sr | eval gives the
+    # file run's CSV, but for the estimate's name.
+    monkeypatch.chdir(tmp_path)
+    sr = ["sr", "--mag", "oracle:hr.wav", "--phase", "gla", "--gla-iters", "5"]
+    assert main([*sr, "--in", "lr.wav", "--out", "file.wav"]) == 0
+    assert main(["eval", "--truth", "hr.wav", "--est", "file.wav", "--out", "file.csv"]) == 0
+    done = _piped(["cat", "hr.wav"], ["prepare", "--in", "/dev/stdin", "--out", "/dev/stdout"],
+                  [*sr, "--in", "/dev/stdin", "--out", "piped.wav"])
+    assert done.returncode == 0, done.stderr
+    assert Path("piped.wav").read_bytes() == Path("file.wav").read_bytes()
+    done = _piped([*sr, "--in", "lr.wav", "--out", "/dev/stdout"],
+                  ["eval", "--truth", "hr.wav", "--est", "/dev/stdin", "--out", "piped.csv"])
+    assert done.returncode == 0, done.stderr
+    piped = Path("piped.csv").read_text().replace("/dev/stdin,", "file.wav,")
+    assert piped == Path("file.csv").read_text()
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
 @pytest.mark.parametrize("command", PIPED_COMMANDS)
-def test_piped_input_is_an_io_error(tmp_path, quarter_second, command):
-    # WAV input is read by seeking, so a pipe is refused before anything is written.
+@pytest.mark.parametrize("fault", ["truncated", "placeholder"])
+def test_a_faulty_piped_input_is_an_io_error(tmp_path, quarter_second, command, fault):
+    # A pipe that ends inside its data chunk, or whose header gives the
+    # placeholder size 0xFFFFFFFF for a length, writes nothing.
+    raw = quarter_second.read_bytes()
+    if fault == "truncated":
+        raw, message = raw[: len(raw) // 2], b"data chunk ends before"
+    else:
+        raw, message = raw[:40] + struct.pack("<I", 0xFFFFFFFF) + raw[44:], b"placeholder"
     out = tmp_path / "out.wav"
-    done = _bwx([*command, "--in", "/dev/stdin", "--out", str(out)],
-                input=quarter_second.read_bytes())
+    done = _bwx([*command, "--in", "/dev/stdin", "--out", str(out)], input=raw)
     assert done.returncode == 2
-    assert b"not seekable" in done.stderr
+    assert message in done.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav"]
 
 

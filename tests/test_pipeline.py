@@ -491,47 +491,58 @@ class TestRunPhaseStudy:
             assert [report.lsd_hf, report.lsd_full, report.snr] == expected.tolist()
 
     def test_reads_block_spans_and_writes_outputs_whole(self, tmp_path, monkeypatch, two_clips):
-        # The clip is decoded whole once, by make_pair, to write the LR; every
-        # other read is one block span of a file. A pass over a file's blocks
-        # reads it about 1.11 times over, as 64-frame spans overlap by
-        # frame_len - hop: 7.7x for the clip (the oracle of three
-        # reconstructions, four scorings) and 4.4x for the LR (one pass each
-        # for GLA, flip and reference, and its own scoring). A read per GLA
-        # iteration would break the bounds. Each of the four outputs is
+        # The clip is read whole once, by make_pair, to write the LR; every
+        # other read is one block span of a file. A pass decodes each frame of
+        # a file once, though its 64-frame spans overlap by frame_len - hop:
+        # 8x for the clip (the LR's making, the oracle of three
+        # reconstructions, four scorings) and 4x for the LR (one pass each for
+        # GLA, flip and reference, and its own scoring). A read per GLA
+        # iteration would break the counts. Each of the four outputs is
         # written by one call, whole, as float32.
         import bwx.prep
 
-        whole, decoded, largest, writes = [], {}, [], []
-        block_read, prep_read, write = bwx.pipeline.wav_read, bwx.prep.wav_read, bwx.wavio.wav_write
+        whole, decoded, largest, writes, making = [], {}, [], [], []
+        span_read, decode = bwx.wavio._WavSource.read, bwx.wavio._WavSource._decode
+        prep_read, write = bwx.prep.wav_read, bwx.wavio.wav_write
 
-        def counting(path, *args, **kwargs):
-            channels, depth = block_read(path, *args, **kwargs)
-            decoded[str(path)] = decoded.get(str(path), 0) + len(channels[0])
-            largest.append(len(channels[0]))
-            return channels, depth
+        def counting(source, start, stop):
+            channels = span_read(source, start, stop)
+            if not making:
+                largest.append(len(channels[0]))
+            return channels
+
+        def decoding(source, keep, frames):
+            decoded[str(source.path)] = decoded.get(str(source.path), 0) + frames
+            return decode(source, keep, frames)
 
         def making_lr(path, *args, **kwargs):
             whole.append((str(path), args, kwargs))
-            return prep_read(path, *args, **kwargs)
+            making.append(path)
+            try:
+                return prep_read(path, *args, **kwargs)
+            finally:
+                making.pop()
 
         def recording(path, channels, *args, **kwargs):
             writes.append((Path(path).name, len(channels), {len(ch) for ch in channels}, args))
             return write(path, channels, *args, **kwargs)
 
-        monkeypatch.setattr(bwx.pipeline, "wav_read", counting)
+        monkeypatch.setattr(bwx.wavio._WavSource, "read", counting)
+        monkeypatch.setattr(bwx.wavio._WavSource, "_decode", decoding)
         monkeypatch.setattr(bwx.prep, "wav_read", making_lr)
         monkeypatch.setattr(bwx.pipeline, "wav_write", recording)
         monkeypatch.setattr(bwx.prep, "wav_write", recording)
         run_phase_study(two_clips, tmp_path / "study.csv", gla_iterations=4)
+        counts = dict(decoded)  # the study's, before this test's own reads
         assert whole == [(clip, (), {}) for clip in two_clips]
         assert max(largest) <= CFG.output_length(bwx.dsp.BLOCK_FRAMES)
         expected_writes = []
         for clip in two_clips:
             channels = wav_read(clip)[0]
             n = len(channels[0])
-            lr = [path for path in decoded if path.endswith(f"{Path(clip).stem}_lr.wav")]
-            assert decoded[clip] <= 8 * n
-            assert len(lr) == 1 and decoded[lr[0]] <= 5 * n
+            lr = [path for path in counts if path.endswith(f"{Path(clip).stem}_lr.wav")]
+            assert counts[clip] == 8 * n
+            assert len(lr) == 1 and counts[lr[0]] == 4 * n
             expected_writes += [
                 (f"{Path(clip).stem}_{method}.wav", len(channels), {n}, (SampleDepth.FLOAT32,))
                 for method in PHASE_STUDY_METHODS

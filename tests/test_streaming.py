@@ -13,6 +13,7 @@ import pytest
 
 import bwx.dsp
 import bwx.pipeline
+import bwx.wavio
 from bwx import (
     BandLayout,
     BandReplicationSpec,
@@ -177,11 +178,11 @@ def test_non_finite_reference_past_the_input_fails_the_job(
     monkeypatch, tmp_path, inputs, mag, phase, stage
 ):
     # No block reads the reference past the input's last frame; its tail is
-    # still checked, a few chunks at a time, as a whole read would check it.
+    # still checked, a few pieces at a time, as a whole read would check it.
     hr, lr = inputs["float32", "mono"]
     ref = tmp_path / "ref.wav"
     _longer_copy(ref, hr, 5000)
-    monkeypatch.setattr(bwx.pipeline, "_CHECK_FRAMES", 1500)
+    monkeypatch.setattr(bwx.wavio, "_PIECE_BYTES", 4 * 1500)  # 1500 float32 mono frames
     predictor = OracleSpec(str(ref)) if mag == "oracle" else BandReplicationSpec()
     strategy = ReferencePhaseSpec(str(ref)) if phase == "ref" else FlipPhaseSpec()
     out = tmp_path / "out.wav"
