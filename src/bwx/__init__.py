@@ -35,7 +35,7 @@ from .pipeline import (
 )
 from .prep import LowpassMode, LowpassSpec, lowpass, make_pair
 from .specio import SpecFileHeader, SpecKind, spec_read, spec_write
-from .wavio import SampleDepth, wav_read, wav_write
+from .wavio import wav_read, wav_write
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "OracleSpec",
     "ReconstructSpec",
     "ReferencePhaseSpec",
-    "SampleDepth",
     "SpecFileHeader",
     "SpecKind",
     "StftConfig",

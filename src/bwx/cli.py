@@ -39,7 +39,7 @@ from .phase import FlipPhaseSpec, GlaConfig, ReferencePhaseSpec
 from .pipeline import ReconstructSpec, _score_pairs, _super_resolve, run_phase_study
 from .prep import LowpassMode, LowpassSpec, make_pair
 from .specio import SpecKind, spec_read, spec_write
-from .wavio import SampleDepth, _WavSource, wav_read, wav_write
+from .wavio import _WavSource, wav_write
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -207,17 +207,18 @@ def _cmd_spec(args) -> int:
     _check_writes([("--in", args.input)], [("--out", args.output)])
     if args.spec_command == "export":
         cfg = StftConfig()
-        channels, _ = wav_read(args.input)
-        if len(channels) != 1:
-            raise ShapeError(
-                f"{args.input}: spec export takes mono input, found {len(channels)} channels"
-            )
-        spectrogram = stft_array(channels[0].samples, cfg)
+        with _WavSource(args.input) as source:
+            if source.n_channels != 1:
+                raise ShapeError(
+                    f"{args.input}: spec export takes mono input, found {source.n_channels} channels"
+                )
+            (samples,) = source.read(0, source.n_samples)
+        spectrogram = stft_array(samples, cfg)
         if args.kind == "magnitude":
             data, kind = np.abs(spectrogram), SpecKind.MAGNITUDE
         else:
             data, kind = spectrogram, SpecKind.COMPLEX
-        spec_write(args.output, data, kind, channels[0].sample_rate, cfg.frame_len, cfg.hop)
+        spec_write(args.output, data, kind, source.sample_rate, cfg.frame_len, cfg.hop)
         print(f"wrote {args.output}", file=sys.stderr)
         return EXIT_OK
 
@@ -245,7 +246,7 @@ def _cmd_spec(args) -> int:
     overlap_add(data, out, 0, cfg)
     lead, n_frames = padded_grid(cfg, len(out))
     _normalise(out, lead, n_frames, cfg)
-    wav_write(args.output, Waveform(out, header.sample_rate), SampleDepth.FLOAT32)
+    wav_write(args.output, Waveform(out, header.sample_rate))
     print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
 

@@ -73,7 +73,7 @@ from .phase import (
     flip_phase,
 )
 from .prep import make_pair
-from .wavio import SampleDepth, _atomic_output, _WavSource, wav_write
+from .wavio import _atomic_output, _WavSource, wav_write
 
 logger = logging.getLogger("bwx")
 
@@ -114,8 +114,8 @@ class _References(contextlib.ExitStack):
     opened once, and closed with the context. A block span of a source is
     read once and each of its channels analysed once; the last analysis is
     kept for the other step that reads the file (oracle magnitudes and
-    reference phase) and freed before the next is made, so no whole-file
-    analysis is held through Griffin-Lim."""
+    reference phase) and freed before the next is made or when `check_unread`
+    ends the reading, so none is held through Griffin-Lim."""
 
     def __init__(self, cfg: StftConfig, arrays: dict):
         super().__init__()
@@ -144,7 +144,9 @@ class _References(contextlib.ExitStack):
         return source
 
     def check_unread(self) -> None:
-        """Check every opened source to its end, in its first opener's stage."""
+        """Check every opened source to its end, in its first opener's stage,
+        and let go of the last block span and analysis."""
+        self._blocks.clear()
         for source, stage in self._stages.items():
             with _stage(stage):
                 source.check_unread()
@@ -225,7 +227,7 @@ def _phase_step(spec: ReconstructSpec, n_frames: int, inputs, references: _Refer
 
 
 def _gla_channels(
-    spec: ReconstructSpec, source, analyse, magnitude_step, traces: list | None
+    spec: ReconstructSpec, source, analyse, magnitude_step, traces: list | None, check_unread
 ) -> list[np.ndarray]:
     """Griffin-Lim's output: each channel of ``source``, finished in float64
     over the input's samples, without any whole-grid spectrogram held.
@@ -234,13 +236,15 @@ def _gla_channels(
     block spectrogram from ``analyse(span)``, keeps its high-band magnitudes,
     zeroes the band and overlap-adds the other bins as analysed, the low band
     and the bins above the band alike, unnormalised, into one pinned signal
-    over the grid. GLA then runs on each channel's band alone, onto its
-    pinned signal (`phase._gla_band`), from a zero-phase start made just
-    before it begins; the band's rows, zero elsewhere, are overlap-added onto
-    that signal and let go before the next channel's start is made, and the
-    signal's stretch under the input, normalised in place, is the channel's
-    output. Given a ``traces`` list, the first channel's residuals are
-    appended to it (the pass keeps its `phase._pinned_sums` for them)."""
+    over the grid. ``check_unread()`` ends the reading, so a faulty file tail
+    fails before any iteration and no span is held through GLA, which then
+    runs on each channel's band alone, onto its pinned signal
+    (`phase._gla_band`), from a zero-phase start made just before it begins;
+    the band's rows, zero elsewhere, are overlap-added onto that signal and
+    let go before the next channel's start is made, and the signal's stretch
+    under the input, normalised in place, is the channel's output. Given a
+    ``traces`` list, the first channel's residuals are appended to it (the
+    pass keeps its `phase._pinned_sums` for them)."""
     cfg, layout = spec.stft, spec.layout
     k_lo, k_hi = layout.k_lo, layout.k_hi
     lead, n_frames = padded_grid(cfg, source.n_samples)
@@ -258,6 +262,7 @@ def _gla_channels(
                 sums[f0:f1] = _pinned_sums(x, layout)
             x[:, k_lo:k_hi] = 0.0
             overlap_add(x, pinned[channel], f0, cfg)
+    check_unread()
 
     finished, longest = [], next(frame_blocks(n_frames, cfg))[1]  # the first block's length
     with _stage("phase"):
@@ -296,8 +301,8 @@ def _reconstruct_blocks(
     Griffin-Lim is not frame-local: `_gla_channels` reads the input once,
     block by block, and finishes every channel, which the generator yields
     as one stretch; given a ``traces`` list, it appends the first channel's
-    residuals. After the last stretch, the generator checks the rest of each
-    reference (`_References.check_unread`).
+    residuals. Where the reading ends, before Griffin-Lim or after the last
+    stretch, each reference and the input are checked to their ends.
     """
     cfg, layout = spec.stft, spec.layout
     with _stage("analyze"):
@@ -321,12 +326,16 @@ def _reconstruct_blocks(
         with _stage("phase"):
             x[:, layout.k_lo : layout.k_hi] = phase_step(channel, x, hfc_mag, block)
 
+    def check_unread():
+        references.check_unread()
+        source.check_unread()  # read whole by the pass: this lets its last span go
+
     def blocks():
         if phase_step is None:
-            yield _gla_channels(spec, source, analyse, magnitude_step, traces)
+            yield _gla_channels(spec, source, analyse, magnitude_step, traces, check_unread)
         else:
             yield from resynthesize(read, source.n_samples, cfg, edit)
-        references.check_unread()
+            check_unread()
 
     return blocks()
 
@@ -377,7 +386,7 @@ def _super_resolve(spec: ReconstructSpec, source, output_path, trace_path) -> No
         with _stage("write-output"), _atomic_output(output_path) as fh:
             for pieces in blocks:
                 channels = [Waveform(piece, source.sample_rate) for piece in pieces]
-                wav_write(fh, channels, SampleDepth.FLOAT32, total_frames=total)
+                wav_write(fh, channels, total_frames=total)
                 total = None  # only the first write puts the header in front
     if traces:
         rows = (
@@ -446,7 +455,7 @@ def _study_one_clip(clip_path: str, workdir: Path, gla_iterations: int) -> dict[
         with _WavSource(lr_path) as lr, _References(spec.stft, {}) as files:
             blocks = _reconstruct_blocks(spec, lr, files)
             out = _whole_channels(blocks, lr.n_channels, lr.n_samples)
-        wav_write(est_path, [Waveform(row, lr.sample_rate) for row in out], SampleDepth.FLOAT32)
+        wav_write(est_path, [Waveform(row, lr.sample_rate) for row in out])
         del out  # not held through the next method's Griffin-Lim
         reports[method] = score(est_path)
     return reports

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dsp import BAND_LO_HZ, StftConfig, Waveform, _whole_channels, bin_index, resynthesize
 from .errors import DomainError
-from .wavio import SampleDepth, wav_read, wav_write
+from .wavio import wav_read, wav_write
 
 
 class LowpassMode(enum.Enum):
@@ -123,4 +123,4 @@ def make_pair(hr_path, out_lr_path, spec: LowpassSpec = LowpassSpec()) -> None:
     """
     channels, _depth = wav_read(hr_path)
     filtered = [lowpass(ch, spec) for ch in channels]
-    wav_write(out_lr_path, filtered, SampleDepth.FLOAT32)
+    wav_write(out_lr_path, filtered)

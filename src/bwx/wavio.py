@@ -1,14 +1,16 @@
 """Minimal RIFF/WAVE reader and writer.
 
-Reads PCM 16-bit, PCM 24-bit and IEEE float 32-bit files; integer samples are
-normalised to [-1, 1) by dividing by 2^(depth-1). Writes PCM 16-bit (clamped,
-rounded half away from zero) or float 32-bit with a canonical 44-byte header.
+Reads PCM16, PCM24 and float32, writes float32; a sample float32 cannot
+hold is refused. Integer samples read are normalised to [-1, 1) by dividing
+by 2^(depth-1); float32 is written with a canonical 44-byte header and read
+back bit for bit.
 
 Both ends stream, front to back, so a pipe works as a file does.
 `_WavSource` is the one reader: one open file, its chunks walked without
 seeking, then the ascending sample spans of a pass, each frame decoded
-once; ``wav_read`` is one whole pass. ``wav_write`` can write the header for
-a known total and then append the frames block by block to an open file.
+once, and let go when its tail check ends the pass; ``wav_read`` is one
+whole pass. ``wav_write`` can write the header for a known total and then
+append the frames block by block to an open file.
 
 ``_atomic_output`` is the one place bwx opens a file for writing: every WAV,
 BWXSPEC and CSV it writes appears whole or not at all.
@@ -17,7 +19,6 @@ BWXSPEC and CSV it writes appears whole or not at all.
 from __future__ import annotations
 
 import contextlib
-import enum
 import os
 import shutil
 import stat
@@ -31,6 +32,7 @@ from .dsp import Waveform, _channel_layout
 from .errors import (
     DomainError,
     MalformedHeaderError,
+    PayloadValueError,
     TruncatedDataError,
     UnsupportedCodecError,
 )
@@ -42,11 +44,6 @@ _SUPPORTED = {(_FORMAT_PCM, 16), (_FORMAT_PCM, 24), (_FORMAT_IEEE_FLOAT, 32)}
 # The most bytes read at once, so a forged chunk size allocates only what
 # the file holds; `_WavSource.check_unread` reads as many bytes of frames.
 _PIECE_BYTES = 1 << 20
-
-
-class SampleDepth(enum.Enum):
-    PCM16 = "pcm16"
-    FLOAT32 = "float32"
 
 
 def _pieces(fh, size: int):
@@ -185,10 +182,12 @@ class _WavSource(contextlib.AbstractContextManager):
 
     def check_unread(self) -> None:
         """Decode the samples past the last span, so a non-finite sample
-        anywhere in the file raises `DomainError` as a whole read would."""
+        anywhere in the file raises `DomainError` as a whole read would. The
+        pass is then over, so the kept samples are let go."""
         step = max(_PIECE_BYTES // (self.bits // 8 * self.n_channels), 1)
         while (end := self._start + len(self._kept[0])) < self.n_samples:
             self.read(end, end + step)
+        self._start, self._kept = self.n_samples, [np.zeros(0)] * self.n_channels
 
 
 def wav_read(path) -> tuple[list[Waveform], int]:
@@ -228,43 +227,33 @@ def _atomic_output(path):
         raise
 
 
-def _quantize_pcm16(samples: np.ndarray) -> np.ndarray:
-    clamped = np.clip(samples, -1.0, 1.0)
-    scaled = clamped * 32768.0
-    rounded = np.trunc(scaled + np.copysign(0.5, scaled))
-    return np.clip(rounded, -32768, 32767).astype("<i2")
-
-
-def wav_write(path, x, depth: SampleDepth = SampleDepth.FLOAT32, total_frames: int | None = None) -> None:
-    """Write one Waveform (or a list of equal-length channels) as WAV.
+def wav_write(path, x, *, total_frames: int | None = None) -> None:
+    """Write one Waveform (or a list of equal-length channels) as float32 WAV,
+    each sample as float32 holds it; a sample beyond float32's range raises
+    `PayloadValueError` and nothing is written.
 
     ``path`` is a file name, or a binary file open for writing to stream a
     file in blocks: with ``total_frames`` the header for that many frames is
     written first, without it the frames are appended to what the file holds.
     A file name gets a header for ``x`` alone and is written through
-    `_atomic_output`, so it appears whole or not at all. PCM16 output clamps
-    to [-1, 1] and rounds half away from zero; float32 output preserves
-    values bit-exactly.
+    `_atomic_output`, so it appears whole or not at all.
     """
     channels = [x] if isinstance(x, Waveform) else list(x)
     n, rate = _channel_layout(channels)
 
-    if depth is SampleDepth.PCM16:
-        code, tag, bits = "<i2", _FORMAT_PCM, 16
-    elif depth is SampleDepth.FLOAT32:
-        code, tag, bits = "<f4", _FORMAT_IEEE_FLOAT, 32
-    else:
-        raise DomainError(f"unsupported write depth {depth}")
-    payload = np.empty((n, len(channels)), dtype=code)  # interleaved frames
-    for c, ch in enumerate(channels):
-        payload[:, c] = _quantize_pcm16(ch.samples) if bits == 16 else ch.samples
+    payload = np.empty((n, len(channels)), dtype="<f4")  # interleaved frames
+    with np.errstate(over="ignore"):
+        for c, ch in enumerate(channels):
+            payload[:, c] = ch.samples
+    if not np.isfinite(payload).all():
+        raise PayloadValueError("refusing to write a sample beyond float32's range")
 
     streaming = hasattr(path, "write")
     header_frames = total_frames if streaming else n
     header = b""
     if header_frames is not None:
         n_channels = len(channels)
-        block_align = n_channels * bits // 8
+        block_align = 4 * n_channels
         data_size = header_frames * block_align
         header = struct.pack(
             "<4sI4s4sIHHIIHH4sI",
@@ -273,12 +262,12 @@ def wav_write(path, x, depth: SampleDepth = SampleDepth.FLOAT32, total_frames: i
             b"WAVE",
             b"fmt ",
             16,
-            tag,
+            _FORMAT_IEEE_FLOAT,
             n_channels,
             rate,
             rate * block_align,
             block_align,
-            bits,
+            32,
             b"data",
             data_size,
         )

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bwx import SampleDepth, StftConfig, Waveform, istft_array, stft_array, wav_write
+from bwx import StftConfig, Waveform, istft_array, stft_array, wav_write
 from bwx.dsp import padded_grid
 
 SAMPLE_RATE = 44100
@@ -134,18 +134,31 @@ def whole_window_sum(cfg, n_frames):
     return np.maximum(wsum, 1e-12)
 
 
-def write_pcm24(path, channels, sr=SAMPLE_RATE):
-    """Write float channels in [-1, 1) as a 24-bit PCM WAV, which `wav_write`
-    does not produce."""
-    stored = np.clip(np.round(np.stack(channels, axis=1) * (1 << 23)), -(1 << 23), (1 << 23) - 1)
-    payload = stored.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+def _write_pcm(path, channels, sr, bits):
+    """Write float channels as a ``bits``-bit PCM WAV, each sample rounded
+    and clamped to the integer range: an input that `wav_write`, which writes
+    float32 only, does not produce."""
+    scale, width = 1 << (bits - 1), bits // 8
+    stored = np.clip(np.round(np.stack(channels, axis=1) * scale), -scale, scale - 1)
+    # The low bytes of each little-endian int32 are the narrower sample.
+    payload = stored.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :width].tobytes()
     n_channels = len(channels)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
-        1, n_channels, sr, sr * 3 * n_channels, 3 * n_channels, 24, b"data", len(payload),
+        1, n_channels, sr, sr * width * n_channels, width * n_channels, bits, b"data", len(payload),
     )
     Path(path).write_bytes(header + payload + b"\0" * (len(payload) & 1))
+
+
+def write_pcm16(path, channels, sr=SAMPLE_RATE):
+    """Write float channels in [-1, 1] as a 16-bit PCM WAV."""
+    _write_pcm(path, channels, sr, 16)
+
+
+def write_pcm24(path, channels, sr=SAMPLE_RATE):
+    """Write float channels in [-1, 1] as a 24-bit PCM WAV."""
+    _write_pcm(path, channels, sr, 24)
 
 
 @pytest.fixture(scope="session")
@@ -159,7 +172,7 @@ def clip_dir(tmp_path_factory):
             percussion_rate=style["percussion_rate"],
             noise_db=style["noise_db"],
         )
-        wav_write(out / f"clip{i:02d}.wav", Waveform(samples, SAMPLE_RATE), SampleDepth.FLOAT32)
+        wav_write(out / f"clip{i:02d}.wav", Waveform(samples, SAMPLE_RATE))
     return out
 
 

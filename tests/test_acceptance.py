@@ -15,7 +15,6 @@ import pytest
 from bwx import (
     BandLayout,
     GlaConfig,
-    SampleDepth,
     SpecKind,
     StftConfig,
     Waveform,
@@ -227,7 +226,7 @@ def test_criterion_09_io_round_trips(tmp_path):
 
     samples = rng.uniform(-1, 1, 4096).astype(np.float32).astype(np.float64)
     wav_path = tmp_path / "rt.wav"
-    wav_write(wav_path, Waveform(samples, SR), SampleDepth.FLOAT32)
+    wav_write(wav_path, Waveform(samples, SR))
     assert np.array_equal(wav_read(wav_path)[0][0].samples, samples)
 
     mag = rng.random((11, 33)).astype(np.float32)

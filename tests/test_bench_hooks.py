@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import bwx.wavio
-from bwx import SampleDepth, Waveform, run_phase_study, wav_read, wav_write
+from bwx import Waveform, run_phase_study, wav_read, wav_write
 from bwx.cli import main
 
-from conftest import synth_clip
+from conftest import synth_clip, write_pcm16
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 SR = 44100
@@ -37,11 +37,14 @@ def test_every_trace_target_resolves(spans):
     assert unresolved == []
 
 
-@pytest.mark.parametrize("depth, width", [(SampleDepth.PCM16, 2), (SampleDepth.FLOAT32, 4)])
-def test_wav_read_bytes_accepts_a_real_read(spans, tmp_path, depth, width):
+@pytest.mark.parametrize("codec, width", [("pcm16", 2), ("float32", 4)])
+def test_wav_read_bytes_accepts_a_real_read(spans, tmp_path, codec, width):
     path = tmp_path / "x.wav"
     x = np.linspace(-0.5, 0.5, 1000)
-    wav_write(path, [Waveform(x, SR), Waveform(-x, SR)], depth)
+    if codec == "pcm16":
+        write_pcm16(path, [x, -x], SR)
+    else:
+        wav_write(path, [Waveform(x, SR), Waveform(-x, SR)])
     result = wav_read(path)
     assert spans._wav_read_bytes((path,), {}, result, None) == {"bytes": 2 * 1000 * width}
 
@@ -53,7 +56,7 @@ def test_wav_write_bytes_accepts_what_bwx_writes(spans, tmp_path):
     original = bwx.wavio.wav_write
     wrapper = tracer.wrap("wavio.write", original, after=spans._wav_write_bytes)
     hr, lr, out = tmp_path / "hr.wav", tmp_path / "lr.wav", tmp_path / "out.wav"
-    wav_write(hr, Waveform(synth_clip(3, duration=1.0), SR), SampleDepth.FLOAT32)
+    wav_write(hr, Waveform(synth_clip(3, duration=1.0), SR))
     n = len(wav_read(hr)[0][0])
     spans.patch_everywhere(original, wrapper)
     try:

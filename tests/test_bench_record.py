@@ -120,7 +120,11 @@ def test_a_changed_or_missing_harness_file_is_flagged(tmp_path, capsys):
 def test_source_size_counts_lines_and_public_names(tmp_path):
     root = _tree(tmp_path, {
         "src/bwx/__init__.py": '"""Doc."""\n\nfrom .a import f\n\n__all__ = [\n    "f",\n    "g",\n]\n',
-        "src/bwx/a.py": "def f():\n    return 1\n",
+        "src/bwx/a.py": (
+            "def f():\n    class Local:\n        pass\n    return 1\n\n\n"  # nested: not counted
+            "class A:\n    class Inner:\n        pass\n\n\n"  # A counts, Inner does not
+            "class B(A):\n    pass\n"
+        ),
         "src/bwx/b.py": "X = 1",  # no final newline: wc -l does not count that line
         "src/bwx/cli.py": (
             'p.add_argument("--in", dest="input")\n'
@@ -129,13 +133,29 @@ def test_source_size_counts_lines_and_public_names(tmp_path):
             'p.add_argument("-v")\n'  # short only: not counted
             'p.add_subparsers(dest="command")\n'
         ),
-        "src/bwx/sub/c.py": "Y = 2\n",  # not in the package's top level
-        "src/other.py": "Z = 3\n",
+        "src/bwx/sub/c.py": "class C:\n    pass\n",  # not in the package's top level
+        "src/other.py": "class D:\n    pass\n",
     })
-    assert _tool()._source_size(root) == {"source_lines": 15, "public_names": 2, "cli_options": 2}
+    assert _tool()._source_size(root) == {
+        "source_lines": 26, "types": 2, "public_names": 2, "cli_options": 2
+    }
 
 
 def test_public_names_of_this_tree_are_bwx_all():
     import bwx
 
     assert _tool()._source_size(TOOL.parent.parent)["public_names"] == len(bwx.__all__)
+
+
+def test_types_of_this_tree_are_the_classes_its_modules_define():
+    import importlib
+    import inspect
+
+    names = [f"bwx.{path.stem}".removesuffix(".__init__") for path in TOOL.parent.parent.glob("src/bwx/*.py")]
+    classes = [
+        value
+        for module in map(importlib.import_module, names)
+        for value in vars(module).values()
+        if inspect.isclass(value) and value.__module__ == module.__name__
+    ]
+    assert _tool()._source_size(TOOL.parent.parent)["types"] == len(classes)

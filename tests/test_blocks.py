@@ -24,7 +24,6 @@ from bwx import (
     OracleSpec,
     ReferencePhaseSpec,
     ReconstructSpec,
-    SampleDepth,
     SpecKind,
     StftConfig,
     Waveform,
@@ -76,8 +75,8 @@ def files(tmp_path_factory):
         hr = [Waveform(c, SR) for c in channels]
         lr = [lowpass(w, LowpassSpec(cutoff_hz=4000.0), CFG) for w in hr]
         paths[name] = (d / f"{name}_hr.wav", d / f"{name}_lr.wav")
-        wav_write(paths[name][0], hr, SampleDepth.FLOAT32)
-        wav_write(paths[name][1], lr, SampleDepth.FLOAT32)
+        wav_write(paths[name][0], hr)
+        wav_write(paths[name][1], lr)
     band = d / "band.bwx"
     mags = np.abs(stft_array(left, CFG))[:, LAYOUT.k_lo : LAYOUT.k_hi]
     spec_write(band, mags.astype(np.float32), SpecKind.MAGNITUDE, SR, CFG.frame_len, CFG.hop)
@@ -146,7 +145,7 @@ def test_brickwall_prepare_blocked_equals_one_block(monkeypatch, tmp_path, files
     # Stereo, and an odd length so the last frame is zero-padded.
     hr = tmp_path / "odd.wav"
     channels = [Waveform(c.samples[:-77], SR) for c in wav_read(files["stereo"][0])[0]]
-    wav_write(hr, channels, SampleDepth.FLOAT32)
+    wav_write(hr, channels)
     written = {}
     for block in (ONE_BLOCK,) + BLOCK_SIZES:
         monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", block)
@@ -417,7 +416,7 @@ def test_reference_length_mismatch(monkeypatch, tmp_path, files, caplog, frame_d
         ]
     else:
         ref_channels = [c.samples[:keep] for c in hr_channels]
-    wav_write(ref, [Waveform(c, SR) for c in ref_channels], SampleDepth.FLOAT32)
+    wav_write(ref, [Waveform(c, SR) for c in ref_channels])
     out = tmp_path / "out.wav"
     spec = ReconstructSpec(BandReplicationSpec(), ReferencePhaseSpec(str(ref)), LAYOUT, stft=CFG)
     with caplog.at_level(logging.WARNING, logger="bwx"):
@@ -436,7 +435,7 @@ def test_oracle_reference_too_short_is_length_error(monkeypatch, tmp_path, files
     hr, lr = files["mono"]
     short = tmp_path / "short.wav"
     samples = wav_read(hr)[0][0].samples
-    wav_write(short, Waveform(samples[: len(samples) - 20 * CFG.hop], SR), SampleDepth.FLOAT32)
+    wav_write(short, Waveform(samples[: len(samples) - 20 * CFG.hop], SR))
     out = tmp_path / "out.wav"
     spec = ReconstructSpec(OracleSpec(str(short)), FlipPhaseSpec(), LAYOUT, stft=CFG)
     with pytest.raises(PipelineError, match="magnitude") as info:
@@ -491,7 +490,7 @@ def test_reference_read_once_per_block(monkeypatch, tmp_path, files):
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", 8)
     hr, lr = files["stereo"]
     other = tmp_path / "other.wav"
-    wav_write(other, wav_read(hr)[0][::-1], SampleDepth.FLOAT32)
+    wav_write(other, wav_read(hr)[0][::-1])
     monkeypatch.chdir(hr.parent)
     n = len(wav_read(lr)[0][0])
     assert len(wav_read(hr)[0][0]) == n
@@ -599,7 +598,7 @@ def test_stereo_gla_makes_each_start_when_its_channel_begins(tmp_path):
     hr, lr = tmp_path / "hr.wav", tmp_path / "lr.wav"
     for path in (hr, lr):
         channels = [Waveform(rng.standard_normal(n), SR) for _ in range(2)]
-        wav_write(path, channels, SampleDepth.FLOAT32)
+        wav_write(path, channels)
     spec = ReconstructSpec(OracleSpec(str(hr)), GlaConfig(iterations=1), LAYOUT, stft=CFG)
     grid_frames = padded_grid(CFG, n)[1]
     state_bytes = grid_frames * LAYOUT.hfc_width * 24 + 8 * CFG.output_length(grid_frames)
@@ -640,8 +639,8 @@ def test_super_resolve_peak_memory_is_bounded(tmp_path):
     n = 30 * SR
     x = 0.1 * np.random.default_rng(0).standard_normal(n)
     hr, lr = tmp_path / "hr.wav", tmp_path / "lr.wav"
-    wav_write(hr, Waveform(x, SR), SampleDepth.FLOAT32)
-    wav_write(lr, Waveform(x, SR), SampleDepth.FLOAT32)
+    wav_write(hr, Waveform(x, SR))
+    wav_write(lr, Waveform(x, SR))
     spec = ReconstructSpec(OracleSpec(str(hr)), FlipPhaseSpec(), LAYOUT, stft=CFG)
     tracemalloc.start()
     try:

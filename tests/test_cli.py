@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import bwx.cli
 import bwx.wavio
-from bwx import GlaConfig, SampleDepth, StftConfig, Waveform, istft_array, wav_read, wav_write
+from bwx import GlaConfig, StftConfig, Waveform, istft_array, wav_read, wav_write
 from bwx.cli import main
 from bwx.errors import DomainError
 from bwx.specio import SpecKind, spec_read, spec_write
@@ -28,7 +28,7 @@ SR = 44100
 @pytest.fixture()
 def hr_path(tmp_path, short_music):
     path = tmp_path / "hr.wav"
-    wav_write(path, short_music, SampleDepth.FLOAT32)
+    wav_write(path, short_music)
     return path
 
 
@@ -141,7 +141,7 @@ class TestSr:
         from bwx import spec_write
 
         stereo = tmp_path / "stereo.wav"
-        wav_write(stereo, [short_music, short_music], SampleDepth.FLOAT32)
+        wav_write(stereo, [short_music, short_music])
         frames = CFG.frame_count(len(short_music.samples))
         mag_file = tmp_path / "hfc.bwx"
         spec_write(mag_file, np.zeros((frames, 186)), SpecKind.MAGNITUDE, SR, CFG.frame_len, CFG.hop)
@@ -181,7 +181,7 @@ class TestSr:
         # traced GLA reads no file again, at any iteration count.
         n = 3 * 64 * 256
         hr, lr = tmp_path / "hr.wav", tmp_path / "lr.wav"
-        wav_write(hr, Waveform(short_music.samples[:n], SR), SampleDepth.FLOAT32)
+        wav_write(hr, Waveform(short_music.samples[:n], SR))
         assert main(["prepare", "--in", str(hr), "--out", str(lr)]) == 0
         reads = []
         original = bwx.wavio._WavSource.read
@@ -229,7 +229,7 @@ class TestSr:
         self, tmp_path, short_music, lr_path, mag, phase, stage, capsys
     ):
         ref = tmp_path / "ref22k.wav"
-        wav_write(ref, Waveform(short_music.samples, 22050), SampleDepth.FLOAT32)
+        wav_write(ref, Waveform(short_music.samples, 22050))
         out = tmp_path / "o.wav"
         argv = ["sr", "--in", str(lr_path), "--out", str(out),
                 "--mag", f"oracle:{ref}" if mag == "oracle" else mag,
@@ -304,7 +304,7 @@ class TestEval:
     def test_channel_mismatch_is_usage_error(self, tmp_path, hr_path, short_music, capsys):
         out = tmp_path / "report.csv"
         stereo = tmp_path / "stereo.wav"
-        wav_write(stereo, [short_music, short_music], SampleDepth.FLOAT32)
+        wav_write(stereo, [short_music, short_music])
         argv = ["eval", "--truth", str(hr_path), "--est", str(stereo), "--out", str(out)]
         assert main(argv) == 1
         assert "channel counts differ: 1 vs 2" in capsys.readouterr().err
@@ -313,7 +313,7 @@ class TestEval:
     def test_sample_rate_mismatch_is_usage_error(self, tmp_path, hr_path, short_music, capsys):
         out = tmp_path / "report.csv"
         est = tmp_path / "est48k.wav"
-        wav_write(est, Waveform(short_music.samples, 48000), SampleDepth.FLOAT32)
+        wav_write(est, Waveform(short_music.samples, 48000))
         argv = ["eval", "--truth", str(hr_path), "--est", str(est), "--out", str(out)]
         assert main(argv) == 1
         assert "sample rates differ: 44100 vs 48000" in capsys.readouterr().err
@@ -327,11 +327,7 @@ class TestPhaseStudy:
         from conftest import synth_clip
 
         for i, seed in enumerate((5, 6)):
-            wav_write(
-                clips / f"c{i}.wav",
-                Waveform(synth_clip(seed, duration=2.0), SR),
-                SampleDepth.FLOAT32,
-            )
+            wav_write(clips / f"c{i}.wav", Waveform(synth_clip(seed, duration=2.0), SR))
         # keep the nested GLA cheap by monkey-free explicit low iteration count:
         out = tmp_path / "study.csv"
         code = main(["phase-study", "--clips", str(clips), "--out", str(out), "--jobs", "2"])
@@ -374,11 +370,41 @@ class TestSpecFiles:
 
     def test_export_stereo_is_usage_error(self, tmp_path, short_music, capsys):
         stereo = tmp_path / "stereo.wav"
-        wav_write(stereo, [short_music, short_music], SampleDepth.FLOAT32)
+        wav_write(stereo, [short_music, short_music])
         out = tmp_path / "m.bwx"
         assert main(["spec", "export", "--in", str(stereo), "--out", str(out)]) == 1
         assert "2 channels" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_export_refuses_stereo_before_decoding(self, tmp_path, short_music, monkeypatch):
+        # The channel count is in the header: no frame of a stereo input is
+        # decoded before it is refused.
+        stereo = tmp_path / "stereo.wav"
+        wav_write(stereo, [short_music, short_music])
+        decoded = []
+        decode = bwx.wavio._WavSource._decode
+
+        def counting(source, keep, frames):
+            decoded.append(frames)
+            return decode(source, keep, frames)
+
+        monkeypatch.setattr(bwx.wavio._WavSource, "_decode", counting)
+        assert main(["spec", "export", "--in", str(stereo), "--out", str(tmp_path / "m.bwx")]) == 1
+        assert decoded == []
+
+    def test_import_beyond_float32_is_io_error_writing_nothing(self, tmp_path, capsys):
+        # Every frame finite in complex64, but eight of them put an impulse
+        # at output sample 2560 whose sum float32 cannot hold.
+        spec, out = tmp_path / "huge.bwx", tmp_path / "huge.wav"
+        at, k = 2560, np.arange(CFG.n_bins)
+        data = np.zeros((20, CFG.n_bins), dtype=np.complex128)
+        for f in range(20):
+            if 0 <= at - f * CFG.hop < CFG.frame_len:
+                data[f] = 3.3e38 * np.exp(-2j * np.pi * k * (at - f * CFG.hop) / CFG.frame_len)
+        spec_write(spec, data, SpecKind.COMPLEX, SR, CFG.frame_len, CFG.hop)
+        assert main(["spec", "import", "--in", str(spec), "--out", str(out)]) == 2
+        assert "beyond float32's range" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.bwx"]
 
     def test_export_complex_then_import(self, tmp_path, hr_path):
         spec = tmp_path / "c.bwx"
@@ -656,7 +682,7 @@ def test_a_failed_write_keeps_the_old_file(tmp_path, hr_path, lr_path, monkeypat
     from conftest import synth_clip
 
     monkeypatch.chdir(tmp_path)
-    wav_write("short.wav", Waveform(synth_clip(7, duration=0.5), SR), SampleDepth.FLOAT32)
+    wav_write("short.wav", Waveform(synth_clip(7, duration=0.5), SR))
     assert main(["spec", "export", "--in", "hr.wav", "--out", "c.bwx", "--kind", "complex"]) == 0
     old = tmp_path / target
     old.write_bytes(b"old content")
@@ -695,7 +721,7 @@ def quarter_second(tmp_path):
     from conftest import synth_clip
 
     path = tmp_path / "in.wav"
-    wav_write(path, Waveform(synth_clip(3, duration=0.25), SR), SampleDepth.FLOAT32)
+    wav_write(path, Waveform(synth_clip(3, duration=0.25), SR))
     return path
 
 

@@ -16,7 +16,6 @@ from bwx import (
     OracleSpec,
     ReconstructSpec,
     ReferencePhaseSpec,
-    SampleDepth,
     SpecKind,
     StftConfig,
     Waveform,
@@ -195,7 +194,7 @@ def clip(tmp_path_factory):
     d = tmp_path_factory.mktemp("grid")
     x = synth_clip(9, duration=0.3)[:-77]
     hr, lr, band = d / "hr.wav", d / "lr.wav", d / "band.bwx"
-    wav_write(hr, Waveform(x, 44100), SampleDepth.FLOAT32)
+    wav_write(hr, Waveform(x, 44100))
     assert main(["prepare", "--in", str(hr), "--out", str(lr)]) == 0
     mags = np.abs(stft_array(wav_read(hr)[0][0].samples, CFG))[:, 186:372]
     spec_write(band, mags.astype(np.float32), SpecKind.MAGNITUDE, 44100, CFG.frame_len, CFG.hop)

@@ -18,7 +18,6 @@ from bwx import (
     OracleSpec,
     ReconstructSpec,
     ReferencePhaseSpec,
-    SampleDepth,
     SpecKind,
     StftConfig,
     Waveform,
@@ -49,8 +48,8 @@ def hr_lr_paths(tmp_path, short_music):
 
     hr = tmp_path / "hr.wav"
     lr = tmp_path / "lr.wav"
-    wav_write(hr, short_music, SampleDepth.FLOAT32)
-    wav_write(lr, lowpass(short_music, LowpassSpec(cutoff_hz=4000.0), CFG), SampleDepth.FLOAT32)
+    wav_write(hr, short_music)
+    wav_write(lr, lowpass(short_music, LowpassSpec(cutoff_hz=4000.0), CFG))
     return hr, lr
 
 
@@ -305,7 +304,7 @@ class TestSuperResolve:
     def test_stereo_identity(self, tmp_path, short_music):
         hr = tmp_path / "hr2.wav"
         other = Waveform(short_music.samples[::-1].copy(), SR)
-        wav_write(hr, [short_music, other], SampleDepth.FLOAT32)
+        wav_write(hr, [short_music, other])
         out = tmp_path / "out2.wav"
         super_resolve(_spec(OracleSpec(str(hr)), ReferencePhaseSpec(str(hr))), hr, out)
         channels, _ = wav_read(out)
@@ -411,7 +410,7 @@ class TestRunPhaseStudy:
             from conftest import synth_clip
 
             clip = tmp_path / f"tiny{i}.wav"
-            wav_write(clip, Waveform(synth_clip(seed, duration=2.0), SR), SampleDepth.FLOAT32)
+            wav_write(clip, Waveform(synth_clip(seed, duration=2.0), SR))
             clips.append(str(clip))
         out = tmp_path / "study.csv"
         result = run_phase_study(clips, out, gla_iterations=12)
@@ -428,7 +427,7 @@ class TestRunPhaseStudy:
 
     def test_unreadable_clis_skipped(self, tmp_path, short_music):
         good = tmp_path / "good.wav"
-        wav_write(good, short_music, SampleDepth.FLOAT32)
+        wav_write(good, short_music)
         out = tmp_path / "study.csv"
         result = run_phase_study(
             [str(tmp_path / "missing.wav"), str(good)], out, gla_iterations=4
@@ -438,16 +437,12 @@ class TestRunPhaseStudy:
 
     @pytest.fixture()
     def two_clips(self, tmp_path):
-        from conftest import synth_clip
+        from conftest import synth_clip, write_pcm16
 
         mono = tmp_path / "mono.wav"
         stereo = tmp_path / "stereo.wav"
-        wav_write(mono, Waveform(synth_clip(7, duration=1.5), SR), SampleDepth.FLOAT32)
-        wav_write(
-            stereo,
-            [Waveform(synth_clip(seed, duration=1.2), SR) for seed in (8, 9)],
-            SampleDepth.PCM16,
-        )
+        wav_write(mono, Waveform(synth_clip(7, duration=1.5), SR))
+        write_pcm16(stereo, [synth_clip(seed, duration=1.2) for seed in (8, 9)], SR)
         return [str(mono), str(stereo)]
 
     def test_rows_equal_file_chain(self, tmp_path, two_clips):
@@ -544,7 +539,7 @@ class TestRunPhaseStudy:
             assert counts[clip] == 8 * n
             assert len(lr) == 1 and counts[lr[0]] == 4 * n
             expected_writes += [
-                (f"{Path(clip).stem}_{method}.wav", len(channels), {n}, (SampleDepth.FLOAT32,))
+                (f"{Path(clip).stem}_{method}.wav", len(channels), {n}, ())
                 for method in PHASE_STUDY_METHODS
             ]
         assert writes == expected_writes

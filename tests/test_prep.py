@@ -16,7 +16,6 @@ from bwx import (
     BandLayout,
     LowpassMode,
     LowpassSpec,
-    SampleDepth,
     StftConfig,
     Waveform,
     lowpass,
@@ -176,7 +175,7 @@ class TestScipyReference:
         lr = tmp_path / "lr.wav"
         rng = np.random.default_rng(3)
         other = Waveform(0.3 * rng.standard_normal(len(short_music.samples)), SR)
-        wav_write(hr, [short_music, other], SampleDepth.FLOAT32)
+        wav_write(hr, [short_music, other])
         spec = LowpassSpec(mode=LowpassMode.FIR_SINC, cutoff_hz=5000.0, taps=255)
         make_pair(hr, lr, spec)
         taps = design_fir(spec, SR)
@@ -204,7 +203,7 @@ class TestMakePair:
     def test_lengths_and_rate_preserved(self, tmp_path, short_music):
         hr = tmp_path / "hr.wav"
         lr = tmp_path / "lr.wav"
-        wav_write(hr, short_music, SampleDepth.FLOAT32)
+        wav_write(hr, short_music)
         make_pair(hr, lr)
         channels, _ = wav_read(lr)
         assert len(channels) == 1
@@ -214,7 +213,7 @@ class TestMakePair:
     def test_passband_lsd_small_highband_lsd_large(self, tmp_path, short_music):
         hr = tmp_path / "hr.wav"
         lr = tmp_path / "lr.wav"
-        wav_write(hr, short_music, SampleDepth.FLOAT32)
+        wav_write(hr, short_music)
         make_pair(hr, lr)
         lr_wave = wav_read(lr)[0][0]
 
@@ -230,7 +229,7 @@ class TestMakePair:
         hr = tmp_path / "hr2.wav"
         lr = tmp_path / "lr2.wav"
         silent = Waveform(np.zeros(len(short_music.samples)), SR)
-        wav_write(hr, [short_music, silent], SampleDepth.FLOAT32)
+        wav_write(hr, [short_music, silent])
         make_pair(hr, lr)
         channels, _ = wav_read(lr)
         assert len(channels) == 2

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bwx import LowpassSpec, SampleDepth, Waveform, lowpass, wav_read, wav_write
+from bwx import LowpassSpec, Waveform, lowpass, wav_read, wav_write
 from bwx.cli import _build_parser
 
 from conftest import SAMPLE_RATE, synth_clip
@@ -24,8 +24,8 @@ def _tour_code() -> str:
 
 def test_library_tour_runs_as_written(tmp_path, monkeypatch):
     hr = Waveform(synth_clip(3, duration=1.0), SAMPLE_RATE)
-    wav_write(tmp_path / "hr.wav", hr, SampleDepth.FLOAT32)
-    wav_write(tmp_path / "lr.wav", lowpass(hr, LowpassSpec(cutoff_hz=4000.0)), SampleDepth.FLOAT32)
+    wav_write(tmp_path / "hr.wav", hr)
+    wav_write(tmp_path / "lr.wav", lowpass(hr, LowpassSpec(cutoff_hz=4000.0)))
     monkeypatch.chdir(tmp_path)
 
     namespace: dict = {}

@@ -24,7 +24,6 @@ from bwx import (
     OracleSpec,
     ReconstructSpec,
     ReferencePhaseSpec,
-    SampleDepth,
     SpecKind,
     StftConfig,
     Waveform,
@@ -43,7 +42,7 @@ from bwx.errors import DomainError, PipelineError
 from bwx.pipeline import _mean_report
 from bwx.wavio import _atomic_output
 
-from conftest import synth_clip, write_pcm24
+from conftest import synth_clip, write_pcm16, write_pcm24
 
 CFG = StftConfig()
 SR = 44100
@@ -62,16 +61,15 @@ def _plant_nan(path, index):
 def _longer_copy(path, src, extra):
     """``src`` (mono) followed by ``extra`` zeros, its last sample NaN."""
     samples = wav_read(src)[0][0].samples
-    wav_write(path, Waveform(np.concatenate([samples, np.zeros(extra)]), SR), SampleDepth.FLOAT32)
+    wav_write(path, Waveform(np.concatenate([samples, np.zeros(extra)]), SR))
     _plant_nan(path, len(samples) + extra - 1)
 
 
 def _write(path, channels, codec):
-    if codec == "pcm24":
-        write_pcm24(path, channels)
+    if codec == "float32":
+        wav_write(path, [Waveform(c, SR) for c in channels])
     else:
-        depth = SampleDepth.PCM16 if codec == "pcm16" else SampleDepth.FLOAT32
-        wav_write(path, [Waveform(c, SR) for c in channels], depth)
+        (write_pcm16 if codec == "pcm16" else write_pcm24)(path, channels)
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +121,7 @@ def test_streamed_flows_equal_whole_array_core(monkeypatch, tmp_path, inputs, co
     truth = wav_read(hr)[0]
     whole = reconstruct(spec, wav_read(lr)[0], {hr: truth})
     expected = tmp_path / "whole.wav"
-    wav_write(expected, whole, SampleDepth.FLOAT32)
+    wav_write(expected, whole)
     expected_report = _mean_report(
         [evaluate(t, e, LAYOUT) for t, e in zip(truth, wav_read(expected)[0])]
     )
@@ -172,25 +170,65 @@ def test_non_finite_input_in_last_block_leaves_no_output(monkeypatch, tmp_path, 
 
 @pytest.mark.parametrize(
     "mag, phase, stage",
-    [("oracle", "flip", "magnitude"), ("sbr", "ref", "phase"), ("oracle", "ref", "magnitude")],
+    [
+        ("oracle", "flip", "magnitude"),
+        ("sbr", "ref", "phase"),
+        ("oracle", "ref", "magnitude"),
+        ("oracle", "gla", "magnitude"),
+    ],
 )
 def test_non_finite_reference_past_the_input_fails_the_job(
     monkeypatch, tmp_path, inputs, mag, phase, stage
 ):
     # No block reads the reference past the input's last frame; its tail is
-    # still checked, a few pieces at a time, as a whole read would check it.
+    # still checked, a few pieces at a time, as a whole read would check it,
+    # and before Griffin-Lim's first iteration.
     hr, lr = inputs["float32", "mono"]
     ref = tmp_path / "ref.wav"
     _longer_copy(ref, hr, 5000)
     monkeypatch.setattr(bwx.wavio, "_PIECE_BYTES", 4 * 1500)  # 1500 float32 mono frames
+    iterated = []
+    monkeypatch.setattr(bwx.pipeline, "_gla_band", lambda *args: iterated.append(args))
     predictor = OracleSpec(str(ref)) if mag == "oracle" else BandReplicationSpec()
-    strategy = ReferencePhaseSpec(str(ref)) if phase == "ref" else FlipPhaseSpec()
+    strategy = {
+        "flip": FlipPhaseSpec(), "ref": ReferencePhaseSpec(str(ref)), "gla": GlaConfig(iterations=5)
+    }[phase]
     out = tmp_path / "out.wav"
     with pytest.raises(PipelineError) as info:
         super_resolve(ReconstructSpec(predictor, strategy, LAYOUT, stft=CFG), lr, out)
     assert info.value.stage == stage
     assert isinstance(info.value.cause, DomainError)
+    assert iterated == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.wav"]
+
+
+def test_no_source_holds_a_span_through_griffin_lim(monkeypatch, tmp_path, inputs):
+    # The reading is over before the first iteration: neither the input nor
+    # the oracle reference keeps samples, nor the references a block.
+    hr, lr = inputs["float32", "stereo"]
+    sources, references, held = [], [], []
+    open_source, open_references = bwx.wavio._WavSource.__init__, bwx.pipeline._References.__init__
+    gla_band = bwx.pipeline._gla_band
+
+    def recording_source(self, *args):
+        open_source(self, *args)
+        sources.append(self)
+
+    def recording_references(self, *args):
+        open_references(self, *args)
+        references.append(self)
+
+    def checking(*args):
+        kept = [sum(len(k) for k in source._kept) for source in sources]
+        held.append(kept + [len(files._blocks) for files in references])
+        return gla_band(*args)
+
+    monkeypatch.setattr(bwx.wavio._WavSource, "__init__", recording_source)
+    monkeypatch.setattr(bwx.pipeline._References, "__init__", recording_references)
+    monkeypatch.setattr(bwx.pipeline, "_gla_band", checking)
+    spec = ReconstructSpec(OracleSpec(str(hr)), GlaConfig(iterations=2), LAYOUT, stft=CFG)
+    super_resolve(spec, lr, tmp_path / "out.wav")
+    assert held == [[0, 0, 0]] * 2  # both channels' Griffin-Lim
 
 
 def test_non_finite_sample_past_the_shorter_file_fails_the_pair(tmp_path, inputs):
@@ -237,7 +275,7 @@ def test_atomic_output_writes_through_a_symlink_and_keeps_the_mode(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.wav", "real.wav"]
     # `wav_write` given a file name writes through the same helper.
     wave = Waveform(np.linspace(-0.5, 0.5, 64), SR)
-    wav_write(link, wave, SampleDepth.FLOAT32)
+    wav_write(link, wave)
     assert link.is_symlink()
     assert np.array_equal(wav_read(target)[0][0].samples, wave.samples.astype(np.float32))
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
@@ -310,7 +348,7 @@ def _noise_wav(path, seconds, seed):
         for start in range(0, n, step):
             k = min(step, n - start)
             channels = [Waveform(0.1 * rng.standard_normal(k), SR) for _ in range(2)]
-            wav_write(fh, channels, SampleDepth.FLOAT32, total_frames=n if start == 0 else None)
+            wav_write(fh, channels, total_frames=n if start == 0 else None)
 
 
 def _traced_peak(run) -> float:

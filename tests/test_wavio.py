@@ -7,34 +7,75 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import bwx.wavio
-from bwx import SampleDepth, Waveform, wav_read, wav_write
+from bwx import Waveform, wav_read, wav_write
 from bwx.errors import (
     BwxError,
     DomainError,
     MalformedHeaderError,
+    PayloadValueError,
     ShapeError,
     TruncatedDataError,
     UnsupportedCodecError,
 )
 from bwx.wavio import _WavSource
 
-from conftest import write_pcm24
+from conftest import write_pcm16, write_pcm24
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+# Negative zero, the smallest and largest subnormals, and the largest normal.
+_FLOAT32_EDGES = [-0.0, 2.0**-149, -(2.0**-149), 2.0**-126 - 2.0**-149, _FLOAT32_MAX, -_FLOAT32_MAX]
 
 
-def test_float32_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    samples = rng.uniform(-1, 1, 5000).astype(np.float32).astype(np.float64)
+@st.composite
+def _float32_channels(draw):
+    """One to three equal-length channels of samples that float32 holds."""
+    n = draw(st.integers(0, 50))
+    sample = st.one_of(
+        st.sampled_from(_FLOAT32_EDGES), st.floats(width=32, allow_nan=False, allow_infinity=False)
+    )
+    return [draw(st.lists(sample, min_size=n, max_size=n)) for _ in range(draw(st.integers(1, 3)))]
+
+
+def _bits(samples) -> np.ndarray:
+    """The float64 bit patterns of ``samples``, so -0.0 differs from 0.0."""
+    return np.asarray(samples, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(channels=[np.random.default_rng(0).uniform(-1, 1, 5000).astype(np.float32).tolist()], rate=44100)
+@given(channels=_float32_channels(), rate=st.sampled_from([8000, 44100]))
+def test_float32_round_trip_bit_exact(tmp_path, channels, rate):
+    # Every sample float32 holds reads back bit for bit, in every channel.
     path = tmp_path / "f32.wav"
-    wav_write(path, Waveform(samples, 44100), SampleDepth.FLOAT32)
-    channels, depth = wav_read(path)
+    wav_write(path, [Waveform(c, rate) for c in channels])
+    read, depth = wav_read(path)
     assert depth == 32
-    assert len(channels) == 1
-    assert channels[0].sample_rate == 44100
-    assert np.array_equal(channels[0].samples, samples)
+    assert len(read) == len(channels)
+    for got, want in zip(read, channels):
+        assert got.sample_rate == rate
+        assert np.array_equal(_bits(got.samples), _bits(want))
+
+
+@pytest.mark.parametrize("beyond", [1e39, -3.5e38, 1e300])
+def test_a_sample_beyond_float32_is_refused_and_nothing_written(tmp_path, beyond):
+    # A sample that would be written as infinity is refused, whole or
+    # streamed, and an existing file keeps its bytes.
+    path = tmp_path / "huge.wav"
+    with pytest.raises(PayloadValueError, match="float32"):
+        wav_write(path, Waveform([0.5, beyond, 0.0], 44100))
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"an earlier file")
+    with pytest.raises(PayloadValueError):
+        wav_write(path, [Waveform([0.0, 0.25], 8000), Waveform([beyond, 0.0], 8000)])
+    assert path.read_bytes() == b"an earlier file"
+    with open(tmp_path / "streamed.wav", "wb") as fh:
+        with pytest.raises(PayloadValueError):
+            wav_write(fh, Waveform([beyond], 8000), total_frames=1)
+        assert fh.tell() == 0
 
 
 def test_pcm16_most_negative_code_reads_as_minus_one(tmp_path):
@@ -51,30 +92,11 @@ def test_pcm16_most_negative_code_reads_as_minus_one(tmp_path):
     assert channels[0].samples[0] == -1.0
 
 
-def test_pcm16_clamps_out_of_range(tmp_path):
-    path = tmp_path / "clamp.wav"
-    wav_write(path, Waveform(np.array([1.5, -1.5, 1.0]), 44100), SampleDepth.PCM16)
-    raw = path.read_bytes()
-    stored = struct.unpack("<3h", raw[44:50])
-    assert stored[0] == 32767
-    assert stored[1] == -32768
-    assert stored[2] == 32767
-
-
-def test_pcm16_round_trip_error_bound(tmp_path):
-    rng = np.random.default_rng(1)
-    samples = rng.uniform(-1, 1, 4000)
-    path = tmp_path / "q.wav"
-    wav_write(path, Waveform(samples, 44100), SampleDepth.PCM16)
-    channels, _ = wav_read(path)
-    assert np.max(np.abs(channels[0].samples - samples)) <= 2.0**-15
-
-
 def test_silence_file_size(tmp_path):
     n = 1234
     path = tmp_path / "silence.wav"
-    wav_write(path, Waveform(np.zeros(n), 44100), SampleDepth.PCM16)
-    assert path.stat().st_size == 44 + 2 * n
+    wav_write(path, Waveform(np.zeros(n), 44100))
+    assert path.stat().st_size == 44 + 4 * n
 
 
 def test_pcm24_read(tmp_path):
@@ -125,11 +147,7 @@ def test_stereo_round_trip(tmp_path):
     left = rng.uniform(-1, 1, 500).astype(np.float32).astype(np.float64)
     right = rng.uniform(-1, 1, 500).astype(np.float32).astype(np.float64)
     path = tmp_path / "stereo.wav"
-    wav_write(
-        path,
-        [Waveform(left, 44100), Waveform(right, 44100)],
-        SampleDepth.FLOAT32,
-    )
+    wav_write(path, [Waveform(left, 44100), Waveform(right, 44100)])
     channels, _ = wav_read(path)
     assert len(channels) == 2
     assert np.array_equal(channels[0].samples, left)
@@ -158,14 +176,15 @@ def _extensible(canonical: bytes) -> bytes:
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
-@pytest.mark.parametrize(
-    "n_channels, depth", [(2, SampleDepth.PCM16), (1, SampleDepth.FLOAT32)]
-)
-def test_extensible_header_reads_as_canonical(tmp_path, n_channels, depth):
+@pytest.mark.parametrize("n_channels, codec", [(2, "pcm16"), (1, "float32")])
+def test_extensible_header_reads_as_canonical(tmp_path, n_channels, codec):
     rng = np.random.default_rng(5)
-    channels = [Waveform(rng.uniform(-1, 1, 777), 22050) for _ in range(n_channels)]
+    channels = [rng.uniform(-1, 1, 777) for _ in range(n_channels)]
     canonical = tmp_path / "canonical.wav"
-    wav_write(canonical, channels, depth)
+    if codec == "pcm16":
+        write_pcm16(canonical, channels, 22050)
+    else:
+        wav_write(canonical, [Waveform(c, 22050) for c in channels])
     extensible = tmp_path / "extensible.wav"
     extensible.write_bytes(_extensible(canonical.read_bytes()))
 
@@ -271,7 +290,7 @@ class TestMalformedFiles:
 class TestSampleRateFromHeader:
     def test_matches_full_read(self, tmp_path):
         path = tmp_path / "x.wav"
-        wav_write(path, Waveform(np.zeros(100), 22050), SampleDepth.PCM16)
+        write_pcm16(path, [np.zeros(100)], 22050)
         with _WavSource(path) as source:
             assert source.sample_rate == 22050 == wav_read(path)[0][0].sample_rate
 
@@ -285,11 +304,11 @@ def codec_files(tmp_path_factory):
     channels = [rng.uniform(-1, 1, 1001) for _ in range(2)]
     paths = {}
     for n_channels in (1, 2):
-        paths["pcm24", n_channels] = d / f"pcm24-{n_channels}.wav"
+        for codec in ("pcm16", "pcm24", "float32"):
+            paths[codec, n_channels] = d / f"{codec}-{n_channels}.wav"
+        write_pcm16(paths["pcm16", n_channels], channels[:n_channels], 8000)
         write_pcm24(paths["pcm24", n_channels], channels[:n_channels], 8000)
-        for name, depth in (("pcm16", SampleDepth.PCM16), ("float32", SampleDepth.FLOAT32)):
-            paths[name, n_channels] = d / f"{name}-{n_channels}.wav"
-            wav_write(paths[name, n_channels], [Waveform(c, 8000) for c in channels[:n_channels]], depth)
+        wav_write(paths["float32", n_channels], [Waveform(c, 8000) for c in channels[:n_channels]])
     return paths
 
 
@@ -473,11 +492,10 @@ def test_mutated_file_reads_alike_or_raises_a_bwx_error(tmp_path, codec, mutatio
     # odd or 0xFFFFFFFF: the header, the whole read and a forward pass agree
     # or raise a BwxError, and nothing else is raised or warned.
     path = tmp_path / f"small-{codec}.wav"
-    if codec == "pcm24":
-        write_pcm24(path, [np.linspace(-0.9, 0.9, 40)], 8000)
+    if codec == "float32":
+        wav_write(path, Waveform(np.linspace(-0.9, 0.9, 40), 8000))
     else:
-        depth = SampleDepth.PCM16 if codec == "pcm16" else SampleDepth.FLOAT32
-        wav_write(path, Waveform(np.linspace(-0.9, 0.9, 40), 8000), depth)
+        (write_pcm16 if codec == "pcm16" else write_pcm24)(path, [np.linspace(-0.9, 0.9, 40)], 8000)
     path.write_bytes(_mutated(path.read_bytes(), mutation))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -498,15 +516,19 @@ def test_mutated_file_reads_alike_or_raises_a_bwx_error(tmp_path, codec, mutatio
         assert np.array_equal(got, ch.samples)
 
 
-def test_streamed_write_equals_whole_write(tmp_path):
-    rng = np.random.default_rng(4)
-    channels = [Waveform(rng.uniform(-1, 1, 1000), 8000) for _ in range(2)]
-    for depth in SampleDepth:
-        whole = tmp_path / "whole.wav"
-        wav_write(whole, channels, depth)
-        streamed = tmp_path / "streamed.wav"
-        with open(streamed, "wb") as fh:
-            for start in range(0, 1000, 300):
-                block = [Waveform(c.samples[start : start + 300], 8000) for c in channels]
-                wav_write(fh, block, depth, total_frames=1000 if start == 0 else None)
-        assert streamed.read_bytes() == whole.read_bytes()
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(channels=np.random.default_rng(4).uniform(-1, 1, (2, 1000)).tolist(), cuts=[300, 600, 900])
+@given(channels=_float32_channels(), cuts=st.lists(st.integers(0, 50), max_size=5))
+def test_streamed_write_equals_whole_write(tmp_path, channels, cuts):
+    # The header for the total, then the frames appended block by block in
+    # any split, empty blocks included: the bytes of the whole write.
+    n = len(channels[0])
+    whole = tmp_path / "whole.wav"
+    wav_write(whole, [Waveform(c, 8000) for c in channels])
+    streamed = tmp_path / "streamed.wav"
+    bounds = [0, *sorted(min(cut, n) for cut in cuts), n]
+    with open(streamed, "wb") as fh:
+        for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            block = [Waveform(c[start:stop], 8000) for c in channels]
+            wav_write(fh, block, total_frames=n if i == 0 else None)
+    assert streamed.read_bytes() == whole.read_bytes()

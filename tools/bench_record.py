@@ -38,13 +38,13 @@ It also records which benchmark each side ran: the sha256 of every
 git-tracked file under ``perfbench/`` and of ``BENCHMARK.json``, per side,
 and ``same_harness``, whether the two sets match. When they do not, it
 prints a warning, since the pairs then compare the harnesses as well as
-bwx. Per side it records the source's size, the three numbers the
+bwx. Per side it records the source's size, the four numbers the
 simplicity work is measured by: ``source_lines``, the newlines in
-``src/bwx/*.py`` (what ``cat src/bwx/*.py | wc -l`` prints),
-``public_names``, the length of ``bwx.__all__``, and ``cli_options``, the
-``add_argument`` calls in ``src/bwx/cli.py`` whose first argument starts
-with ``--``; the last two are read with ``ast``, so nothing is imported
-from either tree. It records both revisions, nproc, the library versions,
+``src/bwx/*.py`` (what ``cat src/bwx/*.py | wc -l`` prints), ``types``,
+their module-level ``class`` statements, ``public_names``, the length of
+``bwx.__all__``, and ``cli_options``, the ``add_argument`` calls in
+``src/bwx/cli.py`` whose first argument starts with ``--``; the last three
+are read with ``ast``, so nothing is imported from either tree. It records both revisions, nproc, the library versions,
 the load average, the session's total steal and a calibration taken in the
 same session: the median time of ``numpy.fft.rfft`` over a 1715 x 2048
 float64 array, at the start and at the end. The file is rewritten after
@@ -128,11 +128,17 @@ def _harness(root: Path, names: list[str]) -> dict:
 
 def _source_size(root: Path) -> dict:
     """The newlines in ``root``'s ``src/bwx/*.py``, as ``wc -l`` counts them,
-    the number of names in the ``__all__`` list of its
-    ``src/bwx/__init__.py`` and the number of ``add_argument("--...")`` calls
-    in its ``src/bwx/cli.py``, parsed, not imported."""
+    their module-level ``class`` statements, the number of names in the
+    ``__all__`` list of its ``src/bwx/__init__.py`` and the number of
+    ``add_argument("--...")`` calls in its ``src/bwx/cli.py``, parsed, not
+    imported."""
     package = root / "src" / "bwx"
     lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+    types = sum(
+        isinstance(node, ast.ClassDef)
+        for path in package.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+    )
     names = next(
         ast.literal_eval(node.value)
         for node in ast.parse((package / "__init__.py").read_text()).body
@@ -146,7 +152,7 @@ def _source_size(root: Path) -> dict:
         and str(node.args[0].value).startswith("--")
         for node in ast.walk(ast.parse((package / "cli.py").read_text()))
     )
-    return {"source_lines": lines, "public_names": len(names), "cli_options": options}
+    return {"source_lines": lines, "types": types, "public_names": len(names), "cli_options": options}
 
 
 def _check_harness(record: dict) -> None:
