@@ -21,22 +21,19 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import (
-    BAND_HI_HZ,
-    BAND_LO_HZ,
-    BandLayout,
     StftConfig,
     Waveform,
     _checked_spectrogram,
     _normalise,
+    _paper_layout,
     overlap_add,
     padded_grid,
     stft_array,
 )
 from .errors import BwxError, FileFormatError, NumericalError, PipelineError, ShapeError
 from .magnitude import BandReplicationSpec, ImportSpec, OracleSpec
-from .metrics import _evaluate_sources
 from .phase import FlipPhaseSpec, GlaConfig, ReferencePhaseSpec
-from .pipeline import ReconstructSpec, _score_pairs, _super_resolve, run_phase_study
+from .pipeline import ReconstructSpec, _super_resolve, evaluate_batch, run_phase_study
 from .prep import LowpassMode, LowpassSpec, make_pair
 from .specio import SpecKind, spec_read, spec_write
 from .wavio import _WavSource, wav_write
@@ -63,7 +60,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("prepare", help="write a low-passed companion file")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--cutoff-hz", type=float, default=BAND_LO_HZ)
     p.add_argument("--filter", choices=["brickwall", "fir"], default="brickwall")
     p.add_argument("--taps", type=int, default=511)
 
@@ -73,15 +69,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--mag", required=True, help="oracle:<path> | sbr | import:<path>")
     p.add_argument("--phase", required=True, help="flip | gla | ref:<path>")
     p.add_argument("--gla-iters", type=int, default=None, help="GLA iterations (default 100)")
-    p.add_argument("--lo-hz", type=float, default=BAND_LO_HZ)
-    p.add_argument("--hi-hz", type=float, default=BAND_HI_HZ)
     p.add_argument("--trace", default=None, help="write the GLA residual trace CSV here")
 
     p = sub.add_parser("eval", help="score an estimate against ground truth")
     p.add_argument("--truth", required=True)
     p.add_argument("--est", required=True)
-    p.add_argument("--lo-hz", type=float, default=BAND_LO_HZ)
-    p.add_argument("--hi-hz", type=float, default=BAND_HI_HZ)
     p.add_argument("--out", dest="output", required=True)
 
     p = sub.add_parser("phase-study", help="compare phase strategies with oracle magnitudes")
@@ -153,7 +145,7 @@ def _check_writes(reads, writes) -> None:
 def _cmd_prepare(args) -> int:
     _check_writes([("--in", args.input)], [("--out", args.output)])
     mode = LowpassMode.BRICKWALL if args.filter == "brickwall" else LowpassMode.FIR_SINC
-    spec = LowpassSpec(mode=mode, cutoff_hz=args.cutoff_hz, taps=args.taps)
+    spec = LowpassSpec(mode=mode, taps=args.taps)
     make_pair(args.input, args.output, spec)
     print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
@@ -171,20 +163,15 @@ def _cmd_sr(args) -> int:
             reads.append((f"{flag} {kind}:", path))
     _check_writes(reads, [("--out", args.output), ("--trace", args.trace)])
     with _WavSource(args.input) as source:
-        layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, source.sample_rate, StftConfig())
-        _super_resolve(ReconstructSpec(predictor, phase, layout), source, args.output, args.trace)
+        spec = ReconstructSpec(predictor, phase, _paper_layout(source.sample_rate))
+        _super_resolve(spec, source, args.output, args.trace)
     print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
     _check_writes([("--truth", args.truth), ("--est", args.est)], [("--out", args.output)])
-    with _WavSource(args.truth) as truth, _WavSource(args.est) as estimate:
-        layout = BandLayout.from_frequencies(args.lo_hz, args.hi_hz, truth.sample_rate, StftConfig())
-        rows = _score_pairs(
-            [(args.truth, args.est)], lambda *_: _evaluate_sources(truth, estimate, layout), args.output
-        )
-    for row in rows:
+    for row in evaluate_batch([(args.truth, args.est)], args.output):
         print(row)
     return EXIT_OK
 

@@ -143,8 +143,8 @@ class StftConfig:
         return (n_frames - 1) * self.hop + self.frame_len
 
 
-# The paper's task: the input is band-limited at BAND_LO_HZ and [BAND_LO_HZ,
-# BAND_HI_HZ) rebuilt. The phase study runs there and scores at StftConfig().
+# The paper's task: the input is band-limited at BAND_LO_HZ, and [BAND_LO_HZ,
+# BAND_HI_HZ) is rebuilt and scored, in `_paper_layout`'s bins.
 BAND_LO_HZ, BAND_HI_HZ = 4000.0, 8000.0
 
 
@@ -219,6 +219,12 @@ class BandLayout:
             k_hi=bin_index(hi_hz, sample_rate, cfg.frame_len),
             n_bins=cfg.n_bins,
         )
+
+
+def _paper_layout(sample_rate: int) -> BandLayout:
+    """The paper's band, [BAND_LO_HZ, BAND_HI_HZ), at ``StftConfig()`` and
+    ``sample_rate``; `DomainError` from `bin_index` below 16 kHz."""
+    return BandLayout.from_frequencies(BAND_LO_HZ, BAND_HI_HZ, sample_rate, StftConfig())
 
 
 def _checked_magnitude(m: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Objective evaluation: log-spectral distance, time-domain SNR and
 spectrogram consistency residuals. `evaluate`, ``eval`` and the phase study
-score at the paper's STFT, ``StftConfig()`` (2048/256), only.
+score at the paper's STFT and band only: ``StftConfig()`` (2048/256) and
+4-8 kHz at the truth's sample rate (``dsp._paper_layout``).
 
 Log power is 10*log10(m^2 + 1e-10); the floor keeps silent bins bounded and
 is recorded here as a constant so results stay comparable across runs.
@@ -15,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import (
-    BandLayout,
     StftConfig,
     Waveform,
     _ArraySource,
     _checked_magnitude,
+    _paper_layout,
     consistency_project_array,
     frame_blocks,
     stft_array,
@@ -54,16 +55,11 @@ def lsd(truth: np.ndarray, estimate: np.ndarray, bins: tuple[int, int]) -> float
     estimate = _checked_magnitude(estimate)
     if truth.shape != estimate.shape:
         raise ShapeError(f"magnitude shapes differ: {truth.shape} vs {estimate.shape}")
-    _check_bins(bins, truth.shape[1])
-    band = slice(*bins)
-    diff = log_power(truth[:, band]) - log_power(estimate[:, band])
-    return float(np.mean(_rms_per_frame(diff)))
-
-
-def _check_bins(bins: tuple[int, int], n_bins: int) -> None:
     lo, hi = bins
-    if not 0 <= lo < hi <= n_bins:
-        raise DomainError(f"bin range [{lo}, {hi}) invalid for {n_bins} bins")
+    if not 0 <= lo < hi <= truth.shape[1]:
+        raise DomainError(f"bin range [{lo}, {hi}) invalid for {truth.shape[1]} bins")
+    diff = log_power(truth[:, lo:hi]) - log_power(estimate[:, lo:hi])
+    return float(np.mean(_rms_per_frame(diff)))
 
 
 def _rms_per_frame(diff: np.ndarray) -> np.ndarray:
@@ -164,12 +160,13 @@ def _mean_report(reports: Sequence[EvalReport]) -> EvalReport:
     )
 
 
-def _evaluate_sources(truth, estimate, layout: BandLayout) -> EvalReport:
+def _evaluate_sources(truth, estimate) -> EvalReport:
     """Score every channel of the source ``estimate`` against the source
     ``truth``, reading both one block span at a time, and average the channel
     reports (see `evaluate`). Every check of the pair is made before any block
-    is read. Samples past the shorter source's end are not scored, but each
-    source is still checked to its end."""
+    is read, in this order: channel count, length, sample rates, and the band
+    at the truth's rate. Samples past the shorter source's end are not scored,
+    but each source is still checked to its end."""
     cfg = StftConfig()
     if truth.n_channels != estimate.n_channels:
         raise ShapeError(
@@ -181,10 +178,8 @@ def _evaluate_sources(truth, estimate, layout: BandLayout) -> EvalReport:
             f"signals of {n} samples are too short to evaluate "
             f"with frame_len {cfg.frame_len}"
         )
-    _check_bins((layout.k_lo, layout.k_hi), cfg.n_bins)  # and so the wider [0, k_hi)
-    if layout.n_bins != cfg.n_bins:
-        raise ShapeError(f"layout covers {layout.n_bins} bins, scoring's STFT has {cfg.n_bins}")
     _check_rates(truth.sample_rate, estimate.sample_rate)
+    layout = _paper_layout(truth.sample_rate)
     n_frames = cfg.frame_count(n)
     hf = np.empty((truth.n_channels, n_frames))
     full = np.empty((truth.n_channels, n_frames))
@@ -221,15 +216,15 @@ def _evaluate_sources(truth, estimate, layout: BandLayout) -> EvalReport:
     )
 
 
-def evaluate(truth: Waveform, estimate: Waveform, layout: BandLayout) -> EvalReport:
+def evaluate(truth: Waveform, estimate: Waveform) -> EvalReport:
     """Build an EvalReport for a waveform pair, one block of frames at a time,
     by the same walk as ``eval`` and the phase study, at the paper's STFT,
-    ``StftConfig()`` (2048/256). ``layout`` must be made for that STFT, with
-    its 1025 bins (`ShapeError` otherwise).
+    ``StftConfig()`` (2048/256), and band, 4-8 kHz at the truth's sample rate
+    (`DomainError` below 16 kHz).
 
-    LSD-HF covers [k_lo, k_hi) and LSD-Full [0, k_hi). Both are means of
-    per-frame values over every frame. SNR is computed on interior samples
-    only, trimming one frame length from each end to exclude overlap-add edge
-    effects.
+    LSD-HF covers the band's bins [k_lo, k_hi) and LSD-Full [0, k_hi). Both
+    are means of per-frame values over every frame. SNR is computed on
+    interior samples only, trimming one frame length from each end to exclude
+    overlap-add edge effects.
     """
-    return _evaluate_sources(_ArraySource([truth]), _ArraySource([estimate]), layout)
+    return _evaluate_sources(_ArraySource([truth]), _ArraySource([estimate]))

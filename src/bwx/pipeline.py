@@ -36,13 +36,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dsp import (
-    BAND_HI_HZ,
-    BAND_LO_HZ,
     BandLayout,
     StftConfig,
     Waveform,
     _ArraySource,
     _normalise,
+    _paper_layout,
     _whole_channels,
     frame_blocks,
     overlap_add,
@@ -434,7 +433,7 @@ def _study_one_clip(clip_path: str, workdir: Path, gla_iterations: int) -> dict[
     workdir.mkdir(parents=True, exist_ok=True)
     stem = Path(clip_path).stem
     with _WavSource(clip_path) as clip:
-        layout = BandLayout.from_frequencies(BAND_LO_HZ, BAND_HI_HZ, clip.sample_rate, StftConfig())
+        layout = _paper_layout(clip.sample_rate)
     lr_path = workdir / f"{stem}_lr.wav"
     make_pair(clip_path, lr_path)
 
@@ -446,7 +445,7 @@ def _study_one_clip(clip_path: str, workdir: Path, gla_iterations: int) -> dict[
 
     def score(path) -> EvalReport:
         with _WavSource(clip_path) as truth, _WavSource(path) as estimate:
-            return _evaluate_sources(truth, estimate, layout)
+            return _evaluate_sources(truth, estimate)
 
     reports = {"lr": score(lr_path)}
     for method, phase_spec in phase_specs.items():
@@ -528,32 +527,23 @@ def run_phase_study(
     return PhaseStudyResult(rows=rows, means=means, snr_anomaly=anomaly, skipped=skipped)
 
 
-def evaluate_batch(pairs: Sequence[tuple[str, str]], layout: BandLayout, out) -> list[str]:
-    """Score (truth, estimate) file pairs at the paper's STFT, as `evaluate`
-    does; one CSV row per pair plus a mean row.
+def evaluate_batch(pairs: Sequence[tuple[str, str]], out) -> list[str]:
+    """Score (truth, estimate) WAV file pairs at the paper's STFT and band, as
+    `evaluate` does; one CSV row per pair plus a mean row. Each file is
+    opened once and read front to back, so a pipe can be either file.
 
     Failing pairs are logged and reported as rows with empty metric fields;
     the mean covers the successes. Rows keep the input order. When every pair
     fails, the first failure's exception is raised (and not logged, since the
     caller reports it), the others are logged, and no CSV is written.
     """
-
-    def score(truth_path, estimate_path) -> EvalReport:
-        with _WavSource(truth_path) as truth, _WavSource(estimate_path) as estimate:
-            return _evaluate_sources(truth, estimate, layout)
-
-    return _score_pairs(pairs, score, out)
-
-
-def _score_pairs(pairs, score, out) -> list[str]:
-    """`evaluate_batch`'s rows and CSV, each pair scored by ``score(truth,
-    estimate)``; the CLI scores its one pair from sources it opened."""
     rows: list[str] = []
     successes: list[EvalReport] = []
     failures: list[tuple[str, str, Exception]] = []
     for truth_path, estimate_path in pairs:
         try:
-            report = score(truth_path, estimate_path)
+            with _WavSource(truth_path) as truth, _WavSource(estimate_path) as estimate:
+                report = _evaluate_sources(truth, estimate)
         except Exception as exc:
             failures.append((truth_path, estimate_path, exc))
             rows.append(f"{estimate_path},error,,,,")

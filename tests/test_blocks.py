@@ -123,7 +123,7 @@ def test_evaluate_blocked_equals_one_block(monkeypatch, files):
     hr, lr = files["mono"]
     truth, estimate = wav_read(hr)[0][0], wav_read(lr)[0][0]
     monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", ONE_BLOCK)
-    whole = evaluate(truth, estimate, LAYOUT)
+    whole = evaluate(truth, estimate)
     mt, me = (np.abs(stft_array(w.samples, CFG)) for w in (truth, estimate))
     np.testing.assert_allclose(
         [whole.lsd_hf, whole.lsd_full],
@@ -133,7 +133,7 @@ def test_evaluate_blocked_equals_one_block(monkeypatch, files):
     )
     for block in BLOCK_SIZES:
         monkeypatch.setattr(bwx.dsp, "BLOCK_FRAMES", block)
-        report = evaluate(truth, estimate, LAYOUT)
+        report = evaluate(truth, estimate)
         np.testing.assert_allclose(
             [report.lsd_hf, report.lsd_full], [whole.lsd_hf, whole.lsd_full], rtol=1e-12, atol=0
         )

@@ -42,7 +42,7 @@ def lr_path(tmp_path, hr_path):
 class TestPrepare:
     def test_writes_output(self, tmp_path, hr_path):
         out = tmp_path / "lr.wav"
-        code = main(["prepare", "--in", str(hr_path), "--out", str(out), "--cutoff-hz", "4000"])
+        code = main(["prepare", "--in", str(hr_path), "--out", str(out)])
         assert code == 0
         channels, _ = wav_read(out)
         assert len(channels[0].samples) == len(wav_read(hr_path)[0][0].samples)
@@ -58,12 +58,14 @@ class TestPrepare:
         code = main(["prepare", "--in", str(tmp_path / "no.wav"), "--out", str(tmp_path / "o.wav")])
         assert code == 2
 
-    def test_bad_cutoff_is_usage_error(self, tmp_path, hr_path):
-        code = main(
-            ["prepare", "--in", str(hr_path), "--out", str(tmp_path / "o.wav"),
-             "--cutoff-hz", "30000"]
-        )
-        assert code == 1
+    def test_bad_cutoff_is_usage_error(self, tmp_path, short_music, capsys):
+        # At 8 kHz the paper's 4 kHz cutoff is Nyquist.
+        narrow = tmp_path / "8k.wav"
+        wav_write(narrow, Waveform(short_music.samples, 8000))
+        out = tmp_path / "o.wav"
+        assert main(["prepare", "--in", str(narrow), "--out", str(out)]) == 1
+        assert "cutoff 4000.0 Hz is not below Nyquist (4000.0 Hz)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_flag_is_usage_error(self, hr_path):
         assert main(["prepare", "--in", str(hr_path), "--nope", "x"]) == 1
@@ -318,6 +320,24 @@ class TestEval:
         assert main(argv) == 1
         assert "sample rates differ: 44100 vs 48000" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("sr", ["--lo-hz", "4000"]), ("sr", ["--hi-hz", "8000"]), ("eval", ["--lo-hz", "4000"]),
+     ("eval", ["--hi-hz", "8000"]), ("prepare", ["--cutoff-hz", "4000"])],
+)
+def test_removed_band_options_are_usage_errors(tmp_path, hr_path, lr_path, capsys, command, option):
+    # Every command runs at the paper's 4-8 kHz band.
+    out = tmp_path / "o.out"
+    argv = {
+        "sr": ["sr", "--in", str(lr_path), "--mag", "sbr", "--phase", "flip"],
+        "eval": ["eval", "--truth", str(hr_path), "--est", str(lr_path)],
+        "prepare": ["prepare", "--in", str(hr_path)],
+    }[command]
+    assert main([*argv, "--out", str(out), *option]) == 1
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestPhaseStudy:

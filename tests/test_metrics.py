@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwx import (
-    BandLayout,
     EvalReport,
     StftConfig,
     Waveform,
@@ -18,7 +17,7 @@ from bwx import (
     snr,
     stft_array,
 )
-from bwx.dsp import _ArraySource
+from bwx.dsp import _ArraySource, _paper_layout
 from bwx.errors import DomainError, LengthError, ShapeError
 from bwx.metrics import LSD_POWER_FLOOR, SNR_CHUNK, _EnergySums, _evaluate_sources
 
@@ -235,12 +234,28 @@ class TestEvalReport:
             EvalReport(-1.0, 0.0, 0.0, 1)
 
     def test_evaluate_identical_waveforms(self, short_music):
-        layout = BandLayout(186, 372, CFG.n_bins)
-        report = evaluate(short_music, short_music, layout)
+        report = evaluate(short_music, short_music)
         assert report.lsd_hf == 0.0
         assert report.lsd_full == 0.0
         assert report.snr == pytest.approx(120.0, abs=1e-9)
         assert report.frames_compared == CFG.frame_count(len(short_music.samples))
+
+    def test_evaluate_takes_the_band_at_the_truths_rate(self, short_music):
+        # At 48 kHz the paper's 4-8 kHz band is bins [171, 341), not the
+        # [186, 372) of 44.1 kHz.
+        layout = _paper_layout(48000)
+        assert (layout.k_lo, layout.k_hi) == (171, 341)
+        rng = np.random.default_rng(48)
+        truth = Waveform(short_music.samples, 48000)
+        estimate = Waveform(0.5 * short_music.samples + 0.01 * rng.standard_normal(len(truth)), 48000)
+        report = evaluate(truth, estimate)
+        mt, me = (np.abs(stft_array(w.samples, CFG)) for w in (truth, estimate))
+        np.testing.assert_allclose(
+            [report.lsd_hf, report.lsd_full],
+            [lsd(mt, me, (171, 341)), lsd(mt, me, (0, 341))],
+            rtol=1e-12,
+            atol=0,
+        )
 
 
 class _CountingSource(_ArraySource):
@@ -257,38 +272,34 @@ class _CountingSource(_ArraySource):
 
 class TestScoringChecks:
     """Every check of a pair fires before either source is read, in a fixed
-    order: channel count, length, bin range, the layout's STFT, sample rates.
-    Each case below also breaks every later check, so the first must win."""
-
-    LAYOUT = BandLayout(186, 372, CFG.n_bins)
-    WIDE = BandLayout(186, CFG.n_bins + 1, CFG.n_bins + 1)  # k_hi past cfg.n_bins
-    SMALL = BandLayout(8, 16, 33)  # bins in range, but made for a 64-sample frame
+    order: channel count, length, sample rates, then the band at the truth's
+    rate. The truth is at 8 kHz, where 8 kHz is past Nyquist, so each case
+    below also breaks every later check, and the first must win."""
 
     @staticmethod
     def _channel(n, rate=44100):
         return Waveform(np.random.default_rng(n).standard_normal(n) * 0.1, rate)
 
     @pytest.mark.parametrize(
-        "truth_n,est_shape,layout,error,match",
+        "est_shape,error,match",
         [
-            (3 * 2048, (2, 2 * 2048, 48000), "WIDE", ShapeError, "channel counts differ"),
-            (3 * 2048, (1, 2 * 2048, 48000), "WIDE", LengthError, "too short"),
-            (3 * 2048, (1, 3 * 2048, 48000), "WIDE", DomainError, "bin range"),
-            (3 * 2048, (1, 3 * 2048, 48000), "SMALL", ShapeError, "layout covers 33 bins"),
-            (3 * 2048, (1, 3 * 2048, 48000), "LAYOUT", ShapeError, "sample rates differ"),
+            ((2, 2 * 2048, 48000), ShapeError, "channel counts differ"),
+            ((1, 2 * 2048, 48000), LengthError, "too short"),
+            ((1, 3 * 2048, 48000), ShapeError, "sample rates differ"),
+            ((1, 3 * 2048, 8000), DomainError, "8000.0 Hz outside"),
         ],
-        ids=["channels", "length", "bins", "layout", "rates"],
+        ids=["channels", "length", "rates", "band"],
     )
-    def test_check_fails_before_any_read(self, truth_n, est_shape, layout, error, match):
+    def test_check_fails_before_any_read(self, est_shape, error, match):
         n_channels, n, rate = est_shape
-        truth = _CountingSource([self._channel(truth_n)])
+        truth = _CountingSource([self._channel(3 * 2048, 8000)])
         estimate = _CountingSource([self._channel(n, rate)] * n_channels)
         with pytest.raises(error, match=match):
-            _evaluate_sources(truth, estimate, getattr(self, layout))
+            _evaluate_sources(truth, estimate)
         assert (truth.reads, estimate.reads) == (0, 0)
 
     def test_valid_pair_is_read(self):
         truth = _CountingSource([self._channel(3 * 2048)])
         estimate = _CountingSource([self._channel(3 * 2048)])
-        _evaluate_sources(truth, estimate, self.LAYOUT)
+        _evaluate_sources(truth, estimate)
         assert truth.reads > 0 and estimate.reads > 0

@@ -88,7 +88,7 @@ class TestSuperResolve:
         hr, lr = hr_lr_paths
         rebuilt = _rebuild(lr, _spec(OracleSpec(str(hr)), ReferencePhaseSpec(str(hr))))
         truth = wav_read(hr)[0][0]
-        report = evaluate(truth, rebuilt, LAYOUT)
+        report = evaluate(truth, rebuilt)
         assert report.lsd_hf < 0.5
 
     def test_zero_magnitude_import_gives_lfc_only(self, tmp_path, hr_lr_paths):
@@ -127,7 +127,7 @@ class TestSuperResolve:
             ("gla", GlaConfig(iterations=30)),
         ):
             rebuilt = _rebuild(lr, _spec(OracleSpec(str(hr)), phase))
-            results[name] = evaluate(truth, rebuilt, LAYOUT)
+            results[name] = evaluate(truth, rebuilt)
         assert results["gla"].lsd_hf < results["flip"].lsd_hf
 
     def test_lfc_band_is_passed_through_unaltered(self, tmp_path, hr_lr_paths):
@@ -374,7 +374,7 @@ class TestEvaluateBatch:
     def test_truth_vs_itself(self, tmp_path, hr_lr_paths):
         hr, _ = hr_lr_paths
         out = tmp_path / "report.csv"
-        rows = evaluate_batch([(str(hr), str(hr))], LAYOUT, out)
+        rows = evaluate_batch([(str(hr), str(hr))], out)
         assert len(rows) == 2  # pair row + mean row
         fields = rows[0].split(",")
         assert float(fields[2]) == 0.0
@@ -388,7 +388,6 @@ class TestEvaluateBatch:
         out = tmp_path / "report.csv"
         rows = evaluate_batch(
             [(str(hr), str(tmp_path / "missing.wav")), (str(hr), str(lr))],
-            LAYOUT,
             out,
         )
         assert len(rows) == 3
@@ -398,7 +397,7 @@ class TestEvaluateBatch:
     def test_rows_keep_input_order(self, tmp_path, hr_lr_paths):
         hr, lr = hr_lr_paths
         out = tmp_path / "report.csv"
-        rows = evaluate_batch([(str(hr), str(lr)), (str(hr), str(hr))], LAYOUT, out)
+        rows = evaluate_batch([(str(hr), str(lr)), (str(hr), str(hr))], out)
         assert rows[0].startswith(str(lr))
         assert rows[1].startswith(str(hr))
 
@@ -469,7 +468,7 @@ class TestRunPhaseStudy:
             reports = {}
             for method, path in estimates.items():
                 pairs = zip(wav_read(clip)[0], wav_read(path)[0])
-                channel_reports = [evaluate(t, e, layout) for t, e in pairs]
+                channel_reports = [evaluate(t, e) for t, e in pairs]
                 reports[method] = [
                     float(np.mean([getattr(r, name) for r in channel_reports]))
                     for name in ("lsd_hf", "lsd_full", "snr")

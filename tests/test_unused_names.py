@@ -1,6 +1,7 @@
 """Every module-level name in ``src/bwx`` is used somewhere in ``src/bwx``
 outside its own definition, or is a console script's entry point: a helper
-that nothing calls is deleted, not kept alive by its tests."""
+that nothing calls is deleted, not kept alive by its tests, nor by an import
+that nothing reads."""
 
 import ast
 import tomllib
@@ -24,17 +25,33 @@ def _defined(tree: ast.Module):
 
 
 def _uses(node: ast.AST) -> Counter:
-    """The names that ``node`` loads, reads as an attribute or imports by
-    name; a mention in a docstring or a string is none of these."""
+    """The names that ``node`` loads or reads as an attribute; a mention in a
+    docstring or a string is neither."""
     uses = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             uses[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             uses[sub.attr] += 1
-        elif isinstance(sub, ast.ImportFrom):
-            uses.update(alias.name for alias in sub.names)
     return uses
+
+
+def _module_uses(module: str, tree: ast.Module) -> Counter:
+    """`_uses` of the whole module, plus each name it imports by name and
+    then loads or, in ``__init__``, lists in ``__all__``."""
+    loads = _uses(tree)
+    read = set(loads)
+    for name, node in _defined(tree):
+        if module == "__init__" and name == "__all__":
+            read.update(ast.literal_eval(node.value))
+    imported = Counter(
+        alias.name
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.ImportFrom)
+        for alias in sub.names
+        if (alias.asname or alias.name) in read
+    )
+    return loads + imported
 
 
 def _entry_points() -> Counter:
@@ -45,7 +62,7 @@ def _entry_points() -> Counter:
 
 def test_every_module_level_name_is_used():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    uses = sum((_uses(tree) for tree in trees.values()), _entry_points())
+    uses = sum((_module_uses(module, tree) for module, tree in trees.items()), _entry_points())
     unused = [
         f"bwx.{module}.{name}"
         for module, tree in trees.items()
